@@ -136,27 +136,23 @@ pub fn enumerate(args: &[String], out: &mut dyn Write) -> CmdResult {
         let cat_path = cat_path.to_string();
         let data =
             std::fs::read(&cat_path).map_err(|e| format!("cannot open {cat_path:?}: {e}"))?;
-        let is_base = ugraph_io::Catalog::from_bytes(ugraph_io::Bytes::from(data.clone()))
-            .map(|c| c.header().flags & ugraph_io::catalog::FLAG_ALPHA_BASE != 0)
-            .unwrap_or(false);
         let threads: usize = opts.get_or("threads", 1)?;
-        if is_base {
-            let alpha: f64 = opts.get_opt("alpha")?.ok_or_else(|| {
-                format!("{cat_path} holds an α-generic base: --alpha selects the refinement threshold and is required")
-            })?;
-            let mut base =
-                mule::Query::open_base_bytes(data).map_err(|e| format!("{cat_path}: {e}"))?;
-            base.set_threads(threads.max(1)).map_err(fmt_err)?;
-            base.refine(alpha).map_err(fmt_err)?
-        } else {
-            opts.conflicts(
-                &["alpha"],
-                "--catalog: that setting is baked into the catalog",
-            )?;
-            let mut session =
-                mule::Query::open_bytes(data).map_err(|e| format!("{cat_path}: {e}"))?;
-            session.set_threads(threads.max(1)).map_err(fmt_err)?;
-            session
+        match mule::Query::open_any_bytes(data).map_err(|e| format!("{cat_path}: {e}"))? {
+            mule::Opened::Base(mut base) => {
+                let alpha: f64 = opts.get_opt("alpha")?.ok_or_else(|| {
+                    format!("{cat_path} holds an α-generic base: --alpha selects the refinement threshold and is required")
+                })?;
+                base.set_threads(threads.max(1)).map_err(fmt_err)?;
+                base.refine(alpha).map_err(fmt_err)?
+            }
+            mule::Opened::Fixed(mut session) => {
+                opts.conflicts(
+                    &["alpha"],
+                    "--catalog: that setting is baked into the catalog",
+                )?;
+                session.set_threads(threads.max(1)).map_err(fmt_err)?;
+                session
+            }
         }
     } else {
         let g = graph_from(&opts)?;

@@ -90,11 +90,17 @@
 //!   sections the catalog is rewritten clean
 //!   ([`mule::catalog::compact`]). Warm and cold queries alike serve
 //!   the mutated graph, byte-identical to a fresh prepare of it.
+//!   Updates on one catalog run one at a time (a per-path lock, which
+//!   cold opens of that catalog also take; other catalogs are not
+//!   blocked), and a query whose entry was taken before an update
+//!   landed drops it instead of putting it back, so concurrent clients
+//!   on one catalog never lose a delta or see a stale base return to
+//!   the cache.
 
 use crate::wire::{err_reply, ok_reply, Json, ObjBuilder, Request};
 use mule::sinks::{CollectSink, CountSink};
-use mule::{Base, MuleError, Prepared, Query};
-use std::collections::VecDeque;
+use mule::{Base, MuleError, Opened, Prepared, Query};
+use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -213,6 +219,12 @@ struct Shared {
     queue: Mutex<VecDeque<TcpStream>>,
     queue_cv: Condvar,
     cache: Mutex<SessionCache>,
+    /// One lock per catalog path (see [`Shared::while_no_update`]), so
+    /// updates on one catalog run one at a time — each rewrites the
+    /// file from the bytes it read — while updates on different
+    /// catalogs do not wait for each other. Never pruned: one entry per
+    /// catalog path the server has opened or updated.
+    update_locks: Mutex<HashMap<String, Arc<Mutex<()>>>>,
     counters: Counters,
     /// Catalog keys whose resident entry was poison-evicted; a
     /// successful cold reopen removes the key and counts a reopen.
@@ -225,6 +237,43 @@ impl Shared {
         if let Ok(mut w) = self.log.lock() {
             let _ = writeln!(w, "[serve] {line}");
             let _ = w.flush();
+        }
+    }
+
+    /// Run `f` holding the update lock of one catalog path (see
+    /// `update_locks`). Updates take it for their whole append, fold
+    /// and compaction; cold opens take it too, because an open clears
+    /// the orphan `<file>.tmp` — which, mid-update, is the save in
+    /// flight.
+    fn while_no_update<R>(&self, catalog: &str, f: impl FnOnce() -> R) -> R {
+        let lock = Arc::clone(
+            self.update_locks
+                .lock()
+                .unwrap()
+                .entry(catalog.to_string())
+                .or_default(),
+        );
+        // The guarded value is `()`, so a poisoned lock carries no
+        // broken state; keep serializing.
+        let _serial = lock.lock().unwrap_or_else(|e| e.into_inner());
+        f()
+    }
+
+    /// Return an entry taken at `generation` to the cache — unless an
+    /// `update` landed on the catalog meanwhile, in which case the
+    /// entry misses that update's delta and is dropped; the next
+    /// request reopens the catalog from disk.
+    fn restore(&self, peer: &str, catalog: String, generation: u64, entry: Resident) {
+        let kept = self
+            .cache
+            .lock()
+            .unwrap()
+            .put_if_current(catalog.clone(), generation, entry);
+        if !kept {
+            self.log(&format!(
+                "{peer}: {catalog:?} was updated while this request held it; \
+                 entry dropped, next request reopens"
+            ));
         }
     }
 }
@@ -277,9 +326,46 @@ impl BaseEntry {
 struct SessionCache {
     cap: usize,
     entries: Vec<(String, Resident)>,
+    /// Per catalog path, the number of `update`s that have landed on
+    /// it. A request records the generation when it takes (or misses
+    /// and cold-opens) an entry and puts the entry back only if no
+    /// update landed meanwhile — otherwise the entry predates the
+    /// update's delta and is dropped. Paths never updated have no row.
+    generations: HashMap<String, u64>,
 }
 
 impl SessionCache {
+    fn new(cap: usize) -> Self {
+        SessionCache {
+            cap,
+            entries: Vec::new(),
+            generations: HashMap::new(),
+        }
+    }
+
+    /// The path's current generation (see `generations`).
+    fn generation(&self, key: &str) -> u64 {
+        self.generations.get(key).copied().unwrap_or(0)
+    }
+
+    /// Record that an update landed on `key`; returns the new
+    /// generation. Entries taken before this will not be put back.
+    fn bump(&mut self, key: &str) -> u64 {
+        let generation = self.generations.entry(key.to_string()).or_insert(0);
+        *generation += 1;
+        *generation
+    }
+
+    /// [`Self::put`] if `key` is still at `generation`; otherwise the
+    /// entry is stale and is dropped. Returns whether it was kept.
+    fn put_if_current(&mut self, key: String, generation: u64, entry: Resident) -> bool {
+        let current = self.generation(&key) == generation;
+        if current {
+            self.put(key, entry);
+        }
+        current
+    }
+
     fn take(&mut self, key: &str) -> Option<Resident> {
         let i = self.entries.iter().position(|(k, _)| k == key)?;
         Some(self.entries.remove(i).1)
@@ -319,10 +405,8 @@ impl Server {
             shutdown: AtomicBool::new(false),
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
-            cache: Mutex::new(SessionCache {
-                cap: cache_cap,
-                entries: Vec::new(),
-            }),
+            cache: Mutex::new(SessionCache::new(cache_cap)),
+            update_locks: Mutex::new(HashMap::new()),
             counters: Counters::default(),
             poisoned: Mutex::new(Vec::new()),
             log,
@@ -648,30 +732,21 @@ fn handle_frame(text: &str, shared: &Shared, peer: &str) -> (String, bool) {
     }
 }
 
-/// Cold-open a catalog path into a resident entry, sniffing the header
-/// for the α-base flag to pick the right open path.
+/// Cold-open a catalog path into a resident entry of whichever kind
+/// its header flags (one parse; see [`Query::open_any`], which also
+/// clears any orphan temp a crashed save left beside the catalog —
+/// atomic saves guarantee the catalog itself is never torn).
 fn open_resident(catalog: &str, view_cap: usize) -> Result<Resident, String> {
-    // Clear any orphan temp a crashed save left beside the catalog;
-    // atomic saves guarantee the catalog itself is never torn.
-    ugraph_io::fault::cleanup_orphan(std::path::Path::new(catalog));
-    let data = std::fs::read(catalog).map_err(|e| e.to_string())?;
-    let is_base = ugraph_io::Catalog::from_bytes(ugraph_io::Bytes::from(data.clone()))
-        .map(|c| c.header().flags & ugraph_io::catalog::FLAG_ALPHA_BASE != 0)
-        .unwrap_or(false);
-    if is_base {
-        let base = Query::open_base_bytes(data).map_err(|e| e.to_string())?;
-        Ok(Resident::Base(BaseEntry {
+    match Query::open_any(catalog).map_err(|e| e.to_string())? {
+        Opened::Fixed(session) => Ok(Resident::Fixed(session)),
+        Opened::Base(base) => Ok(Resident::Base(BaseEntry {
             base,
             views: Vec::new(),
             view_cap,
             refine_hits: 0,
             refine_misses: 0,
             failures: 0,
-        }))
-    } else {
-        Query::open_bytes(data)
-            .map(Resident::Fixed)
-            .map_err(|e| e.to_string())
+        })),
     }
 }
 
@@ -703,11 +778,19 @@ fn run_query(request: &Request, shared: &Shared, peer: &str) -> String {
         .field("rejected", Json::Bool(true))
         .render();
     }
-    let cached = shared.cache.lock().unwrap().take(&catalog);
+    // The generation and the take are read under one lock, so an
+    // update either lands before both (and the take sees its fold) or
+    // after both (and moves the generation this request put back under).
+    let (generation, cached) = {
+        let mut cache = shared.cache.lock().unwrap();
+        (cache.generation(&catalog), cache.take(&catalog))
+    };
     let was_cached = cached.is_some();
     let resident = match cached {
         Some(r) => r,
-        None => match open_resident(&catalog, shared.cfg.cache_capacity) {
+        None => match shared.while_no_update(&catalog, || {
+            open_resident(&catalog, shared.cfg.cache_capacity)
+        }) {
             Ok(r) => {
                 // A key on the poisoned list coming back resident is a
                 // successful recovery — count the reopen.
@@ -736,20 +819,16 @@ fn run_query(request: &Request, shared: &Shared, peer: &str) -> String {
                          omit \"alpha\" or match it exactly",
                         session.alpha()
                     );
-                    let mut cache = shared.cache.lock().unwrap();
-                    cache.put(catalog, Resident::Fixed(session));
+                    shared.restore(peer, catalog, generation, Resident::Fixed(session));
                     return err_reply("bad_request", &msg).render();
                 }
             }
-            run_view(request, shared, peer, catalog, None, session, was_cached)
+            let lease = (catalog, generation);
+            run_view(request, shared, peer, lease, None, session, was_cached)
         }
         Resident::Base(mut entry) => {
             let Some(alpha) = request.alpha else {
-                shared
-                    .cache
-                    .lock()
-                    .unwrap()
-                    .put(catalog, Resident::Base(entry));
+                shared.restore(peer, catalog, generation, Resident::Base(entry));
                 return err_reply(
                     "bad_request",
                     "catalog holds an α-generic base: field \"alpha\" is required",
@@ -776,11 +855,7 @@ fn run_query(request: &Request, shared: &Shared, peer: &str) -> String {
                             // e.g. α below the base's floor — a client
                             // error; the base stays resident.
                             let msg = e.to_string();
-                            shared
-                                .cache
-                                .lock()
-                                .unwrap()
-                                .put(catalog, Resident::Base(entry));
+                            shared.restore(peer, catalog, generation, Resident::Base(entry));
                             return err_reply("bad_request", &msg).render();
                         }
                         Err(_) => {
@@ -788,7 +863,7 @@ fn run_query(request: &Request, shared: &Shared, peer: &str) -> String {
                             shared.log(&format!(
                                 "{peer}: refine(α={alpha}) panicked on {catalog:?}"
                             ));
-                            poison_or_restore(shared, catalog, entry);
+                            poison_or_restore(shared, peer, (catalog, generation), entry);
                             return err_reply(
                                 "internal_error",
                                 "refine panicked; base failure recorded",
@@ -802,7 +877,7 @@ fn run_query(request: &Request, shared: &Shared, peer: &str) -> String {
                 request,
                 shared,
                 peer,
-                catalog,
+                (catalog, generation),
                 Some((entry, bits)),
                 view,
                 was_cached,
@@ -813,12 +888,13 @@ fn run_query(request: &Request, shared: &Shared, peer: &str) -> String {
 
 /// Run the op body on one prepared view under panic isolation, then
 /// return the view — and, for a base-backed view, the base entry with
-/// its counters — to the cache.
+/// its counters — to the cache, under the catalog generation recorded
+/// when the entry was taken (`lease`; see [`Shared::restore`]).
 fn run_view(
     request: &Request,
     shared: &Shared,
     peer: &str,
-    catalog: String,
+    lease: (String, u64),
     base: Option<(BaseEntry, u64)>,
     session: Prepared,
     was_cached: bool,
@@ -848,7 +924,7 @@ fn run_view(
                     Resident::Base(entry)
                 }
             };
-            shared.cache.lock().unwrap().put(catalog, resident);
+            shared.restore(peer, lease.0, lease.1, resident);
             reply
         }
         Err(payload) => {
@@ -864,7 +940,7 @@ fn run_view(
             if let Some((entry, _)) = base {
                 // Only the refined view unwound; the base survives —
                 // unless repeated failures say it is itself wedged.
-                poison_or_restore(shared, catalog, entry);
+                poison_or_restore(shared, peer, lease, entry);
             }
             err_reply(
                 "internal_error",
@@ -878,7 +954,8 @@ fn run_view(
 /// Record one failure against a base entry: restore it to the cache,
 /// or — at the server's poison threshold — evict it and remember the
 /// key so the next cold reopen is counted as a recovery.
-fn poison_or_restore(shared: &Shared, catalog: String, mut entry: BaseEntry) {
+fn poison_or_restore(shared: &Shared, peer: &str, lease: (String, u64), mut entry: BaseEntry) {
+    let (catalog, generation) = lease;
     entry.failures += 1;
     if entry.failures >= shared.cfg.poison_threshold.max(1) {
         Counters::bump(&shared.counters.poison_evictions);
@@ -893,11 +970,7 @@ fn poison_or_restore(shared: &Shared, catalog: String, mut entry: BaseEntry) {
         }
         // entry dropped here — views and base are discarded.
     } else {
-        shared
-            .cache
-            .lock()
-            .unwrap()
-            .put(catalog, Resident::Base(entry));
+        shared.restore(peer, catalog, generation, Resident::Base(entry));
     }
 }
 
@@ -915,6 +988,14 @@ fn poison_or_restore(shared: &Shared, catalog: String, mut entry: BaseEntry) {
 /// (all stale). If the resident fold fails or panics the entry is
 /// simply evicted — the next request cold-reopens from the
 /// deltas-replayed file, which the append already proved valid.
+///
+/// Concurrency: updates on one catalog path are serialized by its
+/// update lock, so no append rewrites the file from bytes another
+/// append has already replaced, and no cold open clears the temp file
+/// of a save in flight (see [`Shared::while_no_update`]). Each update
+/// bumps the path's cache generation; a query that held the entry (or
+/// opened the file) before the bump drops it at put-back rather than
+/// reinstating a state without this delta (see [`Shared::restore`]).
 fn run_update(request: &Request, shared: &Shared, peer: &str) -> String {
     let Some(catalog) = request.catalog.clone() else {
         return err_reply("bad_request", "missing field \"catalog\"").render();
@@ -923,6 +1004,19 @@ fn run_update(request: &Request, shared: &Shared, peer: &str) -> String {
         return err_reply("bad_request", "update requires field \"ops\"").render();
     };
     let started = Instant::now();
+    shared.while_no_update(&catalog, || {
+        apply_update(shared, peer, catalog.clone(), delta, started)
+    })
+}
+
+/// The body of [`run_update`], run under the catalog's update lock.
+fn apply_update(
+    shared: &Shared,
+    peer: &str,
+    catalog: String,
+    delta: &mule::GraphDelta,
+    started: Instant,
+) -> String {
     let pending = match mule::catalog::append_delta(&catalog, delta) {
         Ok(p) => p,
         Err(MuleError::Delta(msg)) => {
@@ -935,10 +1029,14 @@ fn run_update(request: &Request, shared: &Shared, peer: &str) -> String {
         }
     };
     Counters::bump(&shared.counters.updates);
-    // Bind the take outside the `if let` scrutinee: the guard temporary
-    // would otherwise live for the whole body and deadlock on the
-    // re-lock in the success arm.
-    let taken = shared.cache.lock().unwrap().take(&catalog);
+    // Bump and take under one lock: a request holding the entry now, or
+    // opening the catalog from pre-append bytes, recorded the old
+    // generation and will drop what it holds instead of putting back a
+    // state without this delta.
+    let (generation, taken) = {
+        let mut cache = shared.cache.lock().unwrap();
+        (cache.bump(&catalog), cache.take(&catalog))
+    };
     if let Some(resident) = taken {
         let folded = catch_unwind(AssertUnwindSafe(|| match resident {
             Resident::Fixed(mut session) => session.apply(delta).map(|()| Resident::Fixed(session)),
@@ -950,7 +1048,7 @@ fn run_update(request: &Request, shared: &Shared, peer: &str) -> String {
             }),
         }));
         match folded {
-            Ok(Ok(entry)) => shared.cache.lock().unwrap().put(catalog.clone(), entry),
+            Ok(Ok(entry)) => shared.restore(peer, catalog.clone(), generation, entry),
             Ok(Err(e)) => shared.log(&format!(
                 "{peer}: resident fold failed on {catalog:?} ({e}); evicted, next request reopens"
             )),
@@ -1185,10 +1283,7 @@ mod tests {
             let bytes = s.to_catalog_bytes();
             Resident::Fixed(Query::open_bytes(bytes).unwrap())
         };
-        let mut cache = SessionCache {
-            cap: 2,
-            entries: Vec::new(),
-        };
+        let mut cache = SessionCache::new(2);
         cache.put("a".into(), make());
         cache.put("b".into(), make());
         cache.put("c".into(), make()); // evicts "a" (LRU)
@@ -1200,6 +1295,26 @@ mod tests {
         assert!(cache.take("c").is_none());
         assert!(cache.peek("b").is_some());
         assert!(cache.take("b").is_some());
+    }
+
+    #[test]
+    fn session_cache_drops_entries_taken_before_an_update() {
+        let g =
+            ugraph_core::builder::from_edges(3, &[(0, 1, 0.9), (1, 2, 0.9), (0, 2, 0.9)]).unwrap();
+        let make = || Resident::Fixed(Query::new(&g).alpha(0.5).prepare().unwrap());
+        let mut cache = SessionCache::new(4);
+        cache.put("a".into(), make());
+        // A query takes the entry; an update lands meanwhile.
+        let generation = cache.generation("a");
+        let held = cache.take("a").unwrap();
+        assert_eq!(cache.bump("a"), generation + 1);
+        assert!(!cache.put_if_current("a".into(), generation, held));
+        assert!(cache.peek("a").is_none(), "a stale entry is not put back");
+        // Taken after the update: put back as usual. Other paths keep
+        // their own generation.
+        assert!(cache.put_if_current("a".into(), generation + 1, make()));
+        assert!(cache.peek("a").is_some());
+        assert!(cache.put_if_current("b".into(), 0, make()));
     }
 
     #[test]

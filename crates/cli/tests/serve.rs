@@ -998,3 +998,142 @@ fn update_op_mutates_catalogs_and_keeps_serving() {
     server.join();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Two clients interleave `update`s and `count`s on **one** base
+/// catalog. Updates on a catalog must not lose each other's deltas
+/// (each rewrites the file), and a count that held the resident base
+/// while an update landed must not put that stale base back. At the
+/// end the resident answer, a reopen of the file and a fresh prepare
+/// with every acknowledged batch applied agree on count and search
+/// nodes at every α.
+#[test]
+fn concurrent_updates_and_counts_on_one_catalog_agree_with_a_fresh_prepare() {
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
+
+    let dir = temp_dir("shared-catalog-race");
+    let n = 120u32;
+    let mut rng = SmallRng::seed_from_u64(23);
+    let mut edges: BTreeMap<(u32, u32), f64> = BTreeMap::new();
+    for u in 0..n {
+        for v in (u + 1)..n {
+            if rng.gen::<f64>() < 0.5 {
+                edges.insert((u, v), 0.6 + 0.4 * rng.gen::<f64>());
+            }
+        }
+    }
+    let build = |edges: &BTreeMap<(u32, u32), f64>| {
+        let mut b = ugraph_core::GraphBuilder::new(n as usize);
+        for (&(u, v), &p) in edges {
+            b.add_edge(u, v, p).unwrap();
+        }
+        b.build()
+    };
+    let path = dir.join("shared.ugq");
+    mule::Query::new(&build(&edges))
+        .prepare_base()
+        .unwrap()
+        .save(&path)
+        .unwrap();
+    let catalog = path.to_str().unwrap().to_string();
+
+    // Each client re-weights its own edges (even or odd TOC rank), a
+    // different four per round, so any interleaving of the two clients'
+    // batches yields the same final graph and the truth is well
+    // defined. Re-weights only: a lost delta then leaves a lasting
+    // difference, where an insert/delete pair could fail the next fold
+    // and evict the wrong state by accident.
+    let present: Vec<(u32, u32)> = edges.keys().copied().collect();
+    const ROUNDS: usize = 20;
+    let batches = |client: usize| -> Vec<Vec<(u32, u32, f64)>> {
+        let mine: Vec<(u32, u32)> = present.iter().copied().skip(client).step_by(2).collect();
+        (0..ROUNDS)
+            .map(|r| {
+                (0..4)
+                    .map(|k| {
+                        let (u, v) = mine[r * 4 + k];
+                        (u, v, 0.35 + 0.05 * ((r + k + client) % 13) as f64)
+                    })
+                    .collect()
+            })
+            .collect()
+    };
+    let plans = [batches(0), batches(1)];
+
+    let server = start(ServeConfig {
+        workers: 2,
+        compact_threshold: 5,
+        ..ServeConfig::default()
+    });
+    let addr = server.addr();
+    let alphas = [0.3, 0.5, 0.7];
+    std::thread::scope(|scope| {
+        for (client, plan) in plans.iter().enumerate() {
+            let catalog = &catalog;
+            scope.spawn(move || {
+                let mut conn = Client::connect(addr);
+                for (r, ops) in plan.iter().enumerate() {
+                    let ops: Vec<String> = ops
+                        .iter()
+                        .map(|&(u, v, p)| format!(r#"["set",{u},{v},{p}]"#))
+                        .collect();
+                    let reply = conn.roundtrip(&format!(
+                        r#"{{"op":"update","catalog":"{catalog}","ops":[{}]}}"#,
+                        ops.join(",")
+                    ));
+                    assert_ok(&reply, "update");
+                    // A varying number of counts per round: rounds with
+                    // none put the two clients' updates side by side,
+                    // rounds with several hold the resident base while
+                    // the other client's update lands.
+                    for k in 0..(r * 3 + client) % 5 {
+                        let alpha = alphas[(r + k) % alphas.len()];
+                        let reply = conn.roundtrip(&format!(
+                            r#"{{"op":"count","catalog":"{catalog}","alpha":{alpha}}}"#
+                        ));
+                        assert_ok(&reply, "count");
+                    }
+                }
+            });
+        }
+    });
+
+    // Every batch was acknowledged: replay them all on the original.
+    for &(u, v, p) in plans.iter().flatten().flatten() {
+        edges.insert((u, v), p);
+    }
+    let truth = build(&edges);
+    let reopened = mule::Query::open_base(&path).unwrap();
+    for alpha in alphas {
+        let mut fresh = mule::Query::new(&truth).alpha(alpha).prepare().unwrap();
+        let expected = fresh.count().unwrap();
+        let expected_nodes = fresh.stats().calls;
+        let reply = request(
+            addr,
+            &format!(r#"{{"op":"count","catalog":"{catalog}","alpha":{alpha}}}"#),
+        );
+        assert_ok(&reply, "final count");
+        assert_eq!(
+            reply.get("count").and_then(Json::as_u64),
+            Some(expected),
+            "resident answer at α = {alpha}: {reply:?}"
+        );
+        assert_eq!(
+            reply.get("search_nodes").and_then(Json::as_u64),
+            Some(expected_nodes),
+            "resident search nodes at α = {alpha}"
+        );
+        let mut view = reopened.refine(alpha).unwrap();
+        assert_eq!(view.count().unwrap(), expected, "reopened at α = {alpha}");
+        assert_eq!(
+            view.stats().calls,
+            expected_nodes,
+            "reopened at α = {alpha}"
+        );
+    }
+
+    assert_ok(&request(addr, r#"{"op":"shutdown"}"#), "shutdown");
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}

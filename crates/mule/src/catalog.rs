@@ -73,7 +73,9 @@
 //! edges (equality at floor `0.0`, where pruning removes nothing).
 //! Opening a base through [`from_bytes`]/[`open`] or a fixed instance
 //! through [`base_from_bytes`]/[`open_base`] fails with the typed
-//! [`CatalogError::WrongKind`] — never a misparse.
+//! [`CatalogError::WrongKind`] — never a misparse. Callers that learn
+//! the kind from the file use [`any_from_bytes`]/[`open_any`], which
+//! dispatch on the header flag after the same single parse.
 //!
 //! # Appended delta sections (`delta.{i}`)
 //!
@@ -107,6 +109,13 @@
 //!   hostile `n`.
 //! * The report's fingerprint counters match the header's.
 //!
+//! Every open path parses the image once and runs one
+//! [`Catalog::verify`] pass; the decoders then read payloads by TOC
+//! position through the [`VerifiedSections`] it returns (the canonical
+//! order check fixes each position), so no payload is checksummed
+//! twice — not on open, delta append, compaction or the pending-delta
+//! count.
+//!
 //! # Why the neighborhood index is rebuilt, not stored
 //!
 //! `Kernel::wrap` builds the tiered [`ugraph_core::NeighborhoodIndex`]
@@ -130,8 +139,8 @@ use crate::query::MuleError;
 use std::path::Path;
 use ugraph_core::{Components, UncertainGraph, VertexId};
 use ugraph_io::catalog::{
-    ByteReader, Catalog, CatalogError, CatalogHeader, CatalogWriter, FLAG_ALPHA_BASE,
-    FLAG_CORE_FILTER, FLAG_SHARD_COMPONENTS, FLAG_SHARED_NEIGHBORHOOD,
+    ByteReader, Catalog, CatalogError, CatalogHeader, CatalogWriter, VerifiedSections,
+    FLAG_ALPHA_BASE, FLAG_CORE_FILTER, FLAG_SHARD_COMPONENTS, FLAG_SHARED_NEIGHBORHOOD,
 };
 use ugraph_io::Bytes;
 
@@ -157,6 +166,24 @@ fn split_delta_names<'a>(names: &'a [&'a str]) -> Result<(&'a [&'a str], usize),
         }
     }
     Ok((&names[..core_len], names.len() - core_len))
+}
+
+/// The TOC's section names, in file order.
+fn section_names(cat: &Catalog) -> Vec<&str> {
+    cat.sections().iter().map(|e| e.name.as_str()).collect()
+}
+
+/// Number of trailing `delta.{i}` sections, validated as in
+/// [`split_delta_names`].
+fn delta_count(cat: &Catalog) -> Result<usize, CatalogError> {
+    Ok(split_delta_names(&section_names(cat))?.1)
+}
+
+/// Read a catalog file, after clearing any orphan temp a crashed save
+/// left beside it.
+fn read_image(path: &Path) -> Result<Bytes, CatalogError> {
+    ugraph_io::fault::cleanup_orphan(path);
+    Ok(Bytes::from(std::fs::read(path)?))
 }
 
 fn index_mode_to_u8(mode: IndexMode) -> u8 {
@@ -238,18 +265,26 @@ fn decode_graph(payload: &[u8], alpha: f64, what: &str) -> Result<UncertainGraph
     let name = std::str::from_utf8(r.take(name_len as usize).ok_or_else(truncated)?)
         .map_err(|_| corrupt(format!("{what}: name is not UTF-8")))?
         .to_string();
-    let mut offsets = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        offsets.push(r.u64_le().unwrap() as usize);
-    }
-    let mut neighbors: Vec<VertexId> = Vec::with_capacity(arcs);
-    for _ in 0..arcs {
-        neighbors.push(r.u32_le().unwrap());
-    }
-    let mut probs: Vec<f64> = Vec::with_capacity(arcs);
-    for _ in 0..arcs {
-        probs.push(f64::from_bits(r.u64_le().unwrap()));
-    }
+    // The exact-length check above sized every array, so each `take`
+    // succeeds and the conversions run over whole slices.
+    let offsets: Vec<usize> = r
+        .take((n + 1) * 8)
+        .unwrap()
+        .chunks_exact(8)
+        .map(|b| u64::from_le_bytes(b.try_into().unwrap()) as usize)
+        .collect();
+    let neighbors: Vec<VertexId> = r
+        .take(arcs * 4)
+        .unwrap()
+        .chunks_exact(4)
+        .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
+        .collect();
+    let probs: Vec<f64> = r
+        .take(arcs * 8)
+        .unwrap()
+        .chunks_exact(8)
+        .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().unwrap())))
+        .collect();
     debug_assert!(r.is_empty());
     let g = UncertainGraph::try_from_csr(offsets, neighbors, probs, name)
         .map_err(|why| corrupt(format!("{what}: {why}")))?;
@@ -603,7 +638,14 @@ pub fn save_base(base: &PreparedBase, path: impl AsRef<Path>) -> Result<(), Cata
 /// indexes are rebuilt deterministically, exactly as in [`from_bytes`].
 pub fn base_from_bytes(data: Bytes) -> Result<PreparedBase, CatalogError> {
     let cat = Catalog::from_bytes(data)?;
-    cat.verify()?;
+    decode_base(&cat.verify()?)
+}
+
+/// [`base_from_bytes`] over an already verified catalog. Sections are
+/// reached by TOC position once the canonical order is confirmed, so no
+/// payload is checksummed again.
+fn decode_base(sections: &VerifiedSections<'_>) -> Result<PreparedBase, CatalogError> {
+    let cat = sections.catalog();
     let h = *cat.header();
     if h.flags & FLAG_ALPHA_BASE == 0 {
         return Err(CatalogError::WrongKind {
@@ -625,7 +667,7 @@ pub fn base_from_bytes(data: Bytes) -> Result<PreparedBase, CatalogError> {
     // Canonical section order: k graph/map pairs, then isolated, then
     // base.meta — nothing else, nothing moved — optionally followed by
     // appended `delta.{i}` sections, replayed after assembly.
-    let all_names: Vec<&str> = cat.sections().iter().map(|e| e.name.as_str()).collect();
+    let all_names = section_names(cat);
     let (names, delta_count) = split_delta_names(&all_names)?;
     if names.len() < 2 || !(names.len() - 2).is_multiple_of(2) {
         return Err(corrupt(format!(
@@ -656,12 +698,10 @@ pub fn base_from_bytes(data: Bytes) -> Result<PreparedBase, CatalogError> {
     let mut component_edges = 0usize;
     let mut covered = 0usize;
     for i in 0..k {
-        let graph_name = format!("component.{i}.graph");
         // decode_graph's min-probability bound doubles as the floor
         // precondition: every stored edge must carry p ≥ floor.
-        let g = decode_graph(cat.section(&graph_name)?, floor, &graph_name)?;
-        let map_name = format!("component.{i}.map");
-        let map = decode_ids(cat.section(&map_name)?, original_n, &map_name)?;
+        let g = decode_graph(sections.payload(2 * i), floor, names[2 * i])?;
+        let map = decode_ids(sections.payload(2 * i + 1), original_n, names[2 * i + 1])?;
         if map.len() != g.num_vertices() {
             return Err(corrupt(format!(
                 "component {i}: map has {} ids for a {}-vertex graph",
@@ -695,7 +735,7 @@ pub fn base_from_bytes(data: Bytes) -> Result<PreparedBase, CatalogError> {
         parts.push((g, map));
     }
 
-    let isolated = decode_ids(cat.section("isolated")?, original_n, "isolated")?;
+    let isolated = decode_ids(sections.payload(2 * k), original_n, "isolated")?;
     // Exactly-once coverage: the cheap sum first (bounding the bitmap
     // allocation below by actual payload bytes), then disjointness.
     covered += isolated.len();
@@ -726,7 +766,7 @@ pub fn base_from_bytes(data: Bytes) -> Result<PreparedBase, CatalogError> {
         )));
     }
 
-    let meta = cat.section("base.meta")?;
+    let meta = sections.payload(2 * k + 1);
     let mut r = ByteReader::new(meta);
     let name_len = r
         .u32_le()
@@ -751,7 +791,7 @@ pub fn base_from_bytes(data: Bytes) -> Result<PreparedBase, CatalogError> {
         parts,
         isolated,
     );
-    replay_deltas(&cat, delta_count, |d| {
+    replay_deltas(sections, names.len(), delta_count, |d| {
         crate::delta::apply_base(&mut base, d)
     })?;
     Ok(base)
@@ -760,10 +800,7 @@ pub fn base_from_bytes(data: Bytes) -> Result<PreparedBase, CatalogError> {
 /// Read and rebuild a prepared base from a catalog file, after
 /// clearing any orphan temp a crashed save left beside it.
 pub fn open_base(path: impl AsRef<Path>) -> Result<PreparedBase, CatalogError> {
-    let path = path.as_ref();
-    ugraph_io::fault::cleanup_orphan(path);
-    let data = std::fs::read(path)?;
-    base_from_bytes(Bytes::from(data))
+    base_from_bytes(read_image(path.as_ref())?)
 }
 
 /// Rebuild a prepared instance from a UGQ1 byte image, re-validating
@@ -775,7 +812,14 @@ pub fn from_bytes(data: Bytes) -> Result<PreparedInstance, CatalogError> {
     let cat = Catalog::from_bytes(data)?;
     // The open path loads every section, so verify everything up front:
     // all payload checksums plus the header's whole-payload hash.
-    cat.verify()?;
+    decode_instance(&cat.verify()?)
+}
+
+/// [`from_bytes`] over an already verified catalog; like
+/// [`decode_base`], it reads payloads by TOC position without
+/// checksumming them again.
+fn decode_instance(sections: &VerifiedSections<'_>) -> Result<PreparedInstance, CatalogError> {
+    let cat = sections.catalog();
     let h = *cat.header();
     if h.flags & FLAG_ALPHA_BASE != 0 {
         return Err(CatalogError::WrongKind {
@@ -793,7 +837,7 @@ pub fn from_bytes(data: Bytes) -> Result<PreparedInstance, CatalogError> {
     // then singletons, schedule, report — nothing else, nothing moved —
     // optionally followed by a contiguous run of appended `delta.{i}`
     // sections ([`append_delta`]), replayed after assembly below.
-    let all_names: Vec<&str> = cat.sections().iter().map(|e| e.name.as_str()).collect();
+    let all_names = section_names(cat);
     let (names, delta_count) = split_delta_names(&all_names)?;
     if names.len() < 3 || !(names.len() - 3).is_multiple_of(2) {
         return Err(corrupt(format!(
@@ -822,10 +866,8 @@ pub fn from_bytes(data: Bytes) -> Result<PreparedInstance, CatalogError> {
 
     let mut components = Vec::with_capacity(k);
     for i in 0..k {
-        let graph_name = format!("component.{i}.graph");
-        let g = decode_graph(cat.section(&graph_name)?, alpha, &graph_name)?;
-        let map_name = format!("component.{i}.map");
-        let map = decode_ids(cat.section(&map_name)?, original_n, &map_name)?;
+        let g = decode_graph(sections.payload(2 * i), alpha, names[2 * i])?;
+        let map = decode_ids(sections.payload(2 * i + 1), original_n, names[2 * i + 1])?;
         if map.len() != g.num_vertices() {
             return Err(corrupt(format!(
                 "component {i}: map has {} ids for a {}-vertex graph",
@@ -839,14 +881,14 @@ pub fn from_bytes(data: Bytes) -> Result<PreparedInstance, CatalogError> {
         });
     }
 
-    let singletons = decode_ids(cat.section("singletons")?, original_n, "singletons")?;
+    let singletons = decode_ids(sections.payload(2 * k), original_n, "singletons")?;
     if cfg.min_size >= 2 && !singletons.is_empty() {
         return Err(corrupt(
             "singletons present although min_size ≥ 2 excludes them",
         ));
     }
-    let schedule = decode_schedule(cat.section("schedule")?, &components, &singletons)?;
-    let report = decode_report(cat.section("report")?)?;
+    let schedule = decode_schedule(sections.payload(2 * k + 1), &components, &singletons)?;
+    let report = decode_report(sections.payload(2 * k + 2))?;
     if report.original_vertices as u64 != h.original_vertices
         || report.original_edges as u64 != h.original_edges
     {
@@ -867,26 +909,28 @@ pub fn from_bytes(data: Bytes) -> Result<PreparedInstance, CatalogError> {
     let mut inst = PreparedInstance::from_parts(
         alpha, cfg, original_n, name, components, singletons, schedule, report,
     );
-    replay_deltas(&cat, delta_count, |d| {
+    replay_deltas(sections, names.len(), delta_count, |d| {
         crate::delta::apply_instance(&mut inst, d)
     })?;
     Ok(inst)
 }
 
-/// Replay the appended `delta.{i}` sections, in order, through `apply`.
+/// Replay the appended `delta.{i}` sections — TOC positions
+/// `core_len..core_len + delta_count` — in order, through `apply`.
 /// The header fingerprint and every structural check describe the
 /// pre-delta core artifact — they ran before this. A batch that fails
 /// to decode or apply makes the whole catalog a typed corruption error
 /// ([`append_delta`] proves applicability before writing, so a failure
 /// here means the file was tampered with or damaged).
 fn replay_deltas(
-    cat: &Catalog,
+    sections: &VerifiedSections<'_>,
+    core_len: usize,
     delta_count: usize,
     mut apply: impl FnMut(&GraphDelta) -> Result<(), MuleError>,
 ) -> Result<(), CatalogError> {
     for i in 0..delta_count {
         let sec = format!("delta.{i}");
-        let delta = GraphDelta::from_bytes(cat.section(&sec)?)
+        let delta = GraphDelta::from_bytes(sections.payload(core_len + i))
             .map_err(|e| corrupt(format!("{sec}: {e}")))?;
         apply(&delta).map_err(|e| corrupt(format!("{sec}: {e}")))?;
     }
@@ -896,10 +940,46 @@ fn replay_deltas(
 /// Read and rebuild a prepared instance from a catalog file, after
 /// clearing any orphan temp a crashed save left beside it.
 pub fn open(path: impl AsRef<Path>) -> Result<PreparedInstance, CatalogError> {
-    let path = path.as_ref();
-    ugraph_io::fault::cleanup_orphan(path);
-    let data = std::fs::read(path)?;
-    from_bytes(Bytes::from(data))
+    from_bytes(read_image(path.as_ref())?)
+}
+
+// ---------------------------------------------------------------------------
+// Either kind: one parse, one checksum pass
+// ---------------------------------------------------------------------------
+
+/// What a catalog holds. The header's [`FLAG_ALPHA_BASE`] tells the
+/// two layouts apart.
+// Both variants are moved once per open; boxing buys nothing.
+#[allow(clippy::large_enum_variant)]
+pub enum Artifact {
+    /// A fixed-α prepared instance ([`save`]).
+    Instance(PreparedInstance),
+    /// An α-generic base ([`save_base`]).
+    Base(PreparedBase),
+}
+
+/// Rebuild whichever artifact a catalog image holds — the open for
+/// callers that learn the kind from the file. The image is parsed once
+/// and each payload checksummed once; the typed errors are those of
+/// [`from_bytes`] and [`base_from_bytes`], except that the kind can
+/// never be wrong.
+pub fn any_from_bytes(data: Bytes) -> Result<Artifact, CatalogError> {
+    let cat = Catalog::from_bytes(data)?;
+    decode_any(&cat.verify()?)
+}
+
+/// [`any_from_bytes`] over a catalog file, after clearing any orphan
+/// temp a crashed save left beside it.
+pub fn open_any(path: impl AsRef<Path>) -> Result<Artifact, CatalogError> {
+    any_from_bytes(read_image(path.as_ref())?)
+}
+
+fn decode_any(sections: &VerifiedSections<'_>) -> Result<Artifact, CatalogError> {
+    if sections.catalog().header().flags & FLAG_ALPHA_BASE != 0 {
+        decode_base(sections).map(Artifact::Base)
+    } else {
+        decode_instance(sections).map(Artifact::Instance)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -922,9 +1002,7 @@ pub fn open(path: impl AsRef<Path>) -> Result<PreparedInstance, CatalogError> {
 /// so a catalog that passed `append_delta` always reopens.
 pub fn append_delta(path: impl AsRef<Path>, delta: &GraphDelta) -> Result<usize, MuleError> {
     let path = path.as_ref();
-    ugraph_io::fault::cleanup_orphan(path);
-    let data = std::fs::read(path).map_err(CatalogError::from)?;
-    let (bytes, pending) = append_delta_bytes(Bytes::from(data), delta)?;
+    let (bytes, pending) = append_delta_bytes(read_image(path)?, delta)?;
     ugraph_io::fault::write_atomic(path, &bytes).map_err(CatalogError::from)?;
     Ok(pending)
 }
@@ -932,25 +1010,18 @@ pub fn append_delta(path: impl AsRef<Path>, delta: &GraphDelta) -> Result<usize,
 /// Byte-level form of [`append_delta`]: returns the appended catalog
 /// image and the resulting pending-delta count without touching disk.
 pub fn append_delta_bytes(data: Bytes, delta: &GraphDelta) -> Result<(Vec<u8>, usize), MuleError> {
-    let cat = Catalog::from_bytes(data.clone())?;
-    cat.verify()?;
-    let names: Vec<&str> = cat.sections().iter().map(|e| e.name.as_str()).collect();
-    let (_, d) = split_delta_names(&names)?;
+    let cat = Catalog::from_bytes(data)?;
+    let sections = cat.verify()?;
+    let d = delta_count(&cat)?;
     // Prove the batch replays against the artifact's current state
     // (any already-pending deltas applied first) before bytes are
     // assembled: a rejected batch surfaces as the typed
     // [`MuleError::Delta`] and is never persisted.
-    if cat.header().flags & FLAG_ALPHA_BASE != 0 {
-        let mut base = base_from_bytes(data)?;
-        crate::delta::apply_base(&mut base, delta)?;
-    } else {
-        let mut inst = from_bytes(data)?;
-        crate::delta::apply_instance(&mut inst, delta)?;
+    match decode_any(&sections)? {
+        Artifact::Base(mut base) => crate::delta::apply_base(&mut base, delta)?,
+        Artifact::Instance(mut inst) => crate::delta::apply_instance(&mut inst, delta)?,
     }
-    let mut writer = CatalogWriter::new(*cat.header());
-    for entry in cat.sections() {
-        writer.add_section(entry.name.clone(), cat.section(&entry.name)?.to_vec());
-    }
+    let mut writer = CatalogWriter::from_verified(&sections);
     writer.add_section(format!("delta.{d}"), delta.to_bytes());
     Ok((writer.finish(), d + 1))
 }
@@ -958,13 +1029,9 @@ pub fn append_delta_bytes(data: Bytes, delta: &GraphDelta) -> Result<(Vec<u8>, u
 /// Number of pending (appended, not yet compacted) `delta.{i}` sections
 /// in a catalog file. Counts from the TOC without replaying.
 pub fn pending_deltas(path: impl AsRef<Path>) -> Result<usize, MuleError> {
-    let path = path.as_ref();
-    ugraph_io::fault::cleanup_orphan(path);
-    let data = std::fs::read(path).map_err(CatalogError::from)?;
-    let cat = Catalog::from_bytes(Bytes::from(data))?;
+    let cat = Catalog::from_bytes(read_image(path.as_ref())?)?;
     cat.verify()?;
-    let names: Vec<&str> = cat.sections().iter().map(|e| e.name.as_str()).collect();
-    Ok(split_delta_names(&names).map_err(MuleError::from)?.1)
+    Ok(delta_count(&cat)?)
 }
 
 /// Fold every pending `delta.{i}` section into the core sections and
@@ -977,20 +1044,15 @@ pub fn pending_deltas(path: impl AsRef<Path>) -> Result<usize, MuleError> {
 /// base-plus-deltas file intact and replayable.
 pub fn compact(path: impl AsRef<Path>) -> Result<usize, MuleError> {
     let path = path.as_ref();
-    ugraph_io::fault::cleanup_orphan(path);
-    let data = std::fs::read(path).map_err(CatalogError::from)?;
-    let image = Bytes::from(data);
-    let cat = Catalog::from_bytes(image.clone())?;
-    cat.verify()?;
-    let names: Vec<&str> = cat.sections().iter().map(|e| e.name.as_str()).collect();
-    let (_, d) = split_delta_names(&names)?;
+    let cat = Catalog::from_bytes(read_image(path)?)?;
+    let sections = cat.verify()?;
+    let d = delta_count(&cat)?;
     if d == 0 {
         return Ok(0);
     }
-    let bytes = if cat.header().flags & FLAG_ALPHA_BASE != 0 {
-        base_to_bytes(&base_from_bytes(image)?)
-    } else {
-        to_bytes(&from_bytes(image)?)
+    let bytes = match decode_any(&sections)? {
+        Artifact::Base(base) => base_to_bytes(&base),
+        Artifact::Instance(inst) => to_bytes(&inst),
     };
     ugraph_io::fault::write_atomic(path, &bytes).map_err(CatalogError::from)?;
     Ok(d)

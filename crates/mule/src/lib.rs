@@ -134,7 +134,7 @@ pub use prepare::{
     prepare, prepare_base, BaseComponent, PrepareConfig, PrepareReport, PreparedBase,
     PreparedInstance,
 };
-pub use query::{Base, Cliques, Engine, MuleError, Prepared, Query};
+pub use query::{Base, Cliques, Engine, MuleError, Opened, Prepared, Query};
 pub use sinks::{CliqueSink, Control};
 pub use stats::EnumerationStats;
 pub use worlds::{maximality_frequency, sampled_world_clique_stats, WorldCliqueStats};

@@ -68,20 +68,29 @@ use crate::limits::{Interrupt, RunLimits};
 use crate::pruning::shared_neighborhood_peel;
 use crate::sinks::{CliqueSink, Control};
 use crate::stats::EnumerationStats;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use ugraph_core::{subgraph, Components, GraphError, UncertainGraph, VertexId};
 
-/// Process-wide count of [`prepare`] pipeline executions (monotone,
-/// never reset). The session API ([`crate::Prepared`]) promises that a
-/// prepared instance answers any number of queries with the pipeline
-/// run exactly once; this counter is what lets a test *assert* that —
-/// capture it before building a session, exercise `count`/`collect`/
-/// `top_k`, and check the counter moved by exactly one.
+/// Count of [`prepare`] / [`prepare_base`] pipeline executions started
+/// on the **calling thread** (monotone, never reset). The session API
+/// ([`crate::Prepared`]) promises that a prepared instance answers any
+/// number of queries with the pipeline run exactly once; this counter
+/// is what lets a test *assert* that — capture it before building a
+/// session, exercise `count`/`collect`/`top_k`, and check the counter
+/// moved by exactly one. It is per-thread so that pipelines run by
+/// other threads (for instance other tests in the same harness) cannot
+/// move it.
 pub fn pipeline_invocations() -> u64 {
-    PIPELINE_RUNS.load(Ordering::Relaxed)
+    PIPELINE_RUNS.with(Cell::get)
 }
 
-static PIPELINE_RUNS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static PIPELINE_RUNS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_pipeline_run() {
+    PIPELINE_RUNS.with(|runs| runs.set(runs.get() + 1));
+}
 
 /// Configuration for [`prepare`].
 #[derive(Debug, Clone)]
@@ -288,7 +297,7 @@ pub fn prepare(
     alpha: f64,
     config: &PrepareConfig,
 ) -> Result<PreparedInstance, GraphError> {
-    PIPELINE_RUNS.fetch_add(1, Ordering::Relaxed);
+    count_pipeline_run();
     let alpha = UncertainGraph::validate_alpha(alpha)?.get();
     let mut report = PrepareReport {
         original_vertices: g.num_vertices(),
@@ -498,7 +507,7 @@ impl PreparedInstance {
     /// [`crate::catalog`] open path. The caller (the catalog decoder)
     /// has already validated every cross-part invariant the pipeline
     /// would have established; crucially, this constructor does **not**
-    /// touch [`PIPELINE_RUNS`], because no pipeline stage runs.
+    /// touch [`pipeline_invocations`], because no pipeline stage runs.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         alpha: f64,
@@ -876,7 +885,7 @@ pub fn prepare_base(
         // Rejects NaN too: comparisons with NaN are false.
         return Err(GraphError::InvalidAlpha { value: floor });
     }
-    PIPELINE_RUNS.fetch_add(1, Ordering::Relaxed);
+    count_pipeline_run();
     let n = g.num_vertices();
     // Edge probabilities are strictly positive, so a zero floor prunes
     // nothing — work straight off the input (α validation also rejects
@@ -989,7 +998,7 @@ impl PreparedBase {
     /// open path). The decoder has validated the cross-part invariants
     /// (connectivity, disjoint coverage, floor consistency); like
     /// [`PreparedInstance::from_parts`] this never touches
-    /// [`PIPELINE_RUNS`] — but it does rebuild the per-component
+    /// [`pipeline_invocations`] — but it does rebuild the per-component
     /// indexes, which are derived state the catalog does not store.
     pub(crate) fn from_parts(
         floor: f64,

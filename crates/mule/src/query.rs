@@ -672,6 +672,42 @@ impl<'g> Query<'g> {
         let base = crate::catalog::base_from_bytes(ugraph_io::Bytes::from(bytes.into()))?;
         Ok(Base::from_base(base))
     }
+
+    /// Open a catalog file of either kind: a fixed-α catalog becomes a
+    /// [`Prepared`] session ([`Query::open`]), an α-generic base a
+    /// [`Base`] ([`Query::open_base`]), chosen by the header flag. For
+    /// callers that learn the kind from the file — it is parsed and
+    /// checksummed once, not sniffed and then reopened.
+    pub fn open_any(path: impl AsRef<Path>) -> Result<Opened, MuleError> {
+        Ok(Opened::from(crate::catalog::open_any(path)?))
+    }
+
+    /// [`Query::open_any`] over an in-memory byte image.
+    pub fn open_any_bytes(bytes: impl Into<Vec<u8>>) -> Result<Opened, MuleError> {
+        let artifact = crate::catalog::any_from_bytes(ugraph_io::Bytes::from(bytes.into()))?;
+        Ok(Opened::from(artifact))
+    }
+}
+
+/// A reopened catalog of either kind: what [`Query::open_any`] returns.
+// Both variants are moved once per open; boxing buys nothing.
+#[allow(clippy::large_enum_variant)]
+pub enum Opened {
+    /// A fixed-α catalog: the session serves its baked-in α.
+    Fixed(Prepared),
+    /// An α-generic base: [`Base::refine`] picks the α.
+    Base(Base),
+}
+
+impl From<crate::catalog::Artifact> for Opened {
+    fn from(artifact: crate::catalog::Artifact) -> Self {
+        match artifact {
+            crate::catalog::Artifact::Instance(inst) => {
+                Opened::Fixed(Prepared::from_instance(inst))
+            }
+            crate::catalog::Artifact::Base(base) => Opened::Base(Base::from_base(base)),
+        }
+    }
 }
 
 /// An α-generic prepared artifact: the output of [`Query::prepare_base`].

@@ -6,23 +6,35 @@
 //!
 //! The whole test binary runs under a counting wrapper around the system
 //! allocator (a `#[global_allocator]` is process-wide, which is why this
-//! lives in its own integration-test crate). The enumeration crates are
-//! `forbid(unsafe_code)`; the `unsafe` here is the unavoidable
-//! `GlobalAlloc` plumbing of the *test harness*, delegating straight to
-//! `std::alloc::System`.
+//! lives in its own integration-test crate). The count is kept per
+//! thread, so tests running in parallel under the default harness do
+//! not see each other's allocations; every measured run here is
+//! single-threaded. The enumeration crates are `forbid(unsafe_code)`;
+//! the `unsafe` here is the unavoidable `GlobalAlloc` plumbing of the
+//! *test harness*, delegating straight to `std::alloc::System`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Counts every allocator entry point (alloc/realloc both count: a
 /// realloc in the hot path is still an allocator round-trip).
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and drop-free, so reaching it from inside the
+    // allocator never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with`: allocations during thread teardown, after the slot is
+    // gone, are simply not counted.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -31,7 +43,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -39,11 +51,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// Allocator entries during `f`, after `f`'s own warm-up has happened.
+/// Allocator entries on this thread during `f`, after `f`'s own warm-up
+/// has happened.
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     let out = f();
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, out)
+    (ALLOCATIONS.with(Cell::get) - before, out)
 }
 
 /// A seeded graph big enough to recurse several levels and hit both the

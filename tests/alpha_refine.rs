@@ -222,7 +222,7 @@ fn refining_below_the_floor_is_a_typed_error() {
     assert!(base.refine(0.5).is_ok(), "α = floor is legal");
 }
 
-/// Refinement never re-runs the pipeline: the process-wide prepare
+/// Refinement never re-runs the pipeline: the per-thread prepare
 /// counter moves only for `prepare_base`, not per α.
 #[test]
 fn refinement_does_not_rerun_the_pipeline() {

@@ -1,13 +1,9 @@
 //! Cold-open pin: `Query::open` must rebuild a working session from a
 //! catalog with **zero** pipeline work. The proof uses
-//! `mule::prepare::pipeline_invocations()`, the process-wide monotone
+//! `mule::prepare::pipeline_invocations()`, the per-thread monotone
 //! counter every pipeline execution bumps — prepare moves it by exactly
 //! one, and any number of opens and queries afterwards must not move it
-//! at all.
-//!
-//! Single `#[test]` on purpose (the pattern of `tests/session_reuse.rs`):
-//! each integration-test file is its own process, so no concurrent test
-//! can move the counter between the captures.
+//! at all. Being per-thread, it cannot be moved by a concurrent test.
 
 use mule::prepare::pipeline_invocations;
 use mule::{Engine, Query};

@@ -6,8 +6,7 @@
 //! (`collect`, `count`, `top_k`, `iter`).
 //!
 //! The zero-pipeline-work half of the claim is pinned separately by
-//! `tests/catalog_cold_open.rs` (a single-`#[test]` binary, because it
-//! reads the process-wide pipeline counter).
+//! `tests/catalog_cold_open.rs`, which reads the pipeline counter.
 
 use mule::{Engine, EnumerationStats, IndexMode, Prepared, Query};
 use proptest::prelude::*;

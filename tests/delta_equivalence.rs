@@ -552,7 +552,7 @@ fn reopen_replays_pending_deltas_and_compaction_is_byte_exact() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `apply` never re-enters the prepare pipeline: the process-wide
+/// `apply` never re-enters the prepare pipeline: the per-thread
 /// counter moves only for `prepare` / `prepare_base`.
 #[test]
 fn apply_does_not_rerun_the_pipeline() {

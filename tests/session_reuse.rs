@@ -3,11 +3,9 @@
 //! preprocessing pipeline executed **exactly once** — the repeated-query
 //! contract of the `Query`/`Prepared` redesign.
 //!
-//! The proof uses `mule::prepare::pipeline_invocations()`, a process-wide
-//! monotone counter bumped by every pipeline execution. This file
-//! deliberately contains a single `#[test]` (each integration-test file
-//! is its own process), so no concurrent test can move the counter
-//! between the captures.
+//! The proof uses `mule::prepare::pipeline_invocations()`, a per-thread
+//! monotone counter bumped by every pipeline execution on the calling
+//! thread, so no concurrent test can move it between the captures.
 
 use mule::prepare::pipeline_invocations;
 use mule::Query;

@@ -6,7 +6,8 @@
 //! approximation.
 //!
 //! The battery sweeps random graphs × a probability-palette α grid ×
-//! floors × `min_size` × engine × index mode × thread counts, plus
+//! floors × `min_size` × engine × index mode × thread counts × the
+//! eight on/off combinations of the stage toggles, plus
 //! deterministic component-split scenarios (refinement masking a
 //! bridge edge must re-split a base component exactly as the fresh
 //! pipeline discovers it) and the floor's typed error.
@@ -22,6 +23,21 @@ use ugraph_core::UncertainGraph;
 /// across real mass boundaries (edges die in batches as α rises).
 const PALETTE: [f64; 6] = [0.1, 0.3, 0.5, 0.7, 0.9, 1.0];
 const ALPHA_GRID: [f64; 5] = [0.1, 0.3, 0.5, 0.7, 0.9];
+
+/// Stage-toggle bits: core filter, shared-neighborhood peel and
+/// component sharding. `ALL_STAGES` is the default pipeline.
+const CORE: u8 = 1;
+const PEEL: u8 = 2;
+const SHARD: u8 = 4;
+const ALL_STAGES: u8 = CORE | PEEL | SHARD;
+
+/// A builder with the stage toggles set from `stages`.
+fn staged(g: &UncertainGraph, stages: u8) -> Query<'_> {
+    Query::new(g)
+        .core_filter(stages & CORE != 0)
+        .shared_neighborhood(stages & PEEL != 0)
+        .shard_components(stages & SHARD != 0)
+}
 
 fn random_graph(n: usize, density: f64, seed: u64) -> UncertainGraph {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -46,9 +62,10 @@ fn assert_refine_identical(
     engine: Engine,
     index_mode: IndexMode,
     threads: usize,
+    stages: u8,
     what: &str,
 ) {
-    let mut base = Query::new(g)
+    let mut base = staged(g, stages)
         .alpha_floor(floor)
         .min_size(min_size)
         .index_mode(index_mode)
@@ -60,7 +77,7 @@ fn assert_refine_identical(
         let mut refined = base
             .refine(alpha)
             .unwrap_or_else(|e| panic!("{what}: refine({alpha}): {e}"));
-        let mut fresh = Query::new(g)
+        let mut fresh = staged(g, stages)
             .alpha(alpha)
             .min_size(min_size)
             .index_mode(index_mode)
@@ -118,6 +135,7 @@ proptest! {
         noip in any::<bool>(),
         mode_i in 0usize..3,
         two_threads in any::<bool>(),
+        stages in 0u8..8,
     ) {
         let g = random_graph(n, density, seed);
         let floor = [0.0, 0.2, 0.4][floor_i];
@@ -131,7 +149,10 @@ proptest! {
             engine,
             index_mode,
             threads,
-            &format!("n={n} density={density:.2} seed={seed} floor={floor} t={min_size}"),
+            stages,
+            &format!(
+                "n={n} density={density:.2} seed={seed} floor={floor} t={min_size} stages={stages:03b}"
+            ),
         );
     }
 }
@@ -166,7 +187,16 @@ fn refinement_splits_components_like_the_fresh_pipeline() {
     assert_eq!(split.report().components_kept, 2);
 
     for alpha in [0.2, 0.5, 0.9] {
-        assert_refine_identical(&g, 0.0, 0, Engine::Auto, IndexMode::Auto, 1, "barbell");
+        assert_refine_identical(
+            &g,
+            0.0,
+            0,
+            Engine::Auto,
+            IndexMode::Auto,
+            1,
+            ALL_STAGES,
+            "barbell",
+        );
         let mut refined = base.refine(alpha).unwrap();
         let mut fresh = Query::new(&g).alpha(alpha).prepare().unwrap();
         assert_eq!(refined.collect().unwrap(), fresh.collect().unwrap());
@@ -198,6 +228,7 @@ fn refinement_shatters_chains_and_drops_small_fragments() {
                 Engine::Auto,
                 IndexMode::Auto,
                 1,
+                ALL_STAGES,
                 &format!("chain floor={floor} t={min_size}"),
             );
         }

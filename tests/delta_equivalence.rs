@@ -7,7 +7,8 @@
 //! optimization, never an approximation.
 //!
 //! The battery sweeps random graphs × random mutation batches × α ×
-//! `min_size` × engine × index mode × thread counts, plus deterministic
+//! `min_size` × engine × index mode × thread counts × the eight on/off
+//! combinations of the stage toggles, plus deterministic
 //! component-join (bridge insert) and component-split (bridge delete,
 //! re-weight below α) scenarios, empty / inverse / no-op batches,
 //! below-threshold inserts, the representability errors, the sharded
@@ -23,6 +24,20 @@ use ugraph_core::UncertainGraph;
 
 /// Fixed palette so α thresholds stride across real mass boundaries.
 const PALETTE: [f64; 6] = [0.1, 0.3, 0.5, 0.7, 0.9, 1.0];
+
+/// Stage-toggle bits: core filter, shared-neighborhood peel and
+/// component sharding.
+const CORE: u8 = 1;
+const PEEL: u8 = 2;
+const SHARD: u8 = 4;
+
+/// A builder with the stage toggles set from `stages`.
+fn staged(g: &UncertainGraph, stages: u8) -> Query<'_> {
+    Query::new(g)
+        .core_filter(stages & CORE != 0)
+        .shared_neighborhood(stages & PEEL != 0)
+        .shard_components(stages & SHARD != 0)
+}
 
 fn random_graph(n: usize, density: f64, seed: u64) -> UncertainGraph {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -153,15 +168,19 @@ proptest! {
         noip in any::<bool>(),
         mode_i in 0usize..3,
         two_threads in any::<bool>(),
+        stages in 0u8..8,
     ) {
         let g = random_graph(n, density, seed);
         let alpha = [0.1, 0.3, 0.5, 0.7][alpha_i];
         let engine = if noip { Engine::Noip } else { Engine::Auto };
         let mode = [IndexMode::Auto, IndexMode::Always, IndexMode::Never][mode_i];
         let threads = if two_threads { 2 } else { 1 };
-        let what = format!("n={n} density={density:.2} seed={seed} α={alpha} t={min_size} ops={ops}");
+        let what = format!(
+            "n={n} density={density:.2} seed={seed} α={alpha} t={min_size} ops={ops} \
+             stages={stages:03b}"
+        );
         let (delta, mutated) = random_delta(&g, alpha, ops, seed.wrapping_add(0x9e37));
-        let mut session = Query::new(&g)
+        let mut session = staged(&g, stages)
             .alpha(alpha)
             .min_size(min_size)
             .index_mode(mode)
@@ -172,7 +191,7 @@ proptest! {
         let before = session.to_catalog_bytes();
         match session.apply(&delta) {
             Ok(()) => {
-                let mut fresh = Query::new(&mutated)
+                let mut fresh = staged(&mutated, stages)
                     .alpha(alpha)
                     .min_size(min_size)
                     .index_mode(mode)
@@ -203,18 +222,21 @@ proptest! {
         floor_i in 0usize..3,
         min_size in 0usize..4,
         ops in 1usize..9,
+        stages in 0u8..8,
     ) {
         let g = random_graph(n, density, seed);
         let floor = [0.0, 0.2, 0.4][floor_i];
-        let what = format!("n={n} density={density:.2} seed={seed} floor={floor} t={min_size}");
+        let what = format!(
+            "n={n} density={density:.2} seed={seed} floor={floor} t={min_size} stages={stages:03b}"
+        );
         let (delta, mutated) = random_delta(&g, floor, ops, seed.wrapping_add(0x51ed));
-        let mut base = Query::new(&g)
+        let mut base = staged(&g, stages)
             .alpha_floor(floor)
             .min_size(min_size)
             .prepare_base()
             .unwrap();
         base.apply(&delta).unwrap_or_else(|e| panic!("{what}: base apply: {e}"));
-        let fresh_base = Query::new(&mutated)
+        let fresh_base = staged(&mutated, stages)
             .alpha_floor(floor)
             .min_size(min_size)
             .prepare_base()
@@ -223,7 +245,7 @@ proptest! {
             "{}: base catalog bytes", what);
         for alpha in [0.3, 0.7].into_iter().filter(|a| *a >= floor) {
             let mut refined = base.refine(alpha).unwrap();
-            let mut fresh = Query::new(&mutated)
+            let mut fresh = staged(&mutated, stages)
                 .alpha(alpha)
                 .min_size(min_size)
                 .prepare()

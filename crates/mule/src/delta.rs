@@ -12,52 +12,32 @@
 //! the mutated graph (`tests/delta_equivalence.rs`), at a fraction of
 //! the cost when churn is localized.
 //!
-//! # Why component-local re-pipelining is exact
+//! # Why touched-only re-pipelining is exact
 //!
-//! Every pipeline stage decomposes exactly per connected component of
-//! its input:
+//! Every pipeline stage decomposes exactly per connected component (see
+//! [`mod@crate::prepare`]), and a batch changes only the components
+//! holding an op endpoint (an inserted edge that joins two components
+//! has an endpoint in each). So `apply` folds the batch into the
+//! touched components' visible edges — the *touched region* — reruns
+//! stages 2–3 on the region alone, and hands the region's components,
+//! the untouched components (kernels carried over, no copy) and the
+//! untouched singletons to the assembler a fresh prepare uses. A
+//! whole-graph instance (the identity fast path or the shard-off shape)
+//! is one component that every op touches.
 //!
-//! 1. **α-prune** is edge-local: whether an edge survives depends only
-//!    on its own probability.
-//! 2. **Expected-degree core peel** is a per-component fixpoint: a
-//!    vertex's expected degree involves only its neighbors, so the
-//!    peeling cascade never crosses a component boundary.
-//! 3. **Modani–Dey shared-neighborhood peel** is likewise a
-//!    per-component fixpoint: common-neighbor counts and degrees are
-//!    component-internal.
-//! 4. **Component decomposition** refines components of its input.
-//!
-//! A delta batch's structural effect is confined to the components
-//! containing an op endpoint (plus any components an inserted edge
-//! joins — whose endpoints are, again, op endpoints). Therefore
-//! re-running stages on the union of touched components, with every
-//! untouched component's bytes carried over verbatim (`Arc`-shared,
-//! exactly PR 8's refine sharing argument: an untouched component's
-//! compact graph equals the fresh `induced_subgraph` of the mutated
-//! pruned graph because the id maps are monotone), reproduces the fresh
-//! global result. The global emission schedule is rebuilt through the
-//! same `build_schedule` helper the fresh path uses, so the
-//! merged component order cannot drift.
-//!
-//! **Report exactness** needs one precondition on sharded instances:
-//! the artifact's own report must show zero stage-2/3 losses and zero
-//! dropped-small components. Then (a) untouched components provably
-//! lose nothing in a fresh run on the mutated graph (their stage inputs
-//! are unchanged and they lost nothing before), so every loss counter
-//! of the fresh run is reproduced by the local re-run alone, and (b)
-//! kept components plus singletons cover all `n` vertices, so every op
-//! endpoint is attributable. Whole-graph instances (single component
-//! with an identity map — the identity fast path and the shard-off
-//! configuration) need only the stage-2/3 half of that precondition:
-//! their kernel graph *is* the α-pruned graph, so the apply degenerates
-//! to re-running the pipeline tail on the patched graph (sharing the
-//! code path with [`prepare`](crate::prepare()) itself). When the
-//! precondition fails the artifact simply does not retain enough of the
-//! graph to reconstruct the mutated state, and `apply` returns a typed
-//! [`MuleError::Delta`] telling the caller to re-prepare (or to
-//! maintain a [`crate::query::Base`] — bases store everything at the
-//! floor and need **no** precondition). The precondition holds
-//! automatically whenever `min_size ≤ 1`.
+//! **Report exactness** needs one precondition on instances: the
+//! artifact's report must show zero stage-2/3 losses and, unless the
+//! instance is whole-graph, zero dropped-small components. Then (a)
+//! untouched components provably lose nothing in a fresh run on the
+//! mutated graph, so the region's loss counters are the fresh global
+//! ones, and (b) every op endpoint is attributable (kept components and
+//! singletons cover all `n` vertices). When the precondition fails the
+//! artifact simply does
+//! not retain enough of the graph to reconstruct the mutated state, and
+//! `apply` returns a typed [`MuleError::Delta`] telling the caller to
+//! re-prepare (or to maintain a [`crate::query::Base`] — bases store
+//! everything at the floor and need **no** precondition). The
+//! precondition holds automatically whenever `min_size ≤ 1`.
 //!
 //! # Representability: what ops may reference
 //!
@@ -107,18 +87,13 @@
 //! # }
 //! ```
 
-use crate::kcore::CoreDecomposition;
-use crate::kernel::{DepthArenas, Kernel};
 use crate::prepare::{
-    build_schedule, finish_pipeline, PrepareReport, PreparedComponent, PreparedInstance,
+    run_stages, split_base, Assembly, BaseComponent, PrepareReport, PreparedBase, PreparedInstance,
 };
-use crate::prepare::{BaseComponent, PreparedBase};
-use crate::pruning::shared_neighborhood_peel;
 use crate::query::MuleError;
-use crate::stats::EnumerationStats;
 use std::collections::HashMap;
 use ugraph_core::builder::from_edges;
-use ugraph_core::{subgraph, Components, UncertainGraph, VertexId};
+use ugraph_core::{UncertainGraph, VertexId};
 
 /// One typed mutation of an uncertain graph.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -431,28 +406,78 @@ fn validate_prob(i: usize, p: f64) -> Result<(), MuleError> {
     }
 }
 
-/// Per-vertex location in a sharded artifact: owning component (or
-/// `u32::MAX`) and the local id within it.
-fn locate(components: &[(&[VertexId], usize)], n: usize) -> (Vec<u32>, Vec<u32>) {
-    let mut comp_of = vec![u32::MAX; n];
-    let mut local_id = vec![0u32; n];
-    for (j, (map, _)) in components.iter().enumerate() {
-        for (l, &orig) in map.iter().enumerate() {
-            comp_of[orig as usize] = j as u32;
-            local_id[orig as usize] = l as u32;
-        }
-    }
-    (comp_of, local_id)
+/// What a batch touches in an artifact whose components are given as
+/// `(graph, to_original)` pairs.
+struct Touched {
+    /// Per original vertex: an op endpoint or a vertex of a component
+    /// holding one (a touched component).
+    in_region: Vec<bool>,
+    /// The touched components' visible edges with the batch folded in,
+    /// over original ids; every other vertex is isolated here. Inserts
+    /// below the threshold count but are not materialized.
+    region: UncertainGraph,
+    /// The mutated graph's total edge count.
+    edge_total: usize,
 }
 
-/// One slot of the merged post-apply component order.
-enum Entry {
-    /// Untouched artifact component `j` — bytes carried over verbatim.
-    Keep(usize),
-    /// Connected component `li` of the locally re-pipelined graph.
-    Fresh(usize),
-    /// An untouched singleton / isolated vertex.
-    Lone,
+/// Replay `delta` against the visible edges of `parts` (the artifact's
+/// components at `threshold`, named `what` in errors) and extract the
+/// touched region. Pure: a failure leaves the artifact unchanged.
+fn touch(
+    parts: &[(&UncertainGraph, &[VertexId])],
+    n: usize,
+    delta: &GraphDelta,
+    (what, threshold): (&str, f64),
+    edge_total: usize,
+) -> Result<Touched, MuleError> {
+    // (component, local id) of every original vertex.
+    let mut slot = vec![(u32::MAX, 0 as VertexId); n];
+    for (j, (_, map)) in parts.iter().enumerate() {
+        for (l, &v) in map.iter().enumerate() {
+            slot[v as usize] = (j as u32, l as VertexId);
+        }
+    }
+    let ledger = run_ledger(delta, n, &format!("{what} = {threshold}"), |u, v| {
+        let ((cu, lu), (cv, lv)) = (slot[u as usize], slot[v as usize]);
+        (cu != u32::MAX && cu == cv)
+            .then(|| parts[cu as usize].0.edge_prob_raw(lu, lv))
+            .flatten()
+    })?;
+
+    let mut comps = vec![false; parts.len()];
+    let mut in_region = vec![false; n];
+    for &(u, v) in ledger.known.keys() {
+        for x in [u, v] {
+            in_region[x as usize] = true;
+            let c = slot[x as usize].0;
+            if c != u32::MAX {
+                comps[c as usize] = true;
+            }
+        }
+    }
+    let mut edges: Vec<(VertexId, VertexId, f64)> = Vec::new();
+    for (&(g, map), _) in parts.iter().zip(&comps).filter(|(_, &t)| t) {
+        for lu in 0..g.num_vertices() as VertexId {
+            let u = map[lu as usize];
+            in_region[u as usize] = true;
+            for (lv, p) in g.neighbors_with_probs(lu) {
+                let v = map[lv as usize];
+                if u < v && !ledger.known.contains_key(&(u, v)) {
+                    edges.push((u, v, p));
+                }
+            }
+        }
+    }
+    for (&(u, v), &state) in &ledger.known {
+        if let Some(p) = state.filter(|&p| p >= threshold) {
+            edges.push((u, v, p));
+        }
+    }
+    Ok(Touched {
+        in_region,
+        region: from_edges(n, &edges).map_err(MuleError::Graph)?,
+        edge_total: checked_edge_total(edge_total, ledger.edge_delta)?,
+    })
 }
 
 /// Fold `delta` into a prepared instance. See the module docs for the
@@ -466,12 +491,12 @@ pub(crate) fn apply_instance(
         return Ok(());
     }
     let n = inst.original_n;
-    let whole_graph = inst.components.len() == 1 && inst.components[0].to_original.len() == n;
     let r = &inst.report;
     let stage_losses = r.core_filtered_vertices
         + r.core_filtered_edges
         + r.shared_pruned_edges
         + r.shared_isolated_vertices;
+    let whole_graph = inst.components.len() == 1 && inst.components[0].to_original.len() == n;
     if stage_losses > 0 || (!whole_graph && r.components_dropped_small > 0) {
         return Err(MuleError::Delta(format!(
             "instance does not retain the full alpha-pruned graph (core filter / peel / \
@@ -486,317 +511,45 @@ pub(crate) fn apply_instance(
         )));
     }
     let alpha = inst.alpha;
-    let t = inst.min_size;
+    let parts: Vec<_> = inst
+        .components
+        .iter()
+        .map(|pc| (&*pc.kernel.g, pc.to_original.as_slice()))
+        .collect();
+    let Touched {
+        in_region,
+        region,
+        edge_total,
+    } = touch(&parts, n, delta, ("alpha", alpha), r.original_edges)?;
+    let untouched_edges: usize = parts
+        .iter()
+        .filter(|(_, map)| !in_region[map[0] as usize])
+        .map(|(g, _)| g.num_edges())
+        .sum();
     let mut report = PrepareReport {
         original_vertices: n,
+        original_edges: edge_total,
+        alpha_pruned_edges: edge_total - untouched_edges - region.num_edges(),
         ..Default::default()
     };
 
-    if whole_graph {
-        // Whole-graph kernel (identity fast path or shard-off): the
-        // kernel graph is exactly the α-pruned graph, so patch it and
-        // re-run the pipeline tail — the same code path `prepare` runs,
-        // byte-identical by construction.
-        let g0 = &*inst.components[0].kernel.g;
-        let ledger = run_ledger(delta, n, &format!("alpha = {alpha}"), |u, v| {
-            g0.edge_prob_raw(u, v)
-        })?;
-        let mut edges: Vec<(VertexId, VertexId, f64)> = Vec::with_capacity(g0.num_edges());
-        for u in 0..n as VertexId {
-            for (v, p) in g0.neighbors_with_probs(u) {
-                if u < v && !ledger.known.contains_key(&(u, v)) {
-                    edges.push((u, v, p));
-                }
-            }
-        }
-        for (&(u, v), &state) in &ledger.known {
-            if let Some(p) = state {
-                if p >= alpha {
-                    edges.push((u, v, p));
-                }
-            }
-        }
-        report.original_edges = checked_edge_total(inst.report.original_edges, ledger.edge_delta)?;
-        let work = from_edges(n, &edges)
-            .map_err(MuleError::Graph)?
-            .with_name(inst.name.clone());
-        report.alpha_pruned_edges = report.original_edges - work.num_edges();
-        let rebuilt =
-            finish_pipeline(work, alpha, &inst.config, report).map_err(MuleError::Graph)?;
-        *inst = rebuilt;
-        return Ok(());
-    }
-
-    // Sharded instance: locate every vertex, replay the ledger against
-    // the visible (α-pruned) edges, and re-pipeline only the touched
-    // components.
-    let maps: Vec<(&[VertexId], usize)> = inst
-        .components
-        .iter()
-        .map(|pc| (pc.to_original.as_slice(), pc.kernel.g.num_edges()))
-        .collect();
-    let (comp_of, local_id) = locate(&maps, n);
-    let ledger = {
-        let components = &inst.components;
-        let comp_of = &comp_of;
-        let local_id = &local_id;
-        run_ledger(delta, n, &format!("alpha = {alpha}"), move |u, v| {
-            let (cu, cv) = (comp_of[u as usize], comp_of[v as usize]);
-            if cu == u32::MAX || cu != cv {
-                return None;
-            }
-            components[cu as usize]
-                .kernel
-                .g
-                .edge_prob_raw(local_id[u as usize], local_id[v as usize])
-        })?
-    };
-
-    // Touched material: every op endpoint's component or singleton.
-    let mut comp_touched = vec![false; inst.components.len()];
-    let mut vertex_touched = vec![false; n];
-    for &(u, v) in ledger.known.keys() {
-        for x in [u, v] {
-            vertex_touched[x as usize] = true;
-            let c = comp_of[x as usize];
-            if c != u32::MAX {
-                comp_touched[c as usize] = true;
-            }
+    // Untouched vertices are isolated in the region, so stages 2–3
+    // ignore them (the precondition makes the region's losses global).
+    let work = run_stages(&region, alpha, &inst.config, &mut report)
+        .map_err(MuleError::Graph)?
+        .unwrap_or(region);
+    let mut asm = Assembly::default();
+    for pc in inst.components.drain(..) {
+        if !in_region[pc.to_original[0] as usize] {
+            asm.keep(pc);
         }
     }
-
-    // The touched region's α-pruned graph, over original ids (untouched
-    // vertices are isolated here and contribute empty rows).
-    let mut edges: Vec<(VertexId, VertexId, f64)> = Vec::new();
-    for (j, pc) in inst.components.iter().enumerate() {
-        if !comp_touched[j] {
-            continue;
-        }
-        let g = &*pc.kernel.g;
-        for lu in 0..g.num_vertices() as VertexId {
-            let u = pc.to_original[lu as usize];
-            for (lv, p) in g.neighbors_with_probs(lu) {
-                let v = pc.to_original[lv as usize];
-                if u < v && !ledger.known.contains_key(&(u, v)) {
-                    edges.push((u, v, p));
-                }
-            }
-        }
+    for &v in inst.singletons.iter().filter(|&&v| !in_region[v as usize]) {
+        asm.iso(v);
     }
-    for (&(u, v), &state) in &ledger.known {
-        if let Some(p) = state {
-            if p >= alpha {
-                edges.push((u, v, p));
-            }
-        }
-    }
-    let mut work = from_edges(n, &edges).map_err(MuleError::Graph)?;
-    let untouched_surviving: usize = inst
-        .components
-        .iter()
-        .enumerate()
-        .filter(|(j, _)| !comp_touched[*j])
-        .map(|(_, pc)| pc.kernel.g.num_edges())
-        .sum();
-    report.original_edges = checked_edge_total(inst.report.original_edges, ledger.edge_delta)?;
-    report.alpha_pruned_edges = report.original_edges - (untouched_surviving + work.num_edges());
-
-    // Stages 2 and 3, locally. Untouched vertices have degree zero in
-    // `work`, so both stages ignore them — and by the precondition the
-    // fresh global run removes nothing from untouched components, so
-    // the local loss counters *are* the fresh global ones.
-    if t >= 2 && inst.config.core_filter && work.num_edges() > 0 {
-        let decomp = CoreDecomposition::compute(&work);
-        let threshold = (t - 1) as f64 * alpha;
-        let mut in_core = vec![false; n];
-        for v in decomp.core(threshold) {
-            in_core[v as usize] = true;
-        }
-        let dropped = (0..n)
-            .filter(|&v| !in_core[v] && work.degree(v as VertexId) > 0)
-            .count();
-        if dropped > 0 {
-            let before = work.num_edges();
-            work = subgraph::restrict_to_vertices(&work, &in_core);
-            report.core_filtered_vertices = dropped;
-            report.core_filtered_edges = before - work.num_edges();
-        }
-    }
-    if t >= 3 && inst.config.shared_neighborhood && work.num_edges() > 0 {
-        let (peeled, pr) = shared_neighborhood_peel(&work, t).map_err(MuleError::Graph)?;
-        report.shared_pruned_edges = pr.shared_pruned_edges;
-        report.shared_isolated_vertices = pr.degree_pruned_vertices;
-        work = peeled;
-    }
-
-    // Local re-split, then merge with the untouched material in global
-    // (smallest-original-id) component order.
-    let lists = Components::compute(&work).vertex_lists();
-    let mut entries: Vec<(VertexId, Entry)> = Vec::new();
-    for (j, pc) in inst.components.iter().enumerate() {
-        if !comp_touched[j] {
-            entries.push((pc.to_original[0], Entry::Keep(j)));
-        }
-    }
-    for &s in &inst.singletons {
-        if !vertex_touched[s as usize] {
-            entries.push((s, Entry::Lone));
-        }
-    }
-    // "In the touched region" = an op endpoint, or any vertex of a
-    // touched component (stages 2/3 can isolate those without their
-    // being op endpoints themselves).
-    let in_region = |v: VertexId| {
-        vertex_touched[v as usize] || {
-            let c = comp_of[v as usize];
-            c != u32::MAX && comp_touched[c as usize]
-        }
-    };
-    let mut fresh_subs: Vec<Option<(UncertainGraph, Vec<VertexId>)>> = Vec::new();
-    for (li, list) in lists.iter().enumerate() {
-        let relevant = list.len() >= 2 || in_region(list[0]);
-        if !relevant {
-            fresh_subs.push(None); // an untouched vertex, isolated in `work`
-            continue;
-        }
-        entries.push((list[0], Entry::Fresh(li)));
-        fresh_subs.push(if list.len() >= 2 {
-            Some(subgraph::induced_subgraph(&work, list).map_err(MuleError::Graph)?)
-        } else {
-            None
-        });
-    }
-    entries.sort_unstable_by_key(|&(first, _)| first);
-    report.components_total = entries.len();
-
-    let min_keep = t.max(2);
-    let entry_lens: Vec<usize> = entries
-        .iter()
-        .map(|(_, e)| match *e {
-            Entry::Keep(j) => inst.components[j].to_original.len(),
-            Entry::Fresh(li) => lists[li].len(),
-            Entry::Lone => 1,
-        })
-        .collect();
-    let qualifying = entry_lens.iter().filter(|&&len| len >= min_keep).count();
-
-    let mut components: Vec<PreparedComponent> = Vec::new();
-    let mut singletons: Vec<VertexId> = Vec::new();
-    if qualifying == 1 {
-        // The mutated graph collapsed to the identity fast path: hand
-        // the *whole* merged pruned graph to one kernel, exactly as a
-        // fresh prepare would, with the fresh path's accounting.
-        for ((_, e), &len) in entries.iter().zip(&entry_lens) {
-            if len >= min_keep {
-                report.components_kept = 1;
-                report.largest_component = len;
-                report.final_edges = match *e {
-                    Entry::Keep(j) => inst.components[j].kernel.g.num_edges(),
-                    Entry::Fresh(li) => {
-                        let arcs: usize = lists[li].iter().map(|&v| work.degree(v)).sum();
-                        arcs / 2
-                    }
-                    Entry::Lone => unreachable!("min_keep >= 2"),
-                };
-                report.final_vertices += len;
-            } else if len == 1 && t <= 1 {
-                report.singleton_vertices += 1;
-                report.final_vertices += 1;
-            } else {
-                report.components_dropped_small += 1;
-            }
-        }
-        let merged = merged_graph(inst, &comp_of, &local_id, &comp_touched, &work);
-        let identity: Vec<VertexId> = (0..n as VertexId).collect();
-        components.push(PreparedComponent {
-            kernel: Kernel::wrap(merged, alpha, &inst.config.mule),
-            to_original: identity,
-        });
-    } else {
-        let mut old: Vec<Option<PreparedComponent>> = inst.components.drain(..).map(Some).collect();
-        for ((first, e), &len) in entries.iter().zip(&entry_lens) {
-            if len < min_keep {
-                if len == 1 && t <= 1 {
-                    report.singleton_vertices += 1;
-                    singletons.push(*first);
-                } else {
-                    report.components_dropped_small += 1;
-                }
-                continue;
-            }
-            report.components_kept += 1;
-            report.largest_component = report.largest_component.max(len);
-            report.final_vertices += len;
-            match *e {
-                Entry::Keep(j) => {
-                    let pc = old[j].take().expect("each untouched component moves once");
-                    report.final_edges += pc.kernel.g.num_edges();
-                    components.push(pc);
-                }
-                Entry::Fresh(li) => {
-                    let (sub, map) = fresh_subs[li]
-                        .take()
-                        .expect("every kept fresh list was induced above");
-                    report.final_edges += sub.num_edges();
-                    components.push(PreparedComponent {
-                        kernel: Kernel::wrap(sub, alpha, &inst.config.mule),
-                        to_original: map,
-                    });
-                }
-                Entry::Lone => unreachable!("min_keep >= 2"),
-            }
-        }
-        report.final_vertices += singletons.len();
-        report.largest_component = report
-            .largest_component
-            .max(usize::from(!singletons.is_empty()));
-    }
-
-    let schedule = build_schedule(n, &singletons, &components);
-    inst.components = components;
-    inst.singletons = singletons;
-    inst.schedule = schedule;
-    inst.report = report;
-    inst.stats = EnumerationStats::new();
-    inst.arenas = DepthArenas::new();
-    inst.clique_buf = Vec::new();
-    inst.remap_scratch = Vec::new();
+    asm.fresh(work, None, &inst.config, |v| in_region[v as usize]);
+    *inst = asm.finish(n, alpha, &inst.config, &inst.name, report);
     Ok(())
-}
-
-/// Merge untouched component rows and the locally re-pipelined rows
-/// into one global n-vertex CSR — the graph the fresh pipeline's
-/// identity fast path would hold (mirrors `PreparedBase::merged_work`).
-fn merged_graph(
-    inst: &PreparedInstance,
-    comp_of: &[u32],
-    local_id: &[u32],
-    comp_touched: &[bool],
-    work: &UncertainGraph,
-) -> UncertainGraph {
-    let n = inst.original_n;
-    let mut offsets = Vec::with_capacity(n + 1);
-    offsets.push(0usize);
-    let mut neighbors = Vec::new();
-    let mut probs = Vec::new();
-    for v in 0..n {
-        let j = comp_of[v];
-        if j != u32::MAX && !comp_touched[j as usize] {
-            let pc = &inst.components[j as usize];
-            for (w, p) in pc.kernel.g.neighbors_with_probs(local_id[v]) {
-                neighbors.push(pc.to_original[w as usize]);
-                probs.push(p);
-            }
-        } else {
-            for (w, p) in work.neighbors_with_probs(v as VertexId) {
-                neighbors.push(w);
-                probs.push(p);
-            }
-        }
-        offsets.push(neighbors.len());
-    }
-    UncertainGraph::try_from_csr(offsets, neighbors, probs, inst.name.clone())
-        .expect("merged per-component rows form a valid CSR")
 }
 
 /// Fold `delta` into a base artifact. Bases store every edge at their
@@ -808,119 +561,31 @@ pub(crate) fn apply_base(base: &mut PreparedBase, delta: &GraphDelta) -> Result<
     if delta.is_empty() {
         return Ok(());
     }
-    let n = base.original_n;
-    let floor = base.floor;
-    let maps: Vec<(&[VertexId], usize)> = base
+    let parts: Vec<_> = base
         .components
         .iter()
-        .map(|bc| (bc.to_original.as_slice(), bc.kernel.g.num_edges()))
+        .map(|bc| (&*bc.kernel.g, bc.to_original.as_slice()))
         .collect();
-    let (comp_of, local_id) = locate(&maps, n);
-    let ledger = {
-        let components = &base.components;
-        let comp_of = &comp_of;
-        let local_id = &local_id;
-        run_ledger(delta, n, &format!("floor = {floor}"), move |u, v| {
-            let (cu, cv) = (comp_of[u as usize], comp_of[v as usize]);
-            if cu == u32::MAX || cu != cv {
-                return None;
-            }
-            components[cu as usize]
-                .kernel
-                .g
-                .edge_prob_raw(local_id[u as usize], local_id[v as usize])
-        })?
-    };
-
-    let mut comp_touched = vec![false; base.components.len()];
-    let mut vertex_touched = vec![false; n];
-    for &(u, v) in ledger.known.keys() {
-        for x in [u, v] {
-            vertex_touched[x as usize] = true;
-            let c = comp_of[x as usize];
-            if c != u32::MAX {
-                comp_touched[c as usize] = true;
-            }
-        }
-    }
-
-    let mut edges: Vec<(VertexId, VertexId, f64)> = Vec::new();
-    for (j, bc) in base.components.iter().enumerate() {
-        if !comp_touched[j] {
-            continue;
-        }
-        let g = &*bc.kernel.g;
-        for lu in 0..g.num_vertices() as VertexId {
-            let u = bc.to_original[lu as usize];
-            for (lv, p) in g.neighbors_with_probs(lu) {
-                let v = bc.to_original[lv as usize];
-                if u < v && !ledger.known.contains_key(&(u, v)) {
-                    edges.push((u, v, p));
-                }
-            }
-        }
-    }
-    for (&(u, v), &state) in &ledger.known {
-        if let Some(p) = state {
-            if p >= floor {
-                edges.push((u, v, p));
-            }
-        }
-    }
-    let work = from_edges(n, &edges).map_err(MuleError::Graph)?;
-    let new_total = checked_edge_total(base.original_edges, ledger.edge_delta)?;
-
-    let lists = Components::compute(&work).vertex_lists();
-    let mut entries: Vec<(VertexId, Entry)> = Vec::new();
-    for (j, bc) in base.components.iter().enumerate() {
-        if !comp_touched[j] {
-            entries.push((bc.to_original[0], Entry::Keep(j)));
-        }
-    }
-    let mut isolated: Vec<VertexId> = base
-        .isolated
-        .iter()
-        .copied()
-        .filter(|&v| !vertex_touched[v as usize])
+    let (floor, n) = (base.floor, base.original_n);
+    let Touched {
+        in_region,
+        region,
+        edge_total,
+    } = touch(&parts, n, delta, ("floor", floor), base.original_edges)?;
+    let (fresh, lone) = split_base(&region, floor, &base.config.mule, |v| in_region[v as usize])
+        .map_err(MuleError::Graph)?;
+    let mut components: Vec<BaseComponent> = base
+        .components
+        .drain(..)
+        .filter(|bc| !in_region[bc.to_original[0] as usize])
+        .chain(fresh)
         .collect();
-    let mut fresh_subs: Vec<Option<(UncertainGraph, Vec<VertexId>)>> = Vec::new();
-    for list in &lists {
-        if list.len() >= 2 {
-            entries.push((list[0], Entry::Fresh(fresh_subs.len())));
-            fresh_subs.push(Some(
-                subgraph::induced_subgraph(&work, list).map_err(MuleError::Graph)?,
-            ));
-        } else if vertex_touched[list[0] as usize] {
-            isolated.push(list[0]);
-        }
-    }
-    entries.sort_unstable_by_key(|&(first, _)| first);
-    isolated.sort_unstable();
-
-    let mut old: Vec<Option<BaseComponent>> = base.components.drain(..).map(Some).collect();
-    let mut components: Vec<BaseComponent> = Vec::with_capacity(entries.len());
-    for (_, e) in &entries {
-        match *e {
-            Entry::Keep(j) => {
-                components.push(old[j].take().expect("each untouched component moves once"));
-            }
-            Entry::Fresh(li) => {
-                let (sub, map) = fresh_subs[li]
-                    .take()
-                    .expect("every size->=2 list was induced above");
-                let min_prob = sub.min_edge_prob().expect("a size->=2 component has edges");
-                components.push(BaseComponent {
-                    kernel: Kernel::wrap(sub, floor, &base.config.mule),
-                    to_original: map,
-                    min_prob,
-                });
-            }
-            Entry::Lone => unreachable!("bases file isolates separately"),
-        }
-    }
+    components.sort_unstable_by_key(|bc| bc.to_original[0]);
     base.components = components;
-    base.isolated = isolated;
-    base.original_edges = new_total;
+    base.isolated.retain(|&v| !in_region[v as usize]);
+    base.isolated.extend(lone);
+    base.isolated.sort_unstable();
+    base.original_edges = edge_total;
     Ok(())
 }
 
@@ -995,6 +660,47 @@ mod tests {
         ] {
             let err = GraphDelta::parse_text(bad).unwrap_err();
             assert!(err.to_string().contains("line 1"), "{err}");
+        }
+    }
+
+    #[test]
+    fn apply_shares_untouched_component_storage() {
+        use std::sync::Arc;
+        // Three components; the batch touches only the first.
+        let g = from_edges(
+            9,
+            &[
+                (0, 1, 0.9),
+                (1, 2, 0.8),
+                (3, 4, 0.7),
+                (4, 5, 0.7),
+                (6, 7, 0.9),
+                (7, 8, 0.9),
+            ],
+        )
+        .unwrap();
+        let delta = GraphDelta::new().set_prob(0, 1, 0.6);
+        let mut session = crate::Query::new(&g).alpha(0.5).prepare().unwrap();
+        let mut base = crate::Query::new(&g).prepare_base().unwrap();
+        let graphs = |s: &crate::Prepared| -> Vec<Arc<UncertainGraph>> {
+            let comps = &s.instance().components;
+            comps.iter().map(|pc| Arc::clone(&pc.kernel.g)).collect()
+        };
+        let base_graphs = |b: &crate::Base| -> Vec<Arc<UncertainGraph>> {
+            let comps = &b.prepared_base().components;
+            comps.iter().map(|bc| Arc::clone(&bc.kernel.g)).collect()
+        };
+        let (before, base_before) = (graphs(&session), base_graphs(&base));
+        session.apply(&delta).unwrap();
+        base.apply(&delta).unwrap();
+        for (old, new) in [
+            (before, graphs(&session)),
+            (base_before, base_graphs(&base)),
+        ] {
+            assert_eq!(new.len(), 3);
+            assert!(!Arc::ptr_eq(&old[0], &new[0]), "the touched one is rebuilt");
+            assert!(Arc::ptr_eq(&old[1], &new[1]), "untouched storage is kept");
+            assert!(Arc::ptr_eq(&old[2], &new[2]), "untouched storage is kept");
         }
     }
 

@@ -38,6 +38,31 @@
 //! what the shared-neighborhood fixpoint examines, and sharding last
 //! sees the smallest graph.
 //!
+//! # One stage runner, one assembler
+//!
+//! [`prepare`], `PreparedBase::refine` and incremental maintenance
+//! ([`crate::delta`]) each run stage 1 their own way — a global prune; a
+//! mask inside each base component, skipped when the component's
+//! smallest probability is already ≥ α; the batch folded into the
+//! components it touches — and then share two pieces: `run_stages`
+//! (stages 2–3 over one working graph, saying whether they removed
+//! anything) and `Assembly`, which takes the component entries (kept
+//! components, components of the working graphs, vertices isolated
+//! earlier) and applies stage 4's policy once: size threshold,
+//! singletons, dropped components, identity fast path, shard-off shape,
+//! kernels and schedule.
+//!
+//! Running the stages on parts of the graph reproduces the fresh global
+//! bytes because every stage decomposes exactly per connected component
+//! of its input: the α-prune is edge-local, the two peels are fixpoints
+//! whose degrees and common-neighbor counts never cross a component, and
+//! `Components` refines the components of its input. A component no
+//! stage touches thus equals its fresh `induced_subgraph` (the maps are
+//! monotone) and keeps its kernel. `Components` discovers components by
+//! ascending smallest member, so sorting the entries by first original
+//! id gives the fresh order, and one whole-graph merge rebuilds the
+//! graph the fresh identity fast path and shard-off shape hold.
+//!
 //! Each component's kernel builds its own tiered
 //! [`ugraph_core::NeighborhoodIndex`] over the **compact remapped ids**
 //! (configured by [`PrepareConfig::mule`], built once at prepare time so
@@ -309,153 +334,10 @@ pub fn prepare(
     let work = subgraph::prune_below_alpha(g, alpha)?;
     report.alpha_pruned_edges = g.num_edges() - work.num_edges();
 
-    finish_pipeline(work, alpha, config, report)
-}
-
-/// Stages 2–4 of the pipeline plus instance assembly, split out of
-/// [`prepare`] so incremental maintenance ([`crate::delta`]) can re-run
-/// the α-independent tail on an already α-pruned working graph and be
-/// byte-identical to a fresh prepare **by construction**. `work` must be
-/// the stage-1 output (all edge probabilities ≥ `alpha`), `report` must
-/// have its `original_*` and `alpha_pruned_edges` fields filled in.
-/// Does not bump [`pipeline_invocations`]; callers that constitute a
-/// full pipeline run do that themselves.
-pub(crate) fn finish_pipeline(
-    mut work: UncertainGraph,
-    alpha: f64,
-    config: &PrepareConfig,
-    mut report: PrepareReport,
-) -> Result<PreparedInstance, GraphError> {
-    let t = config.min_size;
-    let n = work.num_vertices();
-    let name = work.name().to_string();
-
-    // Stage 2: expected-degree (t−1)·α-core filter.
-    if t >= 2 && config.core_filter && work.num_edges() > 0 {
-        let decomp = CoreDecomposition::compute(&work);
-        let threshold = (t - 1) as f64 * alpha;
-        let mut in_core = vec![false; n];
-        for v in decomp.core(threshold) {
-            in_core[v as usize] = true;
-        }
-        let dropped = (0..n)
-            .filter(|&v| !in_core[v] && work.degree(v as VertexId) > 0)
-            .count();
-        if dropped > 0 {
-            let before = work.num_edges();
-            work = subgraph::restrict_to_vertices(&work, &in_core);
-            report.core_filtered_vertices = dropped;
-            report.core_filtered_edges = before - work.num_edges();
-        }
-    }
-
-    // Stage 3: Modani–Dey shared-neighborhood peel (vacuous for t < 3).
-    // `work` is already α-pruned by stage 1, so the peel-only entry
-    // point applies — no redundant re-prune pass.
-    if t >= 3 && config.shared_neighborhood && work.num_edges() > 0 {
-        let (peeled, pr) = shared_neighborhood_peel(&work, t)?;
-        report.shared_pruned_edges = pr.shared_pruned_edges;
-        report.shared_isolated_vertices = pr.degree_pruned_vertices;
-        work = peeled;
-    }
-
-    // Stage 4: component decomposition + one compact instance each.
-    let mut components = Vec::new();
-    let mut singletons = Vec::new();
-    let min_keep = t.max(2);
-    if config.shard_components {
-        let comps = Components::compute(&work);
-        report.components_total = comps.count();
-        let lists = comps.vertex_lists();
-        if lists.iter().filter(|l| l.len() >= min_keep).count() == 1 {
-            // Identity fast path: sharding found exactly one real
-            // component, so a compact copy would reproduce (almost) the
-            // whole graph — move the pruned graph into the kernel
-            // instead and let the root loop handle isolated vertices
-            // and the size bound handle sub-threshold stragglers. The
-            // report records the *decomposition's* accounting (kept
-            // material only, same as the sharded path would report);
-            // the enumeration cost of the stragglers carried along is
-            // one O(deg) root expansion each, cheaper than the avoided
-            // O(n + m) copy.
-            for list in &lists {
-                if list.len() >= min_keep {
-                    report.components_kept = 1;
-                    report.largest_component = list.len();
-                    // Component edges = half the degree sum (no arcs
-                    // leave a connected component).
-                    let arcs: usize = list.iter().map(|&v| work.degree(v)).sum();
-                    report.final_edges = arcs / 2;
-                    report.final_vertices += list.len();
-                } else if list.len() == 1 && t <= 1 {
-                    report.singleton_vertices += 1;
-                    report.final_vertices += 1;
-                } else {
-                    report.components_dropped_small += 1;
-                }
-            }
-            let identity: Vec<VertexId> = (0..n as VertexId).collect();
-            components.push(PreparedComponent {
-                kernel: Kernel::wrap(work, alpha, &config.mule),
-                to_original: identity,
-            });
-        } else {
-            for list in lists {
-                if list.len() < min_keep {
-                    if list.len() == 1 && t <= 1 {
-                        // An isolated vertex is itself a maximal clique.
-                        report.singleton_vertices += 1;
-                        singletons.push(list[0]);
-                    } else {
-                        report.components_dropped_small += 1;
-                    }
-                    continue;
-                }
-                let (sub, map) = subgraph::induced_subgraph(&work, &list)?;
-                report.components_kept += 1;
-                report.largest_component = report.largest_component.max(list.len());
-                report.final_edges += sub.num_edges();
-                report.final_vertices += list.len();
-                components.push(PreparedComponent {
-                    kernel: Kernel::wrap(sub, alpha, &config.mule),
-                    to_original: map,
-                });
-            }
-            report.final_vertices += singletons.len();
-            report.largest_component = report
-                .largest_component
-                .max(usize::from(!singletons.is_empty()));
-        }
-    } else if n > 0 {
-        report.components_total = 1;
-        report.components_kept = 1;
-        report.largest_component = n;
-        report.final_edges = work.num_edges();
-        report.final_vertices = n;
-        let identity: Vec<VertexId> = (0..n as VertexId).collect();
-        components.push(PreparedComponent {
-            kernel: Kernel::wrap(work, alpha, &config.mule),
-            to_original: identity,
-        });
-    }
-
-    let schedule = build_schedule(n, &singletons, &components);
-
-    Ok(PreparedInstance {
-        alpha,
-        min_size: t,
-        original_n: n,
-        name,
-        components,
-        singletons,
-        schedule,
-        report,
-        config: config.clone(),
-        stats: EnumerationStats::new(),
-        arenas: DepthArenas::new(),
-        clique_buf: Vec::new(),
-        remap_scratch: Vec::new(),
-    })
+    let work = run_stages(&work, alpha, config, &mut report)?.unwrap_or(work);
+    let mut asm = Assembly::default();
+    asm.fresh(work, None, config, |_| true);
+    Ok(asm.finish(g.num_vertices(), alpha, config, g.name(), report))
 }
 
 impl PreparedInstance {
@@ -668,10 +550,8 @@ impl PreparedInstance {
 /// The global emission schedule: units in ascending original-id order
 /// (component-internal ids are already ascending in original order, so
 /// slotting per original vertex interleaves components exactly as the
-/// direct root loop would). Shared by [`prepare`],
-/// `PreparedBase::refine`, and [`crate::delta`] so the construction
-/// paths cannot drift.
-pub(crate) fn build_schedule(
+/// direct root loop would). Built only by [`Assembly::finish`].
+fn build_schedule(
     n: usize,
     singletons: &[VertexId],
     components: &[PreparedComponent],
@@ -788,26 +668,6 @@ impl<S: CliqueSink> CliqueSink for Remap<'_, S> {
     }
 }
 
-/// Legacy wrapper: prepare with defaults (plus `min_size`) and collect
-/// all qualifying maximal cliques, sorted lexicographically. Thin
-/// delegate over the session API ([`crate::Query`]).
-pub fn enumerate_prepared(
-    g: &UncertainGraph,
-    alpha: f64,
-    min_size: usize,
-) -> Result<Vec<(Vec<VertexId>, f64)>, GraphError> {
-    let mut session = crate::Query::new(g)
-        .alpha(alpha)
-        .min_size(min_size)
-        .prepare()
-        .map_err(crate::MuleError::expect_graph)?;
-    let mut pairs = session
-        .collect()
-        .expect("unlimited run cannot be interrupted");
-    pairs.sort_by(|a, b| a.0.cmp(&b.0));
-    Ok(pairs)
-}
-
 // ---------------------------------------------------------------------------
 // α-split base artifacts: prepare once at a floor, refine per α.
 // ---------------------------------------------------------------------------
@@ -834,6 +694,22 @@ impl BaseComponent {
     pub fn to_original(&self) -> &[VertexId] {
         &self.to_original
     }
+
+    /// Wrap one floor-pruned component (at least two vertices, so it
+    /// has edges) in a kernel stamped at the floor.
+    pub(crate) fn new(
+        g: UncertainGraph,
+        map: Vec<VertexId>,
+        floor: f64,
+        mule: &MuleConfig,
+    ) -> Self {
+        let min_prob = g.min_edge_prob().expect("a size-≥2 component has edges");
+        BaseComponent {
+            kernel: Kernel::wrap(g, floor, mule),
+            to_original: map,
+            min_prob,
+        }
+    }
 }
 
 /// The α-independent half of the pipeline: connected components of the
@@ -849,11 +725,9 @@ impl BaseComponent {
 /// reconstruct the full [`PrepareReport`] and the exact component
 /// accounting of a fresh [`prepare`] at any α.
 ///
-/// `refine(α)` derives a per-α [`PreparedInstance`] by masking sub-α
-/// edges *inside each component* and re-running the core-filter/peel
-/// bounds locally — every stage decomposes exactly per connected
-/// component, so the local runs produce bit-identical graphs, maps,
-/// schedule and report to the fresh global pipeline (pinned by
+/// `refine(α)` derives a per-α [`PreparedInstance`] by running the
+/// α-dependent stages *inside each component* (see the module docs);
+/// the result is byte-identical to the fresh pipeline (pinned by
 /// `tests/alpha_refine.rs`). A component the α-stages leave untouched
 /// is **shared** into the refined view as two `Arc` clones (graph +
 /// index) with a re-stamped α — zero copying, zero index rebuild.
@@ -897,21 +771,7 @@ pub fn prepare_base(
     } else {
         g
     };
-    let mut components = Vec::new();
-    let mut isolated = Vec::new();
-    for list in Components::compute(work).vertex_lists() {
-        if list.len() == 1 {
-            isolated.push(list[0]);
-            continue;
-        }
-        let (sub, map) = subgraph::induced_subgraph(work, &list)?;
-        let min_prob = sub.min_edge_prob().expect("a size-≥2 component has edges");
-        components.push(BaseComponent {
-            kernel: Kernel::wrap(sub, floor, &config.mule),
-            to_original: map,
-            min_prob,
-        });
-    }
+    let (components, isolated) = split_base(work, floor, &config.mule, |_| true)?;
     Ok(PreparedBase {
         floor,
         original_n: n,
@@ -923,30 +783,27 @@ pub fn prepare_base(
     })
 }
 
-/// Per-base-component outcome of the α-dependent local stages.
-struct LocalRefinement {
-    /// The locally re-pruned/filtered/peeled graph — `None` when every
-    /// α-stage left the base component's bytes intact (the share path).
-    work: Option<UncertainGraph>,
-    /// Connected-component vertex lists (local ids) of the refined
-    /// graph, in local BFS order.
-    lists: Vec<Vec<VertexId>>,
-}
-
-impl LocalRefinement {
-    fn graph<'a>(&'a self, base: &'a BaseComponent) -> &'a UncertainGraph {
-        match &self.work {
-            Some(w) => w,
-            None => &base.kernel.g,
+/// The base components and lone vertices of `g`, a floor-pruned graph
+/// over original ids, in ascending order of their smallest vertex. A
+/// lone vertex is kept only where `keep_lone` says so (incremental
+/// maintenance skips the untouched ones it carries over).
+pub(crate) fn split_base(
+    g: &UncertainGraph,
+    floor: f64,
+    mule: &MuleConfig,
+    keep_lone: impl Fn(VertexId) -> bool,
+) -> Result<(Vec<BaseComponent>, Vec<VertexId>), GraphError> {
+    let mut components = Vec::new();
+    let mut lone = Vec::new();
+    for list in Components::compute(g).vertex_lists() {
+        if list.len() >= 2 {
+            let (sub, map) = subgraph::induced_subgraph(g, &list)?;
+            components.push(BaseComponent::new(sub, map, floor, mule));
+        } else if keep_lone(list[0]) {
+            lone.push(list[0]);
         }
     }
-}
-
-/// One entry of the merged global component order: a local list of a
-/// base component, or a vertex isolated at the floor.
-enum Slice {
-    Comp { j: usize, li: usize },
-    Iso(VertexId),
+    Ok((components, lone))
 }
 
 impl PreparedBase {
@@ -1011,14 +868,7 @@ impl PreparedBase {
     ) -> Self {
         let components = parts
             .into_iter()
-            .map(|(g, map)| {
-                let min_prob = g.min_edge_prob().expect("a size-≥2 component has edges");
-                BaseComponent {
-                    kernel: Kernel::wrap(g, floor, &config.mule),
-                    to_original: map,
-                    min_prob,
-                }
-            })
+            .map(|(g, map)| BaseComponent::new(g, map, floor, &config.mule))
             .collect();
         PreparedBase {
             floor,
@@ -1031,13 +881,11 @@ impl PreparedBase {
         }
     }
 
-    /// Derive the per-α view: run the α-dependent stages (edge mask,
-    /// core filter, peel, local re-split) **inside each base component**
-    /// and assemble a [`PreparedInstance`] byte-identical — graphs, id
-    /// maps, schedule, report, probability bits — to a fresh
-    /// [`prepare`]`(g, alpha, config)`. Components the α-stages leave
-    /// untouched are shared (`Arc` clones of graph and index) instead of
-    /// rebuilt. Does **not** count as a pipeline execution.
+    /// Derive the per-α view: run the α-dependent stages **inside each
+    /// base component** (see the module docs) and assemble a
+    /// [`PreparedInstance`] byte-identical — graphs, id maps, schedule,
+    /// report, probability bits — to a fresh [`prepare`]`(g, alpha,
+    /// config)`. Does **not** count as a pipeline execution.
     ///
     /// The caller (the session layer) guarantees `alpha ≥ floor`; below
     /// the floor the base is missing edges the fresh pipeline would
@@ -1051,287 +899,299 @@ impl PreparedBase {
             alpha,
             self.floor
         );
-        let t = self.config.min_size;
-        let n = self.original_n;
         let mut report = PrepareReport {
-            original_vertices: n,
+            original_vertices: self.original_n,
             original_edges: self.original_edges,
             ..Default::default()
         };
-
-        // The α-dependent stages, per base component. Every stage
-        // decomposes exactly per connected component (prune and restrict
-        // are edge/vertex-local, core numbers are a per-component
-        // fixpoint of the peel recurrence, the Modani–Dey peel is a
-        // per-component fixpoint, and `Components` refines within base
-        // components), so local runs reproduce the fresh global bytes.
         let mut surviving = 0usize; // Σ edges after local stage 1
-        let mut locals: Vec<LocalRefinement> = Vec::with_capacity(self.components.len());
+        let mut asm = Assembly::default();
         for bc in &self.components {
-            let mut work: Option<UncertainGraph> = None;
-
             // Stage 1: mask sub-α edges. `min_prob ≥ α` ⇔ nothing to
             // drop ⇔ the pruned CSR would be byte-identical — skip.
-            if bc.min_prob < alpha {
-                work = Some(subgraph::prune_below_alpha(&bc.kernel.g, alpha)?);
-            }
-            surviving += work
-                .as_ref()
-                .map_or(bc.kernel.g.num_edges(), |w| w.num_edges());
-
-            // Stage 2: expected-degree (t−1)·α-core filter, locally.
-            if t >= 2 && self.config.core_filter {
-                let cur = match &work {
-                    Some(w) => w,
-                    None => &bc.kernel.g,
-                };
-                let mut restricted = None;
-                if cur.num_edges() > 0 {
-                    let decomp = CoreDecomposition::compute(cur);
-                    let threshold = (t - 1) as f64 * alpha;
-                    let nj = cur.num_vertices();
-                    let mut in_core = vec![false; nj];
-                    for v in decomp.core(threshold) {
-                        in_core[v as usize] = true;
-                    }
-                    let dropped = (0..nj)
-                        .filter(|&v| !in_core[v] && cur.degree(v as VertexId) > 0)
-                        .count();
-                    if dropped > 0 {
-                        let before = cur.num_edges();
-                        let r = subgraph::restrict_to_vertices(cur, &in_core);
-                        report.core_filtered_vertices += dropped;
-                        report.core_filtered_edges += before - r.num_edges();
-                        restricted = Some(r);
-                    }
-                }
-                if restricted.is_some() {
-                    work = restricted;
-                }
-            }
-
-            // Stage 3: shared-neighborhood peel, locally. A no-removal
-            // peel rebuilds the identical CSR, so only edge loss (or an
-            // already-touched component, where the fresh path would
-            // carry the peeled copy anyway) replaces the graph.
-            if t >= 3 && self.config.shared_neighborhood {
-                let (cur_edges, peeled) = {
-                    let cur = match &work {
-                        Some(w) => w,
-                        None => &bc.kernel.g,
-                    };
-                    if cur.num_edges() > 0 {
-                        let (peeled, pr) = shared_neighborhood_peel(cur, t)?;
-                        report.shared_pruned_edges += pr.shared_pruned_edges;
-                        report.shared_isolated_vertices += pr.degree_pruned_vertices;
-                        (cur.num_edges(), Some(peeled))
-                    } else {
-                        (0, None)
-                    }
-                };
-                if let Some(p) = peeled {
-                    if work.is_some() || p.num_edges() != cur_edges {
-                        work = Some(p);
-                    }
-                }
-            }
-
-            // Stage 4a: local re-split — only when masking actually
-            // changed the component. Untouched components are connected
-            // by construction, so their single list is known.
-            let lists = match &work {
-                None => vec![(0..bc.kernel.g.num_vertices() as VertexId).collect()],
-                Some(w) => Components::compute(w).vertex_lists(),
-            };
-            locals.push(LocalRefinement { work, lists });
-        }
-        report.alpha_pruned_edges = self.original_edges - surviving;
-
-        // Stage 4b: merge the local component lists and the floor
-        // isolates into the global order — `Components` discovers
-        // components by ascending smallest member, and the base maps are
-        // monotone and disjoint, so sorting by first original id
-        // reproduces the fresh global discovery order exactly.
-        let mut entries: Vec<(VertexId, Slice)> = Vec::new();
-        for (j, (bc, lr)) in self.components.iter().zip(&locals).enumerate() {
-            for (li, list) in lr.lists.iter().enumerate() {
-                let first = bc.to_original[list[0] as usize];
-                entries.push((first, Slice::Comp { j, li }));
+            let pruned = (bc.min_prob < alpha)
+                .then(|| subgraph::prune_below_alpha(&bc.kernel.g, alpha))
+                .transpose()?;
+            let cur = pruned.as_ref().unwrap_or(&bc.kernel.g);
+            surviving += cur.num_edges();
+            match run_stages(cur, alpha, &self.config, &mut report)?.or(pruned) {
+                // Untouched: the fresh induced subgraph would be
+                // byte-identical to the base component, so share the
+                // resident graph and index (O(1)) under a re-stamped α.
+                None => asm.keep(PreparedComponent {
+                    kernel: bc.kernel.share_at(alpha),
+                    to_original: bc.to_original.clone(),
+                }),
+                Some(work) => asm.fresh(work, Some(&bc.to_original), &self.config, |_| true),
             }
         }
         for &v in &self.isolated {
-            entries.push((v, Slice::Iso(v)));
+            asm.iso(v);
         }
-        entries.sort_unstable_by_key(|e| e.0);
-        let entry_len = |s: &Slice| match s {
-            Slice::Comp { j, li } => locals[*j].lists[*li].len(),
-            Slice::Iso(_) => 1,
-        };
+        report.alpha_pruned_edges = self.original_edges - surviving;
+        Ok(asm.finish(self.original_n, alpha, &self.config, &self.name, report))
+    }
+}
 
-        let mut components: Vec<PreparedComponent> = Vec::new();
-        let mut singletons: Vec<VertexId> = Vec::new();
-        let min_keep = t.max(2);
-        if self.config.shard_components {
-            report.components_total = entries.len();
-            let qualifying = entries
-                .iter()
-                .filter(|(_, s)| entry_len(s) >= min_keep)
-                .count();
-            if qualifying == 1 {
-                // Identity fast path, replayed: the fresh pipeline would
-                // wrap the *whole* pruned graph — rebuild it by merging
-                // the local rows back into one n-vertex CSR (translated
-                // rows stay sorted under the monotone maps, probability
-                // bits are copied) under the original dataset name.
-                for (_, s) in &entries {
-                    let len = entry_len(s);
-                    if len >= min_keep {
-                        report.components_kept = 1;
-                        report.largest_component = len;
-                        let Slice::Comp { j, li } = s else {
-                            unreachable!("an isolate never meets min_keep ≥ 2")
-                        };
-                        let cur = locals[*j].graph(&self.components[*j]);
-                        let arcs: usize =
-                            locals[*j].lists[*li].iter().map(|&v| cur.degree(v)).sum();
-                        report.final_edges = arcs / 2;
-                        report.final_vertices += len;
-                    } else if len == 1 && t <= 1 {
-                        report.singleton_vertices += 1;
-                        report.final_vertices += 1;
-                    } else {
-                        report.components_dropped_small += 1;
-                    }
+// ---------------------------------------------------------------------------
+// The stage runner and the component assembler: the one implementation
+// of stages 2–4 behind `prepare`, `PreparedBase::refine` and
+// `crate::delta`.
+// ---------------------------------------------------------------------------
+
+/// Stages 2 and 3 over one α-pruned working graph — the whole graph, one
+/// base component, or a delta's touched region — adding their losses
+/// into `report`. Returns `None` when neither stage removed anything, so
+/// the caller keeps `work` as it is.
+pub(crate) fn run_stages(
+    work: &UncertainGraph,
+    alpha: f64,
+    config: &PrepareConfig,
+    report: &mut PrepareReport,
+) -> Result<Option<UncertainGraph>, GraphError> {
+    let t = config.min_size;
+    let mut out = None;
+
+    // Stage 2: expected-degree (t−1)·α-core filter.
+    if t >= 2 && config.core_filter && work.num_edges() > 0 {
+        let n = work.num_vertices();
+        let mut in_core = vec![false; n];
+        for v in CoreDecomposition::compute(work).core((t - 1) as f64 * alpha) {
+            in_core[v as usize] = true;
+        }
+        let dropped = (0..n)
+            .filter(|&v| !in_core[v] && work.degree(v as VertexId) > 0)
+            .count();
+        if dropped > 0 {
+            let kept = subgraph::restrict_to_vertices(work, &in_core);
+            report.core_filtered_vertices += dropped;
+            report.core_filtered_edges += work.num_edges() - kept.num_edges();
+            out = Some(kept);
+        }
+    }
+
+    // Stage 3: Modani–Dey shared-neighborhood peel (vacuous for t < 3).
+    // The input is already α-pruned, so the peel-only entry point
+    // applies. A peel that removes nothing rebuilds the same CSR.
+    let cur = out.as_ref().unwrap_or(work);
+    if t >= 3 && config.shared_neighborhood && cur.num_edges() > 0 {
+        let (peeled, pr) = shared_neighborhood_peel(cur, t)?;
+        report.shared_pruned_edges += pr.shared_pruned_edges;
+        report.shared_isolated_vertices += pr.degree_pruned_vertices;
+        if pr.shared_pruned_edges > 0 {
+            out = Some(peeled);
+        }
+    }
+    Ok(out)
+}
+
+/// One component-order entry of an instance under assembly.
+enum Entry {
+    /// A component carried over unchanged, graph and index included.
+    Keep(PreparedComponent),
+    /// Connected component `list` (local ids) of working graph `src`.
+    Fresh { src: usize, list: Vec<VertexId> },
+    /// A vertex that was isolated before the α-dependent stages ran.
+    Iso,
+}
+
+/// A [`PreparedInstance`] under construction: the staged working graphs,
+/// each with its map to original ids (`None` for an n-vertex graph over
+/// original ids), and the component entries (see the module docs).
+#[derive(Default)]
+pub(crate) struct Assembly<'a> {
+    sources: Vec<(UncertainGraph, Option<&'a [VertexId]>)>,
+    entries: Vec<(VertexId, Entry)>,
+}
+
+impl<'a> Assembly<'a> {
+    /// Carry `pc` over as it is.
+    pub(crate) fn keep(&mut self, pc: PreparedComponent) {
+        self.entries.push((pc.to_original[0], Entry::Keep(pc)));
+    }
+
+    /// Add original vertex `v`, isolated before the stages ran.
+    pub(crate) fn iso(&mut self, v: VertexId) {
+        self.entries.push((v, Entry::Iso));
+    }
+
+    /// Add a staged working graph and, as fresh entries, its connected
+    /// components (stage 4) whose first original vertex passes `keep`.
+    /// With sharding off only the whole-graph merge reads the graph, so
+    /// it gets no entries.
+    pub(crate) fn fresh(
+        &mut self,
+        graph: UncertainGraph,
+        map: Option<&'a [VertexId]>,
+        config: &PrepareConfig,
+        keep: impl Fn(VertexId) -> bool,
+    ) {
+        if config.shard_components {
+            let src = self.sources.len();
+            for list in Components::compute(&graph).vertex_lists() {
+                let first = map.map_or(list[0], |m| m[list[0] as usize]);
+                if keep(first) {
+                    self.entries.push((first, Entry::Fresh { src, list }));
                 }
-                let identity: Vec<VertexId> = (0..n as VertexId).collect();
-                components.push(PreparedComponent {
-                    kernel: Kernel::wrap(self.merged_work(&locals), alpha, &self.config.mule),
-                    to_original: identity,
-                });
-            } else {
-                for (_, s) in &entries {
-                    let len = entry_len(s);
-                    if len < min_keep {
-                        if len == 1 && t <= 1 {
-                            report.singleton_vertices += 1;
-                            let v = match s {
-                                Slice::Comp { j, li } => {
-                                    self.components[*j].to_original
-                                        [locals[*j].lists[*li][0] as usize]
-                                }
-                                Slice::Iso(v) => *v,
-                            };
-                            singletons.push(v);
-                        } else {
-                            report.components_dropped_small += 1;
-                        }
-                        continue;
-                    }
-                    let Slice::Comp { j, li } = s else {
-                        unreachable!("an isolate never meets min_keep ≥ 2")
-                    };
-                    let (bc, lr) = (&self.components[*j], &locals[*j]);
+            }
+        }
+        self.sources.push((graph, map));
+    }
+
+    /// Assemble the instance. `report` must hold the stage 1–3 counters;
+    /// the stage-4 counters are filled in here.
+    pub(crate) fn finish(
+        self,
+        n: usize,
+        alpha: f64,
+        config: &PrepareConfig,
+        name: &str,
+        mut report: PrepareReport,
+    ) -> PreparedInstance {
+        let Assembly {
+            sources,
+            mut entries,
+        } = self;
+        let t = config.min_size;
+        let min_keep = t.max(2);
+        let len = |e: &Entry| match e {
+            Entry::Keep(pc) => pc.to_original.len(),
+            Entry::Fresh { list, .. } => list.len(),
+            Entry::Iso => 1,
+        };
+        // Identity fast path: with exactly one real component a compact
+        // copy would reproduce (almost) the whole graph, so the kernel
+        // takes the whole graph instead; the root loop handles isolated
+        // vertices and the size bound handles sub-threshold stragglers,
+        // each one O(deg) root expansion — cheaper than the avoided
+        // O(n + m) copy. The report still counts only the kept material.
+        let whole = !config.shard_components
+            || entries.iter().filter(|(_, e)| len(e) >= min_keep).count() == 1;
+        let mut components = Vec::new();
+        let mut singletons = Vec::new();
+        if config.shard_components {
+            entries.sort_unstable_by_key(|e| e.0);
+            report.components_total = entries.len();
+            for (first, e) in &entries {
+                let len = len(e);
+                if len >= min_keep {
                     report.components_kept += 1;
                     report.largest_component = report.largest_component.max(len);
                     report.final_vertices += len;
-                    if lr.work.is_none() {
-                        // Untouched: the fresh induced subgraph would be
-                        // byte-identical to the base component, so share
-                        // the resident graph and index (O(1)) under a
-                        // re-stamped α.
-                        report.final_edges += bc.kernel.g.num_edges();
-                        components.push(PreparedComponent {
-                            kernel: bc.kernel.share_at(alpha),
-                            to_original: bc.to_original.clone(),
-                        });
-                    } else {
-                        let list = &lr.lists[*li];
-                        let (sub, _) = subgraph::induced_subgraph(lr.graph(bc), list)?;
-                        report.final_edges += sub.num_edges();
-                        let map: Vec<VertexId> =
-                            list.iter().map(|&l| bc.to_original[l as usize]).collect();
-                        components.push(PreparedComponent {
-                            kernel: Kernel::wrap(sub, alpha, &self.config.mule),
-                            to_original: map,
-                        });
+                    report.final_edges += match e {
+                        Entry::Keep(pc) => pc.kernel.g.num_edges(),
+                        // No arc leaves a connected component.
+                        Entry::Fresh { src, list } => {
+                            let g = &sources[*src].0;
+                            list.iter().map(|&v| g.degree(v)).sum::<usize>() / 2
+                        }
+                        Entry::Iso => unreachable!("min_keep ≥ 2"),
+                    };
+                } else if len == 1 && t <= 1 {
+                    // An isolated vertex is itself a maximal clique.
+                    report.singleton_vertices += 1;
+                    report.final_vertices += 1;
+                    report.largest_component = report.largest_component.max(1);
+                    if !whole {
+                        singletons.push(*first);
                     }
+                } else {
+                    report.components_dropped_small += 1;
                 }
-                report.final_vertices += singletons.len();
-                report.largest_component = report
-                    .largest_component
-                    .max(usize::from(!singletons.is_empty()));
+            }
+        }
+        if !whole {
+            for (_, e) in entries.into_iter().filter(|(_, e)| len(e) >= min_keep) {
+                components.push(match e {
+                    Entry::Keep(pc) => pc,
+                    Entry::Fresh { src, list } => {
+                        let (g, map) = &sources[src];
+                        let (sub, local) = subgraph::induced_subgraph(g, &list)
+                            .expect("component lists are in range");
+                        PreparedComponent {
+                            kernel: Kernel::wrap(sub, alpha, &config.mule),
+                            to_original: match map {
+                                None => local,
+                                Some(m) => local.iter().map(|&l| m[l as usize]).collect(),
+                            },
+                        }
+                    }
+                    Entry::Iso => unreachable!("min_keep ≥ 2"),
+                });
             }
         } else if n > 0 {
-            report.components_total = 1;
-            report.components_kept = 1;
-            report.largest_component = n;
-            let merged = self.merged_work(&locals);
-            report.final_edges = merged.num_edges();
-            report.final_vertices = n;
-            let identity: Vec<VertexId> = (0..n as VertexId).collect();
+            let g = whole_graph(n, sources, &entries, name);
+            if !config.shard_components {
+                report.components_total = 1;
+                report.components_kept = 1;
+                report.largest_component = n;
+                report.final_edges = g.num_edges();
+                report.final_vertices = n;
+            }
             components.push(PreparedComponent {
-                kernel: Kernel::wrap(merged, alpha, &self.config.mule),
-                to_original: identity,
+                kernel: Kernel::wrap(g, alpha, &config.mule),
+                to_original: (0..n as VertexId).collect(),
             });
         }
-
         let schedule = build_schedule(n, &singletons, &components);
-        Ok(PreparedInstance::from_parts(
+        PreparedInstance::from_parts(
             alpha,
-            self.config.clone(),
+            config.clone(),
             n,
-            self.name.clone(),
+            name.to_string(),
             components,
             singletons,
             schedule,
             report,
-        ))
+        )
     }
+}
 
-    /// Merge the locally refined component rows back into one global
-    /// n-vertex CSR — the graph the fresh pipeline's whole-graph paths
-    /// (identity fast path, shard-off) would hold. Monotone maps keep
-    /// translated rows sorted; floor isolates contribute empty rows;
-    /// the original dataset name is re-attached (prune/restrict/peel
-    /// all preserve it on the fresh path).
-    fn merged_work(&self, locals: &[LocalRefinement]) -> UncertainGraph {
-        let n = self.original_n;
-        let mut slot = vec![u32::MAX; n];
-        for (j, bc) in self.components.iter().enumerate() {
-            for &orig in &bc.to_original {
-                slot[orig as usize] = j as u32;
-            }
-        }
-        let mut local_id = vec![0u32; n];
-        for bc in &self.components {
-            for (l, &orig) in bc.to_original.iter().enumerate() {
-                local_id[orig as usize] = l as u32;
-            }
-        }
-        let arcs: usize = locals
-            .iter()
-            .zip(&self.components)
-            .map(|(lr, bc)| 2 * lr.graph(bc).num_edges())
-            .sum();
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        let mut neighbors = Vec::with_capacity(arcs);
-        let mut probs = Vec::with_capacity(arcs);
-        for v in 0..n {
-            let j = slot[v];
-            if j != u32::MAX {
-                let bc = &self.components[j as usize];
-                let cur = locals[j as usize].graph(bc);
-                for (w, p) in cur.neighbors_with_probs(local_id[v]) {
-                    neighbors.push(bc.to_original[w as usize]);
-                    probs.push(p);
-                }
-            }
-            offsets.push(neighbors.len());
-        }
-        UncertainGraph::try_from_csr(offsets, neighbors, probs, self.name.clone())
-            .expect("merged per-component rows form a valid CSR")
+/// The whole staged n-vertex graph under the original dataset name, as
+/// the fresh identity fast path and shard-off shape hold it: a lone
+/// working graph over original ids is moved; otherwise each vertex's row
+/// is copied from the one part that holds it (rows stay sorted under the
+/// monotone maps).
+fn whole_graph(
+    n: usize,
+    mut sources: Vec<(UncertainGraph, Option<&[VertexId]>)>,
+    entries: &[(VertexId, Entry)],
+    name: &str,
+) -> UncertainGraph {
+    let kept = entries.iter().filter_map(|(_, e)| match e {
+        Entry::Keep(pc) => Some((&*pc.kernel.g, Some(pc.to_original.as_slice()))),
+        _ => None,
+    });
+    if sources.len() == 1 && sources[0].1.is_none() && kept.clone().next().is_none() {
+        return sources.pop().unwrap().0.with_name(name);
     }
+    let parts: Vec<(&UncertainGraph, Option<&[VertexId]>)> =
+        sources.iter().map(|(g, m)| (g, *m)).chain(kept).collect();
+    let mut owner = vec![(u32::MAX, 0 as VertexId); n];
+    for (pi, &(g, map)) in parts.iter().enumerate() {
+        for l in 0..g.num_vertices() as VertexId {
+            if g.degree(l) > 0 {
+                owner[map.map_or(l, |m| m[l as usize]) as usize] = (pi as u32, l);
+            }
+        }
+    }
+    let arcs = parts.iter().map(|(g, _)| 2 * g.num_edges()).sum();
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0usize);
+    let mut neighbors = Vec::with_capacity(arcs);
+    let mut probs = Vec::with_capacity(arcs);
+    for &(pi, l) in &owner {
+        if pi != u32::MAX {
+            let (g, map) = parts[pi as usize];
+            for (w, p) in g.neighbors_with_probs(l) {
+                neighbors.push(map.map_or(w, |m| m[w as usize]));
+                probs.push(p);
+            }
+        }
+        offsets.push(neighbors.len());
+    }
+    UncertainGraph::try_from_csr(offsets, neighbors, probs, name.to_string())
+        .expect("merged per-component rows form a valid CSR")
 }
 
 #[cfg(test)]
@@ -1457,11 +1317,13 @@ mod tests {
                 let mut sink = CollectSink::new();
                 lm.run(&mut sink);
                 let expected = sink.into_sorted_cliques();
-                let got: Vec<Vec<VertexId>> = enumerate_prepared(&g, alpha, t)
+                let got = crate::Query::new(&g)
+                    .alpha(alpha)
+                    .min_size(t)
+                    .prepare()
                     .unwrap()
-                    .into_iter()
-                    .map(|(c, _)| c)
-                    .collect();
+                    .sorted_cliques()
+                    .unwrap();
                 assert_eq!(got, expected, "α={alpha}, t={t}");
             }
         }

@@ -567,32 +567,19 @@ impl<'g> Query<'g> {
         if self.threads == 0 {
             return Err(MuleError::ZeroThreads);
         }
-        let cfg = PrepareConfig {
+        let inst = prepare(self.g, alpha, &self.config())?;
+        Ok(Prepared::new(inst, self.engine, self.threads, self.limits))
+    }
+
+    /// The pipeline configuration the builder describes.
+    fn config(&self) -> PrepareConfig {
+        PrepareConfig {
             min_size: self.min_size,
             core_filter: self.core_filter,
             shared_neighborhood: self.shared_neighborhood,
             shard_components: self.shard_components,
-            mule: self.mule,
-        };
-        let inst = prepare(self.g, alpha, &cfg)?;
-        // Component graphs are already α-pruned by pipeline stage 1 (and
-        // α validated above), so the baseline enumerators wrap a copy
-        // directly instead of re-running the prune pass.
-        let noip = match self.engine {
-            Engine::Auto => Vec::new(),
-            Engine::Noip => inst
-                .components()
-                .map(|(sub, _)| DfsNoip::from_pruned(sub.clone(), inst.alpha()))
-                .collect(),
-        };
-        Ok(Prepared {
-            inst,
-            noip,
-            engine: self.engine,
-            threads: self.threads,
-            stats: EnumerationStats::new(),
-            limits: self.limits,
-        })
+            mule: self.mule.clone(),
+        }
     }
 
     /// Rebuild a session from a catalog file written by
@@ -637,14 +624,7 @@ impl<'g> Query<'g> {
         if self.threads == 0 {
             return Err(MuleError::ZeroThreads);
         }
-        let cfg = PrepareConfig {
-            min_size: self.min_size,
-            core_filter: self.core_filter,
-            shared_neighborhood: self.shared_neighborhood,
-            shard_components: self.shard_components,
-            mule: self.mule,
-        };
-        let base = crate::prepare::prepare_base(self.g, self.alpha_floor, &cfg)?;
+        let base = crate::prepare::prepare_base(self.g, self.alpha_floor, &self.config())?;
         Ok(Base {
             base,
             threads: self.threads,
@@ -793,21 +773,12 @@ impl Base {
             });
         }
         let inst = self.base.refine(alpha)?;
-        let noip = match self.engine {
-            Engine::Auto => Vec::new(),
-            Engine::Noip => inst
-                .components()
-                .map(|(sub, _)| DfsNoip::from_pruned(sub.clone(), inst.alpha()))
-                .collect(),
-        };
-        Ok(Prepared {
+        Ok(Prepared::new(
             inst,
-            noip,
-            engine: self.engine,
-            threads: self.threads,
-            stats: EnumerationStats::new(),
-            limits: self.limits.clone(),
-        })
+            self.engine,
+            self.threads,
+            self.limits.clone(),
+        ))
     }
 
     /// Fold a [`GraphDelta`] batch into the resident base, re-running
@@ -861,17 +832,24 @@ pub struct Prepared {
 }
 
 impl Prepared {
-    /// A fresh session around an instance that came out of a catalog:
-    /// default runtime settings, engine state built on demand.
-    fn from_instance(inst: PreparedInstance) -> Self {
-        Prepared {
+    /// A session around `inst` with the given runtime settings.
+    fn new(inst: PreparedInstance, engine: Engine, threads: usize, limits: LimitSpec) -> Self {
+        let mut session = Prepared {
             inst,
             noip: Vec::new(),
             engine: Engine::Auto,
-            threads: 1,
+            threads,
             stats: EnumerationStats::new(),
-            limits: LimitSpec::default(),
-        }
+            limits,
+        };
+        session.set_engine(engine);
+        session
+    }
+
+    /// A fresh session around an instance that came out of a catalog:
+    /// default runtime settings, engine state built on demand.
+    fn from_instance(inst: PreparedInstance) -> Self {
+        Prepared::new(inst, Engine::Auto, 1, LimitSpec::default())
     }
 
     /// Persist this session's prepared instance as a UGQ1 catalog file
@@ -910,6 +888,9 @@ impl Prepared {
     /// [`Engine::Auto`] keeps them around for free re-switching.
     pub fn set_engine(&mut self, engine: Engine) {
         if engine == Engine::Noip && self.noip.is_empty() {
+            // Component graphs are already α-pruned by pipeline stage 1,
+            // so the baseline enumerators wrap a copy directly instead of
+            // re-running the prune pass.
             self.noip = self
                 .inst
                 .components()
@@ -940,16 +921,9 @@ impl Prepared {
         crate::delta::apply_instance(&mut self.inst, delta)?;
         self.stats = EnumerationStats::new();
         // Engine state wraps per-component graphs that may just have
-        // changed: rebuild it for Noip sessions, drop it otherwise (the
-        // same lazy path `set_engine` uses).
+        // changed: rebuild it for Noip sessions, drop it otherwise.
         self.noip.clear();
-        if self.engine == Engine::Noip {
-            self.noip = self
-                .inst
-                .components()
-                .map(|(sub, _)| DfsNoip::from_pruned(sub.clone(), self.inst.alpha()))
-                .collect();
-        }
+        self.set_engine(self.engine);
         Ok(())
     }
 

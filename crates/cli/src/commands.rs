@@ -525,11 +525,14 @@ pub fn stat(args: &[String], out: &mut dyn Write) -> CmdResult {
         .map_err(io_err)?;
     }
     writeln!(out, "file size:    {} bytes", cat.file_len()).map_err(io_err)?;
+    let verified = cat.verify();
     if opts.flag("list") {
         writeln!(out, "{:<24} {:>10} {:>10}  crc", "name", "offset", "length").map_err(io_err)?;
         let mut bad = 0usize;
         for e in cat.sections() {
-            let ok = cat.section_crc_ok(e);
+            // A verified catalog has every crc right, so only a failed
+            // verify checksums the sections a second time, row by row.
+            let ok = verified.is_ok() || cat.section_crc_ok(e);
             bad += usize::from(!ok);
             writeln!(
                 out,
@@ -545,7 +548,7 @@ pub fn stat(args: &[String], out: &mut dyn Write) -> CmdResult {
             return Err(format!("{path}: {bad} section(s) failed CRC validation"));
         }
     }
-    cat.verify().map_err(|e| format!("{path}: {e}"))?;
+    verified.map_err(|e| format!("{path}: {e}"))?;
     writeln!(out, "integrity:    OK").map_err(io_err)?;
     Ok(())
 }

@@ -985,29 +985,37 @@ pub(crate) fn run_stages(
     Ok(out)
 }
 
-/// One component-order entry of an instance under assembly.
+/// One component-order entry of an instance under assembly. It indexes
+/// the [`Assembly`]'s storage, so the entry list — one entry per
+/// component and isolated vertex — stays small.
+#[derive(Clone, Copy)]
 enum Entry {
-    /// A component carried over unchanged, graph and index included.
-    Keep(PreparedComponent),
-    /// Connected component `list` (local ids) of working graph `src`.
-    Fresh { src: usize, list: Vec<VertexId> },
+    /// Carried-over component `kept[i]`.
+    Keep(u32),
+    /// Component `lists[list]` (local ids) of working graph `sources[src]`.
+    Fresh { src: u32, list: u32 },
     /// A vertex that was isolated before the α-dependent stages ran.
     Iso,
 }
 
 /// A [`PreparedInstance`] under construction: the staged working graphs,
 /// each with its map to original ids (`None` for an n-vertex graph over
-/// original ids), and the component entries (see the module docs).
+/// original ids), the carried-over components and the component entries
+/// (see the module docs).
 #[derive(Default)]
 pub(crate) struct Assembly<'a> {
     sources: Vec<(UncertainGraph, Option<&'a [VertexId]>)>,
+    kept: Vec<PreparedComponent>,
+    lists: Vec<Vec<VertexId>>,
     entries: Vec<(VertexId, Entry)>,
 }
 
 impl<'a> Assembly<'a> {
     /// Carry `pc` over as it is.
     pub(crate) fn keep(&mut self, pc: PreparedComponent) {
-        self.entries.push((pc.to_original[0], Entry::Keep(pc)));
+        let entry = Entry::Keep(self.kept.len() as u32);
+        self.entries.push((pc.to_original[0], entry));
+        self.kept.push(pc);
     }
 
     /// Add original vertex `v`, isolated before the stages ran.
@@ -1027,11 +1035,16 @@ impl<'a> Assembly<'a> {
         keep: impl Fn(VertexId) -> bool,
     ) {
         if config.shard_components {
-            let src = self.sources.len();
+            let src = self.sources.len() as u32;
             for list in Components::compute(&graph).vertex_lists() {
                 let first = map.map_or(list[0], |m| m[list[0] as usize]);
                 if keep(first) {
-                    self.entries.push((first, Entry::Fresh { src, list }));
+                    let entry = Entry::Fresh {
+                        src,
+                        list: self.lists.len() as u32,
+                    };
+                    self.entries.push((first, entry));
+                    self.lists.push(list);
                 }
             }
         }
@@ -1050,13 +1063,15 @@ impl<'a> Assembly<'a> {
     ) -> PreparedInstance {
         let Assembly {
             sources,
+            kept,
+            lists,
             mut entries,
         } = self;
         let t = config.min_size;
         let min_keep = t.max(2);
-        let len = |e: &Entry| match e {
-            Entry::Keep(pc) => pc.to_original.len(),
-            Entry::Fresh { list, .. } => list.len(),
+        let len = |e: Entry| match e {
+            Entry::Keep(i) => kept[i as usize].to_original.len(),
+            Entry::Fresh { list, .. } => lists[list as usize].len(),
             Entry::Iso => 1,
         };
         // Identity fast path: with exactly one real component a compact
@@ -1066,23 +1081,23 @@ impl<'a> Assembly<'a> {
         // each one O(deg) root expansion — cheaper than the avoided
         // O(n + m) copy. The report still counts only the kept material.
         let whole = !config.shard_components
-            || entries.iter().filter(|(_, e)| len(e) >= min_keep).count() == 1;
-        let mut components = Vec::new();
+            || entries.iter().filter(|(_, e)| len(*e) >= min_keep).count() == 1;
         let mut singletons = Vec::new();
         if config.shard_components {
             entries.sort_unstable_by_key(|e| e.0);
             report.components_total = entries.len();
-            for (first, e) in &entries {
+            for &(first, e) in &entries {
                 let len = len(e);
                 if len >= min_keep {
                     report.components_kept += 1;
                     report.largest_component = report.largest_component.max(len);
                     report.final_vertices += len;
                     report.final_edges += match e {
-                        Entry::Keep(pc) => pc.kernel.g.num_edges(),
+                        Entry::Keep(i) => kept[i as usize].kernel.g.num_edges(),
                         // No arc leaves a connected component.
                         Entry::Fresh { src, list } => {
-                            let g = &sources[*src].0;
+                            let g = &sources[src as usize].0;
+                            let list = &lists[list as usize];
                             list.iter().map(|&v| g.degree(v)).sum::<usize>() / 2
                         }
                         Entry::Iso => unreachable!("min_keep ≥ 2"),
@@ -1093,20 +1108,22 @@ impl<'a> Assembly<'a> {
                     report.final_vertices += 1;
                     report.largest_component = report.largest_component.max(1);
                     if !whole {
-                        singletons.push(*first);
+                        singletons.push(first);
                     }
                 } else {
                     report.components_dropped_small += 1;
                 }
             }
         }
+        let mut components = Vec::new();
         if !whole {
-            for (_, e) in entries.into_iter().filter(|(_, e)| len(e) >= min_keep) {
-                components.push(match e {
-                    Entry::Keep(pc) => pc,
-                    Entry::Fresh { src, list } => {
-                        let (g, map) = &sources[src];
-                        let (sub, local) = subgraph::induced_subgraph(g, &list)
+            let mut kept: Vec<Option<PreparedComponent>> = kept.into_iter().map(Some).collect();
+            for &(_, e) in &entries {
+                let pc = match e {
+                    Entry::Keep(i) => kept[i as usize].take().expect("each entry is used once"),
+                    Entry::Fresh { src, list } if lists[list as usize].len() >= min_keep => {
+                        let (g, map) = &sources[src as usize];
+                        let (sub, local) = subgraph::induced_subgraph(g, &lists[list as usize])
                             .expect("component lists are in range");
                         PreparedComponent {
                             kernel: Kernel::wrap(sub, alpha, &config.mule),
@@ -1116,11 +1133,14 @@ impl<'a> Assembly<'a> {
                             },
                         }
                     }
-                    Entry::Iso => unreachable!("min_keep ≥ 2"),
-                });
+                    Entry::Fresh { .. } | Entry::Iso => continue,
+                };
+                if pc.to_original.len() >= min_keep {
+                    components.push(pc);
+                }
             }
         } else if n > 0 {
-            let g = whole_graph(n, sources, &entries, name);
+            let g = whole_graph(n, sources, &kept, name);
             if !config.shard_components {
                 report.components_total = 1;
                 report.components_kept = 1;
@@ -1155,18 +1175,20 @@ impl<'a> Assembly<'a> {
 fn whole_graph(
     n: usize,
     mut sources: Vec<(UncertainGraph, Option<&[VertexId]>)>,
-    entries: &[(VertexId, Entry)],
+    kept: &[PreparedComponent],
     name: &str,
 ) -> UncertainGraph {
-    let kept = entries.iter().filter_map(|(_, e)| match e {
-        Entry::Keep(pc) => Some((&*pc.kernel.g, Some(pc.to_original.as_slice()))),
-        _ => None,
-    });
-    if sources.len() == 1 && sources[0].1.is_none() && kept.clone().next().is_none() {
+    if sources.len() == 1 && sources[0].1.is_none() && kept.is_empty() {
         return sources.pop().unwrap().0.with_name(name);
     }
-    let parts: Vec<(&UncertainGraph, Option<&[VertexId]>)> =
-        sources.iter().map(|(g, m)| (g, *m)).chain(kept).collect();
+    let parts: Vec<(&UncertainGraph, Option<&[VertexId]>)> = sources
+        .iter()
+        .map(|(g, m)| (g, *m))
+        .chain(
+            kept.iter()
+                .map(|pc| (&*pc.kernel.g, Some(&pc.to_original[..]))),
+        )
+        .collect();
     let mut owner = vec![(u32::MAX, 0 as VertexId); n];
     for (pi, &(g, map)) in parts.iter().enumerate() {
         for l in 0..g.num_vertices() as VertexId {

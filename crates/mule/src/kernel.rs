@@ -171,12 +171,8 @@ const MERGE_FACTOR: usize = 16;
 
 /// Prepared search state shared by the enumeration algorithms.
 ///
-/// The graph and index sit behind [`Arc`] so an α-generic base
-/// ([`crate::prepare::PreparedBase`]) can hand the *same* compact CSR
-/// and tiered index to every refined per-α view whose component the
-/// refinement left untouched — sharing is O(1) and the shared bytes
-/// are identical by construction, so byte-identity of the enumeration
-/// output is preserved for free.
+/// The graph and index sit behind [`Arc`] so a component that refine
+/// or apply leaves untouched keeps them ([`Kernel::share_at`]).
 pub(crate) struct Kernel {
     pub g: Arc<UncertainGraph>,
     pub alpha: f64,
@@ -206,18 +202,9 @@ impl Kernel {
         } else {
             None
         };
-        let build_index = match config.index_mode {
-            IndexMode::Always => true,
-            IndexMode::Never => false,
-            IndexMode::Auto => NeighborhoodIndex::should_build(&pruned, config.max_index_bytes),
-        };
-        let index = build_index
-            .then(|| Arc::new(NeighborhoodIndex::build(&pruned, config.dense_index_bytes)));
         Ok(Kernel {
-            g: Arc::new(pruned),
-            alpha,
-            index,
             back_map,
+            ..Kernel::wrap(pruned, alpha, config)
         })
     }
 
@@ -240,10 +227,8 @@ impl Kernel {
     }
 
     /// Share this kernel's graph and index (O(1) `Arc` clones) under a
-    /// re-stamped α. Used by `PreparedBase::refine` for components the
-    /// α-dependent stages left untouched: the CSR bytes and index tiers
-    /// are the very ones a fresh pipeline would have produced, so the
-    /// refined view stays byte-identical while skipping the rebuild.
+    /// re-stamped α: `PreparedBase::refine` carries untouched components
+    /// over this way (why that is exact: the `prepare` module docs).
     pub fn share_at(&self, alpha: f64) -> Self {
         Kernel {
             g: Arc::clone(&self.g),

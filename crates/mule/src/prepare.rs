@@ -760,7 +760,6 @@ pub fn prepare_base(
         return Err(GraphError::InvalidAlpha { value: floor });
     }
     count_pipeline_run();
-    let n = g.num_vertices();
     // Edge probabilities are strictly positive, so a zero floor prunes
     // nothing — work straight off the input (α validation also rejects
     // 0, so the prune entry point cannot express it).
@@ -774,7 +773,7 @@ pub fn prepare_base(
     let (components, isolated) = split_base(work, floor, &config.mule, |_| true)?;
     Ok(PreparedBase {
         floor,
-        original_n: n,
+        original_n: g.num_vertices(),
         original_edges: g.num_edges(),
         name: g.name().to_string(),
         config: config.clone(),
@@ -1005,7 +1004,7 @@ enum Entry {
 #[derive(Default)]
 pub(crate) struct Assembly<'a> {
     sources: Vec<(UncertainGraph, Option<&'a [VertexId]>)>,
-    kept: Vec<PreparedComponent>,
+    kept: Vec<Option<PreparedComponent>>,
     lists: Vec<Vec<VertexId>>,
     entries: Vec<(VertexId, Entry)>,
 }
@@ -1015,7 +1014,7 @@ impl<'a> Assembly<'a> {
     pub(crate) fn keep(&mut self, pc: PreparedComponent) {
         let entry = Entry::Keep(self.kept.len() as u32);
         self.entries.push((pc.to_original[0], entry));
-        self.kept.push(pc);
+        self.kept.push(Some(pc));
     }
 
     /// Add original vertex `v`, isolated before the stages ran.
@@ -1063,16 +1062,26 @@ impl<'a> Assembly<'a> {
     ) -> PreparedInstance {
         let Assembly {
             sources,
-            kept,
+            mut kept,
             lists,
             mut entries,
         } = self;
         let t = config.min_size;
         let min_keep = t.max(2);
-        let len = |e: Entry| match e {
-            Entry::Keep(i) => kept[i as usize].to_original.len(),
-            Entry::Fresh { list, .. } => lists[list as usize].len(),
-            Entry::Iso => 1,
+        // (vertices, edges) of an entry; no arc leaves a component.
+        let size = |kept: &[Option<PreparedComponent>], e: Entry| match e {
+            Entry::Keep(i) => {
+                let pc = kept[i as usize].as_ref().expect("each entry is used once");
+                (pc.to_original.len(), pc.kernel.g.num_edges())
+            }
+            Entry::Fresh { src, list } => {
+                let (g, list) = (&sources[src as usize].0, &lists[list as usize]);
+                (
+                    list.len(),
+                    list.iter().map(|&v| g.degree(v)).sum::<usize>() / 2,
+                )
+            }
+            Entry::Iso => (1, 0),
         };
         // Identity fast path: with exactly one real component a compact
         // copy would reproduce (almost) the whole graph, so the kernel
@@ -1080,28 +1089,41 @@ impl<'a> Assembly<'a> {
         // vertices and the size bound handles sub-threshold stragglers,
         // each one O(deg) root expansion — cheaper than the avoided
         // O(n + m) copy. The report still counts only the kept material.
-        let whole = !config.shard_components
-            || entries.iter().filter(|(_, e)| len(*e) >= min_keep).count() == 1;
+        let qualifying = entries
+            .iter()
+            .filter(|(_, e)| size(&kept, *e).0 >= min_keep);
+        let whole = !config.shard_components || qualifying.count() == 1;
+        let mut components = Vec::new();
         let mut singletons = Vec::new();
         if config.shard_components {
             entries.sort_unstable_by_key(|e| e.0);
             report.components_total = entries.len();
             for &(first, e) in &entries {
-                let len = len(e);
+                let (len, edges) = size(&kept, e);
                 if len >= min_keep {
                     report.components_kept += 1;
                     report.largest_component = report.largest_component.max(len);
                     report.final_vertices += len;
-                    report.final_edges += match e {
-                        Entry::Keep(i) => kept[i as usize].kernel.g.num_edges(),
-                        // No arc leaves a connected component.
+                    report.final_edges += edges;
+                    if whole {
+                        continue;
+                    }
+                    components.push(match e {
+                        Entry::Keep(i) => kept[i as usize].take().expect("each entry is used once"),
                         Entry::Fresh { src, list } => {
-                            let g = &sources[src as usize].0;
-                            let list = &lists[list as usize];
-                            list.iter().map(|&v| g.degree(v)).sum::<usize>() / 2
+                            let (g, map) = &sources[src as usize];
+                            let (sub, local) = subgraph::induced_subgraph(g, &lists[list as usize])
+                                .expect("component lists are in range");
+                            PreparedComponent {
+                                kernel: Kernel::wrap(sub, alpha, &config.mule),
+                                to_original: match map {
+                                    None => local,
+                                    Some(m) => local.iter().map(|&l| m[l as usize]).collect(),
+                                },
+                            }
                         }
                         Entry::Iso => unreachable!("min_keep ≥ 2"),
-                    };
+                    });
                 } else if len == 1 && t <= 1 {
                     // An isolated vertex is itself a maximal clique.
                     report.singleton_vertices += 1;
@@ -1115,32 +1137,8 @@ impl<'a> Assembly<'a> {
                 }
             }
         }
-        let mut components = Vec::new();
-        if !whole {
-            let mut kept: Vec<Option<PreparedComponent>> = kept.into_iter().map(Some).collect();
-            for &(_, e) in &entries {
-                let pc = match e {
-                    Entry::Keep(i) => kept[i as usize].take().expect("each entry is used once"),
-                    Entry::Fresh { src, list } if lists[list as usize].len() >= min_keep => {
-                        let (g, map) = &sources[src as usize];
-                        let (sub, local) = subgraph::induced_subgraph(g, &lists[list as usize])
-                            .expect("component lists are in range");
-                        PreparedComponent {
-                            kernel: Kernel::wrap(sub, alpha, &config.mule),
-                            to_original: match map {
-                                None => local,
-                                Some(m) => local.iter().map(|&l| m[l as usize]).collect(),
-                            },
-                        }
-                    }
-                    Entry::Fresh { .. } | Entry::Iso => continue,
-                };
-                if pc.to_original.len() >= min_keep {
-                    components.push(pc);
-                }
-            }
-        } else if n > 0 {
-            let g = whole_graph(n, sources, &kept, name);
+        if whole && n > 0 {
+            let g = whole_graph(n, sources, kept.iter().flatten(), name);
             if !config.shard_components {
                 report.components_total = 1;
                 report.components_kept = 1;
@@ -1172,23 +1170,20 @@ impl<'a> Assembly<'a> {
 /// working graph over original ids is moved; otherwise each vertex's row
 /// is copied from the one part that holds it (rows stay sorted under the
 /// monotone maps).
-fn whole_graph(
+fn whole_graph<'a>(
     n: usize,
     mut sources: Vec<(UncertainGraph, Option<&[VertexId]>)>,
-    kept: &[PreparedComponent],
+    kept: impl Iterator<Item = &'a PreparedComponent>,
     name: &str,
 ) -> UncertainGraph {
+    let kept: Vec<_> = kept
+        .map(|pc| (&*pc.kernel.g, Some(&pc.to_original[..])))
+        .collect();
     if sources.len() == 1 && sources[0].1.is_none() && kept.is_empty() {
         return sources.pop().unwrap().0.with_name(name);
     }
-    let parts: Vec<(&UncertainGraph, Option<&[VertexId]>)> = sources
-        .iter()
-        .map(|(g, m)| (g, *m))
-        .chain(
-            kept.iter()
-                .map(|pc| (&*pc.kernel.g, Some(&pc.to_original[..]))),
-        )
-        .collect();
+    let parts: Vec<(&UncertainGraph, Option<&[VertexId]>)> =
+        sources.iter().map(|(g, m)| (g, *m)).chain(kept).collect();
     let mut owner = vec![(u32::MAX, 0 as VertexId); n];
     for (pi, &(g, map)) in parts.iter().enumerate() {
         for l in 0..g.num_vertices() as VertexId {

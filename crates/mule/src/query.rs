@@ -758,10 +758,9 @@ impl Base {
     ///
     /// Output is byte-identical (cliques, order, probability bits,
     /// stats, report) to `Query::new(&g).alpha(alpha).prepare()` with
-    /// the same builder settings, but no α-generic stage re-runs:
-    /// components the α-mask leaves untouched are shared (`Arc` clones
-    /// of graph and index), and only the core-filter/peel bounds re-run
-    /// locally where masking bit something. `α < floor` fails with
+    /// the same builder settings, but no α-generic stage re-runs, and
+    /// components the α-dependent stages leave untouched are shared
+    /// (`Arc` clones of graph and index). `α < floor` fails with
     /// [`MuleError::AlphaBelowFloor`]; an out-of-range α with the usual
     /// graph-layer validation error. The base is unaffected either way
     /// and can refine any number of thresholds.

@@ -580,7 +580,7 @@ pub(crate) fn apply_base(base: &mut PreparedBase, delta: &GraphDelta) -> Result<
         .filter(|bc| !in_region[bc.to_original[0] as usize])
         .chain(fresh)
         .collect();
-    components.sort_unstable_by_key(|bc| bc.to_original[0]);
+    components.sort_by_key(|bc| bc.to_original[0]);
     base.components = components;
     base.isolated.retain(|&v| !in_region[v as usize]);
     base.isolated.extend(lone);

@@ -491,12 +491,12 @@ pub(crate) fn apply_instance(
         return Ok(());
     }
     let n = inst.original_n;
+    let whole_graph = inst.components.len() == 1 && inst.components[0].to_original.len() == n;
     let r = &inst.report;
     let stage_losses = r.core_filtered_vertices
         + r.core_filtered_edges
         + r.shared_pruned_edges
         + r.shared_isolated_vertices;
-    let whole_graph = inst.components.len() == 1 && inst.components[0].to_original.len() == n;
     if stage_losses > 0 || (!whole_graph && r.components_dropped_small > 0) {
         return Err(MuleError::Delta(format!(
             "instance does not retain the full alpha-pruned graph (core filter / peel / \

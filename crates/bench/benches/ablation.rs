@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mule::sinks::CountSink;
-use mule::{par_enumerate_maximal_cliques, IndexMode, Mule, MuleConfig};
+use mule::{IndexMode, Mule, MuleConfig, Query};
 use ugraph_bench::harness::dataset;
 
 fn bench_ablations(c: &mut Criterion) {
@@ -78,10 +78,12 @@ fn bench_ablations(c: &mut Criterion) {
             &threads,
             |b, &threads| {
                 b.iter(|| {
-                    par_enumerate_maximal_cliques(&g, alpha, threads)
-                        .unwrap()
-                        .cliques
-                        .len()
+                    let mut session = Query::new(&g)
+                        .alpha(alpha)
+                        .threads(threads)
+                        .prepare()
+                        .unwrap();
+                    session.collect().unwrap().len()
                 })
             },
         );

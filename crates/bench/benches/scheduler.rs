@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mule::sinks::CountSink;
-use mule::{par_enumerate_maximal_cliques, Mule};
+use mule::{Mule, Query};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use ugraph_core::{GraphBuilder, UncertainGraph};
 
@@ -58,9 +58,14 @@ fn bench_scheduler(c: &mut Criterion) {
     for threads in [1usize, 2, 4, 8] {
         group.bench_function(BenchmarkId::new("work-stealing", threads), |b| {
             b.iter(|| {
-                let out = par_enumerate_maximal_cliques(&g, alpha, threads).unwrap();
-                assert_eq!(out.cliques.len() as u64, expected);
-                out.cliques.len()
+                let mut session = Query::new(&g)
+                    .alpha(alpha)
+                    .threads(threads)
+                    .prepare()
+                    .unwrap();
+                let out = session.collect().unwrap();
+                assert_eq!(out.len() as u64, expected);
+                out.len()
             });
         });
     }

@@ -20,7 +20,7 @@
 //! membership tests would blur exactly the gap the comparison isolates.
 
 use crate::kernel::Arena;
-use crate::sinks::{CliqueSink, CollectSink, Control};
+use crate::sinks::{CliqueSink, Control};
 use crate::stats::EnumerationStats;
 use std::ops::Range;
 use ugraph_core::{clique, subgraph, GraphError, UncertainGraph, VertexId};
@@ -190,43 +190,26 @@ impl DfsNoip {
     }
 }
 
-/// Convenience wrapper mirroring
-/// [`crate::enumerate::enumerate_maximal_cliques`].
-pub fn enumerate_maximal_cliques_noip(
-    g: &UncertainGraph,
-    alpha: f64,
-) -> Result<Vec<Vec<VertexId>>, GraphError> {
-    let mut algo = DfsNoip::new(g, alpha)?;
-    let mut sink = CollectSink::new();
-    algo.run(&mut sink);
-    Ok(sink.into_sorted_cliques())
-}
-
-/// Pipeline variant of [`enumerate_maximal_cliques_noip`]: even the
-/// baseline benefits from the preprocessing layer. Thin delegate over
-/// the session API with [`crate::Engine::Noip`] — each compact
-/// prepared component gets its own DFS–NOIP run, with id translation
-/// folded into the sink layer and isolated vertices emitted directly.
-/// Same output as the direct run.
-pub fn enumerate_maximal_cliques_noip_prepared(
-    g: &UncertainGraph,
-    alpha: f64,
-) -> Result<Vec<Vec<VertexId>>, GraphError> {
-    let mut session = crate::Query::new(g)
-        .alpha(alpha)
-        .engine(crate::Engine::Noip)
-        .prepare()
-        .map_err(crate::MuleError::expect_graph)?;
-    Ok(session
-        .sorted_cliques()
-        .expect("unlimited run cannot be interrupted"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enumerate::enumerate_maximal_cliques;
     use crate::naive::enumerate_naive;
+    use crate::sinks::CollectSink;
+    use crate::{Engine, Query};
+
+    /// One direct DFS–NOIP run over the whole graph, cliques sorted.
+    fn noip_cliques(g: &UncertainGraph, alpha: f64) -> Vec<Vec<VertexId>> {
+        let mut algo = DfsNoip::new(g, alpha).unwrap();
+        let mut sink = CollectSink::new();
+        algo.run(&mut sink);
+        sink.into_sorted_cliques()
+    }
+
+    /// A session run on `engine`, cliques sorted.
+    fn session_cliques(g: &UncertainGraph, alpha: f64, engine: Engine) -> Vec<Vec<VertexId>> {
+        let mut session = Query::new(g).alpha(alpha).engine(engine).prepare().unwrap();
+        session.sorted_cliques().unwrap()
+    }
     use ugraph_core::builder::{complete_graph, from_edges, GraphBuilder};
     use ugraph_core::Prob;
 
@@ -239,8 +222,8 @@ mod tests {
         let g = fixture();
         for alpha in [0.9, 0.75, 0.5, 0.25, 1e-9] {
             assert_eq!(
-                enumerate_maximal_cliques_noip(&g, alpha).unwrap(),
-                enumerate_maximal_cliques(&g, alpha).unwrap(),
+                noip_cliques(&g, alpha),
+                session_cliques(&g, alpha, Engine::Auto),
                 "α = {alpha}"
             );
         }
@@ -251,7 +234,7 @@ mod tests {
         let g = complete_graph(5, Prob::new(0.5).unwrap());
         for alpha in [0.5, 0.125, 0.015, 0.0009] {
             assert_eq!(
-                enumerate_maximal_cliques_noip(&g, alpha).unwrap(),
+                noip_cliques(&g, alpha),
                 enumerate_naive(&g, alpha).unwrap(),
                 "α = {alpha}"
             );
@@ -261,15 +244,9 @@ mod tests {
     #[test]
     fn empty_and_edgeless_graphs() {
         let g0 = GraphBuilder::new(0).build();
-        assert_eq!(
-            enumerate_maximal_cliques_noip(&g0, 0.5).unwrap(),
-            vec![Vec::<VertexId>::new()]
-        );
+        assert_eq!(noip_cliques(&g0, 0.5), vec![Vec::<VertexId>::new()]);
         let g3 = GraphBuilder::new(3).build();
-        assert_eq!(
-            enumerate_maximal_cliques_noip(&g3, 0.5).unwrap(),
-            vec![vec![0], vec![1], vec![2]]
-        );
+        assert_eq!(noip_cliques(&g3, 0.5), vec![vec![0], vec![1], vec![2]]);
     }
 
     #[test]
@@ -289,14 +266,14 @@ mod tests {
         .unwrap();
         for alpha in [0.9, 0.5, 0.1] {
             assert_eq!(
-                enumerate_maximal_cliques_noip_prepared(&g, alpha).unwrap(),
-                enumerate_maximal_cliques_noip(&g, alpha).unwrap(),
+                session_cliques(&g, alpha, Engine::Noip),
+                noip_cliques(&g, alpha),
                 "α = {alpha}"
             );
         }
         let g0 = GraphBuilder::new(0).build();
         assert_eq!(
-            enumerate_maximal_cliques_noip_prepared(&g0, 0.5).unwrap(),
+            session_cliques(&g0, 0.5, Engine::Noip),
             vec![Vec::<VertexId>::new()]
         );
     }
@@ -304,7 +281,7 @@ mod tests {
     #[test]
     fn no_duplicate_emissions() {
         let g = complete_graph(6, Prob::new(0.5).unwrap());
-        let cliques = enumerate_maximal_cliques_noip(&g, 0.125).unwrap();
+        let cliques = noip_cliques(&g, 0.125);
         let mut dedup = cliques.clone();
         dedup.dedup();
         assert_eq!(cliques.len(), dedup.len());

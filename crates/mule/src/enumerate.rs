@@ -309,39 +309,6 @@ impl<S: CliqueSink> CliqueSink for TranslatingSink<'_, S> {
     }
 }
 
-/// Legacy wrapper: collect all α-maximal cliques of `g`, each sorted
-/// ascending, the list sorted lexicographically.
-///
-/// Thin delegate over the session API — equivalent to
-/// `Query::new(g).alpha(alpha).prepare()?.collect()` ([`crate::Query`]),
-/// which is the preferred entry point (prepare once, query many times).
-/// Output is byte-identical to the pre-session wrapper (pinned by
-/// `tests/api_equivalence.rs`).
-pub fn enumerate_maximal_cliques(
-    g: &UncertainGraph,
-    alpha: f64,
-) -> Result<Vec<Vec<VertexId>>, GraphError> {
-    let mut session = crate::Query::new(g)
-        .alpha(alpha)
-        .prepare()
-        .map_err(crate::MuleError::expect_graph)?;
-    Ok(session
-        .sorted_cliques()
-        .expect("unlimited run cannot be interrupted"))
-}
-
-/// Legacy wrapper: count α-maximal cliques without storing them. Thin
-/// delegate over [`crate::Prepared::count`].
-pub fn count_maximal_cliques(g: &UncertainGraph, alpha: f64) -> Result<u64, GraphError> {
-    let mut session = crate::Query::new(g)
-        .alpha(alpha)
-        .prepare()
-        .map_err(crate::MuleError::expect_graph)?;
-    Ok(session
-        .count()
-        .expect("unlimited run cannot be interrupted"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,6 +316,12 @@ mod tests {
     use ugraph_core::builder::{complete_graph, from_edges, GraphBuilder};
     use ugraph_core::clique;
     use ugraph_core::Prob;
+
+    /// All α-maximal cliques of `g` through the session API, sorted.
+    fn all_cliques(g: &UncertainGraph, alpha: f64) -> Vec<Vec<VertexId>> {
+        let mut session = crate::Query::new(g).alpha(alpha).prepare().unwrap();
+        session.sorted_cliques().unwrap()
+    }
 
     fn fixture() -> UncertainGraph {
         // Triangle 0-1-2 (probs 0.9, 0.9, 0.9) with a pendant 3 on 2 (0.6)
@@ -358,14 +331,14 @@ mod tests {
 
     #[test]
     fn enumerates_expected_cliques_at_half() {
-        let got = enumerate_maximal_cliques(&fixture(), 0.5).unwrap();
+        let got = all_cliques(&fixture(), 0.5);
         assert_eq!(got, vec![vec![0, 1, 2], vec![2, 3], vec![4]]);
     }
 
     #[test]
     fn tighter_alpha_splits_triangle() {
         // 0.9³ = 0.729 < 0.75, so the triangle fails and its edges win.
-        let got = enumerate_maximal_cliques(&fixture(), 0.75).unwrap();
+        let got = all_cliques(&fixture(), 0.75);
         assert_eq!(
             got,
             vec![vec![0, 1], vec![0, 2], vec![1, 2], vec![3], vec![4]]
@@ -388,7 +361,7 @@ mod tests {
     fn every_emitted_clique_is_alpha_maximal() {
         let g = fixture();
         for alpha in [0.9, 0.75, 0.5, 0.25, 1e-6] {
-            for c in enumerate_maximal_cliques(&g, alpha).unwrap() {
+            for c in all_cliques(&g, alpha) {
                 assert!(
                     clique::is_alpha_maximal(&g, &c, alpha),
                     "α={alpha}, clique {c:?}"
@@ -405,21 +378,21 @@ mod tests {
         b.add_edge(0, 2, 1.0).unwrap();
         b.add_edge(2, 3, 0.99).unwrap(); // pruned at α = 1
         let g = b.build();
-        let got = enumerate_maximal_cliques(&g, 1.0).unwrap();
+        let got = all_cliques(&g, 1.0);
         assert_eq!(got, vec![vec![0, 1, 2], vec![3]]);
     }
 
     #[test]
     fn empty_graph_emits_empty_clique() {
         let g = GraphBuilder::new(0).build();
-        let got = enumerate_maximal_cliques(&g, 0.5).unwrap();
+        let got = all_cliques(&g, 0.5);
         assert_eq!(got, vec![Vec::<VertexId>::new()]);
     }
 
     #[test]
     fn edgeless_graph_emits_singletons() {
         let g = GraphBuilder::new(3).build();
-        let got = enumerate_maximal_cliques(&g, 0.5).unwrap();
+        let got = all_cliques(&g, 0.5);
         assert_eq!(got, vec![vec![0], vec![1], vec![2]]);
     }
 
@@ -438,7 +411,7 @@ mod tests {
         // α = 2^{-3} admits k with C(k,2) ≤ 3, i.e. k ≤ 3: every 3-subset
         // is maximal → C(6,3) = 20 cliques.
         let g = complete_graph(6, Prob::new(0.5).unwrap());
-        let got = enumerate_maximal_cliques(&g, 0.125).unwrap();
+        let got = all_cliques(&g, 0.125);
         assert_eq!(got.len(), 20);
         assert!(got.iter().all(|c| c.len() == 3));
     }
@@ -467,7 +440,7 @@ mod tests {
     fn naive_root_produces_identical_output() {
         let g = fixture();
         for alpha in [0.9, 0.5, 0.25] {
-            let fast = enumerate_maximal_cliques(&g, alpha).unwrap();
+            let fast = all_cliques(&g, alpha);
             let cfg = MuleConfig {
                 naive_root: true,
                 ..Default::default()
@@ -488,7 +461,7 @@ mod tests {
     fn degeneracy_order_preserves_output() {
         let g = fixture();
         for alpha in [0.9, 0.5, 0.25] {
-            let plain = enumerate_maximal_cliques(&g, alpha).unwrap();
+            let plain = all_cliques(&g, alpha);
             let cfg = MuleConfig {
                 degeneracy_order: true,
                 ..Default::default()
@@ -541,8 +514,13 @@ mod tests {
     fn count_wrapper_matches_collect() {
         let g = fixture();
         assert_eq!(
-            count_maximal_cliques(&g, 0.5).unwrap(),
-            enumerate_maximal_cliques(&g, 0.5).unwrap().len() as u64
+            crate::Query::new(&g)
+                .alpha(0.5)
+                .prepare()
+                .unwrap()
+                .count()
+                .unwrap(),
+            all_cliques(&g, 0.5).len() as u64
         );
     }
 
@@ -560,7 +538,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let got = enumerate_maximal_cliques(&g, 0.5).unwrap();
+        let got = all_cliques(&g, 0.5);
         assert_eq!(got, vec![vec![0, 1, 2], vec![3, 4, 5]]);
     }
 

@@ -161,45 +161,26 @@ impl LargeMule {
     }
 }
 
-/// Legacy wrapper: collect all α-maximal cliques with at least `t`
-/// vertices, sorted lexicographically.
-///
-/// Thin delegate over the session API — equivalent to
-/// `Query::new(g).alpha(alpha).min_size(t).prepare()?.collect()`
-/// ([`crate::Query`]), which runs the full preprocessing pipeline:
-/// α-prune, `(t−1)·α` expected-degree core filter, shared-neighborhood
-/// peel, then per-component enumeration with the Algorithm 6 size
-/// bound. [`LargeMule`] remains the direct single-kernel path; the two
-/// emit the same cliques.
-pub fn enumerate_large_maximal_cliques(
-    g: &UncertainGraph,
-    alpha: f64,
-    t: usize,
-) -> Result<Vec<Vec<VertexId>>, GraphError> {
-    assert!(t >= 2, "size threshold t must be at least 2 (got {t})");
-    let mut session = crate::Query::new(g)
-        .alpha(alpha)
-        .min_size(t)
-        .prepare()
-        .map_err(crate::MuleError::expect_graph)?;
-    Ok(session
-        .sorted_cliques()
-        .expect("unlimited run cannot be interrupted"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enumerate::enumerate_maximal_cliques;
     use crate::sinks::CollectSink;
+    use crate::Query;
     use ugraph_core::builder::{complete_graph, from_edges, GraphBuilder};
     use ugraph_core::Prob;
 
+    /// The α-maximal cliques of `g` with at least `t` vertices through
+    /// the session API, sorted.
+    fn large_cliques(g: &UncertainGraph, alpha: f64, t: usize) -> Vec<Vec<VertexId>> {
+        let mut session = Query::new(g).alpha(alpha).min_size(t).prepare().unwrap();
+        session.sorted_cliques().unwrap()
+    }
+
     /// LARGE–MULE must equal MULE's output filtered to size ≥ t.
     fn assert_equals_filtered(g: &UncertainGraph, alpha: f64, t: usize) {
-        let all = enumerate_maximal_cliques(g, alpha).unwrap();
+        let all = large_cliques(g, alpha, 0);
         let expected: Vec<Vec<VertexId>> = all.into_iter().filter(|c| c.len() >= t).collect();
-        let got = enumerate_large_maximal_cliques(g, alpha, t).unwrap();
+        let got = large_cliques(g, alpha, t);
         assert_eq!(got, expected, "α = {alpha}, t = {t}");
     }
 
@@ -247,9 +228,7 @@ mod tests {
     #[test]
     fn empty_result_when_no_large_clique() {
         let g = from_edges(3, &[(0, 1, 0.9), (1, 2, 0.9)]).unwrap(); // path
-        assert!(enumerate_large_maximal_cliques(&g, 0.5, 3)
-            .unwrap()
-            .is_empty());
+        assert!(large_cliques(&g, 0.5, 3).is_empty());
     }
 
     #[test]
@@ -297,17 +276,8 @@ mod tests {
         // K4 at p = 0.5: at α = 2^{-6} the whole K4 qualifies; at 2^{-3}
         // only triangles — which clear t = 3 but not t = 4.
         let g = complete_graph(4, Prob::new(0.5).unwrap());
-        assert_eq!(
-            enumerate_large_maximal_cliques(&g, 0.015, 4).unwrap(),
-            vec![vec![0, 1, 2, 3]]
-        );
-        assert_eq!(
-            enumerate_large_maximal_cliques(&g, 0.125, 4).unwrap().len(),
-            0
-        );
-        assert_eq!(
-            enumerate_large_maximal_cliques(&g, 0.125, 3).unwrap().len(),
-            4
-        );
+        assert_eq!(large_cliques(&g, 0.015, 4), vec![vec![0, 1, 2, 3]]);
+        assert_eq!(large_cliques(&g, 0.125, 4).len(), 0);
+        assert_eq!(large_cliques(&g, 0.125, 3).len(), 4);
     }
 }

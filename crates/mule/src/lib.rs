@@ -56,13 +56,10 @@
 //! an LRU of refined per-α views, so mixed-α traffic stops paying full
 //! pipeline runs.
 //!
-//! The historical free functions ([`enumerate_maximal_cliques`],
-//! [`enumerate_large_maximal_cliques`], [`par_enumerate_maximal_cliques`],
-//! the [`topk`] and NOIP wrappers) remain as thin delegates over the
-//! session API, byte-identical to their pre-session output (pinned by
-//! `tests/api_equivalence.rs`); the enumerator types ([`Mule`],
-//! [`LargeMule`], [`DfsNoip`]) remain the direct single-kernel reference
-//! paths, byte-identical to the pipeline on default settings (pinned by
+//! The session API is the only way in: there are no free-function
+//! shortcuts beside it. The enumerator types ([`Mule`], [`LargeMule`],
+//! [`DfsNoip`]) remain the direct single-kernel reference paths,
+//! byte-identical to the pipeline on default settings (pinned by
 //! `tests/pipeline_equality.rs`).
 //!
 //! Extensions beyond the paper: [`mod@prepare`] (the pipeline),
@@ -124,12 +121,10 @@ pub mod zou_topk;
 
 pub use delta::{DeltaOp, GraphDelta};
 pub use dfs_noip::DfsNoip;
-pub use enumerate::{
-    count_maximal_cliques, enumerate_maximal_cliques, Candidate, IndexMode, Mule, MuleConfig,
-};
-pub use large::{enumerate_large_maximal_cliques, LargeMule};
+pub use enumerate::{Candidate, IndexMode, Mule, MuleConfig};
+pub use large::LargeMule;
 pub use limits::CancelToken;
-pub use parallel::{par_enumerate_maximal_cliques, par_enumerate_prepared};
+pub use parallel::par_enumerate_prepared;
 pub use prepare::{
     prepare, prepare_base, BaseComponent, PrepareConfig, PrepareReport, PreparedBase,
     PreparedInstance,

@@ -63,7 +63,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-use ugraph_core::{GraphError, UncertainGraph, VertexId};
+use ugraph_core::VertexId;
 
 /// One root's collected output: `(root, pairs)` with pairs in emission
 /// (= lexicographic) order.
@@ -86,24 +86,6 @@ pub struct ParallelOutput {
 /// A root task: `(component index, local root id)` in a prepared
 /// instance.
 type RootTask = (u32, u32);
-
-/// Enumerate all α-maximal cliques using `threads` worker threads
-/// (`threads = 0` means one worker per available CPU).
-///
-/// Runs the preprocessing pipeline ([`mod@crate::prepare`]) with default
-/// settings and fans the per-component root subtrees out over the
-/// work-stealing scheduler; see [`par_enumerate_prepared`].
-pub fn par_enumerate_maximal_cliques(
-    g: &UncertainGraph,
-    alpha: f64,
-    threads: usize,
-) -> Result<ParallelOutput, GraphError> {
-    let session = crate::Query::new(g)
-        .alpha(alpha)
-        .prepare()
-        .map_err(crate::MuleError::expect_graph)?;
-    Ok(par_enumerate_prepared(session.instance(), threads))
-}
 
 /// Enumerate a prepared instance on `threads` worker threads
 /// (`threads = 0` means one worker per available CPU), honoring the
@@ -395,10 +377,23 @@ impl Worker<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enumerate::enumerate_maximal_cliques;
     use crate::prepare::{prepare, PrepareConfig};
+    use crate::Query;
     use ugraph_core::builder::{complete_graph, from_edges, GraphBuilder};
-    use ugraph_core::Prob;
+    use ugraph_core::{Prob, UncertainGraph};
+
+    /// The sequential reference: every α-maximal clique, sorted.
+    fn sequential(g: &UncertainGraph, alpha: f64) -> Vec<Vec<VertexId>> {
+        let mut session = Query::new(g).alpha(alpha).prepare().unwrap();
+        session.sorted_cliques().unwrap()
+    }
+
+    /// The default prepared instance of `g`, fanned out on `threads`
+    /// workers.
+    fn parallel(g: &UncertainGraph, alpha: f64, threads: usize) -> ParallelOutput {
+        let inst = prepare(g, alpha, &PrepareConfig::default()).unwrap();
+        par_enumerate_prepared(&inst, threads)
+    }
 
     fn fixture() -> UncertainGraph {
         let mut edges = Vec::new();
@@ -421,9 +416,9 @@ mod tests {
     fn matches_sequential_for_various_alpha_and_threads() {
         let g = fixture();
         for alpha in [0.9, 0.5, 0.2, 0.05, 1e-4] {
-            let expected = enumerate_maximal_cliques(&g, alpha).unwrap();
+            let expected = sequential(&g, alpha);
             for threads in [1, 2, 4] {
-                let out = par_enumerate_maximal_cliques(&g, alpha, threads).unwrap();
+                let out = parallel(&g, alpha, threads);
                 assert_eq!(out.cliques, expected, "α={alpha}, threads={threads}");
             }
         }
@@ -432,7 +427,7 @@ mod tests {
     #[test]
     fn probabilities_align_with_cliques() {
         let g = fixture();
-        let out = par_enumerate_maximal_cliques(&g, 0.3, 3).unwrap();
+        let out = parallel(&g, 0.3, 3);
         assert_eq!(out.cliques.len(), out.probs.len());
         for (c, p) in out.cliques.iter().zip(&out.probs) {
             let exact = ugraph_core::clique::clique_probability(&g, c).unwrap();
@@ -450,7 +445,7 @@ mod tests {
             let mut sink = crate::sinks::CountSink::new();
             m.run(&mut sink);
             for threads in [1, 3, 8] {
-                let out = par_enumerate_maximal_cliques(&g, alpha, threads).unwrap();
+                let out = parallel(&g, alpha, threads);
                 assert_eq!(&out.stats, m.stats(), "α={alpha}, threads={threads}");
             }
         }
@@ -459,7 +454,7 @@ mod tests {
     #[test]
     fn stats_emitted_matches_output() {
         let g = fixture();
-        let out = par_enumerate_maximal_cliques(&g, 0.4, 4).unwrap();
+        let out = parallel(&g, 0.4, 4);
         assert_eq!(out.stats.emitted as usize, out.cliques.len());
         assert!(out.stats.calls > 1);
     }
@@ -467,23 +462,23 @@ mod tests {
     #[test]
     fn zero_threads_uses_available_parallelism() {
         let g = fixture();
-        let expected = enumerate_maximal_cliques(&g, 0.5).unwrap();
-        let out = par_enumerate_maximal_cliques(&g, 0.5, 0).unwrap();
+        let expected = sequential(&g, 0.5);
+        let out = parallel(&g, 0.5, 0);
         assert_eq!(out.cliques, expected);
     }
 
     #[test]
     fn more_threads_than_roots() {
         let g = from_edges(3, &[(0, 1, 0.9), (1, 2, 0.9)]).unwrap();
-        let expected = enumerate_maximal_cliques(&g, 0.5).unwrap();
-        let out = par_enumerate_maximal_cliques(&g, 0.5, 16).unwrap();
+        let expected = sequential(&g, 0.5);
+        let out = parallel(&g, 0.5, 16);
         assert_eq!(out.cliques, expected);
     }
 
     #[test]
     fn empty_graph_emits_empty_clique() {
         let g = GraphBuilder::new(0).build();
-        let out = par_enumerate_maximal_cliques(&g, 0.5, 2).unwrap();
+        let out = parallel(&g, 0.5, 2);
         assert_eq!(out.cliques, vec![Vec::<VertexId>::new()]);
         assert_eq!(out.probs, vec![1.0]);
     }
@@ -492,7 +487,7 @@ mod tests {
     fn complete_graph_counts_match() {
         let g = complete_graph(9, Prob::new(0.5).unwrap());
         let alpha = 0.5f64.powi(6); // admits k with C(k,2) ≤ 6 → k ≤ 4
-        let out = par_enumerate_maximal_cliques(&g, alpha, 4).unwrap();
+        let out = parallel(&g, alpha, 4);
         assert_eq!(out.cliques.len(), 126); // C(9,4)
         assert!(out.cliques.iter().all(|c| c.len() == 4));
     }
@@ -509,11 +504,11 @@ mod tests {
             b.add_edge(v, v + 1, 0.9).unwrap();
         }
         let g = b.build();
-        let expected = enumerate_maximal_cliques(&g, 0.5).unwrap();
-        let baseline = par_enumerate_maximal_cliques(&g, 0.5, 1).unwrap();
+        let expected = sequential(&g, 0.5);
+        let baseline = parallel(&g, 0.5, 1);
         assert_eq!(baseline.cliques, expected);
         for threads in [2, 3, 5, 8, 13] {
-            let out = par_enumerate_maximal_cliques(&g, 0.5, threads).unwrap();
+            let out = parallel(&g, 0.5, threads);
             assert_eq!(out.cliques, baseline.cliques, "threads={threads}");
             let bits: Vec<u64> = out.probs.iter().map(|p| p.to_bits()).collect();
             let base: Vec<u64> = baseline.probs.iter().map(|p| p.to_bits()).collect();
@@ -526,7 +521,8 @@ mod tests {
         let g = fixture();
         for alpha in [0.5, 0.1] {
             for t in 3..=5usize {
-                let expected = crate::enumerate_large_maximal_cliques(&g, alpha, t).unwrap();
+                let mut session = Query::new(&g).alpha(alpha).min_size(t).prepare().unwrap();
+                let expected = session.sorted_cliques().unwrap();
                 let inst = prepare(&g, alpha, &PrepareConfig::with_min_size(t)).unwrap();
                 for threads in [1, 3] {
                     let out = par_enumerate_prepared(&inst, threads);

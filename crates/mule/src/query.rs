@@ -4,13 +4,11 @@
 //!
 //! # Why a session
 //!
-//! Historically each capability grew its own free function
-//! (`enumerate_maximal_cliques`, `count_…`, `enumerate_large_…`,
-//! `par_enumerate_…`, three top-k variants, two NOIP wrappers, …), each
-//! re-running prune → core-filter → shard per call and each choosing
-//! sequential/parallel and MULE/LARGE-MULE/NOIP by *which function you
-//! found* rather than by configuration. [`Query`] folds all of those
-//! knobs into one builder; [`Query::prepare`] runs the pipeline
+//! Every capability — all α-maximal cliques, a size threshold
+//! (LARGE–MULE), parallel collection, top-k, the DFS–NOIP baseline — is
+//! a knob on one [`Query`] builder rather than a function of its own,
+//! so sequential/parallel and MULE/LARGE-MULE/NOIP are chosen by
+//! configuration. [`Query::prepare`] runs the pipeline
 //! ([`mod@crate::prepare`]) exactly once; and the resulting [`Prepared`]
 //! session serves [`collect`](Prepared::collect),
 //! [`count`](Prepared::count), [`stream`](Prepared::stream),
@@ -18,9 +16,7 @@
 //! [`iter`](Prepared::iter) over the same prepared instance —
 //! repeated-query workloads pay preprocessing once.
 //!
-//! The legacy free functions remain as thin delegates over this module
-//! (byte-identical output, pinned by `tests/api_equivalence.rs`), and
-//! the direct enumerator structs ([`crate::Mule`], [`crate::LargeMule`],
+//! The direct enumerator structs ([`crate::Mule`], [`crate::LargeMule`],
 //! [`crate::DfsNoip`]) remain the pipeline-off reference paths.
 //!
 //! # Session lifecycle
@@ -334,16 +330,6 @@ impl From<CatalogError> for MuleError {
 }
 
 impl MuleError {
-    /// Unwrap the graph-layer variant — for the legacy delegates, whose
-    /// signatures still promise `GraphError` and whose fully-specified
-    /// builders cannot produce any other variant.
-    pub(crate) fn expect_graph(self) -> GraphError {
-        match self {
-            MuleError::Graph(e) => e,
-            other => unreachable!("legacy delegate produced a non-graph error: {other}"),
-        }
-    }
-
     /// The typed error for an interrupted run, carrying its partial
     /// counters.
     pub(crate) fn from_interrupt(interrupt: Interrupt, stats: EnumerationStats) -> Self {
@@ -446,8 +432,7 @@ impl<'g> Query<'g> {
 
     /// Only report cliques with at least `t` vertices (`0`/`1` = all).
     /// Values ≥ 2 engage the size-based pipeline stages and the
-    /// LARGE-MULE search bound — the builder-state replacement for
-    /// reaching for `enumerate_large_maximal_cliques`.
+    /// LARGE-MULE search bound.
     pub fn min_size(mut self, t: usize) -> Self {
         self.min_size = t;
         self
@@ -1043,9 +1028,7 @@ impl Prepared {
     }
 
     /// [`Prepared::collect`] without the probabilities: just the clique
-    /// vertex sets, sorted lexicographically — the shape the legacy
-    /// wrappers return, kept in one place so the delegates cannot
-    /// drift.
+    /// vertex sets, sorted lexicographically.
     pub fn sorted_cliques(&mut self) -> Result<Vec<Vec<VertexId>>, MuleError> {
         let mut cliques: Vec<Vec<VertexId>> = self.collect()?.into_iter().map(|(c, _)| c).collect();
         cliques.sort();

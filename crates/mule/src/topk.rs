@@ -4,14 +4,15 @@
 //!
 //! The paper contrasts itself with ref 47: MULE enumerates *all* α-maximal
 //! cliques, while the top-k problem returns only the `k` most probable
-//! ones. We provide the top-k query on top of MULE in two variants, both
-//! running per-component over the preprocessing pipeline
-//! ([`mod@crate::prepare`]):
+//! ones. [`crate::Prepared::top_k`] answers the top-k query on top of
+//! MULE in two variants, both running per-component over the
+//! preprocessing pipeline ([`mod@crate::prepare`]):
 //!
-//! * [`top_k_maximal_cliques`] — exhaustive enumeration through a bounded
-//!   min-heap ([`crate::sinks::TopKSink`]); exact, simple, and a fair
-//!   "enumerate-then-select" baseline;
-//! * [`top_k_maximal_cliques_pruned`] — the same answer, but the adaptive
+//! * exhaustive enumeration through a bounded min-heap
+//!   ([`crate::sinks::TopKSink`] over [`crate::Prepared::stream`]);
+//!   exact, simple, and a fair "enumerate-then-select" baseline — the
+//!   path taken under a size threshold, a limit or [`crate::Engine::Noip`];
+//! * the adaptive β cut — the same answer, but the adaptive
 //!   threshold β (the current k-th best probability, read back from the
 //!   sink's heap between branches) is fed into **branch admission**:
 //!   clique probability is non-increasing along a search path
@@ -38,67 +39,16 @@ use crate::prepare::{PreparedInstance, Unit};
 use crate::sinks::{CliqueSink, Control, TopKSink};
 use crate::stats::EnumerationStats;
 use std::ops::Range;
-use ugraph_core::{GraphError, UncertainGraph, VertexId};
+use ugraph_core::VertexId;
 
 /// A ranked answer list: `(clique, probability)` pairs, probability
 /// descending.
 pub type RankedCliques = Vec<(Vec<VertexId>, f64)>;
 
-/// The `k` α-maximal cliques with the highest clique probability, sorted
-/// by probability descending (ties broken lexicographically on the vertex
-/// set, so results are deterministic).
-///
-/// Returns fewer than `k` entries when the graph has fewer α-maximal
-/// cliques.
-pub fn top_k_maximal_cliques(
-    g: &UncertainGraph,
-    alpha: f64,
-    k: usize,
-) -> Result<Vec<(Vec<VertexId>, f64)>, GraphError> {
-    let mut session = crate::Query::new(g)
-        .alpha(alpha)
-        .prepare()
-        .map_err(crate::MuleError::expect_graph)?;
-    let mut sink = TopKSink::new(k);
-    session
-        .stream(&mut sink)
-        .expect("unlimited run cannot be interrupted");
-    Ok(sink.into_sorted())
-}
-
-/// Like [`top_k_maximal_cliques`], but with the adaptive β cut: branches
-/// whose clique probability has already fallen to the current k-th best
-/// are skipped (see the module docs for why this is sound and why a
-/// stronger cut is not). Produces the identical result with strictly
-/// fewer search nodes once the heap fills.
-pub fn top_k_maximal_cliques_pruned(
-    g: &UncertainGraph,
-    alpha: f64,
-    k: usize,
-) -> Result<Vec<(Vec<VertexId>, f64)>, GraphError> {
-    Ok(top_k_pruned_with_stats(g, alpha, k)?.0)
-}
-
-/// [`top_k_maximal_cliques_pruned`] plus the run's search counters
-/// (`beta_pruned` records how many branches the adaptive threshold cut),
-/// so the pruning's effect is measurable.
-pub fn top_k_pruned_with_stats(
-    g: &UncertainGraph,
-    alpha: f64,
-    k: usize,
-) -> Result<(RankedCliques, EnumerationStats), GraphError> {
-    let session = crate::Query::new(g)
-        .alpha(alpha)
-        .prepare()
-        .map_err(crate::MuleError::expect_graph)?;
-    Ok(beta_top_k(session.instance(), k))
-}
-
 /// The adaptive-β top-k engine over an already-prepared instance:
 /// walks the instance's schedule with [`beta_subtree`], feeding the
 /// heap's current k-th best probability back into branch admission.
-/// Shared by [`top_k_pruned_with_stats`] and the session API
-/// ([`crate::Prepared::top_k`]), so the β-cut recursion exists once.
+/// The β-cut engine behind [`crate::Prepared::top_k`].
 pub(crate) fn beta_top_k(inst: &PreparedInstance, k: usize) -> (RankedCliques, EnumerationStats) {
     let mut sink = TopKSink::new(k);
     let mut stats = EnumerationStats::new();
@@ -263,9 +213,23 @@ fn beta_subtree(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enumerate::enumerate_maximal_cliques;
+    use crate::prepare::{prepare, PrepareConfig};
     use ugraph_core::builder::from_edges;
     use ugraph_core::clique;
+    use ugraph_core::UncertainGraph;
+
+    /// Top-k by selecting over the full enumeration stream.
+    fn top_k_full(g: &UncertainGraph, alpha: f64, k: usize) -> RankedCliques {
+        let mut session = crate::Query::new(g).alpha(alpha).prepare().unwrap();
+        let mut sink = TopKSink::new(k);
+        session.stream(&mut sink).unwrap();
+        sink.into_sorted()
+    }
+
+    /// Top-k through the adaptive β cut, with its search counters.
+    fn top_k_beta(g: &UncertainGraph, alpha: f64, k: usize) -> (RankedCliques, EnumerationStats) {
+        beta_top_k(&prepare(g, alpha, &PrepareConfig::default()).unwrap(), k)
+    }
 
     fn fixture() -> UncertainGraph {
         // Three maximal structures at α = 0.3:
@@ -287,7 +251,7 @@ mod tests {
 
     #[test]
     fn returns_k_best_in_order() {
-        let top = top_k_maximal_cliques(&fixture(), 0.3, 2).unwrap();
+        let top = top_k_full(&fixture(), 0.3, 2);
         assert_eq!(top.len(), 2);
         assert_eq!(top[0].0, vec![0, 1, 2]);
         assert!((top[0].1 - 0.729).abs() < 1e-12);
@@ -297,25 +261,21 @@ mod tests {
 
     #[test]
     fn k_larger_than_output_returns_all() {
-        let top = top_k_maximal_cliques(&fixture(), 0.3, 100).unwrap();
-        let all = enumerate_maximal_cliques(&fixture(), 0.3).unwrap();
-        assert_eq!(top.len(), all.len());
+        let top = top_k_full(&fixture(), 0.3, 100);
+        let mut all = crate::Query::new(&fixture()).alpha(0.3).prepare().unwrap();
+        assert_eq!(top.len() as u64, all.count().unwrap());
     }
 
     #[test]
     fn k_zero_returns_empty() {
-        assert!(top_k_maximal_cliques(&fixture(), 0.3, 0)
-            .unwrap()
-            .is_empty());
-        assert!(top_k_maximal_cliques_pruned(&fixture(), 0.3, 0)
-            .unwrap()
-            .is_empty());
+        assert!(top_k_full(&fixture(), 0.3, 0).is_empty());
+        assert!(top_k_beta(&fixture(), 0.3, 0).0.is_empty());
     }
 
     #[test]
     fn results_are_alpha_maximal_with_true_probabilities() {
         let g = fixture();
-        for (c, p) in top_k_maximal_cliques(&g, 0.3, 10).unwrap() {
+        for (c, p) in top_k_full(&g, 0.3, 10) {
             assert!(clique::is_alpha_maximal(&g, &c, 0.3));
             assert!((clique::clique_probability(&g, &c).unwrap() - p).abs() < 1e-12);
         }
@@ -325,11 +285,7 @@ mod tests {
     fn pruned_variant_agrees() {
         let g = fixture();
         for k in [1, 2, 3, 10] {
-            assert_eq!(
-                top_k_maximal_cliques(&g, 0.3, k).unwrap(),
-                top_k_maximal_cliques_pruned(&g, 0.3, k).unwrap(),
-                "k={k}"
-            );
+            assert_eq!(top_k_full(&g, 0.3, k), top_k_beta(&g, 0.3, k).0, "k={k}");
         }
     }
 
@@ -350,8 +306,8 @@ mod tests {
             let g = b.build();
             for alpha in [0.5, 0.1, 0.01] {
                 for k in [1, 3, 7] {
-                    let baseline = top_k_maximal_cliques(&g, alpha, k).unwrap();
-                    let (pruned, _) = top_k_pruned_with_stats(&g, alpha, k).unwrap();
+                    let baseline = top_k_full(&g, alpha, k);
+                    let (pruned, _) = top_k_beta(&g, alpha, k);
                     assert_eq!(pruned, baseline, "seed={seed} α={alpha} k={k}");
                 }
             }
@@ -370,7 +326,7 @@ mod tests {
             }
         }
         let g = from_edges(12, &edges).unwrap();
-        let (top, stats) = top_k_pruned_with_stats(&g, 0.01, 1).unwrap();
+        let (top, stats) = top_k_beta(&g, 0.01, 1);
         assert_eq!(top, vec![(vec![0, 1], 0.95)]);
         assert!(stats.beta_pruned > 0, "cut never fired");
         let baseline_calls = {
@@ -398,17 +354,17 @@ mod tests {
     fn maximality_judged_at_alpha_not_beta() {
         let g = from_edges(5, &[(0, 1, 0.95), (2, 3, 0.9), (2, 4, 0.3), (3, 4, 0.3)]).unwrap();
         let expected = [(vec![0, 1], 0.95), (vec![2, 3, 4], 0.9 * 0.3 * 0.3)];
-        let got = top_k_maximal_cliques_pruned(&g, 0.05, 2).unwrap();
+        let got = top_k_beta(&g, 0.05, 2).0;
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].0, expected[0].0);
         assert_eq!(got[1].0, expected[1].0, "{{2,3}} must not be reported");
         assert!((got[1].1 - expected[1].1).abs() < 1e-12);
-        assert_eq!(got, top_k_maximal_cliques(&g, 0.05, 2).unwrap());
+        assert_eq!(got, top_k_full(&g, 0.05, 2));
     }
 
     #[test]
     fn probabilities_monotone_in_result() {
-        let top = top_k_maximal_cliques(&fixture(), 0.3, 10).unwrap();
+        let top = top_k_full(&fixture(), 0.3, 10);
         for w in top.windows(2) {
             assert!(w[0].1 >= w[1].1);
         }

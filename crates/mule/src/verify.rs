@@ -153,7 +153,6 @@ pub fn verify_complete(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enumerate_maximal_cliques;
     use ugraph_core::builder::from_edges;
 
     fn fixture() -> UncertainGraph {
@@ -164,7 +163,12 @@ mod tests {
     fn mule_output_verifies_clean() {
         let g = fixture();
         for alpha in [0.9, 0.5, 0.25] {
-            let cliques = enumerate_maximal_cliques(&g, alpha).unwrap();
+            let cliques = crate::Query::new(&g)
+                .alpha(alpha)
+                .prepare()
+                .unwrap()
+                .sorted_cliques()
+                .unwrap();
             assert!(verify_complete(&g, alpha, &cliques).unwrap().is_empty());
         }
     }

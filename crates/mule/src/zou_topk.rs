@@ -239,7 +239,12 @@ mod tests {
         // α-maximal at α = 0.5: the heavy edge {0,1} — which is NOT
         // skeleton-maximal — plus vertex 2, isolated once its weak edges
         // are pruned.
-        let alpha_cliques = crate::enumerate_maximal_cliques(&g, 0.5).unwrap();
+        let alpha_cliques = crate::Query::new(&g)
+            .alpha(0.5)
+            .prepare()
+            .unwrap()
+            .sorted_cliques()
+            .unwrap();
         assert_eq!(alpha_cliques, vec![vec![0, 1], vec![2]]);
     }
 

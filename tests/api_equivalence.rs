@@ -1,12 +1,14 @@
-//! Session-API equivalence pins (satellite of the `Query`/`Prepared`
-//! redesign): the builder path must be **byte-identical** — same
-//! cliques, same order, same probability bits, equal stats — to every
-//! legacy free-function entry point it now fronts, across α ×
-//! `min_size` × threads × index mode × top-k. Seeded random graphs plus
-//! structured edge cases, in the same property-test style as
-//! `tests/pipeline_equality.rs`.
+//! Session-API equivalence pins: every pair of paths the builder can
+//! take to the same answer must be **byte-identical** — same cliques,
+//! same order, same probability bits, equal stats — across α ×
+//! `min_size` × threads × index mode × engine × top-k: the execution
+//! methods against each other, the knobs that must be output-neutral,
+//! and the session engines against the direct enumerators. Seeded
+//! random graphs plus structured edge cases, in the same property-test
+//! style as `tests/pipeline_equality.rs`.
 
-use mule::{Engine, IndexMode, MuleError, Query};
+use mule::sinks::{CollectSink, TopKSink};
+use mule::{DfsNoip, Engine, IndexMode, LargeMule, MuleError, Query};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use ugraph_core::{GraphBuilder, UncertainGraph, VertexId};
 
@@ -30,12 +32,20 @@ fn bits(pairs: Vec<(Vec<VertexId>, f64)>) -> Pairs {
     pairs.into_iter().map(|(c, p)| (c, p.to_bits())).collect()
 }
 
+/// One direct LARGE–MULE run over the whole graph, cliques sorted.
+fn large_mule(g: &UncertainGraph, alpha: f64, t: usize) -> Vec<Vec<VertexId>> {
+    let mut large = LargeMule::new(g, alpha, t).unwrap();
+    let mut sink = CollectSink::new();
+    large.run(&mut sink);
+    sink.into_sorted_cliques()
+}
+
 const ALPHAS: [f64; 4] = [0.9, 0.5, 0.1, 0.01];
 
-/// Builder `collect`/`count` vs the legacy wrappers, plus the pull
-/// iterator, on the default configuration.
+/// `collect`, `count` and the pull iterator agree on the default
+/// configuration, and a rerun leaves the stats unchanged.
 #[test]
-fn collect_count_and_iter_match_legacy_wrappers() {
+fn collect_count_and_iter_agree() {
     for seed in 0..12u64 {
         let density = [0.1, 0.25, 0.5][(seed % 3) as usize];
         let g = random_graph(seed, 13 + (seed % 5) as usize, density);
@@ -44,15 +54,9 @@ fn collect_count_and_iter_match_legacy_wrappers() {
             let pairs = s.collect().unwrap();
             let seq_stats = *s.stats();
 
-            let legacy = mule::enumerate_maximal_cliques(&g, alpha).unwrap();
-            let mut from_builder: Vec<Vec<VertexId>> =
-                pairs.iter().map(|(c, _)| c.clone()).collect();
-            from_builder.sort();
-            assert_eq!(from_builder, legacy, "seed={seed} α={alpha} (collect)");
-
             assert_eq!(
-                s.count().unwrap(),
-                mule::count_maximal_cliques(&g, alpha).unwrap(),
+                s.count().unwrap() as usize,
+                pairs.len(),
                 "seed={seed} α={alpha} (count)"
             );
             assert_eq!(
@@ -76,7 +80,7 @@ fn collect_count_and_iter_match_legacy_wrappers() {
     }
 }
 
-/// `min_size` through the builder vs `enumerate_large_maximal_cliques`.
+/// `min_size` through the builder vs the direct [`LargeMule`] kernel.
 #[test]
 fn min_size_matches_legacy_large_and_prepared() {
     for seed in 0..10u64 {
@@ -84,10 +88,9 @@ fn min_size_matches_legacy_large_and_prepared() {
         for alpha in ALPHAS {
             for t in 2..=5usize {
                 let mut s = Query::new(&g).alpha(alpha).min_size(t).prepare().unwrap();
-                let legacy = mule::enumerate_large_maximal_cliques(&g, alpha, t).unwrap();
                 assert_eq!(
                     s.sorted_cliques().unwrap(),
-                    legacy,
+                    large_mule(&g, alpha, t),
                     "seed={seed} α={alpha} t={t} (large)"
                 );
             }
@@ -95,11 +98,10 @@ fn min_size_matches_legacy_large_and_prepared() {
     }
 }
 
-/// `threads` through the builder vs `par_enumerate_maximal_cliques`:
-/// same stream, same probability bits, equal merged stats — and both
-/// equal the sequential session.
+/// `threads` is output-neutral: the parallel session gives the
+/// sequential session's stream, probability bits and merged stats.
 #[test]
-fn threads_match_legacy_parallel_wrapper() {
+fn threads_are_output_neutral() {
     for seed in 0..6u64 {
         let g = random_graph(200 + seed, 15, 0.3);
         for alpha in [0.5, 0.05] {
@@ -114,21 +116,6 @@ fn threads_match_legacy_parallel_wrapper() {
                 let pairs = bits(s.collect().unwrap());
                 assert_eq!(pairs, seq_pairs, "seed={seed} α={alpha} threads={threads}");
 
-                let legacy = mule::par_enumerate_maximal_cliques(&g, alpha, threads).unwrap();
-                let legacy_pairs: Pairs = legacy
-                    .cliques
-                    .into_iter()
-                    .zip(legacy.probs.iter().map(|p| p.to_bits()))
-                    .collect();
-                assert_eq!(
-                    pairs, legacy_pairs,
-                    "seed={seed} α={alpha} threads={threads} (legacy)"
-                );
-                assert_eq!(
-                    s.stats(),
-                    &legacy.stats,
-                    "seed={seed} α={alpha} threads={threads} (stats)"
-                );
                 assert_eq!(
                     s.stats(),
                     seq.stats(),
@@ -170,28 +157,29 @@ fn index_modes_are_output_neutral() {
     }
 }
 
-/// `Prepared::top_k` vs both legacy top-k variants (which must also
-/// agree with each other), bits included.
+/// `Prepared::top_k` (the adaptive β cut) vs selecting over the full
+/// stream with a `TopKSink`, bits included.
 #[test]
-fn top_k_matches_both_legacy_variants() {
+fn top_k_beta_cut_matches_full_stream() {
     for seed in 0..8u64 {
         let g = random_graph(400 + seed, 12, 0.45);
         for alpha in [0.5, 0.1, 0.01] {
             let mut s = Query::new(&g).alpha(alpha).prepare().unwrap();
             for k in [1usize, 3, 8] {
                 let got = bits(s.top_k(k).unwrap());
-                let exhaustive = bits(mule::topk::top_k_maximal_cliques(&g, alpha, k).unwrap());
-                let pruned = bits(mule::topk::top_k_maximal_cliques_pruned(&g, alpha, k).unwrap());
+                let mut sink = TopKSink::new(k);
+                s.stream(&mut sink).unwrap();
+                let exhaustive = bits(sink.into_sorted());
                 assert_eq!(got, exhaustive, "seed={seed} α={alpha} k={k} (exhaustive)");
-                assert_eq!(got, pruned, "seed={seed} α={alpha} k={k} (pruned)");
             }
         }
     }
 }
 
-/// The NOIP engine through the builder vs both legacy NOIP wrappers.
+/// The NOIP engine through the builder vs one direct [`DfsNoip`] run
+/// over the whole graph.
 #[test]
-fn noip_engine_matches_legacy_noip_wrappers() {
+fn noip_engine_matches_direct_dfs_noip() {
     for seed in 0..6u64 {
         let g = random_graph(500 + seed, 11, 0.3);
         for alpha in [0.5, 0.1] {
@@ -203,23 +191,21 @@ fn noip_engine_matches_legacy_noip_wrappers() {
             let mut got: Vec<Vec<VertexId>> =
                 s.collect().unwrap().into_iter().map(|(c, _)| c).collect();
             got.sort();
+            let mut direct = DfsNoip::new(&g, alpha).unwrap();
+            let mut sink = CollectSink::new();
+            direct.run(&mut sink);
             assert_eq!(
                 got,
-                mule::dfs_noip::enumerate_maximal_cliques_noip_prepared(&g, alpha).unwrap(),
-                "seed={seed} α={alpha} (prepared wrapper)"
-            );
-            assert_eq!(
-                got,
-                mule::dfs_noip::enumerate_maximal_cliques_noip(&g, alpha).unwrap(),
-                "seed={seed} α={alpha} (direct wrapper)"
+                sink.into_sorted_cliques(),
+                "seed={seed} α={alpha} (direct)"
             );
         }
     }
 }
 
 /// The NOIP engine with a size threshold: the core-filter/peel stages
-/// plus the emission filter must reproduce exactly the legacy
-/// LARGE-MULE answer set on non-trivial graphs.
+/// plus the emission filter must reproduce exactly the direct
+/// [`LargeMule`] answer set on non-trivial graphs.
 #[test]
 fn noip_engine_with_min_size_matches_legacy_large() {
     for seed in 0..5u64 {
@@ -235,11 +221,7 @@ fn noip_engine_with_min_size_matches_legacy_large() {
                 let mut got: Vec<Vec<VertexId>> =
                     s.collect().unwrap().into_iter().map(|(c, _)| c).collect();
                 got.sort();
-                assert_eq!(
-                    got,
-                    mule::enumerate_large_maximal_cliques(&g, alpha, t).unwrap(),
-                    "seed={seed} α={alpha} t={t}"
-                );
+                assert_eq!(got, large_mule(&g, alpha, t), "seed={seed} α={alpha} t={t}");
             }
         }
     }
@@ -294,9 +276,8 @@ fn structured_graphs_agree_across_methods() {
         for alpha in [0.5, 0.1] {
             let mut s = Query::new(g).alpha(alpha).prepare().unwrap();
             let pairs = s.collect().unwrap();
-            let legacy = mule::enumerate_maximal_cliques(g, alpha).unwrap();
             let got: Vec<Vec<VertexId>> = pairs.iter().map(|(c, _)| c.clone()).collect();
-            assert_eq!(got, legacy, "case={i} α={alpha}");
+            assert_eq!(got, s.sorted_cliques().unwrap(), "case={i} α={alpha}");
             assert_eq!(
                 s.count().unwrap() as usize,
                 pairs.len(),

@@ -12,6 +12,7 @@
 
 use mule::enumerate::{IndexMode, Mule, MuleConfig};
 use mule::sinks::CollectSink;
+use mule::{DfsNoip, Query};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use ugraph_core::{GraphBuilder, UncertainGraph, VertexId};
@@ -48,6 +49,21 @@ fn random_uniform_graph(n: usize, edge_prob: f64, rng: &mut SmallRng) -> Uncerta
     b.build()
 }
 
+/// Every qualifying clique of a query's session, in emission order
+/// (lexicographic, on the default engine).
+fn cliques(query: Query) -> Vec<Vec<VertexId>> {
+    let pairs = query.prepare().unwrap().collect().unwrap();
+    pairs.into_iter().map(|(c, _)| c).collect()
+}
+
+/// One direct DFS–NOIP run over the whole graph, cliques sorted.
+fn noip_cliques(g: &UncertainGraph, alpha: f64) -> Vec<Vec<VertexId>> {
+    let mut algo = DfsNoip::new(g, alpha).unwrap();
+    let mut sink = CollectSink::new();
+    algo.run(&mut sink);
+    sink.into_sorted_cliques()
+}
+
 fn mule_with(g: &UncertainGraph, alpha: f64, config: MuleConfig) -> Vec<Vec<VertexId>> {
     let mut m = Mule::with_config(g, alpha, config).unwrap();
     let mut sink = CollectSink::new();
@@ -65,12 +81,12 @@ fn all_algorithms_match_brute_force_dyadic() {
         let g = random_dyadic_graph(n, density, &mut rng);
         for &alpha in &alphas {
             let truth = mule::naive::enumerate_naive(&g, alpha).unwrap();
-            let got_mule = mule::enumerate_maximal_cliques(&g, alpha).unwrap();
+            let got_mule = cliques(Query::new(&g).alpha(alpha));
             assert_eq!(got_mule, truth, "MULE trial={trial} n={n} α={alpha}");
-            let got_noip = mule::dfs_noip::enumerate_maximal_cliques_noip(&g, alpha).unwrap();
+            let got_noip = noip_cliques(&g, alpha);
             assert_eq!(got_noip, truth, "NOIP trial={trial} n={n} α={alpha}");
-            let got_par = mule::par_enumerate_maximal_cliques(&g, alpha, 3).unwrap();
-            assert_eq!(got_par.cliques, truth, "PAR trial={trial} n={n} α={alpha}");
+            let got_par = cliques(Query::new(&g).alpha(alpha).threads(3));
+            assert_eq!(got_par, truth, "PAR trial={trial} n={n} α={alpha}");
         }
     }
 }
@@ -84,12 +100,12 @@ fn all_algorithms_match_brute_force_uniform() {
         for alpha in [0.9, 0.3, 0.07, 0.013, 0.0021] {
             let truth = mule::naive::enumerate_naive(&g, alpha).unwrap();
             assert_eq!(
-                mule::enumerate_maximal_cliques(&g, alpha).unwrap(),
+                cliques(Query::new(&g).alpha(alpha)),
                 truth,
                 "MULE trial={trial} α={alpha}"
             );
             assert_eq!(
-                mule::dfs_noip::enumerate_maximal_cliques_noip(&g, alpha).unwrap(),
+                noip_cliques(&g, alpha),
                 truth,
                 "NOIP trial={trial} α={alpha}"
             );
@@ -131,11 +147,11 @@ fn large_mule_equals_filtered_output_randomized() {
         let n = 10 + trial % 10;
         let g = random_uniform_graph(n, 0.7, &mut rng);
         for alpha in [0.2, 0.02, 0.002] {
-            let all = mule::enumerate_maximal_cliques(&g, alpha).unwrap();
+            let all = cliques(Query::new(&g).alpha(alpha));
             for t in 2..=5 {
                 let expected: Vec<Vec<VertexId>> =
                     all.iter().filter(|c| c.len() >= t).cloned().collect();
-                let got = mule::enumerate_large_maximal_cliques(&g, alpha, t).unwrap();
+                let got = cliques(Query::new(&g).alpha(alpha).min_size(t));
                 assert_eq!(got, expected, "trial={trial} α={alpha} t={t}");
             }
         }
@@ -157,7 +173,7 @@ fn tiny_alpha_recovers_deterministic_maximal_cliques() {
             .max(f64::MIN_POSITIVE);
         let alpha = (floor * 0.5).max(f64::MIN_POSITIVE);
         let skeleton = mule::deterministic::bron_kerbosch(&g);
-        let uncertain = mule::enumerate_maximal_cliques(&g, alpha).unwrap();
+        let uncertain = cliques(Query::new(&g).alpha(alpha));
         assert_eq!(uncertain, skeleton);
     }
 }
@@ -179,7 +195,7 @@ fn alpha_one_equals_bron_kerbosch_on_certain_subgraph() {
         let g = b.build();
         let certain = ugraph_core::subgraph::prune_below_alpha(&g, 1.0).unwrap();
         assert_eq!(
-            mule::enumerate_maximal_cliques(&g, 1.0).unwrap(),
+            cliques(Query::new(&g).alpha(1.0)),
             mule::deterministic::bron_kerbosch(&certain)
         );
     }

@@ -6,7 +6,7 @@ use uncertain_clique::core::{clique, sample, DuplicatePolicy};
 use uncertain_clique::gen::{datasets, rng::rng_from_seed};
 use uncertain_clique::io;
 use uncertain_clique::mule::sinks::{CountSink, SizeHistogramSink};
-use uncertain_clique::mule::{topk, LargeMule};
+use uncertain_clique::mule::LargeMule;
 use uncertain_clique::prelude::*;
 
 #[test]
@@ -17,7 +17,8 @@ fn facade_prelude_covers_the_quickstart_path() {
     b.add_edge(0, 2, 0.9).unwrap();
     b.add_edge(2, 3, 0.6).unwrap();
     let g = b.build();
-    let cliques = enumerate_maximal_cliques(&g, 0.5).unwrap();
+    let mut session = Query::new(&g).alpha(0.5).prepare().unwrap();
+    let cliques = session.sorted_cliques().unwrap();
     assert_eq!(cliques, vec![vec![0, 1, 2], vec![2, 3]]);
     let stats = GraphStats::compute(&g);
     assert_eq!((stats.n, stats.m), (4, 4));
@@ -78,7 +79,12 @@ fn mined_complexes_validate_against_possible_worlds() {
         .unwrap()
         .build_scaled(42, 0.3);
     let alpha = 0.4;
-    let top = topk::top_k_maximal_cliques(&g, alpha, 5).unwrap();
+    let top = Query::new(&g)
+        .alpha(alpha)
+        .prepare()
+        .unwrap()
+        .top_k(5)
+        .unwrap();
     assert!(!top.is_empty());
     let mut rng = rng_from_seed(1);
     for (c, p) in &top {
@@ -107,10 +113,15 @@ fn large_mule_consistent_with_histogram_tail_on_dataset() {
 fn parallel_and_sequential_agree_on_dataset() {
     let g = datasets::by_name("BA5000").unwrap().build_scaled(5, 0.04);
     let alpha = 0.01;
-    let seq = enumerate_maximal_cliques(&g, alpha).unwrap();
-    let par = uncertain_clique::mule::par_enumerate_maximal_cliques(&g, alpha, 4).unwrap();
-    assert_eq!(par.cliques, seq);
-    assert_eq!(par.stats.emitted as usize, seq.len());
+    let seq = Query::new(&g)
+        .alpha(alpha)
+        .prepare()
+        .unwrap()
+        .collect()
+        .unwrap();
+    let mut par = Query::new(&g).alpha(alpha).threads(4).prepare().unwrap();
+    assert_eq!(par.collect().unwrap(), seq);
+    assert_eq!(par.stats().emitted as usize, seq.len());
 }
 
 #[test]
@@ -119,7 +130,12 @@ fn every_table1_dataset_builds_and_enumerates_at_small_scale() {
         let g = spec.build_scaled(9, 0.01);
         g.check_invariants()
             .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
-        let count = uncertain_clique::mule::count_maximal_cliques(&g, 0.3).unwrap();
+        let count = Query::new(&g)
+            .alpha(0.3)
+            .prepare()
+            .unwrap()
+            .count()
+            .unwrap();
         assert!(count > 0, "{} produced no cliques", spec.name);
     }
 }

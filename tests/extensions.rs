@@ -3,10 +3,11 @@
 //! comparator, the verifier, and planted-instance recovery — exercised
 //! together the way the examples combine them.
 
-use mule::{kcore, verify, worlds, zou_topk};
+use mule::sinks::CollectSink;
+use mule::{kcore, verify, worlds, zou_topk, DfsNoip, Query};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use ugraph_core::{GraphBuilder, UncertainGraph};
+use ugraph_core::{GraphBuilder, UncertainGraph, VertexId};
 use ugraph_gen::planted::{planted_cliques, PlantedParams};
 use ugraph_gen::rng::rng_from_seed;
 use ugraph_gen::EdgeProbModel;
@@ -24,6 +25,21 @@ fn random_graph(n: usize, density: f64, seed: u64) -> UncertainGraph {
     b.build()
 }
 
+/// Every qualifying clique of a query's session, in emission order
+/// (lexicographic, on the default engine).
+fn cliques(query: Query) -> Vec<Vec<VertexId>> {
+    let pairs = query.prepare().unwrap().collect().unwrap();
+    pairs.into_iter().map(|(c, _)| c).collect()
+}
+
+/// One direct DFS–NOIP run over the whole graph, cliques sorted.
+fn noip_cliques(g: &UncertainGraph, alpha: f64) -> Vec<Vec<VertexId>> {
+    let mut algo = DfsNoip::new(g, alpha).unwrap();
+    let mut sink = CollectSink::new();
+    algo.run(&mut sink);
+    sink.into_sorted_cliques()
+}
+
 /// The core pre-filter composed with MULE: restricting enumeration to the
 /// filtered vertex set must lose exactly the cliques smaller than t.
 #[test]
@@ -33,8 +49,7 @@ fn kcore_filter_then_enumerate_pipeline() {
         let (alpha, t) = (0.2, 3);
         let kept = kcore::core_filter_for_cliques(&g, alpha, t).unwrap();
         let (sub, map) = ugraph_core::subgraph::induced_subgraph(&g, &kept).unwrap();
-        let mut translated: Vec<Vec<u32>> = mule::enumerate_maximal_cliques(&sub, alpha)
-            .unwrap()
+        let mut translated: Vec<Vec<u32>> = cliques(Query::new(&sub).alpha(alpha))
             .into_iter()
             .filter(|c| c.len() >= t)
             .map(|c| {
@@ -44,8 +59,7 @@ fn kcore_filter_then_enumerate_pipeline() {
             })
             .collect();
         translated.sort();
-        let expected: Vec<Vec<u32>> = mule::enumerate_maximal_cliques(&g, alpha)
-            .unwrap()
+        let expected: Vec<Vec<u32>> = cliques(Query::new(&g).alpha(alpha))
             .into_iter()
             .filter(|c| c.len() >= t)
             .collect();
@@ -69,7 +83,7 @@ fn kcore_filter_then_enumerate_pipeline() {
 fn worlds_frequencies_consistent_with_alpha() {
     let g = random_graph(12, 0.6, 7);
     let alpha = 0.2;
-    let cliques = mule::enumerate_maximal_cliques(&g, alpha).unwrap();
+    let cliques = cliques(Query::new(&g).alpha(alpha));
     let mut rng = rng_from_seed(3);
     for c in cliques.iter().take(5) {
         let (clq_freq, max_freq) = worlds::maximality_frequency(&g, c, 30_000, &mut rng);
@@ -103,7 +117,12 @@ fn topk_semantics_agree_in_the_high_probability_regime() {
     let g = b.build();
     // α low enough that every skeleton clique qualifies.
     let alpha = 1e-3;
-    let alpha_top = mule::topk::top_k_maximal_cliques(&g, alpha, 3).unwrap();
+    let alpha_top = Query::new(&g)
+        .alpha(alpha)
+        .prepare()
+        .unwrap()
+        .top_k(3)
+        .unwrap();
     let (zou_top, _) = zou_topk::zou_top_k(&g, 3, 0.0);
     let a: Vec<_> = alpha_top.iter().map(|(c, _)| c.clone()).collect();
     let z: Vec<_> = zou_top.iter().map(|(c, _)| c.clone()).collect();
@@ -125,7 +144,7 @@ fn planted_instances_recovered_and_verified() {
     let mut rng = rng_from_seed(99);
     let inst = planted_cliques(params, &mut rng);
     let alpha = inst.plant_clique_prob * 0.9;
-    let mined = mule::enumerate_maximal_cliques(&inst.graph, alpha).unwrap();
+    let mined = cliques(Query::new(&inst.graph).alpha(alpha));
     for plant in &inst.plants {
         assert!(mined.contains(plant), "plant {plant:?} not recovered");
     }
@@ -140,11 +159,9 @@ fn verifier_cross_checks_all_algorithms() {
     let g = random_graph(15, 0.5, 21);
     let alpha = 0.1;
     let outputs = [
-        mule::enumerate_maximal_cliques(&g, alpha).unwrap(),
-        mule::dfs_noip::enumerate_maximal_cliques_noip(&g, alpha).unwrap(),
-        mule::par_enumerate_maximal_cliques(&g, alpha, 2)
-            .unwrap()
-            .cliques,
+        cliques(Query::new(&g).alpha(alpha)),
+        noip_cliques(&g, alpha),
+        cliques(Query::new(&g).alpha(alpha).threads(2)),
     ];
     for (i, cliques) in outputs.iter().enumerate() {
         let v = verify::verify_complete(&g, alpha, cliques).unwrap();
@@ -167,7 +184,7 @@ fn core_numbers_bound_clique_membership() {
     let alpha = 0.15;
     let pruned = ugraph_core::subgraph::prune_below_alpha(&g, alpha).unwrap();
     let decomp = kcore::CoreDecomposition::compute(&pruned);
-    for c in mule::enumerate_maximal_cliques(&g, alpha).unwrap() {
+    for c in cliques(Query::new(&g).alpha(alpha)) {
         let bound = (c.len() as f64 - 1.0) * alpha;
         for &v in &c {
             assert!(

@@ -16,9 +16,16 @@
 //! so agreement here pins both optimized algorithms to the paper's
 //! Definition 5/6 semantics exactly.
 
-use mule::dfs_noip::enumerate_maximal_cliques_noip;
 use mule::naive::enumerate_naive;
-use ugraph_core::{GraphBuilder, UncertainGraph};
+use ugraph_core::{GraphBuilder, UncertainGraph, VertexId};
+
+/// One direct DFS–NOIP run over the whole graph, cliques sorted.
+fn noip_cliques(g: &UncertainGraph, alpha: f64) -> Vec<Vec<VertexId>> {
+    let mut algo = mule::DfsNoip::new(g, alpha).unwrap();
+    let mut sink = mule::sinks::CollectSink::new();
+    algo.run(&mut sink);
+    sink.into_sorted_cliques()
+}
 
 const ALPHAS: [f64; 3] = [0.1, 0.5, 0.9];
 
@@ -29,12 +36,17 @@ const PROBS: [f64; 6] = [0.05, 0.1, 0.3, 0.5, 0.9, 1.0];
 fn check_all_alphas(g: &UncertainGraph, context: &str) {
     for alpha in ALPHAS {
         let expected = enumerate_naive(g, alpha).unwrap();
-        let mule_out = mule::enumerate_maximal_cliques(g, alpha).unwrap();
+        let mule_out = mule::Query::new(g)
+            .alpha(alpha)
+            .prepare()
+            .unwrap()
+            .sorted_cliques()
+            .unwrap();
         assert_eq!(
             mule_out, expected,
             "MULE disagrees with naive oracle at α={alpha} on {context}"
         );
-        let noip_out = enumerate_maximal_cliques_noip(g, alpha).unwrap();
+        let noip_out = noip_cliques(g, alpha);
         assert_eq!(
             noip_out, expected,
             "DFS-NOIP disagrees with naive oracle at α={alpha} on {context}"
@@ -235,7 +247,13 @@ fn large_mule_arena_matches_filtered_oracle() {
             for t in 2..=4usize {
                 let expected: Vec<Vec<u32>> =
                     all.iter().filter(|c| c.len() >= t).cloned().collect();
-                let got = mule::enumerate_large_maximal_cliques(&g, alpha, t).unwrap();
+                let got = mule::Query::new(&g)
+                    .alpha(alpha)
+                    .min_size(t)
+                    .prepare()
+                    .unwrap()
+                    .sorted_cliques()
+                    .unwrap();
                 assert_eq!(got, expected, "seed={seed} α={alpha} t={t}");
             }
         }

@@ -1,7 +1,7 @@
 //! Parallel MULE determinism (satellite of PR 1, extended to the
 //! work-stealing scheduler in PR 2).
 //!
-//! `par_enumerate_maximal_cliques` promises output *identical* to
+//! The work-stealing driver (`par_enumerate_prepared`) promises output *identical* to
 //! sequential MULE — not just the same set of cliques, but the same
 //! lexicographic order and bit-for-bit equal clique probabilities.
 //! Since PR 2 the scheduler is work-stealing (per-worker deques seeded
@@ -14,9 +14,9 @@
 //! happens, and the stats property pins schedule-independence of the
 //! merged counters (they must equal the sequential run's exactly).
 
-use mule::par_enumerate_maximal_cliques;
+use mule::parallel::ParallelOutput;
 use mule::sinks::CollectSink;
-use mule::Mule;
+use mule::{par_enumerate_prepared, Mule, Query};
 use proptest::prelude::*;
 use ugraph_core::{GraphBuilder, UncertainGraph};
 
@@ -49,6 +49,12 @@ fn sequential_pairs(g: &UncertainGraph, alpha: f64) -> Vec<(Vec<u32>, f64)> {
     pairs
 }
 
+/// The work-stealing driver over the default prepared session of `g`.
+fn parallel(g: &UncertainGraph, alpha: f64, threads: usize) -> ParallelOutput {
+    let session = Query::new(g).alpha(alpha).prepare().unwrap();
+    par_enumerate_prepared(session.instance(), threads)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -60,7 +66,7 @@ proptest! {
     ) {
         let alpha = 0.5f64.powi(alpha_pow as i32);
         let expected = sequential_pairs(&g, alpha);
-        let out = par_enumerate_maximal_cliques(&g, alpha, threads).unwrap();
+        let out = parallel(&g, alpha, threads);
 
         // Same cliques in the same order…
         let got: Vec<&Vec<u32>> = out.cliques.iter().collect();
@@ -82,9 +88,9 @@ proptest! {
         g in arb_graph(12),
         alpha in 0.01f64..0.9,
     ) {
-        let baseline = par_enumerate_maximal_cliques(&g, alpha, 1).unwrap();
+        let baseline = parallel(&g, alpha, 1);
         for threads in [2, 3, 5, 8] {
-            let out = par_enumerate_maximal_cliques(&g, alpha, threads).unwrap();
+            let out = parallel(&g, alpha, threads);
             prop_assert_eq!(&out.cliques, &baseline.cliques, "threads={}", threads);
             let bits: Vec<u64> = out.probs.iter().map(|p| p.to_bits()).collect();
             let base_bits: Vec<u64> = baseline.probs.iter().map(|p| p.to_bits()).collect();
@@ -99,7 +105,7 @@ proptest! {
         threads in 1usize..=6,
     ) {
         let alpha = 0.5f64.powi(alpha_pow as i32);
-        let out = par_enumerate_maximal_cliques(&g, alpha, threads).unwrap();
+        let out = parallel(&g, alpha, threads);
         prop_assert_eq!(out.stats.emitted as usize, out.cliques.len());
     }
 
@@ -116,7 +122,7 @@ proptest! {
         let mut m = Mule::new(&g, alpha).unwrap();
         let mut sink = mule::sinks::CountSink::new();
         m.run(&mut sink);
-        let out = par_enumerate_maximal_cliques(&g, alpha, threads).unwrap();
+        let out = parallel(&g, alpha, threads);
         prop_assert_eq!(&out.stats, m.stats(), "threads={}", threads);
     }
 
@@ -145,7 +151,7 @@ proptest! {
         let g = b.build();
         let expected = sequential_pairs(&g, alpha);
         for threads in [1usize, 2, 4, 8] {
-            let out = par_enumerate_maximal_cliques(&g, alpha, threads).unwrap();
+            let out = parallel(&g, alpha, threads);
             let got: Vec<(Vec<u32>, u64)> =
                 out.cliques.into_iter().zip(out.probs.iter().map(|p| p.to_bits())).collect();
             let want: Vec<(Vec<u32>, u64)> =

@@ -8,8 +8,8 @@
 //! α, `min_size`, and config variants and compare exactly — this is the
 //! acceptance pin for the "byte-identical on default settings" claim.
 
-use mule::sinks::CollectSink;
-use mule::{LargeMule, Mule, PrepareConfig};
+use mule::sinks::{CollectSink, TopKSink};
+use mule::{LargeMule, Mule, PrepareConfig, Query};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use ugraph_core::{GraphBuilder, UncertainGraph, VertexId};
 
@@ -213,7 +213,10 @@ fn parallel_pipeline_matches_direct_sequential() {
         for alpha in [0.5, 0.05] {
             let expected = direct_mule(&g, alpha);
             for threads in [1usize, 2, 5] {
-                let out = mule::par_enumerate_maximal_cliques(&g, alpha, threads).unwrap();
+                let out = mule::par_enumerate_prepared(
+                    Query::new(&g).alpha(alpha).prepare().unwrap().instance(),
+                    threads,
+                );
                 let got: Vec<(Vec<VertexId>, u64)> = out
                     .cliques
                     .into_iter()
@@ -241,9 +244,12 @@ fn topk_pipeline_matches_direct_selection() {
             all.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
             for k in [1usize, 4, 9] {
                 let expected: Vec<(Vec<VertexId>, f64)> = all.iter().take(k).cloned().collect();
-                let got = mule::topk::top_k_maximal_cliques(&g, alpha, k).unwrap();
+                let mut session = Query::new(&g).alpha(alpha).prepare().unwrap();
+                let mut sink = TopKSink::new(k);
+                session.stream(&mut sink).unwrap();
+                let got = sink.into_sorted();
                 assert_eq!(got, expected, "seed={seed} α={alpha} k={k} (baseline)");
-                let pruned = mule::topk::top_k_maximal_cliques_pruned(&g, alpha, k).unwrap();
+                let pruned = session.top_k(k).unwrap();
                 assert_eq!(pruned, expected, "seed={seed} α={alpha} k={k} (pruned)");
             }
         }

@@ -8,8 +8,9 @@
 //! * serialization round-trips preserve graphs exactly.
 
 use mule::bounds::max_alpha_maximal_cliques;
+use mule::Query;
 use proptest::prelude::*;
-use ugraph_core::{clique, subgraph, GraphBuilder, UncertainGraph};
+use ugraph_core::{clique, subgraph, GraphBuilder, UncertainGraph, VertexId};
 
 /// Strategy: a random uncertain graph on up to `max_n` vertices with
 /// dyadic probabilities (exact FP products — see tests/cross_algorithm.rs)
@@ -31,12 +32,19 @@ fn dyadic_graph_and_alpha(max_n: usize) -> impl Strategy<Value = (UncertainGraph
     })
 }
 
+/// Every qualifying clique of a query's session, in emission order
+/// (lexicographic, on the default engine).
+fn cliques(query: Query) -> Vec<Vec<VertexId>> {
+    let pairs = query.prepare().unwrap().collect().unwrap();
+    pairs.into_iter().map(|(c, _)| c).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn mule_output_is_sound_and_canonical((g, alpha) in dyadic_graph_and_alpha(12)) {
-        let cliques = mule::enumerate_maximal_cliques(&g, alpha).unwrap();
+        let cliques = cliques(Query::new(&g).alpha(alpha));
         for c in &cliques {
             // Canonical form: strictly increasing vertex ids.
             prop_assert!(c.windows(2).all(|w| w[0] < w[1]), "{c:?} not sorted");
@@ -50,7 +58,7 @@ proptest! {
 
     #[test]
     fn mule_output_is_nonredundant_and_bounded((g, alpha) in dyadic_graph_and_alpha(12)) {
-        let cliques = mule::enumerate_maximal_cliques(&g, alpha).unwrap();
+        let cliques = cliques(Query::new(&g).alpha(alpha));
         // No duplicates (list is sorted lexicographically).
         for w in cliques.windows(2) {
             prop_assert!(w[0] != w[1], "duplicate emission {:?}", w[0]);
@@ -74,7 +82,7 @@ proptest! {
     #[test]
     fn mule_equals_naive((g, alpha) in dyadic_graph_and_alpha(10)) {
         prop_assert_eq!(
-            mule::enumerate_maximal_cliques(&g, alpha).unwrap(),
+            cliques(Query::new(&g).alpha(alpha)),
             mule::naive::enumerate_naive(&g, alpha).unwrap()
         );
     }
@@ -84,8 +92,8 @@ proptest! {
         // Observation 3: dropping sub-threshold edges changes nothing.
         let pruned = subgraph::prune_below_alpha(&g, alpha).unwrap();
         prop_assert_eq!(
-            mule::enumerate_maximal_cliques(&pruned, alpha).unwrap(),
-            mule::enumerate_maximal_cliques(&g, alpha).unwrap()
+            cliques(Query::new(&pruned).alpha(alpha)),
+            cliques(Query::new(&g).alpha(alpha))
         );
     }
 
@@ -94,13 +102,12 @@ proptest! {
         (g, alpha) in dyadic_graph_and_alpha(12),
         t in 2usize..=5,
     ) {
-        let expected: Vec<_> = mule::enumerate_maximal_cliques(&g, alpha)
-            .unwrap()
+        let expected: Vec<_> = cliques(Query::new(&g).alpha(alpha))
             .into_iter()
             .filter(|c| c.len() >= t)
             .collect();
         prop_assert_eq!(
-            mule::enumerate_large_maximal_cliques(&g, alpha, t).unwrap(),
+            cliques(Query::new(&g).alpha(alpha).min_size(t)),
             expected
         );
     }
@@ -112,7 +119,7 @@ proptest! {
     ) {
         let (pruned, _) = mule::pruning::shared_neighborhood_filter(&g, alpha, t).unwrap();
         // Every α-maximal clique of size ≥ t must survive edge-for-edge.
-        for c in mule::enumerate_maximal_cliques(&g, alpha).unwrap() {
+        for c in cliques(Query::new(&g).alpha(alpha)) {
             if c.len() >= t {
                 for (i, &u) in c.iter().enumerate() {
                     for &v in &c[i + 1..] {
@@ -129,7 +136,7 @@ proptest! {
     #[test]
     fn clique_probability_monotone_under_subsets((g, _alpha) in dyadic_graph_and_alpha(10)) {
         // Observation 2 on every maximal clique and each of its prefixes.
-        for c in mule::enumerate_maximal_cliques(&g, 0.015625).unwrap() {
+        for c in cliques(Query::new(&g).alpha(0.015625)) {
             if let Some(q_full) = clique::clique_probability(&g, &c) {
                 for k in 0..c.len() {
                     let q_prefix = clique::clique_probability(&g, &c[..k]).unwrap();
@@ -171,7 +178,7 @@ proptest! {
         use rand::SeedableRng;
         let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
         // Check the first maximal clique at a permissive threshold.
-        if let Some(c) = mule::enumerate_maximal_cliques(&g, 0.0009765625).unwrap().first() {
+        if let Some(c) = cliques(Query::new(&g).alpha(0.0009765625)).first() {
             let exact = clique::clique_probability(&g, c).unwrap();
             let est = ugraph_core::sample::estimate_clique_probability(&g, c, 40_000, &mut rng);
             prop_assert!((est - exact).abs() < 0.03, "{est} vs {exact} for {c:?}");

@@ -15,7 +15,12 @@ fn lemma1_construction_attains_the_bound() {
     for n in 2..=16 {
         for alpha in [0.1, 0.5, 0.9] {
             let g = lemma1_graph(n, alpha);
-            let count = mule::count_maximal_cliques(&g, alpha).unwrap();
+            let count = mule::Query::new(&g)
+                .alpha(alpha)
+                .prepare()
+                .unwrap()
+                .count()
+                .unwrap();
             assert_eq!(
                 count as u128,
                 max_alpha_maximal_cliques(n as u64).unwrap(),
@@ -43,7 +48,12 @@ fn no_random_graph_exceeds_the_bound() {
         }
         let g = b.build();
         for alpha in [0.9, 0.5, 0.1, 0.01, 0.001] {
-            let count = mule::count_maximal_cliques(&g, alpha).unwrap();
+            let count = mule::Query::new(&g)
+                .alpha(alpha)
+                .prepare()
+                .unwrap()
+                .count()
+                .unwrap();
             assert!(
                 (count as u128) <= max_alpha_maximal_cliques(n as u64).unwrap(),
                 "trial={trial} n={n} α={alpha}: {count}"
@@ -64,7 +74,12 @@ fn moon_moser_family_attains_its_bound() {
             "BK n={n}"
         );
         assert_eq!(
-            mule::count_maximal_cliques(&g, 1.0).unwrap() as u128,
+            mule::Query::new(&g)
+                .alpha(1.0)
+                .prepare()
+                .unwrap()
+                .count()
+                .unwrap() as u128,
             moon_moser(n),
             "MULE n={n}"
         );

@@ -1,6 +1,14 @@
-//! Persisting prepared sessions: encode a [`PreparedInstance`] into the
-//! UGQ1 container ([`ugraph_io::catalog`]) and rebuild it — with **zero
-//! pipeline work** — from the bytes.
+//! Persisting prepared sessions: encode a [`PreparedInstance`] or a
+//! [`PreparedBase`] into the UGQ1 container ([`ugraph_io::catalog`]) and
+//! rebuild it — with **zero pipeline work** — from the bytes.
+//!
+//! Sessions reach the codec through [`crate::Prepared::save`] /
+//! [`crate::Query::open`] and their base and either-kind counterparts.
+//! One encoder writes both layouts and one decode entry reads them,
+//! sharing the canonical-order check and the per-component decode; only
+//! the kind's tail is validated separately. The public items here
+//! maintain catalog files: [`append_delta`], [`append_delta_bytes`],
+//! [`pending_deltas`] and [`compact`].
 //!
 //! The io layer owns the container rules (header, TOC, checksums,
 //! strict layout); this module owns what the sections *mean* and is
@@ -71,11 +79,13 @@
 //! `O(n)` disjointness bitmap is allocated), components are ordered by
 //! first original id, and the edge fingerprint bounds `Σ` component
 //! edges (equality at floor `0.0`, where pruning removes nothing).
-//! Opening a base through [`from_bytes`]/[`open`] or a fixed instance
-//! through [`base_from_bytes`]/[`open_base`] fails with the typed
-//! [`CatalogError::WrongKind`] — never a misparse. Callers that learn
-//! the kind from the file use [`any_from_bytes`]/[`open_any`], which
-//! dispatch on the header flag after the same single parse.
+//! The decode entry reads the header's kind flag right after the
+//! checksum pass and before it decodes any section: opening a base
+//! through [`crate::Query::open`] or a fixed instance through
+//! [`crate::Query::open_base`] fails there with the typed
+//! [`CatalogError::WrongKind`] — never a misparse.
+//! [`crate::Query::open_any`] accepts either kind and dispatches on the
+//! same flag after the same single parse.
 //!
 //! # Appended delta sections (`delta.{i}`)
 //!
@@ -92,7 +102,7 @@
 //! mutation can never leave a half-state. The byte-for-byte `delta.{i}`
 //! payload layout is documented in [`ugraph_io::catalog`].
 //!
-//! # What open() validates beyond the checksums
+//! # What the decoder validates beyond the checksums
 //!
 //! * α parses and lies in `(0, 1]`; `index_mode` is a known value.
 //! * Every component graph passes the full CSR invariant check
@@ -177,13 +187,6 @@ fn section_names(cat: &Catalog) -> Vec<&str> {
 /// [`split_delta_names`].
 fn delta_count(cat: &Catalog) -> Result<usize, CatalogError> {
     Ok(split_delta_names(&section_names(cat))?.1)
-}
-
-/// Read a catalog file, after clearing any orphan temp a crashed save
-/// left beside it.
-fn read_image(path: &Path) -> Result<Bytes, CatalogError> {
-    ugraph_io::fault::cleanup_orphan(path);
-    Ok(Bytes::from(std::fs::read(path)?))
 }
 
 fn index_mode_to_u8(mode: IndexMode) -> u8 {
@@ -495,14 +498,78 @@ fn decode_report(payload: &[u8]) -> Result<PrepareReport, CatalogError> {
     })
 }
 
+fn encode_meta(name: &str) -> Vec<u8> {
+    let bytes = name.as_bytes();
+    let mut out = Vec::with_capacity(4 + bytes.len());
+    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+    out.extend_from_slice(bytes);
+    out
+}
+
 // ---------------------------------------------------------------------------
-// Instance ⇄ catalog
+// The codec: one encoder and one decoder for both layouts
 // ---------------------------------------------------------------------------
 
-/// Encode a prepared instance as a UGQ1 byte image.
-pub fn to_bytes(inst: &PreparedInstance) -> Vec<u8> {
-    let cfg = inst.config();
-    let mut flags = 0u32;
+/// The two artifact kinds; the header's [`FLAG_ALPHA_BASE`] bit tells
+/// them apart.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kind {
+    /// A fixed-α prepared instance.
+    Fixed,
+    /// An α-generic base.
+    Base,
+}
+
+impl Kind {
+    fn of(h: &CatalogHeader) -> Kind {
+        if h.flags & FLAG_ALPHA_BASE != 0 {
+            Kind::Base
+        } else {
+            Kind::Fixed
+        }
+    }
+
+    /// The sections that follow the component pairs.
+    fn tail(self) -> &'static [&'static str] {
+        match self {
+            Kind::Fixed => &["singletons", "schedule", "report"],
+            Kind::Base => &["isolated", "base.meta"],
+        }
+    }
+
+    /// The typed error for opening a catalog of this kind through the
+    /// other kind's open path.
+    fn wrong_kind(self) -> CatalogError {
+        match self {
+            Kind::Fixed => CatalogError::WrongKind {
+                found: "a fixed-α prepared instance",
+                expected: "an α-generic base artifact (use the fixed open path)",
+            },
+            Kind::Base => CatalogError::WrongKind {
+                found: "an α-generic base artifact",
+                expected: "a fixed-α prepared instance (use the base open path)",
+            },
+        }
+    }
+}
+
+/// The one encoder. The header carries the kind flag, α (fixed) or the
+/// floor (base), the prepare configuration and the source graph's
+/// fingerprint; the sections are every component's graph/map pair in
+/// canonical order, then the kind's tail.
+fn encode<'a>(
+    kind: Kind,
+    alpha: f64,
+    cfg: &PrepareConfig,
+    original_vertices: usize,
+    original_edges: usize,
+    components: impl Iterator<Item = (&'a UncertainGraph, &'a [VertexId])>,
+    tail: impl IntoIterator<Item = Vec<u8>>,
+) -> Vec<u8> {
+    let mut flags = match kind {
+        Kind::Fixed => 0,
+        Kind::Base => FLAG_ALPHA_BASE,
+    };
     if cfg.core_filter {
         flags |= FLAG_CORE_FILTER;
     }
@@ -515,31 +582,52 @@ pub fn to_bytes(inst: &PreparedInstance) -> Vec<u8> {
     let mut writer = CatalogWriter::new(CatalogHeader {
         flags,
         index_mode: index_mode_to_u8(cfg.mule.index_mode),
-        alpha_bits: inst.alpha().to_bits(),
+        alpha_bits: alpha.to_bits(),
         min_size: cfg.min_size as u64,
         dense_index_bytes: cfg.mule.dense_index_bytes as u64,
         max_index_bytes: cfg.mule.max_index_bytes as u64,
-        original_vertices: inst.original_vertices() as u64,
-        original_edges: inst.report().original_edges as u64,
+        original_vertices: original_vertices as u64,
+        original_edges: original_edges as u64,
         content_hash: 0, // computed by the writer
     });
-    for (i, (g, map)) in inst.components().enumerate() {
+    for (i, (g, map)) in components.enumerate() {
         writer.add_section(format!("component.{i}.graph"), encode_graph(g));
         writer.add_section(format!("component.{i}.map"), encode_ids(map));
     }
-    writer.add_section("singletons", encode_ids(inst.singletons()));
-    writer.add_section("schedule", encode_schedule(inst.schedule()));
-    writer.add_section("report", encode_report(inst.report()));
+    for (name, payload) in kind.tail().iter().zip(tail) {
+        writer.add_section(*name, payload);
+    }
     writer.finish()
 }
 
-/// Encode a prepared instance and write it to `path` atomically and
-/// durably (temp file + fsync + rename; see
-/// [`ugraph_io::fault::write_atomic`]). On error, prior contents of
-/// `path` are intact.
-pub fn save(inst: &PreparedInstance, path: impl AsRef<Path>) -> Result<(), CatalogError> {
-    ugraph_io::fault::write_atomic(path.as_ref(), &to_bytes(inst))?;
-    Ok(())
+/// Encode a prepared instance as a UGQ1 byte image.
+pub(crate) fn to_bytes(inst: &PreparedInstance) -> Vec<u8> {
+    encode(
+        Kind::Fixed,
+        inst.alpha(),
+        inst.config(),
+        inst.original_vertices(),
+        inst.report().original_edges,
+        inst.components(),
+        [
+            encode_ids(inst.singletons()),
+            encode_schedule(inst.schedule()),
+            encode_report(inst.report()),
+        ],
+    )
+}
+
+/// Encode a prepared base as a flagged-UGQ1 byte image.
+pub(crate) fn base_to_bytes(base: &PreparedBase) -> Vec<u8> {
+    encode(
+        Kind::Base,
+        base.floor(),
+        base.config(),
+        base.original_vertices(),
+        base.original_edges(),
+        base.components(),
+        [encode_ids(base.isolated()), encode_meta(base.graph_name())],
+    )
 }
 
 /// Bounded original-vertex count from the header fingerprint.
@@ -577,105 +665,85 @@ fn config_from_header(h: &CatalogHeader) -> Result<PrepareConfig, CatalogError> 
     })
 }
 
-// ---------------------------------------------------------------------------
-// Base ⇄ catalog (the α-generic layout)
-// ---------------------------------------------------------------------------
-
-fn encode_meta(name: &str) -> Vec<u8> {
-    let bytes = name.as_bytes();
-    let mut out = Vec::with_capacity(4 + bytes.len());
-    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-    out.extend_from_slice(bytes);
-    out
+/// Read a catalog file, after clearing any orphan temp a crashed save
+/// left beside it.
+pub(crate) fn read_image(path: &Path) -> Result<Vec<u8>, CatalogError> {
+    ugraph_io::fault::cleanup_orphan(path);
+    Ok(std::fs::read(path)?)
 }
 
-/// Encode a prepared base as a flagged-UGQ1 byte image (see the module
-/// docs for the section layout).
-pub fn base_to_bytes(base: &PreparedBase) -> Vec<u8> {
-    let cfg = base.config();
-    let mut flags = FLAG_ALPHA_BASE;
-    if cfg.core_filter {
-        flags |= FLAG_CORE_FILTER;
-    }
-    if cfg.shared_neighborhood {
-        flags |= FLAG_SHARED_NEIGHBORHOOD;
-    }
-    if cfg.shard_components {
-        flags |= FLAG_SHARD_COMPONENTS;
-    }
-    let mut writer = CatalogWriter::new(CatalogHeader {
-        flags,
-        index_mode: index_mode_to_u8(cfg.mule.index_mode),
-        alpha_bits: base.floor().to_bits(),
-        min_size: cfg.min_size as u64,
-        dense_index_bytes: cfg.mule.dense_index_bytes as u64,
-        max_index_bytes: cfg.mule.max_index_bytes as u64,
-        original_vertices: base.original_vertices() as u64,
-        original_edges: base.original_edges() as u64,
-        content_hash: 0, // computed by the writer
-    });
-    for (i, (g, map)) in base.components().enumerate() {
-        writer.add_section(format!("component.{i}.graph"), encode_graph(g));
-        writer.add_section(format!("component.{i}.map"), encode_ids(map));
-    }
-    writer.add_section("isolated", encode_ids(base.isolated()));
-    writer.add_section("base.meta", encode_meta(base.graph_name()));
-    writer.finish()
-}
-
-/// Encode a prepared base and write it to `path` atomically and
-/// durably (temp file + fsync + rename; see
-/// [`ugraph_io::fault::write_atomic`]). On error, prior contents of
-/// `path` are intact.
-pub fn save_base(base: &PreparedBase, path: impl AsRef<Path>) -> Result<(), CatalogError> {
-    ugraph_io::fault::write_atomic(path.as_ref(), &base_to_bytes(base))?;
-    Ok(())
-}
-
-/// Rebuild a prepared base from a flagged-UGQ1 byte image, re-validating
-/// every semantic invariant the refinement path relies on (see the
-/// module docs). Runs no pipeline stage; the per-component neighborhood
-/// indexes are rebuilt deterministically, exactly as in [`from_bytes`].
-pub fn base_from_bytes(data: Bytes) -> Result<PreparedBase, CatalogError> {
+/// The one decode entry. Parses the image, checksums every section
+/// once, and checks the header's kind flag against `want` (`None` =
+/// either kind) before any section is decoded. It then rebuilds the
+/// artifact the flag names — re-validating every semantic invariant
+/// (see the module docs), running **no** pipeline stage — replays any
+/// appended deltas, and hands the result to `fixed` or `base`.
+pub(crate) fn decode<T>(
+    data: Bytes,
+    want: Option<Kind>,
+    fixed: impl FnOnce(PreparedInstance) -> T,
+    base: impl FnOnce(PreparedBase) -> T,
+) -> Result<T, CatalogError> {
     let cat = Catalog::from_bytes(data)?;
-    decode_base(&cat.verify()?)
+    decode_sections(&cat.verify()?, want, fixed, base)
 }
 
-/// [`base_from_bytes`] over an already verified catalog. Sections are
-/// reached by TOC position once the canonical order is confirmed, so no
-/// payload is checksummed again.
-fn decode_base(sections: &VerifiedSections<'_>) -> Result<PreparedBase, CatalogError> {
-    let cat = sections.catalog();
-    let h = *cat.header();
-    if h.flags & FLAG_ALPHA_BASE == 0 {
-        return Err(CatalogError::WrongKind {
-            found: "a fixed-α prepared instance",
-            expected: "an α-generic base artifact (use the fixed open path)",
-        });
+/// [`decode`] over an already verified catalog. Sections are reached by
+/// TOC position once the canonical order is confirmed, so no payload is
+/// checksummed again.
+fn decode_sections<T>(
+    sections: &VerifiedSections<'_>,
+    want: Option<Kind>,
+    fixed: impl FnOnce(PreparedInstance) -> T,
+    base: impl FnOnce(PreparedBase) -> T,
+) -> Result<T, CatalogError> {
+    let h = *sections.catalog().header();
+    let kind = Kind::of(&h);
+    if want.is_some_and(|w| w != kind) {
+        return Err(kind.wrong_kind());
     }
-
-    // The floor is an α-*bound*, not a query α: 0.0 (prune nothing) is
-    // legal here and only here, so validate the range by hand.
-    let floor = f64::from_bits(h.alpha_bits);
-    if !(0.0..=1.0).contains(&floor) {
+    // A fixed catalog stores its query α; a base stores its floor, an
+    // α-*bound* for which 0.0 (prune nothing) is legal.
+    let bound = f64::from_bits(h.alpha_bits);
+    if kind == Kind::Fixed {
+        UncertainGraph::validate_alpha(bound).map_err(|e| corrupt(e.to_string()))?;
+    } else if !(0.0..=1.0).contains(&bound) {
         // NaN fails the range test too.
-        return Err(corrupt(format!("α-floor {floor} outside [0, 1]")));
+        return Err(corrupt(format!("α-floor {bound} outside [0, 1]")));
     }
     let original_n = original_n_from_header(&h)?;
     let cfg = config_from_header(&h)?;
+    match kind {
+        Kind::Fixed => decode_instance(sections, bound, original_n, cfg).map(fixed),
+        Kind::Base => decode_base(sections, &h, bound, original_n, cfg).map(base),
+    }
+}
 
-    // Canonical section order: k graph/map pairs, then isolated, then
-    // base.meta — nothing else, nothing moved — optionally followed by
-    // appended `delta.{i}` sections, replayed after assembly.
-    let all_names = section_names(cat);
-    let (names, delta_count) = split_delta_names(&all_names)?;
-    if names.len() < 2 || !(names.len() - 2).is_multiple_of(2) {
+/// The half of the decode both layouts share. Checks the canonical
+/// section order — `(component.i.graph, component.i.map)* ‖ tail`,
+/// nothing else, nothing moved — optionally followed by a contiguous
+/// run of appended `delta.{i}` sections ([`append_delta`]). Then decodes
+/// every component pair in order — graph edges bounded below by
+/// `bound`, map ids in range and one per graph vertex — and hands each
+/// to `each`, which runs the kind's own per-component checks. Returns
+/// the component count `k` and the number of appended deltas.
+fn decode_components(
+    sections: &VerifiedSections<'_>,
+    tail: &[&str],
+    bound: f64,
+    original_n: usize,
+    mut each: impl FnMut(usize, UncertainGraph, Vec<VertexId>) -> Result<(), CatalogError>,
+) -> Result<(usize, usize), CatalogError> {
+    let all_names = section_names(sections.catalog());
+    let (names, deltas) = split_delta_names(&all_names)?;
+    if names.len() < tail.len() || !(names.len() - tail.len()).is_multiple_of(2) {
         return Err(corrupt(format!(
-            "TOC has {} sections; expected 2·k + 2 for a base catalog",
-            names.len()
+            "TOC has {} sections; expected 2·k + {} (then {tail:?})",
+            names.len(),
+            tail.len()
         )));
     }
-    let k = (names.len() - 2) / 2;
+    let k = (names.len() - tail.len()) / 2;
     for i in 0..k {
         if names[2 * i] != format!("component.{i}.graph")
             || names[2 * i + 1] != format!("component.{i}.map")
@@ -687,20 +755,14 @@ fn decode_base(sections: &VerifiedSections<'_>) -> Result<PreparedBase, CatalogE
             )));
         }
     }
-    if names[2 * k..] != ["isolated", "base.meta"] {
+    if names[2 * k..] != *tail {
         return Err(corrupt(format!(
             "sections out of canonical order in the tail (found {:?})",
             &names[2 * k..]
         )));
     }
-
-    let mut parts: Vec<(UncertainGraph, Vec<VertexId>)> = Vec::with_capacity(k);
-    let mut component_edges = 0usize;
-    let mut covered = 0usize;
     for i in 0..k {
-        // decode_graph's min-probability bound doubles as the floor
-        // precondition: every stored edge must carry p ≥ floor.
-        let g = decode_graph(sections.payload(2 * i), floor, names[2 * i])?;
+        let g = decode_graph(sections.payload(2 * i), bound, names[2 * i])?;
         let map = decode_ids(sections.payload(2 * i + 1), original_n, names[2 * i + 1])?;
         if map.len() != g.num_vertices() {
             return Err(corrupt(format!(
@@ -709,31 +771,115 @@ fn decode_base(sections: &VerifiedSections<'_>) -> Result<PreparedBase, CatalogE
                 g.num_vertices()
             )));
         }
-        if g.num_vertices() < 2 {
-            return Err(corrupt(format!(
-                "base component {i} has {} vertices; isolated vertices belong in the isolated section",
-                g.num_vertices()
-            )));
-        }
-        // Connectivity is load-bearing: refine's untouched fast path
-        // shares a base component *as is*, assuming it is one component.
-        if Components::compute(&g).count() != 1 {
-            return Err(corrupt(format!("base component {i} is not connected")));
-        }
-        // Components are emitted in discovery order from ascending BFS
-        // roots, so first original ids strictly increase.
-        if let Some((_, prev_map)) = parts.last() {
-            if map[0] <= prev_map[0] {
+        each(i, g, map)?;
+    }
+    Ok((k, deltas))
+}
+
+/// The fixed layout's tail: `singletons`, `schedule`, `report`.
+fn decode_instance(
+    sections: &VerifiedSections<'_>,
+    alpha: f64,
+    original_n: usize,
+    cfg: PrepareConfig,
+) -> Result<PreparedInstance, CatalogError> {
+    let h = sections.catalog().header();
+    let mut components = Vec::new();
+    let (k, deltas) = decode_components(
+        sections,
+        Kind::Fixed.tail(),
+        alpha,
+        original_n,
+        |_, g, map| {
+            components.push(PreparedComponent {
+                kernel: Kernel::wrap(g, alpha, &cfg.mule),
+                to_original: map,
+            });
+            Ok(())
+        },
+    )?;
+    let singletons = decode_ids(sections.payload(2 * k), original_n, "singletons")?;
+    if cfg.min_size >= 2 && !singletons.is_empty() {
+        return Err(corrupt(
+            "singletons present although min_size ≥ 2 excludes them",
+        ));
+    }
+    let schedule = decode_schedule(sections.payload(2 * k + 1), &components, &singletons)?;
+    let report = decode_report(sections.payload(2 * k + 2))?;
+    if report.original_vertices as u64 != h.original_vertices
+        || report.original_edges as u64 != h.original_edges
+    {
+        return Err(corrupt(
+            "report counters disagree with the header's graph fingerprint",
+        ));
+    }
+
+    // The graph name is only observable on whole-graph instances (the
+    // identity fast path / shard-off store the input graph verbatim,
+    // name included; component subgraphs carry `""`). Recover it so
+    // delta replay rebuilds byte-identical merged graphs.
+    let name = components
+        .iter()
+        .find(|pc| pc.to_original.len() == original_n)
+        .map(|pc| pc.kernel.g.name().to_string())
+        .unwrap_or_default();
+    let mut inst = PreparedInstance::from_parts(
+        alpha, cfg, original_n, name, components, singletons, schedule, report,
+    );
+    replay_deltas(sections, 2 * k + 3, deltas, |d| {
+        crate::delta::apply_instance(&mut inst, d)
+    })?;
+    Ok(inst)
+}
+
+/// The base layout's per-component obligations and its tail:
+/// `isolated`, `base.meta`.
+fn decode_base(
+    sections: &VerifiedSections<'_>,
+    h: &CatalogHeader,
+    floor: f64,
+    original_n: usize,
+    cfg: PrepareConfig,
+) -> Result<PreparedBase, CatalogError> {
+    let mut parts: Vec<(UncertainGraph, Vec<VertexId>)> = Vec::new();
+    let mut component_edges = 0usize;
+    let mut covered = 0usize;
+    // decode_graph's min-probability bound doubles as the floor
+    // precondition: every stored edge must carry p ≥ floor.
+    let (k, deltas) = decode_components(
+        sections,
+        Kind::Base.tail(),
+        floor,
+        original_n,
+        |i, g, map| {
+            if g.num_vertices() < 2 {
                 return Err(corrupt(format!(
-                    "base component {i} out of order (first id {} after {})",
-                    map[0], prev_map[0]
+                    "base component {i} has {} vertices; isolated vertices belong in the isolated section",
+                    g.num_vertices()
                 )));
             }
-        }
-        component_edges += g.num_edges();
-        covered += map.len();
-        parts.push((g, map));
-    }
+            // Connectivity is load-bearing: refine's untouched fast path
+            // shares a base component *as is*, assuming it is one
+            // component.
+            if Components::compute(&g).count() != 1 {
+                return Err(corrupt(format!("base component {i} is not connected")));
+            }
+            // Components are emitted in discovery order from ascending
+            // BFS roots, so first original ids strictly increase.
+            if let Some((_, prev_map)) = parts.last() {
+                if map[0] <= prev_map[0] {
+                    return Err(corrupt(format!(
+                        "base component {i} out of order (first id {} after {})",
+                        map[0], prev_map[0]
+                    )));
+                }
+            }
+            component_edges += g.num_edges();
+            covered += map.len();
+            parts.push((g, map));
+            Ok(())
+        },
+    )?;
 
     let isolated = decode_ids(sections.payload(2 * k), original_n, "isolated")?;
     // Exactly-once coverage: the cheap sum first (bounding the bitmap
@@ -791,132 +937,14 @@ fn decode_base(sections: &VerifiedSections<'_>) -> Result<PreparedBase, CatalogE
         parts,
         isolated,
     );
-    replay_deltas(sections, names.len(), delta_count, |d| {
+    replay_deltas(sections, 2 * k + 2, deltas, |d| {
         crate::delta::apply_base(&mut base, d)
     })?;
     Ok(base)
 }
 
-/// Read and rebuild a prepared base from a catalog file, after
-/// clearing any orphan temp a crashed save left beside it.
-pub fn open_base(path: impl AsRef<Path>) -> Result<PreparedBase, CatalogError> {
-    base_from_bytes(read_image(path.as_ref())?)
-}
-
-/// Rebuild a prepared instance from a UGQ1 byte image, re-validating
-/// every semantic invariant (see the module docs). Runs **no** pipeline
-/// stage: `prepare::pipeline_invocations()` is untouched; the only
-/// rebuilt artifact is the deterministic per-component neighborhood
-/// index.
-pub fn from_bytes(data: Bytes) -> Result<PreparedInstance, CatalogError> {
-    let cat = Catalog::from_bytes(data)?;
-    // The open path loads every section, so verify everything up front:
-    // all payload checksums plus the header's whole-payload hash.
-    decode_instance(&cat.verify()?)
-}
-
-/// [`from_bytes`] over an already verified catalog; like
-/// [`decode_base`], it reads payloads by TOC position without
-/// checksumming them again.
-fn decode_instance(sections: &VerifiedSections<'_>) -> Result<PreparedInstance, CatalogError> {
-    let cat = sections.catalog();
-    let h = *cat.header();
-    if h.flags & FLAG_ALPHA_BASE != 0 {
-        return Err(CatalogError::WrongKind {
-            found: "an α-generic base artifact",
-            expected: "a fixed-α prepared instance (use the base open path)",
-        });
-    }
-
-    let alpha = f64::from_bits(h.alpha_bits);
-    UncertainGraph::validate_alpha(alpha).map_err(|e| corrupt(e.to_string()))?;
-    let original_n = original_n_from_header(&h)?;
-    let cfg = config_from_header(&h)?;
-
-    // Canonical section order is part of the format: k graph/map pairs,
-    // then singletons, schedule, report — nothing else, nothing moved —
-    // optionally followed by a contiguous run of appended `delta.{i}`
-    // sections ([`append_delta`]), replayed after assembly below.
-    let all_names = section_names(cat);
-    let (names, delta_count) = split_delta_names(&all_names)?;
-    if names.len() < 3 || !(names.len() - 3).is_multiple_of(2) {
-        return Err(corrupt(format!(
-            "TOC has {} sections; expected 2·k + 3",
-            names.len()
-        )));
-    }
-    let k = (names.len() - 3) / 2;
-    for i in 0..k {
-        if names[2 * i] != format!("component.{i}.graph")
-            || names[2 * i + 1] != format!("component.{i}.map")
-        {
-            return Err(corrupt(format!(
-                "sections out of canonical order at component {i} (found {:?}, {:?})",
-                names[2 * i],
-                names[2 * i + 1]
-            )));
-        }
-    }
-    if names[2 * k..] != ["singletons", "schedule", "report"] {
-        return Err(corrupt(format!(
-            "sections out of canonical order in the tail (found {:?})",
-            &names[2 * k..]
-        )));
-    }
-
-    let mut components = Vec::with_capacity(k);
-    for i in 0..k {
-        let g = decode_graph(sections.payload(2 * i), alpha, names[2 * i])?;
-        let map = decode_ids(sections.payload(2 * i + 1), original_n, names[2 * i + 1])?;
-        if map.len() != g.num_vertices() {
-            return Err(corrupt(format!(
-                "component {i}: map has {} ids for a {}-vertex graph",
-                map.len(),
-                g.num_vertices()
-            )));
-        }
-        components.push(PreparedComponent {
-            kernel: Kernel::wrap(g, alpha, &cfg.mule),
-            to_original: map,
-        });
-    }
-
-    let singletons = decode_ids(sections.payload(2 * k), original_n, "singletons")?;
-    if cfg.min_size >= 2 && !singletons.is_empty() {
-        return Err(corrupt(
-            "singletons present although min_size ≥ 2 excludes them",
-        ));
-    }
-    let schedule = decode_schedule(sections.payload(2 * k + 1), &components, &singletons)?;
-    let report = decode_report(sections.payload(2 * k + 2))?;
-    if report.original_vertices as u64 != h.original_vertices
-        || report.original_edges as u64 != h.original_edges
-    {
-        return Err(corrupt(
-            "report counters disagree with the header's graph fingerprint",
-        ));
-    }
-
-    // The graph name is only observable on whole-graph instances (the
-    // identity fast path / shard-off store the input graph verbatim,
-    // name included; component subgraphs carry `""`). Recover it so
-    // delta replay rebuilds byte-identical merged graphs.
-    let name = components
-        .iter()
-        .find(|pc| pc.to_original.len() == original_n)
-        .map(|pc| pc.kernel.g.name().to_string())
-        .unwrap_or_default();
-    let mut inst = PreparedInstance::from_parts(
-        alpha, cfg, original_n, name, components, singletons, schedule, report,
-    );
-    replay_deltas(sections, names.len(), delta_count, |d| {
-        crate::delta::apply_instance(&mut inst, d)
-    })?;
-    Ok(inst)
-}
-
 /// Replay the appended `delta.{i}` sections — TOC positions
-/// `core_len..core_len + delta_count` — in order, through `apply`.
+/// `core_len..core_len + deltas` — in order, through `apply`.
 /// The header fingerprint and every structural check describe the
 /// pre-delta core artifact — they ran before this. A batch that fails
 /// to decode or apply makes the whole catalog a typed corruption error
@@ -925,61 +953,16 @@ fn decode_instance(sections: &VerifiedSections<'_>) -> Result<PreparedInstance, 
 fn replay_deltas(
     sections: &VerifiedSections<'_>,
     core_len: usize,
-    delta_count: usize,
+    deltas: usize,
     mut apply: impl FnMut(&GraphDelta) -> Result<(), MuleError>,
 ) -> Result<(), CatalogError> {
-    for i in 0..delta_count {
+    for i in 0..deltas {
         let sec = format!("delta.{i}");
         let delta = GraphDelta::from_bytes(sections.payload(core_len + i))
             .map_err(|e| corrupt(format!("{sec}: {e}")))?;
         apply(&delta).map_err(|e| corrupt(format!("{sec}: {e}")))?;
     }
     Ok(())
-}
-
-/// Read and rebuild a prepared instance from a catalog file, after
-/// clearing any orphan temp a crashed save left beside it.
-pub fn open(path: impl AsRef<Path>) -> Result<PreparedInstance, CatalogError> {
-    from_bytes(read_image(path.as_ref())?)
-}
-
-// ---------------------------------------------------------------------------
-// Either kind: one parse, one checksum pass
-// ---------------------------------------------------------------------------
-
-/// What a catalog holds. The header's [`FLAG_ALPHA_BASE`] tells the
-/// two layouts apart.
-// Both variants are moved once per open; boxing buys nothing.
-#[allow(clippy::large_enum_variant)]
-pub enum Artifact {
-    /// A fixed-α prepared instance ([`save`]).
-    Instance(PreparedInstance),
-    /// An α-generic base ([`save_base`]).
-    Base(PreparedBase),
-}
-
-/// Rebuild whichever artifact a catalog image holds — the open for
-/// callers that learn the kind from the file. The image is parsed once
-/// and each payload checksummed once; the typed errors are those of
-/// [`from_bytes`] and [`base_from_bytes`], except that the kind can
-/// never be wrong.
-pub fn any_from_bytes(data: Bytes) -> Result<Artifact, CatalogError> {
-    let cat = Catalog::from_bytes(data)?;
-    decode_any(&cat.verify()?)
-}
-
-/// [`any_from_bytes`] over a catalog file, after clearing any orphan
-/// temp a crashed save left beside it.
-pub fn open_any(path: impl AsRef<Path>) -> Result<Artifact, CatalogError> {
-    any_from_bytes(read_image(path.as_ref())?)
-}
-
-fn decode_any(sections: &VerifiedSections<'_>) -> Result<Artifact, CatalogError> {
-    if sections.catalog().header().flags & FLAG_ALPHA_BASE != 0 {
-        decode_base(sections).map(Artifact::Base)
-    } else {
-        decode_instance(sections).map(Artifact::Instance)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1002,7 +985,7 @@ fn decode_any(sections: &VerifiedSections<'_>) -> Result<Artifact, CatalogError>
 /// so a catalog that passed `append_delta` always reopens.
 pub fn append_delta(path: impl AsRef<Path>, delta: &GraphDelta) -> Result<usize, MuleError> {
     let path = path.as_ref();
-    let (bytes, pending) = append_delta_bytes(read_image(path)?, delta)?;
+    let (bytes, pending) = append_delta_bytes(Bytes::from(read_image(path)?), delta)?;
     ugraph_io::fault::write_atomic(path, &bytes).map_err(CatalogError::from)?;
     Ok(pending)
 }
@@ -1017,10 +1000,12 @@ pub fn append_delta_bytes(data: Bytes, delta: &GraphDelta) -> Result<(Vec<u8>, u
     // (any already-pending deltas applied first) before bytes are
     // assembled: a rejected batch surfaces as the typed
     // [`MuleError::Delta`] and is never persisted.
-    match decode_any(&sections)? {
-        Artifact::Base(mut base) => crate::delta::apply_base(&mut base, delta)?,
-        Artifact::Instance(mut inst) => crate::delta::apply_instance(&mut inst, delta)?,
-    }
+    decode_sections(
+        &sections,
+        None,
+        |mut inst| crate::delta::apply_instance(&mut inst, delta),
+        |mut base| crate::delta::apply_base(&mut base, delta),
+    )??;
     let mut writer = CatalogWriter::from_verified(&sections);
     writer.add_section(format!("delta.{d}"), delta.to_bytes());
     Ok((writer.finish(), d + 1))
@@ -1029,7 +1014,7 @@ pub fn append_delta_bytes(data: Bytes, delta: &GraphDelta) -> Result<(Vec<u8>, u
 /// Number of pending (appended, not yet compacted) `delta.{i}` sections
 /// in a catalog file. Counts from the TOC without replaying.
 pub fn pending_deltas(path: impl AsRef<Path>) -> Result<usize, MuleError> {
-    let cat = Catalog::from_bytes(read_image(path.as_ref())?)?;
+    let cat = Catalog::from_bytes(Bytes::from(read_image(path.as_ref())?))?;
     cat.verify()?;
     Ok(delta_count(&cat)?)
 }
@@ -1044,16 +1029,18 @@ pub fn pending_deltas(path: impl AsRef<Path>) -> Result<usize, MuleError> {
 /// base-plus-deltas file intact and replayable.
 pub fn compact(path: impl AsRef<Path>) -> Result<usize, MuleError> {
     let path = path.as_ref();
-    let cat = Catalog::from_bytes(read_image(path)?)?;
+    let cat = Catalog::from_bytes(Bytes::from(read_image(path)?))?;
     let sections = cat.verify()?;
     let d = delta_count(&cat)?;
     if d == 0 {
         return Ok(0);
     }
-    let bytes = match decode_any(&sections)? {
-        Artifact::Base(base) => base_to_bytes(&base),
-        Artifact::Instance(inst) => to_bytes(&inst),
-    };
+    let bytes = decode_sections(
+        &sections,
+        None,
+        |inst| to_bytes(&inst),
+        |base| base_to_bytes(&base),
+    )?;
     ugraph_io::fault::write_atomic(path, &bytes).map_err(CatalogError::from)?;
     Ok(d)
 }
@@ -1080,6 +1067,16 @@ mod tests {
         )
         .unwrap()
         .with_name("catalog-fixture")
+    }
+
+    /// The fixed-kind open of a byte image.
+    fn from_bytes(data: Bytes) -> Result<PreparedInstance, CatalogError> {
+        decode(data, Some(Kind::Fixed), |inst| inst, |_| unreachable!())
+    }
+
+    /// The base-kind open of a byte image.
+    fn base_from_bytes(data: Bytes) -> Result<PreparedBase, CatalogError> {
+        decode(data, Some(Kind::Base), |_| unreachable!(), |base| base)
     }
 
     /// `unwrap_err` without requiring `Debug` on [`PreparedInstance`].

@@ -169,6 +169,7 @@
 //! # }
 //! ```
 
+use crate::catalog::Kind;
 use crate::delta::GraphDelta;
 use crate::dfs_noip::DfsNoip;
 use crate::enumerate::{IndexMode, MuleConfig};
@@ -183,6 +184,7 @@ use std::path::Path;
 use std::time::Duration;
 use ugraph_core::{GraphError, ProbError, UncertainGraph, VertexId};
 use ugraph_io::catalog::CatalogError;
+use ugraph_io::Bytes;
 
 /// The one error type of the public query surface: graph-layer errors,
 /// builder validation, and I/O bridging (for CLI-style callers), so
@@ -581,15 +583,18 @@ impl<'g> Query<'g> {
     /// [`MuleError::Catalog`]. A corrupted catalog never panics and
     /// never serves data.
     pub fn open(path: impl AsRef<Path>) -> Result<Prepared, MuleError> {
-        let inst = crate::catalog::open(path)?;
-        Ok(Prepared::from_instance(inst))
+        Self::open_bytes(crate::catalog::read_image(path.as_ref())?)
     }
 
     /// [`Query::open`] over an in-memory byte image (the counterpart of
     /// [`Prepared::to_catalog_bytes`]).
     pub fn open_bytes(bytes: impl Into<Vec<u8>>) -> Result<Prepared, MuleError> {
-        let inst = crate::catalog::from_bytes(ugraph_io::Bytes::from(bytes.into()))?;
-        Ok(Prepared::from_instance(inst))
+        Ok(crate::catalog::decode(
+            Bytes::from(bytes.into()),
+            Some(Kind::Fixed),
+            Prepared::from_instance,
+            |_| unreachable!("decode refuses a base before decoding it"),
+        )?)
     }
 
     /// Validate the builder state and run only the **α-independent**
@@ -627,15 +632,18 @@ impl<'g> Query<'g> {
     /// and vice versa for [`Query::open`] on a base catalog — so the
     /// two artifact kinds cannot be confused silently.
     pub fn open_base(path: impl AsRef<Path>) -> Result<Base, MuleError> {
-        let base = crate::catalog::open_base(path)?;
-        Ok(Base::from_base(base))
+        Self::open_base_bytes(crate::catalog::read_image(path.as_ref())?)
     }
 
     /// [`Query::open_base`] over an in-memory byte image (the
     /// counterpart of [`Base::to_catalog_bytes`]).
     pub fn open_base_bytes(bytes: impl Into<Vec<u8>>) -> Result<Base, MuleError> {
-        let base = crate::catalog::base_from_bytes(ugraph_io::Bytes::from(bytes.into()))?;
-        Ok(Base::from_base(base))
+        Ok(crate::catalog::decode(
+            Bytes::from(bytes.into()),
+            Some(Kind::Base),
+            |_| unreachable!("decode refuses a fixed instance before decoding it"),
+            Base::from_base,
+        )?)
     }
 
     /// Open a catalog file of either kind: a fixed-α catalog becomes a
@@ -644,13 +652,17 @@ impl<'g> Query<'g> {
     /// callers that learn the kind from the file — it is parsed and
     /// checksummed once, not sniffed and then reopened.
     pub fn open_any(path: impl AsRef<Path>) -> Result<Opened, MuleError> {
-        Ok(Opened::from(crate::catalog::open_any(path)?))
+        Self::open_any_bytes(crate::catalog::read_image(path.as_ref())?)
     }
 
     /// [`Query::open_any`] over an in-memory byte image.
     pub fn open_any_bytes(bytes: impl Into<Vec<u8>>) -> Result<Opened, MuleError> {
-        let artifact = crate::catalog::any_from_bytes(ugraph_io::Bytes::from(bytes.into()))?;
-        Ok(Opened::from(artifact))
+        Ok(crate::catalog::decode(
+            Bytes::from(bytes.into()),
+            None,
+            |inst| Opened::Fixed(Prepared::from_instance(inst)),
+            |base| Opened::Base(Base::from_base(base)),
+        )?)
     }
 }
 
@@ -662,17 +674,6 @@ pub enum Opened {
     Fixed(Prepared),
     /// An α-generic base: [`Base::refine`] picks the α.
     Base(Base),
-}
-
-impl From<crate::catalog::Artifact> for Opened {
-    fn from(artifact: crate::catalog::Artifact) -> Self {
-        match artifact {
-            crate::catalog::Artifact::Instance(inst) => {
-                Opened::Fixed(Prepared::from_instance(inst))
-            }
-            crate::catalog::Artifact::Base(base) => Opened::Base(Base::from_base(base)),
-        }
-    }
 }
 
 /// An α-generic prepared artifact: the output of [`Query::prepare_base`].
@@ -785,7 +786,10 @@ impl Base {
     /// beyond the refinement itself. The write is atomic-durable (temp
     /// file + fsync + rename): on error the prior file is intact.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), MuleError> {
-        Ok(crate::catalog::save_base(&self.base, path)?)
+        Ok(ugraph_io::fault::write_atomic(
+            path.as_ref(),
+            &self.to_catalog_bytes(),
+        )?)
     }
 
     /// The catalog byte image [`Base::save`] would write.
@@ -845,7 +849,10 @@ impl Prepared {
     /// the catalog. The write is atomic-durable (temp file + fsync +
     /// rename): on error the prior file is intact.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), MuleError> {
-        Ok(crate::catalog::save(&self.inst, path)?)
+        Ok(ugraph_io::fault::write_atomic(
+            path.as_ref(),
+            &self.to_catalog_bytes(),
+        )?)
     }
 
     /// The catalog byte image [`Prepared::save`] would write — for

@@ -77,27 +77,19 @@ pub fn restrict_to_vertices(g: &UncertainGraph, keep: &[bool]) -> UncertainGraph
 ///
 /// When `keep` is strictly ascending (a *monotone* map — the shape the
 /// component-sharding pipeline produces), the subgraph is assembled
-/// CSR-to-CSR in `O(Σ deg(keep))` with no sorting: the source adjacency
-/// is sorted and monotone relabeling preserves order. Arbitrary orders
-/// fall back to the builder path.
+/// CSR-to-CSR in `O(Σ deg(keep) · log |keep|)` with no sorting and no
+/// `O(n)` scratch: the source adjacency is sorted, monotone relabeling
+/// preserves order, and a vertex's new id is its rank in `keep`, found
+/// by binary search. The pipeline calls this once per component, so a
+/// per-call `O(n)` id table would cost `O(n)` times the component count.
+/// Arbitrary orders fall back to the builder path.
 pub fn induced_subgraph(
     g: &UncertainGraph,
     keep: &[VertexId],
 ) -> Result<(UncertainGraph, Vec<VertexId>), GraphError> {
-    let mut new_id = vec![u32::MAX; g.num_vertices()];
-    for (new, &old) in keep.iter().enumerate() {
-        if old as usize >= g.num_vertices() {
-            return Err(GraphError::VertexOutOfRange {
-                vertex: old,
-                n: g.num_vertices(),
-            });
-        }
-        assert_eq!(
-            new_id[old as usize],
-            u32::MAX,
-            "duplicate vertex {old} in keep list"
-        );
-        new_id[old as usize] = new as u32;
+    let n = g.num_vertices();
+    if let Some(&vertex) = keep.iter().find(|&&v| v as usize >= n) {
+        return Err(GraphError::VertexOutOfRange { vertex, n });
     }
     if keep.windows(2).all(|w| w[0] < w[1]) {
         let mut offsets = Vec::with_capacity(keep.len() + 1);
@@ -109,9 +101,8 @@ pub fn induced_subgraph(
         let mut probs = Vec::with_capacity(arcs);
         for &old_u in keep {
             for (old_v, p) in g.neighbors_with_probs(old_u) {
-                let new_v = new_id[old_v as usize];
-                if new_v != u32::MAX {
-                    neighbors.push(new_v);
+                if let Ok(new_v) = keep.binary_search(&old_v) {
+                    neighbors.push(new_v as VertexId);
                     probs.push(p);
                 }
             }
@@ -119,6 +110,15 @@ pub fn induced_subgraph(
         }
         let sub = UncertainGraph::from_csr_parts(offsets, neighbors, probs, String::new());
         return Ok((sub, keep.to_vec()));
+    }
+    let mut new_id = vec![u32::MAX; n];
+    for (new, &old) in keep.iter().enumerate() {
+        assert_eq!(
+            new_id[old as usize],
+            u32::MAX,
+            "duplicate vertex {old} in keep list"
+        );
+        new_id[old as usize] = new as u32;
     }
     let mut b = GraphBuilder::new(keep.len());
     for (new_u, &old_u) in keep.iter().enumerate() {

@@ -77,12 +77,11 @@ pub fn restrict_to_vertices(g: &UncertainGraph, keep: &[bool]) -> UncertainGraph
 ///
 /// When `keep` is strictly ascending (a *monotone* map — the shape the
 /// component-sharding pipeline produces), the subgraph is assembled
-/// CSR-to-CSR in `O(Σ deg(keep) · log |keep|)` with no sorting and no
-/// `O(n)` scratch: the source adjacency is sorted, monotone relabeling
-/// preserves order, and a vertex's new id is its rank in `keep`, found
-/// by binary search. The pipeline calls this once per component, so a
-/// per-call `O(n)` id table would cost `O(n)` times the component count.
-/// Arbitrary orders fall back to the builder path.
+/// CSR-to-CSR with no sorting. A vertex's new id is its rank in `keep`,
+/// read from an `n`-entry table (`n` writes up front) or found by binary
+/// search (`log |keep|` probes per arc), whichever costs less: the
+/// pipeline calls this once per component, and a table on every call
+/// would cost `n` per component. Other orders use the builder path.
 pub fn induced_subgraph(
     g: &UncertainGraph,
     keep: &[VertexId],
@@ -97,12 +96,24 @@ pub fn induced_subgraph(
         // Upper bound: every arc of a kept vertex survives (exact when
         // `keep` is a connected component).
         let arcs: usize = keep.iter().map(|&v| g.degree(v)).sum();
+        let probes = (usize::BITS - keep.len().leading_zeros()) as usize;
+        let table = (n <= arcs.saturating_mul(probes)).then(|| {
+            let mut table = vec![u32::MAX; n];
+            for (new, &old) in keep.iter().enumerate() {
+                table[old as usize] = new as u32;
+            }
+            table
+        });
+        let new_id = |v: VertexId| match &table {
+            Some(table) => Some(table[v as usize]).filter(|&id| id != u32::MAX),
+            None => keep.binary_search(&v).ok().map(|id| id as VertexId),
+        };
         let mut neighbors = Vec::with_capacity(arcs);
         let mut probs = Vec::with_capacity(arcs);
         for &old_u in keep {
             for (old_v, p) in g.neighbors_with_probs(old_u) {
-                if let Ok(new_v) = keep.binary_search(&old_v) {
-                    neighbors.push(new_v as VertexId);
+                if let Some(new_v) = new_id(old_v) {
+                    neighbors.push(new_v);
                     probs.push(p);
                 }
             }

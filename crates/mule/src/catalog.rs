@@ -521,14 +521,6 @@ pub(crate) enum Kind {
 }
 
 impl Kind {
-    fn of(h: &CatalogHeader) -> Kind {
-        if h.flags & FLAG_ALPHA_BASE != 0 {
-            Kind::Base
-        } else {
-            Kind::Fixed
-        }
-    }
-
     /// The sections that follow the component pairs.
     fn tail(self) -> &'static [&'static str] {
         match self {
@@ -698,7 +690,10 @@ fn decode_sections<T>(
     base: impl FnOnce(PreparedBase) -> T,
 ) -> Result<T, CatalogError> {
     let h = *sections.catalog().header();
-    let kind = Kind::of(&h);
+    let kind = match h.flags & FLAG_ALPHA_BASE {
+        0 => Kind::Fixed,
+        _ => Kind::Base,
+    };
     if want.is_some_and(|w| w != kind) {
         return Err(kind.wrong_kind());
     }
@@ -719,14 +714,11 @@ fn decode_sections<T>(
     }
 }
 
-/// The half of the decode both layouts share. Checks the canonical
-/// section order — `(component.i.graph, component.i.map)* ‖ tail`,
-/// nothing else, nothing moved — optionally followed by a contiguous
-/// run of appended `delta.{i}` sections ([`append_delta`]). Then decodes
-/// every component pair in order — graph edges bounded below by
-/// `bound`, map ids in range and one per graph vertex — and hands each
-/// to `each`, which runs the kind's own per-component checks. Returns
-/// the component count `k` and the number of appended deltas.
+/// The half of the decode both layouts share: the canonical section
+/// order — `(component.i.graph, component.i.map)* ‖ tail`, then any run
+/// of appended `delta.{i}` sections — and every component pair decoded
+/// in order (edges `≥ bound`, one in-range map id per vertex) and handed
+/// to `each` for the kind's own checks. Returns `k` and the delta count.
 fn decode_components(
     sections: &VerifiedSections<'_>,
     tail: &[&str],

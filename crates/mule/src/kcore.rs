@@ -212,13 +212,8 @@ mod tests {
         }
         assert!(!kept.contains(&6), "chain tail should be peeled");
         // And indeed every 0.5-maximal clique of size ≥ 4 lives in `kept`.
-        for c in crate::Query::new(&g)
-            .alpha(0.5)
-            .prepare()
-            .unwrap()
-            .sorted_cliques()
-            .unwrap()
-        {
+        let mut session = crate::Query::new(&g).alpha(0.5).prepare().unwrap();
+        for c in session.sorted_cliques().unwrap() {
             if c.len() >= 4 {
                 assert!(c.iter().all(|v| kept.contains(v)));
             }
@@ -241,13 +236,8 @@ mod tests {
             let g = b.build();
             for (alpha, t) in [(0.3, 3), (0.1, 4)] {
                 let kept = core_filter_for_cliques(&g, alpha, t).unwrap();
-                for c in crate::Query::new(&g)
-                    .alpha(alpha)
-                    .prepare()
-                    .unwrap()
-                    .sorted_cliques()
-                    .unwrap()
-                {
+                let mut session = crate::Query::new(&g).alpha(alpha).prepare().unwrap();
+                for c in session.sorted_cliques().unwrap() {
                     if c.len() >= t {
                         assert!(
                             c.iter().all(|v| kept.contains(v)),

@@ -10,7 +10,7 @@
 //! | LARGE–MULE (Algorithms 5–6) | [`Query::min_size`] ≥ 2, then any execution method | [`LargeMule`] |
 //! | Modani–Dey shared-neighborhood filter | pipeline stage 3 ([`Query::shared_neighborhood`]) | [`pruning::shared_neighborhood_filter`] |
 //! | DFS–NOIP baseline (Algorithm 7) | [`Query::engine`]`(`[`Engine::Noip`]`)` | [`DfsNoip`] |
-//! | Top-k by probability (paper ref 47) | [`Prepared::top_k`] (adaptive β cut) | [`topk`], [`zou_topk`] |
+//! | Top-k by probability (paper ref 47) | [`Prepared::top_k`] (adaptive β cut, [`topk`]) | [`sinks::TopKSink`] over [`Mule`]; [`zou_topk`] |
 //! | Theorem 1 / Moon–Moser bounds | — | [`bounds`] |
 //! | Bron–Kerbosch + Tomita pivot (paper refs 8, 42) | — | [`deterministic`] |
 //!

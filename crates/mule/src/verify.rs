@@ -163,12 +163,8 @@ mod tests {
     fn mule_output_verifies_clean() {
         let g = fixture();
         for alpha in [0.9, 0.5, 0.25] {
-            let cliques = crate::Query::new(&g)
-                .alpha(alpha)
-                .prepare()
-                .unwrap()
-                .sorted_cliques()
-                .unwrap();
+            let mut session = crate::Query::new(&g).alpha(alpha).prepare().unwrap();
+            let cliques = session.sorted_cliques().unwrap();
             assert!(verify_complete(&g, alpha, &cliques).unwrap().is_empty());
         }
     }

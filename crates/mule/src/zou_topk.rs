@@ -239,12 +239,8 @@ mod tests {
         // α-maximal at α = 0.5: the heavy edge {0,1} — which is NOT
         // skeleton-maximal — plus vertex 2, isolated once its weak edges
         // are pruned.
-        let alpha_cliques = crate::Query::new(&g)
-            .alpha(0.5)
-            .prepare()
-            .unwrap()
-            .sorted_cliques()
-            .unwrap();
+        let mut session = crate::Query::new(&g).alpha(0.5).prepare().unwrap();
+        let alpha_cliques = session.sorted_cliques().unwrap();
         assert_eq!(alpha_cliques, vec![vec![0, 1], vec![2]]);
     }
 

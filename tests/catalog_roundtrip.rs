@@ -183,28 +183,6 @@ proptest! {
     }
 }
 
-/// The delta the golden test appends: re-weight the first edge with
-/// p ≥ 0.5 (visible at every threshold the images use) and insert the
-/// first absent pair.
-fn golden_delta(g: &UncertainGraph) -> mule::GraphDelta {
-    let n = g.num_vertices() as VertexId;
-    let pairs = || (0..n).flat_map(|u| ((u + 1)..n).map(move |v| (u, v)));
-    let (u, v) = pairs()
-        .find(|&(u, v)| g.edge_prob_raw(u, v).is_some_and(|p| p >= 0.5))
-        .unwrap();
-    let (a, b) = pairs()
-        .find(|&(a, b)| g.edge_prob_raw(a, b).is_none())
-        .unwrap();
-    mule::GraphDelta::new()
-        .set_prob(u, v, 0.95)
-        .insert(a, b, 0.9)
-}
-
-/// Length and CRC-32 of a catalog image.
-fn fingerprint(bytes: &[u8]) -> (usize, u32) {
-    (bytes.len(), ugraph_io::catalog::crc32(bytes))
-}
-
 /// Golden pin of the on-disk bytes: every image the encoder writes —
 /// fixed instances under three configurations, bases at two floors,
 /// one image of each kind with an appended delta section, and the same
@@ -215,60 +193,57 @@ fn fingerprint(bytes: &[u8]) -> (usize, u32) {
 fn catalog_bytes_are_pinned() {
     let g = random_graph(2026, 40, 0.08);
     let fixed = |q: Query| q.alpha(0.3).prepare().unwrap().to_catalog_bytes();
-    let default_fixed = fixed(Query::new(&g));
-    let base_03 = Query::new(&g)
-        .alpha_floor(0.3)
-        .prepare_base()
-        .unwrap()
-        .to_catalog_bytes();
-    let delta = golden_delta(&g);
-    let append = |image: &[u8]| {
-        mule::catalog::append_delta_bytes(ugraph_io::Bytes::from(image.to_vec()), &delta)
-            .unwrap()
-            .0
+    let base = |floor: f64| {
+        let base = Query::new(&g).alpha_floor(floor).prepare_base().unwrap();
+        base.to_catalog_bytes()
     };
-    let resave = |image: &[u8]| match Query::open_any_bytes(image.to_vec()).unwrap() {
+    // Re-weight edge {2, 6} (p ≥ 0.5, visible at every threshold used
+    // here) and insert the absent pair {0, 1}.
+    let delta = mule::GraphDelta::new()
+        .set_prob(2, 6, 0.95)
+        .insert(0, 1, 0.9);
+    let append = |image: Vec<u8>| {
+        let image = ugraph_io::Bytes::from(image);
+        mule::catalog::append_delta_bytes(image, &delta).unwrap().0
+    };
+    let resave = |image: &[u8]| match Query::open_any_bytes(image).unwrap() {
         mule::Opened::Fixed(p) => p.to_catalog_bytes(),
         mule::Opened::Base(b) => b.to_catalog_bytes(),
     };
-    let fixed_delta = append(&default_fixed);
-    let base_delta = append(&base_03);
-    let images: Vec<(&str, Vec<u8>)> = vec![
-        ("fixed default", default_fixed.clone()),
-        ("fixed min_size 3", fixed(Query::new(&g).min_size(3))),
+    let stages_off = Query::new(&g)
+        .core_filter(false)
+        .shared_neighborhood(false)
+        .shard_components(false);
+    let fixed_delta = append(fixed(Query::new(&g)));
+    let base_delta = append(base(0.3));
+    let images = [
+        ("fixed default", fixed(Query::new(&g)), 2466, 0x6ccc912d),
         (
-            "fixed all stages off",
-            fixed(
-                Query::new(&g)
-                    .core_filter(false)
-                    .shared_neighborhood(false)
-                    .shard_components(false),
-            ),
+            "fixed min_size 3",
+            fixed(Query::new(&g).min_size(3)),
+            1346,
+            0x9fe531e0,
         ),
+        ("fixed all stages off", fixed(stages_off), 2258, 0xed9634d7),
+        ("base floor 0", base(0.0), 2321, 0x681b2021),
+        ("base floor 0.3", base(0.3), 1953, 0x93256113),
+        ("fixed + delta", fixed_delta.clone(), 2537, 0x89b56945),
         (
-            "base floor 0",
-            Query::new(&g).prepare_base().unwrap().to_catalog_bytes(),
+            "fixed + delta, re-saved",
+            resave(&fixed_delta),
+            2618,
+            0x94cd6001,
         ),
-        ("base floor 0.3", base_03.clone()),
-        ("fixed + delta", fixed_delta.clone()),
-        ("fixed + delta, re-saved", resave(&fixed_delta)),
-        ("base + delta", base_delta.clone()),
-        ("base + delta, re-saved", resave(&base_delta)),
+        ("base + delta", base_delta.clone(), 2024, 0x8f2db1dc),
+        (
+            "base + delta, re-saved",
+            resave(&base_delta),
+            2105,
+            0x66d809c6,
+        ),
     ];
-    let got: Vec<(&str, (usize, u32))> = images
-        .iter()
-        .map(|(name, bytes)| (*name, fingerprint(bytes)))
-        .collect();
-    let want: Vec<(&str, (usize, u32))> = vec![
-        ("fixed default", (2466, 0x6ccc912d)),
-        ("fixed min_size 3", (1346, 0x9fe531e0)),
-        ("fixed all stages off", (2258, 0xed9634d7)),
-        ("base floor 0", (2321, 0x681b2021)),
-        ("base floor 0.3", (1953, 0x93256113)),
-        ("fixed + delta", (2537, 0x89b56945)),
-        ("fixed + delta, re-saved", (2618, 0x94cd6001)),
-        ("base + delta", (2024, 0x8f2db1dc)),
-        ("base + delta, re-saved", (2105, 0x66d809c6)),
-    ];
-    assert_eq!(got, want);
+    for (name, bytes, len, crc) in images {
+        let got = (bytes.len(), ugraph_io::catalog::crc32(&bytes));
+        assert_eq!(got, (len, crc), "{name}");
+    }
 }

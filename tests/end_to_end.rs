@@ -79,12 +79,8 @@ fn mined_complexes_validate_against_possible_worlds() {
         .unwrap()
         .build_scaled(42, 0.3);
     let alpha = 0.4;
-    let top = Query::new(&g)
-        .alpha(alpha)
-        .prepare()
-        .unwrap()
-        .top_k(5)
-        .unwrap();
+    let mut session = Query::new(&g).alpha(alpha).prepare().unwrap();
+    let top = session.top_k(5).unwrap();
     assert!(!top.is_empty());
     let mut rng = rng_from_seed(1);
     for (c, p) in &top {
@@ -113,12 +109,8 @@ fn large_mule_consistent_with_histogram_tail_on_dataset() {
 fn parallel_and_sequential_agree_on_dataset() {
     let g = datasets::by_name("BA5000").unwrap().build_scaled(5, 0.04);
     let alpha = 0.01;
-    let seq = Query::new(&g)
-        .alpha(alpha)
-        .prepare()
-        .unwrap()
-        .collect()
-        .unwrap();
+    let mut session = Query::new(&g).alpha(alpha).prepare().unwrap();
+    let seq = session.collect().unwrap();
     let mut par = Query::new(&g).alpha(alpha).threads(4).prepare().unwrap();
     assert_eq!(par.collect().unwrap(), seq);
     assert_eq!(par.stats().emitted as usize, seq.len());
@@ -130,12 +122,8 @@ fn every_table1_dataset_builds_and_enumerates_at_small_scale() {
         let g = spec.build_scaled(9, 0.01);
         g.check_invariants()
             .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
-        let count = Query::new(&g)
-            .alpha(0.3)
-            .prepare()
-            .unwrap()
-            .count()
-            .unwrap();
+        let mut session = Query::new(&g).alpha(0.3).prepare().unwrap();
+        let count = session.count().unwrap();
         assert!(count > 0, "{} produced no cliques", spec.name);
     }
 }

@@ -32,14 +32,6 @@ fn cliques(query: Query) -> Vec<Vec<VertexId>> {
     pairs.into_iter().map(|(c, _)| c).collect()
 }
 
-/// One direct DFS–NOIP run over the whole graph, cliques sorted.
-fn noip_cliques(g: &UncertainGraph, alpha: f64) -> Vec<Vec<VertexId>> {
-    let mut algo = DfsNoip::new(g, alpha).unwrap();
-    let mut sink = CollectSink::new();
-    algo.run(&mut sink);
-    sink.into_sorted_cliques()
-}
-
 /// The core pre-filter composed with MULE: restricting enumeration to the
 /// filtered vertex set must lose exactly the cliques smaller than t.
 #[test]
@@ -117,12 +109,8 @@ fn topk_semantics_agree_in_the_high_probability_regime() {
     let g = b.build();
     // α low enough that every skeleton clique qualifies.
     let alpha = 1e-3;
-    let alpha_top = Query::new(&g)
-        .alpha(alpha)
-        .prepare()
-        .unwrap()
-        .top_k(3)
-        .unwrap();
+    let mut session = Query::new(&g).alpha(alpha).prepare().unwrap();
+    let alpha_top = session.top_k(3).unwrap();
     let (zou_top, _) = zou_topk::zou_top_k(&g, 3, 0.0);
     let a: Vec<_> = alpha_top.iter().map(|(c, _)| c.clone()).collect();
     let z: Vec<_> = zou_top.iter().map(|(c, _)| c.clone()).collect();
@@ -158,9 +146,12 @@ fn planted_instances_recovered_and_verified() {
 fn verifier_cross_checks_all_algorithms() {
     let g = random_graph(15, 0.5, 21);
     let alpha = 0.1;
+    let mut noip = DfsNoip::new(&g, alpha).unwrap();
+    let mut sink = CollectSink::new();
+    noip.run(&mut sink);
     let outputs = [
         cliques(Query::new(&g).alpha(alpha)),
-        noip_cliques(&g, alpha),
+        sink.into_sorted_cliques(),
         cliques(Query::new(&g).alpha(alpha).threads(2)),
     ];
     for (i, cliques) in outputs.iter().enumerate() {

@@ -17,15 +17,9 @@
 //! Definition 5/6 semantics exactly.
 
 use mule::naive::enumerate_naive;
-use ugraph_core::{GraphBuilder, UncertainGraph, VertexId};
-
-/// One direct DFS–NOIP run over the whole graph, cliques sorted.
-fn noip_cliques(g: &UncertainGraph, alpha: f64) -> Vec<Vec<VertexId>> {
-    let mut algo = mule::DfsNoip::new(g, alpha).unwrap();
-    let mut sink = mule::sinks::CollectSink::new();
-    algo.run(&mut sink);
-    sink.into_sorted_cliques()
-}
+use mule::sinks::CollectSink;
+use mule::{DfsNoip, Query};
+use ugraph_core::{GraphBuilder, UncertainGraph};
 
 const ALPHAS: [f64; 3] = [0.1, 0.5, 0.9];
 
@@ -36,17 +30,16 @@ const PROBS: [f64; 6] = [0.05, 0.1, 0.3, 0.5, 0.9, 1.0];
 fn check_all_alphas(g: &UncertainGraph, context: &str) {
     for alpha in ALPHAS {
         let expected = enumerate_naive(g, alpha).unwrap();
-        let mule_out = mule::Query::new(g)
-            .alpha(alpha)
-            .prepare()
-            .unwrap()
-            .sorted_cliques()
-            .unwrap();
+        let mut session = Query::new(g).alpha(alpha).prepare().unwrap();
+        let mule_out = session.sorted_cliques().unwrap();
         assert_eq!(
             mule_out, expected,
             "MULE disagrees with naive oracle at α={alpha} on {context}"
         );
-        let noip_out = noip_cliques(g, alpha);
+        let mut noip = DfsNoip::new(g, alpha).unwrap();
+        let mut sink = CollectSink::new();
+        noip.run(&mut sink);
+        let noip_out = sink.into_sorted_cliques();
         assert_eq!(
             noip_out, expected,
             "DFS-NOIP disagrees with naive oracle at α={alpha} on {context}"
@@ -247,13 +240,8 @@ fn large_mule_arena_matches_filtered_oracle() {
             for t in 2..=4usize {
                 let expected: Vec<Vec<u32>> =
                     all.iter().filter(|c| c.len() >= t).cloned().collect();
-                let got = mule::Query::new(&g)
-                    .alpha(alpha)
-                    .min_size(t)
-                    .prepare()
-                    .unwrap()
-                    .sorted_cliques()
-                    .unwrap();
+                let mut session = Query::new(&g).alpha(alpha).min_size(t).prepare().unwrap();
+                let got = session.sorted_cliques().unwrap();
                 assert_eq!(got, expected, "seed={seed} α={alpha} t={t}");
             }
         }

@@ -2,11 +2,17 @@
 
 use mule::bounds::{self, max_alpha_maximal_cliques, moon_moser};
 use mule::sinks::CountSink;
-use mule::Mule;
+use mule::{Mule, Query};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use ugraph_core::GraphBuilder;
+use ugraph_core::{GraphBuilder, UncertainGraph};
 use ugraph_gen::extremal::{lemma1_graph, moon_moser_graph};
+
+/// The number of α-maximal cliques of `g`.
+fn count(g: &UncertainGraph, alpha: f64) -> u64 {
+    let mut session = Query::new(g).alpha(alpha).prepare().unwrap();
+    session.count().unwrap()
+}
 
 /// Theorem 1 lower bound (Lemma 1): the extremal construction attains
 /// exactly `C(n, ⌊n/2⌋)` α-maximal cliques, for several α and all small n.
@@ -15,12 +21,7 @@ fn lemma1_construction_attains_the_bound() {
     for n in 2..=16 {
         for alpha in [0.1, 0.5, 0.9] {
             let g = lemma1_graph(n, alpha);
-            let count = mule::Query::new(&g)
-                .alpha(alpha)
-                .prepare()
-                .unwrap()
-                .count()
-                .unwrap();
+            let count = count(&g, alpha);
             assert_eq!(
                 count as u128,
                 max_alpha_maximal_cliques(n as u64).unwrap(),
@@ -48,12 +49,7 @@ fn no_random_graph_exceeds_the_bound() {
         }
         let g = b.build();
         for alpha in [0.9, 0.5, 0.1, 0.01, 0.001] {
-            let count = mule::Query::new(&g)
-                .alpha(alpha)
-                .prepare()
-                .unwrap()
-                .count()
-                .unwrap();
+            let count = count(&g, alpha);
             assert!(
                 (count as u128) <= max_alpha_maximal_cliques(n as u64).unwrap(),
                 "trial={trial} n={n} α={alpha}: {count}"
@@ -73,16 +69,7 @@ fn moon_moser_family_attains_its_bound() {
             moon_moser(n),
             "BK n={n}"
         );
-        assert_eq!(
-            mule::Query::new(&g)
-                .alpha(1.0)
-                .prepare()
-                .unwrap()
-                .count()
-                .unwrap() as u128,
-            moon_moser(n),
-            "MULE n={n}"
-        );
+        assert_eq!(count(&g, 1.0) as u128, moon_moser(n), "MULE n={n}");
     }
 }
 

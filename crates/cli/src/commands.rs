@@ -293,25 +293,7 @@ pub fn prepare(args: &[String], out: &mut dyn Write) -> CmdResult {
         return Err("--floor requires --base (a fixed-α catalog has no floor)".into());
     }
     let out_path: String = opts.required("out")?;
-    // Chaos drills (CI and by hand): MULE_FAULT_PLAN=<spec> injects an
-    // IO fault into this prepare's save — see `ugraph_io::fault`. The
-    // save then fails typed, and the catalog path is untouched. The
-    // plan is scoped to this invocation: the guard disarms on every
-    // exit path so an embedding process (tests, a resident front end)
-    // never inherits a stale plan on this thread.
-    struct Disarm;
-    impl Drop for Disarm {
-        fn drop(&mut self) {
-            ugraph_io::fault::disarm();
-        }
-    }
-    let _disarm = match ugraph_io::fault::arm_from_env("MULE_FAULT_PLAN") {
-        Some(plan) => {
-            writeln!(out, "# fault plan armed: {plan:?}").map_err(io_err)?;
-            Some(Disarm)
-        }
-        None => None,
-    };
+    let _fault = FaultScope::announced(out)?;
     let min_size: usize = opts.get_or("min-size", 0)?;
     let default_cfg = mule::MuleConfig::default();
     let started = std::time::Instant::now();
@@ -361,6 +343,36 @@ pub fn prepare(args: &[String], out: &mut dyn Write) -> CmdResult {
     Ok(())
 }
 
+/// Chaos drills (CI and by hand): `MULE_FAULT_PLAN=<spec>` injects an
+/// IO fault into the catalog writes of one command or one served
+/// `update` — see `ugraph_io::fault`. The write then fails typed, and
+/// the catalog path is untouched. The plan is scoped: dropping the
+/// scope disarms it on every exit path, so an embedding process (tests,
+/// a resident front end) never inherits a stale plan on this thread.
+pub(crate) struct FaultScope(pub(crate) ugraph_io::FaultPlan);
+
+impl FaultScope {
+    /// Arm the plan `MULE_FAULT_PLAN` names, if any, on this thread.
+    pub(crate) fn from_env() -> Option<FaultScope> {
+        ugraph_io::fault::arm_from_env("MULE_FAULT_PLAN").map(FaultScope)
+    }
+
+    /// [`FaultScope::from_env`], announcing an armed plan on `out`.
+    fn announced(out: &mut dyn Write) -> Result<Option<FaultScope>, String> {
+        let scope = FaultScope::from_env();
+        if let Some(FaultScope(plan)) = &scope {
+            writeln!(out, "# fault plan armed: {plan:?}").map_err(io_err)?;
+        }
+        Ok(scope)
+    }
+}
+
+impl Drop for FaultScope {
+    fn drop(&mut self) {
+        ugraph_io::fault::disarm();
+    }
+}
+
 /// `mule update <catalog.ugq> --edges FILE [--compact]` — append a
 /// mutation batch to a prepared catalog.
 ///
@@ -389,20 +401,7 @@ pub fn update(args: &[String], out: &mut dyn Write) -> CmdResult {
     if edges.is_none() && !opts.flag("compact") {
         return Err("nothing to do: pass --edges FILE and/or --compact".into());
     }
-    // Same per-invocation fault-plan scope as `prepare` (see there).
-    struct Disarm;
-    impl Drop for Disarm {
-        fn drop(&mut self) {
-            ugraph_io::fault::disarm();
-        }
-    }
-    let _disarm = match ugraph_io::fault::arm_from_env("MULE_FAULT_PLAN") {
-        Some(plan) => {
-            writeln!(out, "# fault plan armed: {plan:?}").map_err(io_err)?;
-            Some(Disarm)
-        }
-        None => None,
-    };
+    let _fault = FaultScope::announced(out)?;
     let started = std::time::Instant::now();
     if let Some(file) = edges {
         let text =

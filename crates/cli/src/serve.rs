@@ -81,25 +81,33 @@
 //!   `expired_rejected`, `idle_closes`, `slowloris_closes`,
 //!   `poison_evictions`, `poison_reopens`, `panics_isolated`,
 //!   `updates`, `compactions`.
-//! * **Live mutation.** The `update` op appends a typed
-//!   [`mule::GraphDelta`] batch to the catalog file (validated and
-//!   atomic-durable — see [`mule::catalog::append_delta`]) and folds
-//!   the same batch into the resident session via the incremental
-//!   [`mule::Prepared::apply`] / [`mule::Base::apply`] path, dropping
-//!   a base's stale refined views; past `--compact-threshold` pending
-//!   sections the catalog is rewritten clean
-//!   ([`mule::catalog::compact`]). Warm and cold queries alike serve
-//!   the mutated graph, byte-identical to a fresh prepare of it.
-//!   Updates on one catalog run one at a time (a per-path lock, which
-//!   cold opens of that catalog also take; other catalogs are not
-//!   blocked), and a query whose entry was taken before an update
-//!   landed drops it instead of putting it back, so concurrent clients
-//!   on one catalog never lose a delta or see a stale base return to
-//!   the cache.
+//! * **Live mutation.** The `update` op applies a typed
+//!   [`mule::GraphDelta`] batch once, to the resident artifact, through
+//!   the incremental [`mule::Prepared::apply`] / [`mule::Base::apply`]
+//!   path (dropping a base's stale refined views); that apply is the
+//!   proof the batch is valid, so the file is never decoded to prove
+//!   it. The batch is then appended to the catalog file through
+//!   [`mule::catalog::Image::append`] (the file read and fully verified
+//!   first, the write atomic-durable), and past `--compact-threshold`
+//!   pending sections the catalog is compacted by saving the resident
+//!   artifact — the image [`mule::catalog::compact`] would write. Each
+//!   cache entry carries the [`Stamp`] (header bytes) of the catalog
+//!   image it reflects; when another process has written the file
+//!   since, the stamps differ and the update decodes the file instead.
+//!   A batch the artifact rejects is never written, and an entry whose
+//!   batch could not be written is evicted, so no resident is ever
+//!   ahead of disk. Warm and cold queries alike serve the mutated
+//!   graph, byte-identical to a fresh prepare of it. Updates on one
+//!   catalog run one at a time (a per-path lock, which cold opens of
+//!   that catalog also take; other catalogs are not blocked), and a
+//!   query whose entry was taken before an update landed drops it
+//!   instead of putting it back, so concurrent clients on one catalog
+//!   never lose a delta or see a stale base return to the cache.
 
 use crate::wire::{err_reply, ok_reply, Json, ObjBuilder, Request};
+use mule::catalog::{Image, Stamp};
 use mule::sinks::{CollectSink, CountSink};
-use mule::{Base, MuleError, Opened, Prepared, Query};
+use mule::{Base, GraphDelta, MuleError, Opened, Prepared};
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -241,10 +249,10 @@ impl Shared {
     }
 
     /// Run `f` holding the update lock of one catalog path (see
-    /// `update_locks`). Updates take it for their whole append, fold
-    /// and compaction; cold opens take it too, because an open clears
-    /// the orphan `<file>.tmp` — which, mid-update, is the save in
-    /// flight.
+    /// `update_locks`). Updates take it for their whole apply, append
+    /// and compaction; cold opens take it too, so a query that missed
+    /// while an update held the entry waits for the update and then
+    /// serves the entry it put back (see [`Shared::checkout`]).
     fn while_no_update<R>(&self, catalog: &str, f: impl FnOnce() -> R) -> R {
         let lock = Arc::clone(
             self.update_locks
@@ -259,16 +267,13 @@ impl Shared {
         f()
     }
 
-    /// Return an entry taken at `generation` to the cache — unless an
+    /// Return an entry taken under `lease` to the cache — unless an
     /// `update` landed on the catalog meanwhile, in which case the
     /// entry misses that update's delta and is dropped; the next
     /// request reopens the catalog from disk.
-    fn restore(&self, peer: &str, catalog: String, generation: u64, entry: Resident) {
-        let kept = self
-            .cache
-            .lock()
-            .unwrap()
-            .put_if_current(catalog.clone(), generation, entry);
+    fn restore(&self, peer: &str, lease: Lease, entry: Resident) {
+        let catalog = lease.catalog.clone();
+        let kept = self.cache.lock().unwrap().put_if_current(lease, entry);
         if !kept {
             self.log(&format!(
                 "{peer}: {catalog:?} was updated while this request held it; \
@@ -276,6 +281,48 @@ impl Shared {
             ));
         }
     }
+
+    /// Take the resident entry of `catalog` out of the cache, or
+    /// cold-open the file; the flag says whether it was cached. A miss
+    /// takes the path's update lock and looks again before opening: an
+    /// update holds the entry while it runs and puts it back before
+    /// releasing the lock, so a query that waited behind it serves that
+    /// entry instead of decoding the file a second time.
+    fn checkout(&self, catalog: &str) -> Result<(Lease, Resident, bool), String> {
+        // The generation and the take are read under one lock, so an
+        // update either lands before both (and the take sees its apply)
+        // or after both (and moves the generation this request puts
+        // back under).
+        let take = || {
+            let mut cache = self.cache.lock().unwrap();
+            (cache.generation(catalog), cache.take(catalog))
+        };
+        let lease = |generation, stamp| Lease {
+            catalog: catalog.to_string(),
+            generation,
+            stamp,
+        };
+        if let (generation, Some((stamp, entry))) = take() {
+            return Ok((lease(generation, stamp), entry, true));
+        }
+        self.while_no_update(catalog, || match take() {
+            (generation, Some((stamp, entry))) => Ok((lease(generation, stamp), entry, true)),
+            (generation, None) => {
+                let (stamp, entry) = open_resident(catalog, self.cfg.cache_capacity)?;
+                Ok((lease(generation, stamp), entry, false))
+            }
+        })
+    }
+}
+
+/// What a request holds besides the entry itself: the catalog path,
+/// the path's generation when the entry was taken (or the file read),
+/// and the [`Stamp`] — header bytes — of the catalog image the entry
+/// reflects.
+struct Lease {
+    catalog: String,
+    generation: u64,
+    stamp: Stamp,
 }
 
 /// One resident cache entry: what a catalog path resolves to.
@@ -288,6 +335,45 @@ enum Resident {
     Fixed(Prepared),
     /// An α-generic base plus its refined per-α views.
     Base(BaseEntry),
+}
+
+impl Resident {
+    /// A freshly decoded artifact, with no refined views yet.
+    fn new(opened: Opened, view_cap: usize) -> Resident {
+        match opened {
+            Opened::Fixed(session) => Resident::Fixed(session),
+            Opened::Base(base) => Resident::Base(BaseEntry {
+                base,
+                views: Vec::new(),
+                view_cap,
+                refine_hits: 0,
+                refine_misses: 0,
+                failures: 0,
+            }),
+        }
+    }
+
+    /// Fold a batch in ([`Prepared::apply`] / [`Base::apply`]); on error
+    /// the entry is unchanged. A base's refined views all derive from
+    /// the pre-update base and are dropped.
+    fn apply(&mut self, delta: &GraphDelta) -> Result<(), MuleError> {
+        match self {
+            Resident::Fixed(session) => session.apply(delta),
+            Resident::Base(entry) => {
+                entry.base.apply(delta)?;
+                entry.views.clear();
+                Ok(())
+            }
+        }
+    }
+
+    /// The clean catalog image of the artifact.
+    fn to_catalog_bytes(&self) -> Vec<u8> {
+        match self {
+            Resident::Fixed(session) => session.to_catalog_bytes(),
+            Resident::Base(entry) => entry.base.to_catalog_bytes(),
+        }
+    }
 }
 
 /// A resident [`Base`] with an LRU of refined [`Prepared`] views keyed
@@ -323,9 +409,10 @@ impl BaseEntry {
 }
 
 /// Most-recently-used at the back; entries are *taken* while in use.
+/// Each entry carries the [`Stamp`] of the catalog image it reflects.
 struct SessionCache {
     cap: usize,
-    entries: Vec<(String, Resident)>,
+    entries: Vec<(String, Stamp, Resident)>,
     /// Per catalog path, the number of `update`s that have landed on
     /// it. A request records the generation when it takes (or misses
     /// and cold-opens) an entry and puts the entry back only if no
@@ -356,29 +443,34 @@ impl SessionCache {
         *generation
     }
 
-    /// [`Self::put`] if `key` is still at `generation`; otherwise the
-    /// entry is stale and is dropped. Returns whether it was kept.
-    fn put_if_current(&mut self, key: String, generation: u64, entry: Resident) -> bool {
-        let current = self.generation(&key) == generation;
+    /// [`Self::put`] if the lease's path is still at its generation;
+    /// otherwise the entry is stale and is dropped. Returns whether it
+    /// was kept.
+    fn put_if_current(&mut self, lease: Lease, entry: Resident) -> bool {
+        let current = self.generation(&lease.catalog) == lease.generation;
         if current {
-            self.put(key, entry);
+            self.put(lease.catalog, lease.stamp, entry);
         }
         current
     }
 
-    fn take(&mut self, key: &str) -> Option<Resident> {
-        let i = self.entries.iter().position(|(k, _)| k == key)?;
-        Some(self.entries.remove(i).1)
+    fn take(&mut self, key: &str) -> Option<(Stamp, Resident)> {
+        let i = self.entries.iter().position(|(k, _, _)| k == key)?;
+        let (_, stamp, entry) = self.entries.remove(i);
+        Some((stamp, entry))
     }
 
     /// Non-removing lookup for the `stat` op; does not refresh recency.
     fn peek(&self, key: &str) -> Option<&Resident> {
-        self.entries.iter().find(|(k, _)| k == key).map(|(_, r)| r)
+        self.entries
+            .iter()
+            .find(|(k, _, _)| k == key)
+            .map(|(_, _, r)| r)
     }
 
-    fn put(&mut self, key: String, entry: Resident) {
-        self.entries.retain(|(k, _)| *k != key);
-        self.entries.push((key, entry));
+    fn put(&mut self, key: String, stamp: Stamp, entry: Resident) {
+        self.entries.retain(|(k, _, _)| *k != key);
+        self.entries.push((key, stamp, entry));
         while self.entries.len() > self.cap.max(1) {
             self.entries.remove(0); // least recently used
         }
@@ -733,21 +825,14 @@ fn handle_frame(text: &str, shared: &Shared, peer: &str) -> (String, bool) {
 }
 
 /// Cold-open a catalog path into a resident entry of whichever kind
-/// its header flags (one parse; see [`Query::open_any`], which also
-/// clears any orphan temp a crashed save left beside the catalog —
-/// atomic saves guarantee the catalog itself is never torn).
-fn open_resident(catalog: &str, view_cap: usize) -> Result<Resident, String> {
-    match Query::open_any(catalog).map_err(|e| e.to_string())? {
-        Opened::Fixed(session) => Ok(Resident::Fixed(session)),
-        Opened::Base(base) => Ok(Resident::Base(BaseEntry {
-            base,
-            views: Vec::new(),
-            view_cap,
-            refine_hits: 0,
-            refine_misses: 0,
-            failures: 0,
-        })),
-    }
+/// its header flags, with the stamp of the image it was decoded from
+/// (one parse; [`Image::read`] also clears any orphan temp a crashed
+/// save left beside the catalog — atomic saves guarantee the catalog
+/// itself is never torn).
+fn open_resident(catalog: &str, view_cap: usize) -> Result<(Stamp, Resident), String> {
+    let image = Image::read(catalog).map_err(|e| e.to_string())?;
+    let opened = image.open().map_err(|e| e.to_string())?;
+    Ok((image.stamp(), Resident::new(opened, view_cap)))
 }
 
 /// Execute a catalog-backed query with panic isolation. The resident
@@ -778,38 +863,25 @@ fn run_query(request: &Request, shared: &Shared, peer: &str) -> String {
         .field("rejected", Json::Bool(true))
         .render();
     }
-    // The generation and the take are read under one lock, so an
-    // update either lands before both (and the take sees its fold) or
-    // after both (and moves the generation this request put back under).
-    let (generation, cached) = {
-        let mut cache = shared.cache.lock().unwrap();
-        (cache.generation(&catalog), cache.take(&catalog))
+    let (lease, resident, was_cached) = match shared.checkout(&catalog) {
+        Ok(checked_out) => checked_out,
+        Err(e) => {
+            shared.log(&format!("{peer}: catalog {catalog:?}: {e}"));
+            return err_reply("catalog_error", &format!("{catalog}: {e}")).render();
+        }
     };
-    let was_cached = cached.is_some();
-    let resident = match cached {
-        Some(r) => r,
-        None => match shared.while_no_update(&catalog, || {
-            open_resident(&catalog, shared.cfg.cache_capacity)
-        }) {
-            Ok(r) => {
-                // A key on the poisoned list coming back resident is a
-                // successful recovery — count the reopen.
-                let mut poisoned = shared.poisoned.lock().unwrap();
-                if let Some(i) = poisoned.iter().position(|k| k == &catalog) {
-                    poisoned.remove(i);
-                    Counters::bump(&shared.counters.poison_reopens);
-                    shared.log(&format!(
-                        "{peer}: reopened previously poisoned catalog {catalog:?}"
-                    ));
-                }
-                r
-            }
-            Err(e) => {
-                shared.log(&format!("{peer}: catalog {catalog:?}: {e}"));
-                return err_reply("catalog_error", &format!("{catalog}: {e}")).render();
-            }
-        },
-    };
+    if !was_cached {
+        // A key on the poisoned list coming back resident is a
+        // successful recovery — count the reopen.
+        let mut poisoned = shared.poisoned.lock().unwrap();
+        if let Some(i) = poisoned.iter().position(|k| k == &catalog) {
+            poisoned.remove(i);
+            Counters::bump(&shared.counters.poison_reopens);
+            shared.log(&format!(
+                "{peer}: reopened previously poisoned catalog {catalog:?}"
+            ));
+        }
+    }
     match resident {
         Resident::Fixed(session) => {
             if let Some(a) = request.alpha {
@@ -819,16 +891,15 @@ fn run_query(request: &Request, shared: &Shared, peer: &str) -> String {
                          omit \"alpha\" or match it exactly",
                         session.alpha()
                     );
-                    shared.restore(peer, catalog, generation, Resident::Fixed(session));
+                    shared.restore(peer, lease, Resident::Fixed(session));
                     return err_reply("bad_request", &msg).render();
                 }
             }
-            let lease = (catalog, generation);
             run_view(request, shared, peer, lease, None, session, was_cached)
         }
         Resident::Base(mut entry) => {
             let Some(alpha) = request.alpha else {
-                shared.restore(peer, catalog, generation, Resident::Base(entry));
+                shared.restore(peer, lease, Resident::Base(entry));
                 return err_reply(
                     "bad_request",
                     "catalog holds an α-generic base: field \"alpha\" is required",
@@ -855,7 +926,7 @@ fn run_query(request: &Request, shared: &Shared, peer: &str) -> String {
                             // e.g. α below the base's floor — a client
                             // error; the base stays resident.
                             let msg = e.to_string();
-                            shared.restore(peer, catalog, generation, Resident::Base(entry));
+                            shared.restore(peer, lease, Resident::Base(entry));
                             return err_reply("bad_request", &msg).render();
                         }
                         Err(_) => {
@@ -863,7 +934,7 @@ fn run_query(request: &Request, shared: &Shared, peer: &str) -> String {
                             shared.log(&format!(
                                 "{peer}: refine(α={alpha}) panicked on {catalog:?}"
                             ));
-                            poison_or_restore(shared, peer, (catalog, generation), entry);
+                            poison_or_restore(shared, peer, lease, entry);
                             return err_reply(
                                 "internal_error",
                                 "refine panicked; base failure recorded",
@@ -877,7 +948,7 @@ fn run_query(request: &Request, shared: &Shared, peer: &str) -> String {
                 request,
                 shared,
                 peer,
-                (catalog, generation),
+                lease,
                 Some((entry, bits)),
                 view,
                 was_cached,
@@ -894,7 +965,7 @@ fn run_view(
     request: &Request,
     shared: &Shared,
     peer: &str,
-    lease: (String, u64),
+    lease: Lease,
     base: Option<(BaseEntry, u64)>,
     session: Prepared,
     was_cached: bool,
@@ -924,7 +995,7 @@ fn run_view(
                     Resident::Base(entry)
                 }
             };
-            shared.restore(peer, lease.0, lease.1, resident);
+            shared.restore(peer, lease, resident);
             reply
         }
         Err(payload) => {
@@ -954,47 +1025,53 @@ fn run_view(
 /// Record one failure against a base entry: restore it to the cache,
 /// or — at the server's poison threshold — evict it and remember the
 /// key so the next cold reopen is counted as a recovery.
-fn poison_or_restore(shared: &Shared, peer: &str, lease: (String, u64), mut entry: BaseEntry) {
-    let (catalog, generation) = lease;
+fn poison_or_restore(shared: &Shared, peer: &str, lease: Lease, mut entry: BaseEntry) {
     entry.failures += 1;
     if entry.failures >= shared.cfg.poison_threshold.max(1) {
         Counters::bump(&shared.counters.poison_evictions);
         shared.log(&format!(
-            "poisoned: evicting {catalog:?} after {} consecutive failures; \
+            "poisoned: evicting {:?} after {} consecutive failures; \
              next request reopens from disk",
-            entry.failures
+            lease.catalog, entry.failures
         ));
         let mut poisoned = shared.poisoned.lock().unwrap();
-        if !poisoned.iter().any(|k| k == &catalog) {
-            poisoned.push(catalog);
+        if !poisoned.contains(&lease.catalog) {
+            poisoned.push(lease.catalog);
         }
         // entry dropped here — views and base are discarded.
     } else {
-        shared.restore(peer, catalog, generation, Resident::Base(entry));
+        shared.restore(peer, lease, Resident::Base(entry));
     }
 }
 
-/// The `update` op: append a mutation batch to the catalog file, fold
-/// it into the resident session (if any), and auto-compact past the
-/// server's threshold.
+/// The `update` op: apply a mutation batch to the resident artifact,
+/// append it to the catalog file, and auto-compact past the server's
+/// threshold.
 ///
-/// Ordering is durability-first: the batch lands on disk (validated,
-/// atomic-durable; see [`mule::catalog::append_delta`]) before any
-/// in-memory state moves, so a crash after the reply can only leave
-/// *more* persisted than resident — never the reverse. The resident
-/// fold then keeps warm traffic on the mutated graph without a cold
-/// reopen: a fixed-α session gets [`mule::Prepared::apply`], a resident
-/// base gets [`mule::Base::apply`] and drops its refined per-α views
-/// (all stale). If the resident fold fails or panics the entry is
-/// simply evicted — the next request cold-reopens from the
-/// deltas-replayed file, which the append already proved valid.
+/// The resident artifact is the proof and the source of truth. The
+/// file is read and fully verified ([`Image::read`]); if its header
+/// bytes equal the [`Stamp`] the resident entry was recorded with (at
+/// cold open, and after each write here), the batch is applied to that
+/// entry — a fixed-α session through [`Prepared::apply`], a base
+/// through [`Base::apply`], dropping its refined per-α views. On a miss
+/// or a stamp mismatch (another process wrote the file) the image just
+/// read is decoded instead. A batch the artifact rejects is never
+/// written: the reply is `update_rejected` and the entry, unchanged,
+/// goes back to the cache. An accepted batch is written as the next
+/// `delta.{d}` section ([`Image::append`], atomic-durable; the same
+/// appender and bytes as [`mule::catalog::append_delta`]). If that
+/// write fails the entry is evicted — it holds a batch the file lacks,
+/// and no resident may be ahead of disk; the next request reopens the
+/// file. At the threshold the catalog is compacted by saving the
+/// resident artifact, whose image is exactly what
+/// [`mule::catalog::compact`] would write; a failed compaction leaves
+/// the deltas pending and the entry in step with the file.
 ///
 /// Concurrency: updates on one catalog path are serialized by its
 /// update lock, so no append rewrites the file from bytes another
-/// append has already replaced, and no cold open clears the temp file
-/// of a save in flight (see [`Shared::while_no_update`]). Each update
-/// bumps the path's cache generation; a query that held the entry (or
-/// opened the file) before the bump drops it at put-back rather than
+/// append has already replaced (see [`Shared::while_no_update`]). Each
+/// written update bumps the path's cache generation; a query that held
+/// an entry from before the bump drops it at put-back rather than
 /// reinstating a state without this delta (see [`Shared::restore`]).
 fn run_update(request: &Request, shared: &Shared, peer: &str) -> String {
     let Some(catalog) = request.catalog.clone() else {
@@ -1010,77 +1087,111 @@ fn run_update(request: &Request, shared: &Shared, peer: &str) -> String {
 }
 
 /// The body of [`run_update`], run under the catalog's update lock.
+/// `MULE_FAULT_PLAN` injects IO faults into its writes for chaos
+/// drills, as in `mule update`.
 fn apply_update(
     shared: &Shared,
     peer: &str,
     catalog: String,
-    delta: &mule::GraphDelta,
+    delta: &GraphDelta,
     started: Instant,
 ) -> String {
-    let pending = match mule::catalog::append_delta(&catalog, delta) {
-        Ok(p) => p,
-        Err(MuleError::Delta(msg)) => {
-            shared.log(&format!("{peer}: update rejected on {catalog:?}: {msg}"));
-            return err_reply("update_rejected", &msg).render();
-        }
-        Err(e) => {
-            shared.log(&format!("{peer}: update on {catalog:?}: {e}"));
-            return err_reply("catalog_error", &format!("{catalog}: {e}")).render();
-        }
+    let _fault = crate::commands::FaultScope::from_env();
+    let catalog_error = |e: &dyn std::fmt::Display| {
+        shared.log(&format!("{peer}: update on {catalog:?}: {e}"));
+        err_reply("catalog_error", &format!("{catalog}: {e}")).render()
     };
-    Counters::bump(&shared.counters.updates);
-    // Bump and take under one lock: a request holding the entry now, or
-    // opening the catalog from pre-append bytes, recorded the old
-    // generation and will drop what it holds instead of putting back a
-    // state without this delta.
-    let (generation, taken) = {
-        let mut cache = shared.cache.lock().unwrap();
-        (cache.bump(&catalog), cache.take(&catalog))
+    let taken = shared.cache.lock().unwrap().take(&catalog);
+    // From here on the path has no cache entry: a query that misses
+    // waits for this update's lock and then takes what it puts back.
+    let image = match Image::read(&catalog) {
+        Ok(image) => image,
+        Err(e) => return catalog_error(&e),
     };
-    if let Some(resident) = taken {
-        let folded = catch_unwind(AssertUnwindSafe(|| match resident {
-            Resident::Fixed(mut session) => session.apply(delta).map(|()| Resident::Fixed(session)),
-            Resident::Base(mut entry) => entry.base.apply(delta).map(|()| {
-                // Every refined per-α view was derived from the
-                // pre-update base: all stale, drop them.
-                entry.views.clear();
-                Resident::Base(entry)
-            }),
-        }));
-        match folded {
-            Ok(Ok(entry)) => shared.restore(peer, catalog.clone(), generation, entry),
-            Ok(Err(e)) => shared.log(&format!(
-                "{peer}: resident fold failed on {catalog:?} ({e}); evicted, next request reopens"
-            )),
-            Err(_) => {
-                Counters::bump(&shared.counters.panics_isolated);
+    let mut stamp = image.stamp();
+    let mut resident = match taken {
+        Some((held, entry)) if held == stamp => entry,
+        stale => {
+            if stale.is_some() {
                 shared.log(&format!(
-                    "{peer}: resident fold panicked on {catalog:?}; evicted"
+                    "{peer}: {catalog:?} changed on disk since it was loaded; decoding it"
                 ));
             }
+            match image.open() {
+                Ok(opened) => Resident::new(opened, shared.cfg.cache_capacity),
+                Err(e) => return catalog_error(&e),
+            }
+        }
+    };
+    match catch_unwind(AssertUnwindSafe(|| resident.apply(delta))) {
+        Ok(Ok(())) => {}
+        Ok(Err(e)) => {
+            // The apply left the entry unchanged, still in step with
+            // the file.
+            shared
+                .cache
+                .lock()
+                .unwrap()
+                .put(catalog.clone(), stamp, resident);
+            return match e {
+                MuleError::Delta(msg) => {
+                    shared.log(&format!("{peer}: update rejected on {catalog:?}: {msg}"));
+                    err_reply("update_rejected", &msg).render()
+                }
+                e => catalog_error(&e),
+            };
+        }
+        Err(_) => {
+            Counters::bump(&shared.counters.panics_isolated);
+            shared.log(&format!(
+                "{peer}: apply panicked on {catalog:?}; entry evicted, nothing written"
+            ));
+            return err_reply("internal_error", "update apply panicked; nothing written").render();
         }
     }
+    let pending = match image.append(&catalog, delta) {
+        Ok((pending, written)) => {
+            stamp = written;
+            pending
+        }
+        // `resident` already holds the batch: dropping it here is the
+        // eviction.
+        Err(e) => return catalog_error(&e),
+    };
+    // Free the read image before a compaction encodes a second one.
+    drop(image);
+    Counters::bump(&shared.counters.updates);
+    // Entries taken before this point miss the delta: they are dropped
+    // at put-back.
+    let generation = shared.cache.lock().unwrap().bump(&catalog);
     let mut compacted = false;
     let threshold = shared.cfg.compact_threshold;
     if threshold > 0 && pending >= threshold {
-        match mule::catalog::compact(&catalog) {
-            Ok(folded) => {
-                compacted = folded > 0;
-                if compacted {
-                    Counters::bump(&shared.counters.compactions);
-                    shared.log(&format!(
-                        "{peer}: compacted {catalog:?} ({folded} pending deltas folded)"
-                    ));
-                }
+        let bytes = resident.to_catalog_bytes();
+        match ugraph_io::fault::write_atomic(std::path::Path::new(&catalog), &bytes) {
+            Ok(()) => {
+                compacted = true;
+                stamp = mule::catalog::stamp_of(&bytes);
+                Counters::bump(&shared.counters.compactions);
+                shared.log(&format!(
+                    "{peer}: compacted {catalog:?} ({pending} pending deltas folded)"
+                ));
             }
             // Compaction failure is not an update failure: the appended
-            // delta is durable and replayable; compaction retries on
-            // the next threshold crossing.
+            // delta is durable and replayable, the resident still
+            // matches the file, and compaction retries on the next
+            // update past the threshold.
             Err(e) => shared.log(&format!(
                 "{peer}: compaction of {catalog:?} failed ({e}); deltas remain pending"
             )),
         }
     }
+    let lease = Lease {
+        catalog,
+        generation,
+        stamp,
+    };
+    shared.restore(peer, lease, resident);
     ok_reply("update")
         .field("applied", Json::Num(delta.len() as f64))
         .field(
@@ -1272,6 +1383,17 @@ fn interrupted_reply(e: MuleError) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mule::Query;
+
+    const STAMP: Stamp = [0; ugraph_io::catalog::HEADER_LEN];
+
+    fn lease(key: &str, generation: u64) -> Lease {
+        Lease {
+            catalog: key.to_string(),
+            generation,
+            stamp: STAMP,
+        }
+    }
 
     #[test]
     fn session_cache_takes_and_evicts_lru() {
@@ -1284,14 +1406,14 @@ mod tests {
             Resident::Fixed(Query::open_bytes(bytes).unwrap())
         };
         let mut cache = SessionCache::new(2);
-        cache.put("a".into(), make());
-        cache.put("b".into(), make());
-        cache.put("c".into(), make()); // evicts "a" (LRU)
+        cache.put("a".into(), STAMP, make());
+        cache.put("b".into(), STAMP, make());
+        cache.put("c".into(), STAMP, make()); // evicts "a" (LRU)
         assert!(cache.take("a").is_none());
-        let b = cache.take("b").unwrap();
+        let (stamp, b) = cache.take("b").unwrap();
         assert!(cache.peek("b").is_none(), "take removes");
-        cache.put("b".into(), b);
-        cache.put("d".into(), make()); // evicts "c" — "b" was refreshed
+        cache.put("b".into(), stamp, b);
+        cache.put("d".into(), STAMP, make()); // evicts "c" — "b" was refreshed
         assert!(cache.take("c").is_none());
         assert!(cache.peek("b").is_some());
         assert!(cache.take("b").is_some());
@@ -1303,18 +1425,18 @@ mod tests {
             ugraph_core::builder::from_edges(3, &[(0, 1, 0.9), (1, 2, 0.9), (0, 2, 0.9)]).unwrap();
         let make = || Resident::Fixed(Query::new(&g).alpha(0.5).prepare().unwrap());
         let mut cache = SessionCache::new(4);
-        cache.put("a".into(), make());
+        cache.put("a".into(), STAMP, make());
         // A query takes the entry; an update lands meanwhile.
         let generation = cache.generation("a");
-        let held = cache.take("a").unwrap();
+        let (_, held) = cache.take("a").unwrap();
         assert_eq!(cache.bump("a"), generation + 1);
-        assert!(!cache.put_if_current("a".into(), generation, held));
+        assert!(!cache.put_if_current(lease("a", generation), held));
         assert!(cache.peek("a").is_none(), "a stale entry is not put back");
         // Taken after the update: put back as usual. Other paths keep
         // their own generation.
-        assert!(cache.put_if_current("a".into(), generation + 1, make()));
+        assert!(cache.put_if_current(lease("a", generation + 1), make()));
         assert!(cache.peek("a").is_some());
-        assert!(cache.put_if_current("b".into(), 0, make()));
+        assert!(cache.put_if_current(lease("b", 0), make()));
     }
 
     #[test]
@@ -1377,12 +1499,16 @@ mod tests {
             .save(&base_path)
             .unwrap();
         match open_resident(fixed_path.to_str().unwrap(), 4).unwrap() {
-            Resident::Fixed(s) => assert_eq!(s.alpha(), 0.5),
-            Resident::Base(_) => panic!("fixed catalog opened as base"),
+            (stamp, Resident::Fixed(s)) => {
+                assert_eq!(s.alpha(), 0.5);
+                let header = std::fs::read(&fixed_path).unwrap()[..stamp.len()].to_vec();
+                assert_eq!(stamp.to_vec(), header, "the stamp is the file's header");
+            }
+            (_, Resident::Base(_)) => panic!("fixed catalog opened as base"),
         }
         match open_resident(base_path.to_str().unwrap(), 4).unwrap() {
-            Resident::Base(e) => assert_eq!(e.base.floor(), 0.0),
-            Resident::Fixed(_) => panic!("base catalog opened as fixed"),
+            (_, Resident::Base(e)) => assert_eq!(e.base.floor(), 0.0),
+            (_, Resident::Fixed(_)) => panic!("base catalog opened as fixed"),
         }
         assert!(open_resident(dir.join("absent.ugq").to_str().unwrap(), 4).is_err());
         let _ = std::fs::remove_dir_all(&dir);

@@ -945,14 +945,28 @@ fn update_op_mutates_catalogs_and_keeps_serving() {
         "compacted catalog must match a fresh prepare of the mutated graph"
     );
 
-    // Rejected batch: typed error, file untouched, server keeps serving.
+    // Rejected batch: typed error, file untouched, and the resident
+    // session — the batch was tried on it first — goes back to the
+    // cache answering exactly as before.
+    let count = format!(r#"{{"op":"count","catalog":"{fixed}"}}"#);
+    let answer = |reply: &Json| {
+        assert_ok(reply, "count");
+        (
+            reply.get("count").and_then(Json::as_u64),
+            reply.get("search_nodes").and_then(Json::as_u64),
+        )
+    };
+    let served_before = answer(&request(addr, &count));
     let before = std::fs::read(&fixed_path).unwrap();
     let reply = request(
         addr,
-        &format!(r#"{{"op":"update","catalog":"{fixed}","ops":[["delete",0,5]]}}"#),
+        &format!(r#"{{"op":"update","catalog":"{fixed}","ops":[["set",0,1,0.7],["delete",0,5]]}}"#),
     );
     assert_err(&reply, "update_rejected", "unknown edge");
     assert_eq!(std::fs::read(&fixed_path).unwrap(), before);
+    let reply = request(addr, &format!(r#"{{"op":"stat","catalog":"{fixed}"}}"#));
+    assert_eq!(reply.get("resident"), Some(&Json::Bool(true)), "{reply:?}");
+    assert_eq!(answer(&request(addr, &count)), served_before);
 
     // Wire-level validation and addressing errors.
     assert_err(
@@ -1133,6 +1147,300 @@ fn concurrent_updates_and_counts_on_one_catalog_agree_with_a_fresh_prepare() {
         );
     }
 
+    assert_ok(&request(addr, r#"{"op":"shutdown"}"#), "shutdown");
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Edges of a seeded random graph on `n` vertices, keyed `(u, v)` with
+/// `u < v`.
+fn random_edges(n: u32, density: f64, seed: u64) -> std::collections::BTreeMap<(u32, u32), f64> {
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut edges = std::collections::BTreeMap::new();
+    for u in 0..n {
+        for v in (u + 1)..n {
+            if rng.gen::<f64>() < density {
+                edges.insert((u, v), 0.05 + 0.95 * rng.gen::<f64>());
+            }
+        }
+    }
+    edges
+}
+
+fn build_graph(
+    n: u32,
+    edges: &std::collections::BTreeMap<(u32, u32), f64>,
+) -> ugraph_core::UncertainGraph {
+    let mut b = ugraph_core::GraphBuilder::new(n as usize);
+    for (&(u, v), &p) in edges {
+        b.add_edge(u, v, p).unwrap();
+    }
+    b.build()
+}
+
+/// One seeded batch of three ops — a re-weight and a delete of edges
+/// visible at `alpha`, an insert of an absent pair — on pairs no
+/// earlier batch touched. Applies it to `edges` and returns it as wire
+/// ops and as a [`mule::GraphDelta`].
+fn next_batch(
+    n: u32,
+    edges: &mut std::collections::BTreeMap<(u32, u32), f64>,
+    touched: &mut std::collections::BTreeSet<(u32, u32)>,
+    alpha: f64,
+    rng: &mut rand::rngs::SmallRng,
+) -> (String, mule::GraphDelta) {
+    use rand::Rng;
+    let visible: Vec<(u32, u32)> = edges
+        .iter()
+        .filter(|&(e, &p)| p >= alpha && !touched.contains(e))
+        .map(|(&e, _)| e)
+        .collect();
+    let set = visible[rng.gen_range(0..visible.len())];
+    let del = loop {
+        let e = visible[rng.gen_range(0..visible.len())];
+        if e != set {
+            break e;
+        }
+    };
+    let ins = loop {
+        let u = rng.gen_range(0..n - 1);
+        let v = rng.gen_range(u + 1..n);
+        if !edges.contains_key(&(u, v)) && !touched.contains(&(u, v)) {
+            break (u, v);
+        }
+    };
+    let (p_set, p_ins) = (
+        0.1 + 0.9 * rng.gen::<f64>(),
+        alpha + (1.0 - alpha) * rng.gen::<f64>(),
+    );
+    touched.extend([set, del, ins]);
+    edges.insert(set, p_set);
+    edges.remove(&del);
+    edges.insert(ins, p_ins);
+    let wire = format!(
+        r#"["set",{},{},{p_set}],["delete",{},{}],["insert",{},{},{p_ins}]"#,
+        set.0, set.1, del.0, del.1, ins.0, ins.1
+    );
+    let delta = mule::GraphDelta::new()
+        .set_prob(set.0, set.1, p_set)
+        .delete(del.0, del.1)
+        .insert(ins.0, ins.1, p_ins);
+    (wire, delta)
+}
+
+/// The served count and search-node total, which must match a fresh
+/// prepare of `truth` at `alpha`.
+fn assert_serves(
+    addr: SocketAddr,
+    catalog: &str,
+    alpha: Option<f64>,
+    truth: &ugraph_core::UncertainGraph,
+    what: &str,
+) {
+    let frame = match alpha {
+        Some(a) => format!(r#"{{"op":"count","catalog":"{catalog}","alpha":{a}}}"#),
+        None => format!(r#"{{"op":"count","catalog":"{catalog}"}}"#),
+    };
+    let reply = request(addr, &frame);
+    assert_ok(&reply, what);
+    let mut fresh = mule::Query::new(truth)
+        .alpha(alpha.unwrap_or(FIXED_ALPHA))
+        .prepare()
+        .unwrap();
+    let count = fresh.count().unwrap();
+    assert_eq!(
+        (
+            reply.get("count").and_then(Json::as_u64),
+            reply.get("search_nodes").and_then(Json::as_u64)
+        ),
+        (Some(count), Some(fresh.stats().calls)),
+        "{what}: served answer vs a fresh prepare"
+    );
+}
+
+const FIXED_ALPHA: f64 = 0.3;
+
+/// Byte-identity oracle for serve writes: after every `update` reply
+/// the catalog holds exactly the bytes a twin file holds after the same
+/// batches through `mule::catalog::append_delta`, with `compact` at the
+/// same threshold — for a fixed-α catalog and a base, across two
+/// compactions, with the resident answering between updates.
+#[test]
+fn serve_updates_write_the_bytes_append_delta_and_compact_write() {
+    use rand::SeedableRng;
+    let dir = temp_dir("update-oracle");
+    let n = 40u32;
+    const THRESHOLD: usize = 3;
+    let server = start(ServeConfig {
+        compact_threshold: THRESHOLD,
+        ..ServeConfig::default()
+    });
+    let addr = server.addr();
+    for kind in ["fixed", "base"] {
+        let mut edges = random_edges(n, 0.3, 7);
+        let g = build_graph(n, &edges);
+        let path = dir.join(format!("{kind}.ugq"));
+        let twin = dir.join(format!("{kind}-twin.ugq"));
+        let alpha = match kind {
+            "fixed" => {
+                let session = mule::Query::new(&g).alpha(FIXED_ALPHA).prepare().unwrap();
+                session.save(&path).unwrap();
+                None
+            }
+            _ => {
+                mule::Query::new(&g)
+                    .prepare_base()
+                    .unwrap()
+                    .save(&path)
+                    .unwrap();
+                Some(0.5)
+            }
+        };
+        std::fs::copy(&path, &twin).unwrap();
+        let catalog = path.to_str().unwrap().to_string();
+        let mut touched = std::collections::BTreeSet::new();
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(11);
+        for round in 0..2 * THRESHOLD + 1 {
+            let what = format!("{kind} round {round}");
+            // Every other round starts from a resident entry; the rest
+            // from a miss, which decodes the file.
+            if round % 2 == 0 {
+                assert_serves(addr, &catalog, alpha, &build_graph(n, &edges), &what);
+            }
+            let (wire, delta) = next_batch(n, &mut edges, &mut touched, FIXED_ALPHA, &mut rng);
+            let reply = request(
+                addr,
+                &format!(r#"{{"op":"update","catalog":"{catalog}","ops":[{wire}]}}"#),
+            );
+            assert_ok(&reply, &what);
+            let mut pending = mule::catalog::append_delta(&twin, &delta).unwrap();
+            if pending >= THRESHOLD {
+                mule::catalog::compact(&twin).unwrap();
+                pending = 0;
+            }
+            assert_eq!(
+                reply.get("pending").and_then(Json::as_u64),
+                Some(pending as u64),
+                "{what}"
+            );
+            assert_eq!(
+                reply.get("compacted"),
+                Some(&Json::Bool(pending == 0)),
+                "{what}"
+            );
+            assert!(
+                std::fs::read(&path).unwrap() == std::fs::read(&twin).unwrap(),
+                "{what}: served catalog bytes differ from append_delta/compact"
+            );
+            if round % 2 == 1 {
+                assert_serves(addr, &catalog, alpha, &build_graph(n, &edges), &what);
+            }
+        }
+    }
+    assert_ok(&request(addr, r#"{"op":"shutdown"}"#), "shutdown");
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A log sink the test can read back.
+#[derive(Clone, Default)]
+struct SharedLog(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+
+impl Write for SharedLog {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Another process appends a delta between two serve updates. The
+/// resident entry no longer matches the file's header, so the second
+/// update must decode the file instead of applying its batch to the
+/// stale entry: the file keeps all three deltas, byte-identical to a
+/// twin given the same batches, and the resident, a reopen of the file
+/// and a fresh prepare agree.
+#[test]
+fn update_after_an_out_of_band_append_decodes_the_file() {
+    use rand::SeedableRng;
+    let dir = temp_dir("stale-stamp");
+    let n = 40u32;
+    let mut edges = random_edges(n, 0.3, 19);
+    let path = dir.join("base.ugq");
+    let twin = dir.join("twin.ugq");
+    mule::Query::new(&build_graph(n, &edges))
+        .prepare_base()
+        .unwrap()
+        .save(&path)
+        .unwrap();
+    std::fs::copy(&path, &twin).unwrap();
+    let catalog = path.to_str().unwrap().to_string();
+    let log = SharedLog::default();
+    let server = Server::start(ServeConfig::default(), log_to(Box::new(log.clone()))).unwrap();
+    let addr = server.addr();
+    let mut touched = std::collections::BTreeSet::new();
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
+    let mut batch = || next_batch(n, &mut edges, &mut touched, FIXED_ALPHA, &mut rng);
+
+    assert_ok(
+        &request(
+            addr,
+            &format!(r#"{{"op":"count","catalog":"{catalog}","alpha":0.5}}"#),
+        ),
+        "warm count",
+    );
+    let (first, d1) = batch();
+    let (_, d2) = batch();
+    let (third, d3) = batch();
+    let update = |wire: &str| {
+        request(
+            addr,
+            &format!(r#"{{"op":"update","catalog":"{catalog}","ops":[{wire}]}}"#),
+        )
+    };
+    assert_ok(&update(&first), "first update");
+    mule::catalog::append_delta(&path, &d2).unwrap();
+    let reply = update(&third);
+    assert_ok(&reply, "update after the out-of-band append");
+    assert_eq!(reply.get("pending").and_then(Json::as_u64), Some(3));
+    assert!(
+        String::from_utf8(log.0.lock().unwrap().clone())
+            .unwrap()
+            .contains("changed on disk"),
+        "the stale entry must be noticed"
+    );
+    for d in [&d1, &d2, &d3] {
+        mule::catalog::append_delta(&twin, d).unwrap();
+    }
+    assert!(std::fs::read(&path).unwrap() == std::fs::read(&twin).unwrap());
+
+    let truth = build_graph(n, &edges);
+    let reopened = mule::Query::open_base(&path).unwrap();
+    for alpha in [0.3, 0.5, 0.7] {
+        assert_serves(
+            addr,
+            &catalog,
+            Some(alpha),
+            &truth,
+            &format!("resident at α = {alpha}"),
+        );
+        let mut view = reopened.refine(alpha).unwrap();
+        let mut fresh = mule::Query::new(&truth).alpha(alpha).prepare().unwrap();
+        assert_eq!(
+            view.count().unwrap(),
+            fresh.count().unwrap(),
+            "reopened at α = {alpha}"
+        );
+        assert_eq!(
+            view.stats().calls,
+            fresh.stats().calls,
+            "reopened at α = {alpha}"
+        );
+    }
     assert_ok(&request(addr, r#"{"op":"shutdown"}"#), "shutdown");
     server.join();
     let _ = std::fs::remove_dir_all(&dir);

@@ -96,7 +96,9 @@
 //! therefore leaves the final path either untouched (prior catalog
 //! intact) or fully replaced — never half-written. The only possible
 //! debris is an orphan `<file>.tmp`, which [`Catalog::open`] removes
-//! before reading. `tests/crash_battery.rs` at the workspace root
+//! before reading — unless a save in another process still holds the
+//! empty `<file>.lock` sibling, in which case the temp is that save's
+//! and stays. `tests/crash_battery.rs` at the workspace root
 //! proves this by injecting every [`crate::fault::FaultPlan`] at every
 //! byte-prefix cut point of a save and reopening after each.
 //!
@@ -747,6 +749,15 @@ impl Catalog {
         &self.header
     }
 
+    /// The header's [`HEADER_LEN`] bytes as stored. They carry the
+    /// content hash, section count and TOC length, so two images with
+    /// equal header bytes hold the same sections.
+    pub fn header_bytes(&self) -> &[u8; HEADER_LEN] {
+        self.data[..HEADER_LEN]
+            .try_into()
+            .expect("from_bytes checked the header length")
+    }
+
     /// The TOC, in file order.
     pub fn sections(&self) -> &[SectionEntry] {
         &self.toc
@@ -801,6 +812,27 @@ impl Catalog {
             return Err(corrupt("content hash mismatch"));
         }
         Ok(VerifiedSections { cat: self })
+    }
+
+    /// [`Catalog::verify`], keeping the catalog: the returned
+    /// [`VerifiedCatalog`] hands out its [`VerifiedSections`] as often
+    /// as needed without checksumming a payload again.
+    pub fn into_verified(self) -> Result<VerifiedCatalog, CatalogError> {
+        self.verify()?;
+        Ok(VerifiedCatalog { cat: self })
+    }
+}
+
+/// An owned catalog that passed [`Catalog::verify`]; the only way to
+/// obtain one is [`Catalog::into_verified`].
+pub struct VerifiedCatalog {
+    cat: Catalog,
+}
+
+impl VerifiedCatalog {
+    /// The verified payloads.
+    pub fn sections(&self) -> VerifiedSections<'_> {
+        VerifiedSections { cat: &self.cat }
     }
 }
 

@@ -10,6 +10,14 @@
 //! final file. The only debris a crash can leave is an orphan temp,
 //! which [`cleanup_orphan`] removes on the next open.
 //!
+//! From creating the temp until the rename, a writer holds an exclusive
+//! [`File::lock`] on a second sibling, `<file>.lock`, so a reader in
+//! another process tells a live save from a crashed one: it removes the
+//! temp only when it can take that lock itself, and the operating
+//! system drops the lock of a writer that died. The lock file is left
+//! in place (it is empty, and deleting it would let two writers lock
+//! two different files); it is the one sibling a catalog keeps.
+//!
 //! The guarantee is not taken on faith: [`FaultPlan`] is an injectable
 //! seam that the crash-at-every-boundary battery
 //! (`tests/crash_battery.rs` at the workspace root) drives over every
@@ -217,12 +225,32 @@ pub fn tmp_path(path: &Path) -> PathBuf {
     PathBuf::from(os)
 }
 
+/// The sibling a save holds an exclusive lock on while its temp file
+/// exists: `<file>.lock`.
+pub fn lock_path(path: &Path) -> PathBuf {
+    let mut os = path.as_os_str().to_os_string();
+    os.push(".lock");
+    PathBuf::from(os)
+}
+
 /// Remove the orphan temp a crashed save may have left next to
 /// `path`, best-effort. Readers call this before opening so debris
 /// from a prior crash never accumulates and can never be mistaken for
-/// a catalog.
+/// a catalog. A temp whose writer still holds `<file>.lock` is a save
+/// in flight and is left alone; a temp with no lock file at all was
+/// not written under the lock, so no live writer owns it.
 pub fn cleanup_orphan(path: &Path) {
-    let _ = std::fs::remove_file(tmp_path(path));
+    let tmp = tmp_path(path);
+    if !tmp.exists() {
+        return;
+    }
+    let unowned = match File::open(lock_path(path)) {
+        Ok(lock) => lock.try_lock().is_ok(),
+        Err(_) => true,
+    };
+    if unowned {
+        let _ = std::fs::remove_file(tmp);
+    }
 }
 
 /// Write `bytes` to `path` atomically and durably: temp file in the
@@ -232,10 +260,22 @@ pub fn cleanup_orphan(path: &Path) {
 /// except under a [`FaultPlan::CrashAfterPrefix`] simulation, which
 /// leaves the orphan exactly as a real crash would.
 ///
+/// An exclusive lock on [`lock_path`] is held from before the temp is
+/// created until after the rename, so [`cleanup_orphan`] in another
+/// process never deletes the temp of this save; concurrent saves to
+/// one path wait for each other.
+///
 /// The payload is fed through the fault seam in bounded chunks so an
 /// armed byte-count plan fires at its exact cut point regardless of
 /// how the OS batches writes.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let lock = File::options()
+        .create(true)
+        .truncate(false)
+        .write(true)
+        .open(lock_path(path))?;
+    // Released when `lock` drops, after the rename (or the failure).
+    lock.lock()?;
     let tmp = tmp_path(path);
     match write_tmp(&tmp, bytes) {
         Ok(()) => {}
@@ -360,6 +400,35 @@ mod tests {
         assert_eq!(std::fs::read(&orphan).unwrap(), b"new ");
         cleanup_orphan(&p);
         assert!(!orphan.exists());
+        std::fs::remove_dir_all(&d).unwrap();
+    }
+
+    #[test]
+    fn cleanup_spares_a_locked_temp_and_removes_a_crashed_one() {
+        let d = tdir("locked");
+        let p = d.join("a.bin");
+        write_atomic(&p, b"old").unwrap();
+        // A save in flight: its writer holds the lock while the temp
+        // exists. An open in the meantime must leave the temp alone.
+        let held = File::options().write(true).open(lock_path(&p)).unwrap();
+        held.lock().unwrap();
+        std::fs::write(tmp_path(&p), b"live").unwrap();
+        cleanup_orphan(&p);
+        assert_eq!(std::fs::read(tmp_path(&p)).unwrap(), b"live");
+        // The writer dies: the lock goes with it, and the temp is now
+        // an orphan the next open removes.
+        drop(held);
+        cleanup_orphan(&p);
+        assert!(!tmp_path(&p).exists());
+        // A crashed save through the real path leaves its orphan
+        // unlocked, so it is removed too; the catalog is untouched.
+        arm(FaultPlan::CrashAfterPrefix(2));
+        write_atomic(&p, b"new").unwrap_err();
+        disarm();
+        assert!(tmp_path(&p).exists());
+        cleanup_orphan(&p);
+        assert!(!tmp_path(&p).exists());
+        assert_eq!(std::fs::read(&p).unwrap(), b"old");
         std::fs::remove_dir_all(&d).unwrap();
     }
 

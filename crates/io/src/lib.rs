@@ -28,7 +28,8 @@ pub mod fault;
 pub use binfmt::{read_binary, write_binary, BinError};
 pub use bytes::Bytes;
 pub use catalog::{
-    Catalog, CatalogError, CatalogHeader, CatalogWriter, SectionEntry, VerifiedSections,
+    Catalog, CatalogError, CatalogHeader, CatalogWriter, SectionEntry, VerifiedCatalog,
+    VerifiedSections,
 };
 pub use cliques::{read_clique_list, write_clique_list};
 pub use edgelist::{read_prob_edgelist, read_snap_edgelist, write_prob_edgelist, ParseError};

@@ -7,8 +7,9 @@
 //! One encoder writes both layouts and one decode entry reads them,
 //! sharing the canonical-order check and the per-component decode; only
 //! the kind's tail is validated separately. The public items here
-//! maintain catalog files: [`append_delta`], [`append_delta_bytes`],
-//! [`pending_deltas`] and [`compact`].
+//! maintain catalog files: [`Image`] (a read and verified file, its
+//! [`Stamp`] and the one delta appender), [`append_delta`],
+//! [`append_delta_bytes`], [`pending_deltas`] and [`compact`].
 //!
 //! The io layer owns the container rules (header, TOC, checksums,
 //! strict layout); this module owns what the sections *mean* and is
@@ -96,11 +97,14 @@
 //! validated. The header fingerprint and the report section keep
 //! describing the **pre-delta** core artifact; the replayed, opened
 //! artifact is byte-identical to a fresh prepare of the mutated graph
-//! (pinned by `tests/delta_equivalence.rs`). `append_delta` proves the
-//! grown image opens and replays *before* writing it, and both append
-//! and [`compact`] land through the atomic-durable path, so a crashed
-//! mutation can never leave a half-state. The byte-for-byte `delta.{i}`
-//! payload layout is documented in [`ugraph_io::catalog`].
+//! (pinned by `tests/delta_equivalence.rs`). Every append goes through
+//! one appender, [`Image::append`], and only after the batch was
+//! applied to the artifact the image holds: [`append_delta`] decodes
+//! the image to get it, a resident holder (`mule serve`) uses the one
+//! it has. Appends and [`compact`] land through the atomic-durable
+//! path, so a crashed mutation can never leave a half-state. The
+//! byte-for-byte `delta.{i}` payload layout is documented in
+//! [`ugraph_io::catalog`].
 //!
 //! # What the decoder validates beyond the checksums
 //!
@@ -145,12 +149,13 @@ use crate::kernel::Kernel;
 use crate::prepare::{
     PrepareConfig, PrepareReport, PreparedBase, PreparedComponent, PreparedInstance, Unit,
 };
-use crate::query::MuleError;
+use crate::query::{MuleError, Opened};
 use std::path::Path;
 use ugraph_core::{Components, UncertainGraph, VertexId};
 use ugraph_io::catalog::{
-    ByteReader, Catalog, CatalogError, CatalogHeader, CatalogWriter, VerifiedSections,
-    FLAG_ALPHA_BASE, FLAG_CORE_FILTER, FLAG_SHARD_COMPONENTS, FLAG_SHARED_NEIGHBORHOOD,
+    ByteReader, Catalog, CatalogError, CatalogHeader, CatalogWriter, VerifiedCatalog,
+    VerifiedSections, FLAG_ALPHA_BASE, FLAG_CORE_FILTER, FLAG_SHARD_COMPONENTS,
+    FLAG_SHARED_NEIGHBORHOOD, HEADER_LEN,
 };
 use ugraph_io::Bytes;
 
@@ -940,7 +945,7 @@ fn decode_base(
 /// The header fingerprint and every structural check describe the
 /// pre-delta core artifact — they ran before this. A batch that fails
 /// to decode or apply makes the whole catalog a typed corruption error
-/// ([`append_delta`] proves applicability before writing, so a failure
+/// (every append applies its batch before writing it, so a failure
 /// here means the file was tampered with or damaged).
 fn replay_deltas(
     sections: &VerifiedSections<'_>,
@@ -961,54 +966,131 @@ fn replay_deltas(
 // Delta sections: append, count, compact
 // ---------------------------------------------------------------------------
 
+/// A catalog image's header bytes ([`Image::stamp`]). Equal stamps
+/// mean equal sections, so a writer that recorded the stamp of the
+/// state it holds can tell whether the file still holds that state.
+pub type Stamp = [u8; HEADER_LEN];
+
+/// A catalog image, read whole, parsed and fully verified (every
+/// section checksum and the content hash) — the proof a maintenance
+/// step starts from. [`Image::open`] decodes it; [`Image::append`] is
+/// the one appender every delta write goes through.
+pub struct Image {
+    cat: VerifiedCatalog,
+    deltas: usize,
+}
+
+impl Image {
+    /// Read and verify the catalog file at `path`, after clearing an
+    /// orphan temp a crashed save left beside it.
+    pub fn read(path: impl AsRef<Path>) -> Result<Image, MuleError> {
+        Image::from_bytes(Bytes::from(read_image(path.as_ref())?))
+    }
+
+    /// [`Image::read`] over an in-memory image.
+    fn from_bytes(data: Bytes) -> Result<Image, MuleError> {
+        let cat = Catalog::from_bytes(data)?.into_verified()?;
+        let deltas = delta_count(cat.sections().catalog())?;
+        Ok(Image { cat, deltas })
+    }
+
+    /// The header bytes of this image.
+    pub fn stamp(&self) -> Stamp {
+        *self.cat.sections().catalog().header_bytes()
+    }
+
+    /// Decode the artifact of either kind, pending deltas replayed —
+    /// what [`crate::Query::open_any`] returns for the same bytes.
+    pub fn open(&self) -> Result<Opened, MuleError> {
+        self.decode(Opened::fixed, Opened::base)
+    }
+
+    fn decode<T>(
+        &self,
+        fixed: impl FnOnce(PreparedInstance) -> T,
+        base: impl FnOnce(PreparedBase) -> T,
+    ) -> Result<T, MuleError> {
+        Ok(decode_sections(&self.cat.sections(), None, fixed, base)?)
+    }
+
+    /// Prove that `delta` applies to the artifact this image holds.
+    fn prove(&self, delta: &GraphDelta) -> Result<(), MuleError> {
+        self.decode(
+            |mut inst| crate::delta::apply_instance(&mut inst, delta),
+            |mut base| crate::delta::apply_base(&mut base, delta),
+        )?
+    }
+
+    /// This image with `delta` as its next `delta.{d}` section: core and
+    /// earlier delta sections byte for byte, header intact (it keeps
+    /// describing the pre-delta artifact).
+    fn appended(&self, delta: &GraphDelta) -> Vec<u8> {
+        let mut writer = CatalogWriter::from_verified(&self.cat.sections());
+        writer.add_section(format!("delta.{}", self.deltas), delta.to_bytes());
+        writer.finish()
+    }
+
+    /// Write this image plus `delta` as its next `delta.{d}` section to
+    /// `path` through the atomic-durable path; returns the new pending
+    /// count and the written image's stamp. The batch is **not**
+    /// checked here: the caller must already have applied it to the
+    /// artifact this image holds (a resident one, or [`Image::open`]'s)
+    /// and seen it accepted — [`append_delta`] does exactly that. On
+    /// error the file keeps its prior bytes.
+    pub fn append(
+        &self,
+        path: impl AsRef<Path>,
+        delta: &GraphDelta,
+    ) -> Result<(usize, Stamp), MuleError> {
+        let bytes = self.appended(delta);
+        ugraph_io::fault::write_atomic(path.as_ref(), &bytes).map_err(CatalogError::from)?;
+        Ok((self.deltas + 1, stamp_of(&bytes)))
+    }
+}
+
+/// The stamp of a catalog byte image written by this crate (the image
+/// [`crate::Prepared::to_catalog_bytes`] or [`crate::Base::to_catalog_bytes`]
+/// returns).
+pub fn stamp_of(image: &[u8]) -> Stamp {
+    image[..HEADER_LEN]
+        .try_into()
+        .expect("an encoded catalog starts with its header")
+}
+
 /// Append one [`GraphDelta`] batch to a catalog file as the next
 /// `delta.{i}` section and return the new pending-delta count. Works on
 /// both layouts (fixed instance and α-generic base).
 ///
-/// The UGQ1 container requires sections to tile the file contiguously
-/// in TOC order, so an append re-serializes the whole catalog (core
-/// sections byte-for-byte, header — which keeps describing the
-/// *pre-delta* artifact — intact) and lands it through the
-/// atomic-durable write path: on any error, including a crash at an
-/// arbitrary byte boundary, the prior file is intact. Before anything
-/// reaches disk the new image is opened and fully replayed in memory —
-/// a batch the artifact rejects (unknown edge, out-of-range vertex,
-/// precondition failure; see [`mod@crate::delta`]) is never persisted,
-/// so a catalog that passed `append_delta` always reopens.
+/// Reads and verifies the file ([`Image::read`]), decodes it with every
+/// pending delta replayed and applies the batch — a batch the artifact
+/// rejects (unknown edge, out-of-range vertex, precondition failure;
+/// see [`mod@crate::delta`]) is never persisted, so a catalog that
+/// passed `append_delta` always reopens — then writes through
+/// [`Image::append`]. The UGQ1 container requires sections to tile the
+/// file contiguously in TOC order, so an append rewrites the whole
+/// file, atomically: on any error, including a crash at an arbitrary
+/// byte boundary, the prior file is intact. A holder of the decoded
+/// artifact (`mule serve`) skips the decode and applies the batch to
+/// what it holds instead; the bytes written are the same.
 pub fn append_delta(path: impl AsRef<Path>, delta: &GraphDelta) -> Result<usize, MuleError> {
     let path = path.as_ref();
-    let (bytes, pending) = append_delta_bytes(Bytes::from(read_image(path)?), delta)?;
-    ugraph_io::fault::write_atomic(path, &bytes).map_err(CatalogError::from)?;
-    Ok(pending)
+    let image = Image::read(path)?;
+    image.prove(delta)?;
+    Ok(image.append(path, delta)?.0)
 }
 
 /// Byte-level form of [`append_delta`]: returns the appended catalog
 /// image and the resulting pending-delta count without touching disk.
 pub fn append_delta_bytes(data: Bytes, delta: &GraphDelta) -> Result<(Vec<u8>, usize), MuleError> {
-    let cat = Catalog::from_bytes(data)?;
-    let sections = cat.verify()?;
-    let d = delta_count(&cat)?;
-    // Prove the batch replays against the artifact's current state
-    // (any already-pending deltas applied first) before bytes are
-    // assembled: a rejected batch surfaces as the typed
-    // [`MuleError::Delta`] and is never persisted.
-    decode_sections(
-        &sections,
-        None,
-        |mut inst| crate::delta::apply_instance(&mut inst, delta),
-        |mut base| crate::delta::apply_base(&mut base, delta),
-    )??;
-    let mut writer = CatalogWriter::from_verified(&sections);
-    writer.add_section(format!("delta.{d}"), delta.to_bytes());
-    Ok((writer.finish(), d + 1))
+    let image = Image::from_bytes(data)?;
+    image.prove(delta)?;
+    Ok((image.appended(delta), image.deltas + 1))
 }
 
 /// Number of pending (appended, not yet compacted) `delta.{i}` sections
 /// in a catalog file. Counts from the TOC without replaying.
 pub fn pending_deltas(path: impl AsRef<Path>) -> Result<usize, MuleError> {
-    let cat = Catalog::from_bytes(Bytes::from(read_image(path.as_ref())?))?;
-    cat.verify()?;
-    Ok(delta_count(&cat)?)
+    Ok(Image::read(path)?.deltas)
 }
 
 /// Fold every pending `delta.{i}` section into the core sections and
@@ -1016,25 +1098,25 @@ pub fn pending_deltas(path: impl AsRef<Path>) -> Result<usize, MuleError> {
 /// (`0` = the file was already clean and is untouched). The compacted
 /// image is exactly what saving the replayed artifact produces — i.e.
 /// byte-identical to a fresh save of a fresh prepare of the mutated
-/// graph — and lands through the same atomic-durable path as
-/// [`append_delta`]: a crash mid-compaction leaves the old
-/// base-plus-deltas file intact and replayable.
+/// graph, and to [`crate::Prepared::save`] / [`crate::Base::save`] of a
+/// resident artifact that took the same batches through `apply` — and
+/// lands through the same atomic-durable path as [`append_delta`]: a
+/// crash mid-compaction leaves the old base-plus-deltas file intact and
+/// replayable. One gap, in the fixed layout only: the source graph's
+/// name is stored only inside a whole-graph component, so a catalog
+/// whose components do not span the graph decodes with no name, and a
+/// later batch that reconnects the graph yields a whole-graph component
+/// named `""` where a fresh prepare (or a resident artifact that never
+/// lost the name) writes the name.
 pub fn compact(path: impl AsRef<Path>) -> Result<usize, MuleError> {
     let path = path.as_ref();
-    let cat = Catalog::from_bytes(Bytes::from(read_image(path)?))?;
-    let sections = cat.verify()?;
-    let d = delta_count(&cat)?;
-    if d == 0 {
+    let image = Image::read(path)?;
+    if image.deltas == 0 {
         return Ok(0);
     }
-    let bytes = decode_sections(
-        &sections,
-        None,
-        |inst| to_bytes(&inst),
-        |base| base_to_bytes(&base),
-    )?;
+    let bytes = image.decode(|inst| to_bytes(&inst), |base| base_to_bytes(&base))?;
     ugraph_io::fault::write_atomic(path, &bytes).map_err(CatalogError::from)?;
-    Ok(d)
+    Ok(image.deltas)
 }
 
 #[cfg(test)]

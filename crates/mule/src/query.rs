@@ -660,8 +660,8 @@ impl<'g> Query<'g> {
         Ok(crate::catalog::decode(
             Bytes::from(bytes.into()),
             None,
-            |inst| Opened::Fixed(Prepared::from_instance(inst)),
-            |base| Opened::Base(Base::from_base(base)),
+            Opened::fixed,
+            Opened::base,
         )?)
     }
 }
@@ -674,6 +674,16 @@ pub enum Opened {
     Fixed(Prepared),
     /// An α-generic base: [`Base::refine`] picks the α.
     Base(Base),
+}
+
+impl Opened {
+    pub(crate) fn fixed(inst: PreparedInstance) -> Self {
+        Opened::Fixed(Prepared::from_instance(inst))
+    }
+
+    pub(crate) fn base(base: PreparedBase) -> Self {
+        Opened::Base(Base::from_base(base))
+    }
 }
 
 /// An α-generic prepared artifact: the output of [`Query::prepare_base`].

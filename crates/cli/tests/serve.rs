@@ -1231,7 +1231,8 @@ fn next_batch(
 }
 
 /// The served count and search-node total, which must match a fresh
-/// prepare of `truth` at `alpha`.
+/// prepare of `truth` at `alpha` (`None`: a fixed catalog, prepared at
+/// [`FIXED_ALPHA`]).
 fn assert_serves(
     addr: SocketAddr,
     catalog: &str,

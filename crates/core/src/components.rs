@@ -72,18 +72,45 @@ impl Components {
         self.sizes().into_iter().max().unwrap_or(0)
     }
 
-    /// Vertex lists of every component, indexed by component id; each
-    /// list is sorted ascending (labels are assigned by a scan from
-    /// vertex 0, and vertices are appended in id order here). This is
-    /// the sharding primitive of the preprocessing pipeline: each list
-    /// feeds [`crate::subgraph::induced_subgraph`] to produce a compact
-    /// per-component instance whose old↔new id map is monotone.
-    pub fn vertex_lists(&self) -> Vec<Vec<VertexId>> {
-        let mut lists: Vec<Vec<VertexId>> = vec![Vec::new(); self.count];
-        for (v, &l) in self.label.iter().enumerate() {
-            lists[l as usize].push(v as VertexId);
+    /// The components split by size, in discovery order: every component
+    /// with two or more vertices as one ascending run of vertex ids, and
+    /// the lone (isolated) vertices as one ascending run. This is the
+    /// sharding primitive of the preprocessing pipeline: each run feeds
+    /// [`crate::subgraph::induced_subgraph`] to produce a compact
+    /// per-component instance whose old↔new id map is monotone. A
+    /// counting sort over the labels fills all runs in `O(n)` with a
+    /// fixed number of allocations, however many components there are.
+    pub fn split(&self) -> ComponentSplit {
+        // Per label: the next write position of its run, or `usize::MAX`
+        // for a lone vertex.
+        let mut next = self.sizes();
+        let mut ends = Vec::new();
+        let mut total = 0usize;
+        for at in &mut next {
+            if *at >= 2 {
+                total += *at;
+                *at = total - *at;
+                ends.push(total);
+            } else {
+                *at = usize::MAX;
+            }
         }
-        lists
+        let mut members = vec![0 as VertexId; total];
+        let mut lone = Vec::with_capacity(self.label.len() - total);
+        for (v, &l) in self.label.iter().enumerate() {
+            let at = &mut next[l as usize];
+            if *at == usize::MAX {
+                lone.push(v as VertexId);
+            } else {
+                members[*at] = v as VertexId;
+                *at += 1;
+            }
+        }
+        ComponentSplit {
+            members,
+            ends,
+            lone,
+        }
     }
 
     /// Vertices of the largest component, sorted ascending — handy for
@@ -103,6 +130,52 @@ impl Components {
         (0..self.label.len() as VertexId)
             .filter(|&v| self.label[v as usize] == best as u32)
             .collect()
+    }
+}
+
+/// The components of a graph split by size ([`Components::split`]):
+/// multi-vertex components in discovery order — ascending smallest
+/// member — each an ascending run of vertex ids, and the lone vertices
+/// as one ascending run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ComponentSplit {
+    /// The runs of the multi-vertex components, back to back.
+    members: Vec<VertexId>,
+    /// `ends[i]`: the end of component `i`'s run in `members`.
+    ends: Vec<usize>,
+    lone: Vec<VertexId>,
+}
+
+impl ComponentSplit {
+    /// Number of components with two or more vertices.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True if no component has two or more vertices.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The ascending vertex ids of multi-vertex component `i`.
+    pub fn component(&self, i: usize) -> &[VertexId] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.members[start..self.ends[i]]
+    }
+
+    /// The multi-vertex components in discovery order.
+    pub fn components(&self) -> impl ExactSizeIterator<Item = &[VertexId]> + '_ {
+        (0..self.len()).map(|i| self.component(i))
+    }
+
+    /// The lone vertices, ascending.
+    pub fn lone(&self) -> &[VertexId] {
+        &self.lone
+    }
+
+    /// Take the lone vertices, ascending.
+    pub fn into_lone(self) -> Vec<VertexId> {
+        self.lone
     }
 }
 
@@ -136,10 +209,12 @@ mod tests {
         assert_eq!(sizes, vec![1, 3, 3]);
         assert_eq!(c.largest(), 3);
         assert_eq!(c.largest_component_vertices(), vec![0, 1, 2]);
+        let split = c.split();
         assert_eq!(
-            c.vertex_lists(),
-            vec![vec![0, 1, 2], vec![3, 4, 5], vec![6]]
+            split.components().collect::<Vec<_>>(),
+            vec![&[0, 1, 2][..], &[3, 4, 5][..]]
         );
+        assert_eq!(split.lone(), &[6]);
     }
 
     #[test]
@@ -171,5 +246,19 @@ mod tests {
         assert_eq!(c.component_of(1), 1);
         assert_eq!(c.component_of(2), 2);
         assert_eq!(c.component_of(3), 2);
+    }
+
+    #[test]
+    fn split_gives_ascending_runs_in_discovery_order() {
+        // Components {0, 3, 5}, {2, 4}; lone 1, 6, 7.
+        let g = from_edges(8, &[(0, 3, 0.5), (3, 5, 0.5), (2, 4, 0.5)]).unwrap();
+        let split = Components::compute(&g).split();
+        assert_eq!(split.len(), 2);
+        assert_eq!(split.component(0), &[0, 3, 5]);
+        assert_eq!(split.component(1), &[2, 4]);
+        assert_eq!(split.lone(), &[1, 6, 7]);
+        assert_eq!(split.into_lone(), vec![1, 6, 7]);
+        let empty = Components::compute(&GraphBuilder::new(0).build()).split();
+        assert!(empty.is_empty() && empty.lone().is_empty());
     }
 }

@@ -56,7 +56,8 @@ impl UncertainGraph {
     }
 
     /// Construct a graph directly from CSR arrays, validating every
-    /// invariant ([`Self::check_invariants`]) before accepting them.
+    /// invariant ([`Self::check_invariants`]) before accepting them, in
+    /// `O(n + m)` time.
     ///
     /// This is the entry point for deserializers that store the CSR
     /// arrays verbatim (the `ugraph-io` catalog format): unlike the
@@ -205,12 +206,25 @@ impl UncertainGraph {
         Prob::new(alpha).map_err(|_| GraphError::InvalidAlpha { value: alpha })
     }
 
-    /// Check internal CSR invariants; used by tests and the binary reader.
+    /// Check internal CSR invariants; used by tests, the binary reader
+    /// and [`Self::try_from_csr`]. Runs in `O(n + m)` time with one
+    /// `n`-slot cursor array.
     ///
     /// Verified invariants: offsets monotone and bounded, adjacency sorted
     /// strictly increasing (no duplicates), no self-loops, probabilities in
     /// `(0, 1]`, and symmetry (`v ∈ Γ(u)` ⇔ `u ∈ Γ(v)` with equal
     /// probability).
+    ///
+    /// Symmetry is checked with one forward cursor per row instead of a
+    /// lookup per arc. Rows are scanned in ascending order; a *lower* arc
+    /// `v → u` (`u < v`) must meet row `u`'s cursor, which starts at the
+    /// row's first *upper* arc (neighbor `> u`) and advances one arc per
+    /// match. Row `u`'s upper arcs ascend, and so do the rows `v` whose
+    /// lower arcs point back at `u`, so in a symmetric graph every cursor
+    /// sees exactly its row's upper arcs in order, and ends at the row's
+    /// end. A match compares probability bits. Matching every lower arc
+    /// and exhausting every cursor pairs lower and upper arcs one to one
+    /// as mirrors, which is the symmetry invariant.
     pub fn check_invariants(&self) -> Result<(), String> {
         let n = self.num_vertices();
         if self.offsets[0] != 0 {
@@ -227,14 +241,18 @@ impl UncertainGraph {
         if self.neighbors.len() != self.probs.len() {
             return Err("neighbor/prob arrays differ in length".into());
         }
+        // `cursor[u]`: the next upper arc of row `u` awaiting its mirror.
+        let mut cursor = vec![0usize; n];
         for v in 0..n as VertexId {
-            let nbrs = self.neighbors(v);
+            let (start, end) = (self.offsets[v as usize], self.offsets[v as usize + 1]);
+            let nbrs = &self.neighbors[start..end];
             for w in nbrs.windows(2) {
                 if w[0] >= w[1] {
                     return Err(format!("adjacency of {v} not strictly sorted"));
                 }
             }
-            for (&u, &p) in nbrs.iter().zip(self.neighbor_probs(v)) {
+            cursor[v as usize] = start + nbrs.partition_point(|&u| u < v);
+            for (&u, &p) in nbrs.iter().zip(&self.probs[start..end]) {
                 if u == v {
                     return Err(format!("self-loop on {v}"));
                 }
@@ -244,11 +262,23 @@ impl UncertainGraph {
                 if !(p > 0.0 && p <= 1.0) {
                     return Err(format!("probability {p} on edge {{{v},{u}}} out of range"));
                 }
-                match self.edge_prob_raw(u, v) {
-                    Some(q) if q == p => {}
-                    _ => return Err(format!("edge {{{v},{u}}} not symmetric")),
+                if u < v {
+                    // Lower arc: the mirror must be row u's next upper arc.
+                    let at = &mut cursor[u as usize];
+                    if *at == self.offsets[u as usize + 1]
+                        || self.neighbors[*at] != v
+                        || self.probs[*at].to_bits() != p.to_bits()
+                    {
+                        return Err(format!("edge {{{v},{u}}} not symmetric"));
+                    }
+                    *at += 1;
                 }
             }
+        }
+        // An upper arc no lower arc met has no mirror.
+        if let Some(u) = (0..n).find(|&u| cursor[u] != self.offsets[u + 1]) {
+            let v = self.neighbors[cursor[u]];
+            return Err(format!("edge {{{u},{v}}} not symmetric"));
         }
         if !self.neighbors.len().is_multiple_of(2) {
             return Err("odd number of directed arcs".into());

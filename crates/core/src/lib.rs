@@ -66,7 +66,7 @@ pub mod subgraph;
 pub use adjacency::NeighborhoodIndex;
 pub use bitset::BitSet;
 pub use builder::{DuplicatePolicy, GraphBuilder};
-pub use components::Components;
+pub use components::{ComponentSplit, Components};
 pub use error::{GraphError, VertexId};
 pub use graph::UncertainGraph;
 pub use prob::{LogProb, Prob, ProbError};

@@ -77,6 +77,15 @@
 //! on to decode take the payloads through the [`VerifiedSections`] it
 //! returns, which does not checksum them again.
 //!
+//! The `mule` decoder on top adds about one pass per section. Each
+//! component graph is checked by `UncertainGraph::try_from_csr` in
+//! `O(n + m)`: the mirror of every arc is found with one forward cursor
+//! per row, not a lookup per arc. Id maps and the isolated list take one
+//! pass each, the schedule one pass with a binary search per singleton
+//! unit, base-component connectivity one BFS, and base coverage one
+//! `n`-slot bitmap. The rebuilt neighborhood index is the one cost
+//! beyond that; the catalog's index budget bounds it.
+//!
 //! # Durability &amp; recovery
 //!
 //! Detection (above) is only half of robustness; the other half is

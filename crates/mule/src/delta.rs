@@ -88,11 +88,11 @@
 //! ```
 
 use crate::prepare::{
-    run_stages, split_base, Assembly, BaseComponent, PrepareReport, PreparedBase, PreparedInstance,
+    merge_runs, run_stages, split_base, Assembly, BaseComponent, PrepareReport, PreparedBase,
+    PreparedInstance,
 };
 use crate::query::MuleError;
 use std::collections::HashMap;
-use ugraph_core::builder::from_edges;
 use ugraph_core::{UncertainGraph, VertexId};
 
 /// One typed mutation of an uncertain graph.
@@ -446,7 +446,10 @@ fn touch(
 
     let mut comps = vec![false; parts.len()];
     let mut in_region = vec![false; n];
-    for &(u, v) in ledger.known.keys() {
+    // Every edit as two arcs `(tail, head, state)`, sorted by tail, head.
+    let mut edits = Vec::with_capacity(2 * ledger.known.len());
+    for (&(u, v), &state) in &ledger.known {
+        edits.extend([(u, v, state), (v, u, state)]);
         for x in [u, v] {
             in_region[x as usize] = true;
             let c = slot[x as usize].0;
@@ -455,27 +458,58 @@ fn touch(
             }
         }
     }
-    let mut edges: Vec<(VertexId, VertexId, f64)> = Vec::new();
+    edits.sort_unstable_by_key(|&(x, y, _)| (x, y));
+    let mut arcs = edits.len();
     for (&(g, map), _) in parts.iter().zip(&comps).filter(|(_, &t)| t) {
-        for lu in 0..g.num_vertices() as VertexId {
-            let u = map[lu as usize];
+        arcs += 2 * g.num_edges();
+        for &u in map {
             in_region[u as usize] = true;
-            for (lv, p) in g.neighbors_with_probs(lu) {
-                let v = map[lv as usize];
-                if u < v && !ledger.known.contains_key(&(u, v)) {
-                    edges.push((u, v, p));
+        }
+    }
+
+    // The region CSR, row by row: a touched component's row, ascending
+    // under its monotone map, merged with the vertex's edits. An edit
+    // replaces the stored arc it names; a tombstone or a sub-threshold
+    // probability drops the arc.
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0usize);
+    let mut neighbors = Vec::with_capacity(arcs);
+    let mut probs = Vec::with_capacity(arcs);
+    let mut edits = edits.into_iter().peekable();
+    for (u, &(c, l)) in slot.iter().enumerate() {
+        let u = u as VertexId;
+        let touched = parts.get(c as usize).filter(|_| comps[c as usize]);
+        let mut stored = touched
+            .into_iter()
+            .flat_map(|&(g, map)| {
+                let row = g.neighbors_with_probs(l);
+                row.map(move |(w, p)| (map[w as usize], Some(p)))
+            })
+            .peekable();
+        loop {
+            let edit = edits.next_if(|e| e.0 == u && stored.peek().is_none_or(|s| e.1 <= s.0));
+            let (w, state) = match edit {
+                Some((_, w, state)) => {
+                    stored.next_if(|s| s.0 == w);
+                    (w, state)
                 }
+                None => match stored.next() {
+                    Some(arc) => arc,
+                    None => break,
+                },
+            };
+            if let Some(p) = state.filter(|&p| p >= threshold) {
+                neighbors.push(w);
+                probs.push(p);
             }
         }
+        offsets.push(neighbors.len());
     }
-    for (&(u, v), &state) in &ledger.known {
-        if let Some(p) = state.filter(|&p| p >= threshold) {
-            edges.push((u, v, p));
-        }
-    }
+    let region = UncertainGraph::try_from_csr(offsets, neighbors, probs, String::new())
+        .map_err(|why| MuleError::Delta(format!("touched region: {why}")))?;
     Ok(Touched {
         in_region,
-        region: from_edges(n, &edges).map_err(MuleError::Graph)?,
+        region,
         edge_total: checked_edge_total(edge_total, ledger.edge_delta)?,
     })
 }
@@ -538,15 +572,15 @@ pub(crate) fn apply_instance(
     let work = run_stages(&region, alpha, &inst.config, &mut report)
         .map_err(MuleError::Graph)?
         .unwrap_or(region);
+    let mut untouched = std::mem::take(&mut inst.singletons);
+    untouched.retain(|&v| !in_region[v as usize]);
     let mut asm = Assembly::default();
     for pc in inst.components.drain(..) {
         if !in_region[pc.to_original[0] as usize] {
             asm.keep(pc);
         }
     }
-    for &v in inst.singletons.iter().filter(|&&v| !in_region[v as usize]) {
-        asm.iso(v);
-    }
+    asm.isolated(&untouched);
     asm.fresh(work, None, &inst.config, |v| in_region[v as usize]);
     *inst = asm.finish(n, alpha, &inst.config, &inst.name, report);
     Ok(())
@@ -582,9 +616,8 @@ pub(crate) fn apply_base(base: &mut PreparedBase, delta: &GraphDelta) -> Result<
         .collect();
     components.sort_by_key(|bc| bc.to_original[0]);
     base.components = components;
-    base.isolated.retain(|&v| !in_region[v as usize]);
-    base.isolated.extend(lone);
-    base.isolated.sort_unstable();
+    let kept = base.isolated.iter().copied();
+    base.isolated = merge_runs(kept.filter(|&v| !in_region[v as usize]), lone, |&v| v);
     base.original_edges = edge_total;
     Ok(())
 }
@@ -604,6 +637,7 @@ fn checked_edge_total(total: usize, delta: isize) -> Result<usize, MuleError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ugraph_core::builder::from_edges;
 
     fn g5() -> UncertainGraph {
         from_edges(5, &[(0, 1, 0.9), (1, 2, 0.8), (3, 4, 0.7)]).unwrap()

@@ -12,6 +12,10 @@
 //! single-threaded. The enumeration crates are `forbid(unsafe_code)`;
 //! the `unsafe` here is the unavoidable `GlobalAlloc` plumbing of the
 //! *test harness*, delegating straight to `std::alloc::System`.
+//!
+//! The same counter pins the cold paths: `Base::refine` and a fresh
+//! `Query::prepare` allocate a bounded number of times however many lone
+//! vertices the graph has.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -208,5 +212,55 @@ fn first_run_allocation_count_is_bounded_by_depth_not_nodes() {
     assert!(
         allocs < 100,
         "first run allocated {allocs} times over {nodes} nodes — not amortized"
+    );
+}
+
+/// A hub with `pendants` pendant edges at p 0.2, plus a triangle at p 0.9.
+/// At α 0.5 the pendant edges fall, so the hub and every pendant vertex
+/// become lone vertices beside one real component.
+fn hub_and_triangle(pendants: u32) -> ugraph_core::UncertainGraph {
+    let t = pendants + 1;
+    let mut b = ugraph_core::GraphBuilder::new(t as usize + 3);
+    for v in 1..=pendants {
+        b.add_edge(0, v, 0.2).unwrap();
+    }
+    for (u, v) in [(t, t + 1), (t + 1, t + 2), (t, t + 2)] {
+        b.add_edge(u, v, 0.9).unwrap();
+    }
+    b.build()
+}
+
+#[test]
+fn refine_and_prepare_allocations_do_not_grow_with_lone_vertices() {
+    // Allocator entries of `Base::refine(0.5)` from a floor-0 base and of
+    // a fresh `Query::prepare` at α 0.5.
+    let allocations = |pendants: u32| {
+        let g = hub_and_triangle(pendants);
+        let base = mule::Query::new(&g).prepare_base().unwrap();
+        let (refine, mut refined) = allocations_during(|| base.refine(0.5).unwrap());
+        let (prepare, mut fresh) =
+            allocations_during(|| mule::Query::new(&g).alpha(0.5).prepare().unwrap());
+        // Every vertex but the triangle's is lone: a singleton clique each.
+        let expected = pendants as u64 + 2;
+        assert_eq!(refined.count().unwrap(), expected);
+        assert_eq!(fresh.count().unwrap(), expected);
+        (refine, prepare)
+    };
+    let (small, large) = (allocations(1_000), allocations(20_000));
+    // Vec doubling from 1,000 to 20,000 elements adds about five
+    // reallocations per growing buffer; a per-vertex allocation would add
+    // 19,000.
+    const SLACK: u64 = 16;
+    assert!(
+        large.0 <= small.0 + SLACK,
+        "Base::refine allocated {} times at 20,000 pendants vs {} at 1,000",
+        large.0,
+        small.0
+    );
+    assert!(
+        large.1 <= small.1 + SLACK,
+        "Query::prepare allocated {} times at 20,000 pendants vs {} at 1,000",
+        large.1,
+        small.1
     );
 }

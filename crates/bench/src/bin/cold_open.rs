@@ -19,9 +19,12 @@
 //! * `count_ms` — `Prepared::stream` into a counting sink;
 //! * `op_ms` — the whole CLI op, in-process.
 //!
-//! The harness uses only API the catalog layers have had since α-generic
-//! bases exist, so the same file builds against an older tree for a
-//! before/after comparison on one machine.
+//! Beside the layers it prints the count's `cliques`, `search_nodes` and
+//! `dominated_siblings` (sibling subtrees the kernel skipped). Apart from
+//! that counter the harness uses only API the catalog layers have had
+//! since α-generic bases exist, so with the `dominated` lines removed the
+//! same file builds against an older tree for a before/after comparison
+//! on one machine.
 //!
 //! ```text
 //! cargo run -p ugraph-bench --release --bin cold_open -- \
@@ -63,7 +66,8 @@ fn main() {
         "op_ms",
     ];
     let mut samples: Vec<Vec<f64>> = vec![Vec::new(); layers.len()];
-    let (mut count, mut nodes, mut sections, mut bytes) = (0u64, 0u64, 0usize, 0usize);
+    let (mut count, mut nodes, mut dominated) = (0u64, 0u64, 0u64);
+    let (mut sections, mut bytes) = (0usize, 0usize);
     let cli_args: Vec<String> = [
         "enumerate",
         "--catalog",
@@ -104,6 +108,7 @@ fn main() {
         let counted = ms(t);
         count = sink.count;
         nodes = session.stats().calls;
+        dominated = session.stats().dominated_siblings;
         drop((session, base));
 
         let (mut out, mut err) = (Vec::new(), Vec::new());
@@ -139,6 +144,7 @@ fn main() {
     json.key("alpha").num(alpha);
     json.key("cliques").int(count as i64);
     json.key("search_nodes").int(nodes as i64);
+    json.key("dominated_siblings").int(dominated as i64);
     for (name, s) in layers.iter().zip(&samples) {
         let summary = Summary::from_samples(s);
         json.key(name).begin_obj();

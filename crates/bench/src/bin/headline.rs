@@ -59,8 +59,9 @@ options:
 
 /// Append the work-performed counters to the current JSON row: the
 /// candidate-scan totals plus the tiered index's per-strategy probe
-/// counters, so `BENCH_pr<N>.json` tracks probes avoided rather than
-/// only wall-clock on a noisy single-CPU container.
+/// counters and the kernel's dominated-sibling skips, so
+/// `BENCH_pr<N>.json` tracks probes avoided rather than only wall-clock
+/// on a noisy single-CPU container.
 fn emit_counters(json: &mut Json, stats: &mule::EnumerationStats) {
     json.key("i_candidates_scanned")
         .int(stats.i_candidates_scanned as i64);
@@ -69,6 +70,8 @@ fn emit_counters(json: &mut Json, stats: &mule::EnumerationStats) {
     json.key("dense_probes").int(stats.dense_probes as i64);
     json.key("gallop_probes").int(stats.gallop_probes as i64);
     json.key("merge_steps").int(stats.merge_steps as i64);
+    json.key("dominated_siblings")
+        .int(stats.dominated_siblings as i64);
 }
 
 /// First vertex pair with no edge in `g` — an always-representable

@@ -14,6 +14,15 @@
 //!   other search paths, kept so that maximality is detected in O(1).
 //!
 //! `C` is emitted as α-maximal exactly when `I = ∅ ∧ X = ∅` (Lemmas 8/9).
+//!
+//! A search node is no longer every α-clique. When a node's first child
+//! keeps all later candidates and its subtree proves `C ∪ I` an α-clique,
+//! the later siblings are skipped: every set they hold misses that child,
+//! which extends it (the *dominated-sibling* rule; proof, float margin and
+//! size guard in the `kernel` module docs). The emitted stream is the one
+//! the full search emits; only `EnumerationStats::calls` and the scan
+//! counters fall, and `dominated_siblings` counts the skipped subtrees.
+//! Theorem 3's `2^n` bound on `calls` still holds.
 //! The incremental factors make extending a candidate set O(1) per tuple
 //! (the paper's key insight versus Θ(n) recomputation — the DFS–NOIP
 //! baseline in [`crate::dfs_noip`] shows the cost of not doing this).
@@ -268,7 +277,7 @@ impl Mule {
                     &mut self.stats.i_candidates_scanned,
                 );
                 c.push(u);
-                let ctl = crate::kernel::enumerate_subtree(
+                let (ctl, _) = crate::kernel::enumerate_subtree(
                     &self.kernel,
                     &mut self.stats,
                     &mut c,

@@ -36,6 +36,42 @@
 //! buffer while pushing into the other, so the compiler keeps the read
 //! pointer in a register instead of re-checking a buffer that the
 //! in-flight pushes might reallocate.
+//!
+//! # Dominated siblings
+//!
+//! Both recursions ([`enumerate_subtree`], [`enumerate_subtree_bounded`])
+//! carry one pruning rule that the unpivoted Algorithm 2 lacks. At a node
+//! `(C, q, I, X)`, suppose the first child `u₀ = min I` keeps every later
+//! candidate (`|I'| = |I| − 1`) and its subtree proves `C ∪ I` an
+//! α-clique. Then the remaining children are skipped
+//! (`EnumerationStats::dominated_siblings` counts them).
+//!
+//! *Why it is sound.* A later sibling's subtree only ever holds sets `K`
+//! with `C ⊆ K ⊊ C ∪ I` and `u₀ ∉ K`. `u₀` is adjacent to all of `K`, and
+//! `clq` is monotone under taking subsets — dropping vertices drops
+//! factors `≤ 1` — so `clq(K ∪ {u₀}) ≥ clq(C ∪ I) ≥ α`. `u₀` sits in
+//! every such sibling's `X`, so none of them emits: the skip loses no
+//! output, and the emitted stream is byte-identical to the search
+//! without it. Only `calls` and the scan and probe counters fall.
+//!
+//! *Where the proof comes from.* Each recursion returns, beside its
+//! [`Control`], the probability of `C ∪ I` it computed while proving
+//! `C ∪ I` complete: `q` at an emission node, `q·r` at a leaf first
+//! child with `I = {u₀}`, otherwise whatever a first child that kept
+//! everything returned. No extra work is done to get it.
+//!
+//! *The float margin.* The proof is one computed product, and each
+//! sibling's `q·r ≥ α` tests are others, over subsets of the same
+//! edges. A computed clique probability over `N` vertices carries at
+//! most `N(N−1)/2` roundings — each edge factor enters by one
+//! multiplication — so its relative error is at most
+//! `γ = N(N−1)/2 · 2⁻⁵³ / (1 − N(N−1)/2 · 2⁻⁵³)`. The rule fires only
+//! when the proof is `≥ α·(1 + δ)` with `δ = 1e-9`, `|C ∪ I| ≤ 2048`
+//! (so `2γ/(1 − γ) ≈ 4.7e-10 < δ`) and `α ≥ 2⁻¹⁰²¹` (no product
+//! underflows). Then every sibling test value is at least
+//! `α(1 + δ)(1 − γ)/(1 + γ) ≥ α`: the skip never overrides a decision
+//! the sibling's own tests would make at a tie. An exact tie
+//! (`clq(C ∪ I) = α`) is never skipped.
 
 use crate::enumerate::{Candidate, IndexMode, MuleConfig};
 use crate::limits::RunLimits;
@@ -507,6 +543,40 @@ impl Kernel {
     }
 }
 
+/// Relative margin above α the dominated-sibling rule demands of a
+/// computed `clq(C ∪ I)` before it skips siblings (see the module docs,
+/// "Dominated siblings"): it exceeds twice the worst rounding error of
+/// a product over a clique of [`DOMINANCE_MAX_SIZE`] vertices.
+const DOMINANCE_MARGIN: f64 = 1e-9;
+
+/// Largest `|C ∪ I|` the rule fires at. A clique of `N` vertices has
+/// `N(N−1)/2` edges, so any computed clique probability over a subset
+/// of it carries at most that many roundings: at `N = 2048` the relative
+/// error is at most `γ = 2 096 128 · 2⁻⁵³ ≈ 2.33e-10`, and
+/// `2γ / (1 − γ) ≈ 4.7e-10 < DOMINANCE_MARGIN`.
+const DOMINANCE_MAX_SIZE: usize = 2048;
+
+/// What one subtree search returns: whether to keep going, and — when
+/// the subtree proved `C ∪ I` an α-clique — the probability of
+/// `C ∪ I` it computed on the way (see the module docs, "Dominated
+/// siblings").
+pub(crate) type Subtree = (Control, Option<f64>);
+
+impl Kernel {
+    /// Whether a computed `clq(C ∪ I) = p` over `size = |C ∪ I|`
+    /// vertices lets a node skip the siblings of its first child: `p`
+    /// clears α by [`DOMINANCE_MARGIN`], `size` is within
+    /// [`DOMINANCE_MAX_SIZE`], and α is at least twice the smallest
+    /// normal `f64`, so no product on either side underflows and the
+    /// rounding bound holds.
+    #[inline]
+    fn dominates(&self, p: f64, size: usize) -> bool {
+        size <= DOMINANCE_MAX_SIZE
+            && self.alpha >= 2.0 * f64::MIN_POSITIVE
+            && p >= self.alpha * (1.0 + DOMINANCE_MARGIN)
+    }
+}
+
 /// Algorithm 2 (`Enum-Uncertain-MC`) over arena spans — the one copy of
 /// MULE's recursion, shared by [`crate::Mule`] and the parallel workers.
 ///
@@ -517,6 +587,18 @@ impl Kernel {
 /// by the filtered already-processed prefix of the parent `I` — the same
 /// order Algorithm 2's `X ← X ∪ {(u, r)}` (line 10) grows the owned set,
 /// without materializing it.
+///
+/// **Dominated siblings.** When the first child `u₀ = min I` keeps every
+/// later candidate (`|I'| = |I| − 1`) and its subtree proves `C ∪ I` an
+/// α-clique, the remaining children are skipped: each could only emit a
+/// set `K ⊊ C ∪ I` without `u₀`, and `clq(K ∪ {u₀}) ≥ clq(C ∪ I) ≥ α`
+/// because dropping vertices drops factors `≤ 1`, so `u₀` in its `X`
+/// blocks the emission. The skip needs the computed `clq(C ∪ I)` to be
+/// `≥ α·(1 + 1e-9)` and `|C ∪ I| ≤ 2048`, so rounding can never make it
+/// override a sibling's own test at a tie (bound in the module docs).
+/// Returns the `Control` and that proof: `Some(q)` at an emission node,
+/// `Some(clq(C ∪ {u₀}))` when `I = {u₀}` is a leaf child, the first
+/// child's proof when it kept everything, else `None`.
 #[allow(clippy::too_many_arguments)] // mirrors Algorithm 2's state tuple
 pub(crate) fn enumerate_subtree<S: CliqueSink>(
     kernel: &Kernel,
@@ -529,19 +611,20 @@ pub(crate) fn enumerate_subtree<S: CliqueSink>(
     next: &mut CandidateArena,
     limits: &mut RunLimits,
     sink: &mut S,
-) -> Control {
+) -> Subtree {
     stats.calls += 1;
     stats.max_depth = stats.max_depth.max(c.len());
     // Amortized limit probe (deadline / budget / cancel token), checked
     // *before* any emission at this node so an interrupted stream is a
     // clean prefix of the uninterrupted one.
     if limits.probe(stats.calls) {
-        return Control::Stop;
+        return (Control::Stop, None);
     }
     if i_span.is_empty() && x_span.is_empty() {
         stats.emitted += 1;
-        return sink.emit(c, q);
+        return (sink.emit(c, q), Some(q));
     }
+    let mut proof = None;
     for pos in i_span.clone() {
         let (u, r) = cur.get(pos);
         // clq(C ∪ {u}) — one multiplication (the key insight).
@@ -551,6 +634,8 @@ pub(crate) fn enumerate_subtree<S: CliqueSink>(
         // the I span is sorted by vertex id).
         kernel.filter_candidates_into(u, q2, cur.span(pos + 1..i_span.end), next, stats, Scan::I);
         let x2_start = next.mark();
+        // The first child kept every later candidate: C ∪ {u} ∪ I' = C ∪ I.
+        let kept_all = pos == i_span.start && x2_start - mark == i_span.len() - 1;
         if mark == x2_start {
             // I' is empty: the child is a leaf, so X' is only tested for
             // emptiness (Lemma 9) — answer that directly with the
@@ -560,7 +645,11 @@ pub(crate) fn enumerate_subtree<S: CliqueSink>(
             stats.calls += 1;
             stats.max_depth = stats.max_depth.max(c.len() + 1);
             if limits.probe(stats.calls) {
-                return Control::Stop;
+                return (Control::Stop, None);
+            }
+            if kept_all {
+                // I = {u}: the leaf is C ∪ I itself (no later siblings).
+                proof = Some(q2);
             }
             let extendable = kernel.any_candidate_survives(
                 u,
@@ -574,7 +663,7 @@ pub(crate) fn enumerate_subtree<S: CliqueSink>(
                 let ctl = sink.emit(c, q2);
                 c.pop();
                 if ctl == Control::Stop {
-                    return Control::Stop;
+                    return (Control::Stop, None);
                 }
             }
             continue;
@@ -585,7 +674,7 @@ pub(crate) fn enumerate_subtree<S: CliqueSink>(
         kernel.filter_candidates_into(u, q2, cur.span(i_span.start..pos), next, stats, Scan::X);
         let x2_end = next.mark();
         c.push(u);
-        let ctl = enumerate_subtree(
+        let (ctl, child_proof) = enumerate_subtree(
             kernel,
             stats,
             c,
@@ -600,24 +689,38 @@ pub(crate) fn enumerate_subtree<S: CliqueSink>(
         c.pop();
         next.truncate(mark);
         if ctl == Control::Stop {
-            return Control::Stop;
+            return (Control::Stop, None);
+        }
+        if kept_all {
+            proof = child_proof;
+            if proof.is_some_and(|p| kernel.dominates(p, c.len() + i_span.len())) {
+                stats.dominated_siblings += (i_span.len() - 1) as u64;
+                break;
+            }
         }
     }
-    Control::Continue
+    (Control::Continue, proof)
 }
 
 /// Algorithm 6 (`Enum-Uncertain-MC-Large`) over arena spans — the
 /// size-bounded sibling of [`enumerate_subtree`], shared by
 /// [`crate::LargeMule`] and the per-component prepared path
-/// (`crate::prepare`). Identical span layout; two differences:
+/// (`crate::prepare`). Identical span layout and the same
+/// dominated-sibling rule and return value; two differences:
 ///
 /// * a branch is abandoned when `|C'| + |I'| < t` (line 8 — the
 ///   `continue` also skips the explicit `X ← X ∪ {(u, r)}` update,
 ///   which is safe because `u` stays in the parent `I` span and later
-///   siblings filter it into their `X'` regardless);
+///   siblings filter it into their `X'` regardless; a first child cut
+///   this way proves nothing);
 /// * a node with `I = ∅ ∧ X = ∅` emits only when `|C| ≥ t` (reached
 ///   only through branches that passed the bound, so the condition
 ///   holds except at a too-small root — asserted in debug builds).
+///
+/// The dominated-sibling skip (same subset-monotonicity proof, same
+/// `α·(1 + 1e-9)` margin and `|C ∪ I| ≤ 2048` guard) stays sound under
+/// the bound: it rests on no skipped sibling's clique being α-maximal,
+/// whatever its size.
 #[allow(clippy::too_many_arguments)] // mirrors Algorithm 6's state tuple
 pub(crate) fn enumerate_subtree_bounded<S: CliqueSink>(
     kernel: &Kernel,
@@ -631,21 +734,22 @@ pub(crate) fn enumerate_subtree_bounded<S: CliqueSink>(
     t: usize,
     limits: &mut RunLimits,
     sink: &mut S,
-) -> Control {
+) -> Subtree {
     stats.calls += 1;
     stats.max_depth = stats.max_depth.max(c.len());
     // Same pre-emission limit probe as `enumerate_subtree`.
     if limits.probe(stats.calls) {
-        return Control::Stop;
+        return (Control::Stop, None);
     }
     if i_span.is_empty() && x_span.is_empty() {
         debug_assert!(c.len() >= t || c.is_empty());
         if c.len() >= t {
             stats.emitted += 1;
-            return sink.emit(c, q);
+            return (sink.emit(c, q), Some(q));
         }
-        return Control::Continue;
+        return (Control::Continue, Some(q));
     }
+    let mut proof = None;
     for pos in i_span.clone() {
         let (u, r) = cur.get(pos);
         let q2 = q * r;
@@ -658,6 +762,7 @@ pub(crate) fn enumerate_subtree_bounded<S: CliqueSink>(
             next.truncate(mark);
             continue;
         }
+        let kept_all = pos == i_span.start && i2_len == i_span.len() - 1;
         let x2_start = next.mark();
         if mark == x2_start {
             // I' empty: leaf child (and past the line 8 bound, so
@@ -667,7 +772,10 @@ pub(crate) fn enumerate_subtree_bounded<S: CliqueSink>(
             stats.calls += 1;
             stats.max_depth = stats.max_depth.max(c.len() + 1);
             if limits.probe(stats.calls) {
-                return Control::Stop;
+                return (Control::Stop, None);
+            }
+            if kept_all {
+                proof = Some(q2);
             }
             let extendable = kernel.any_candidate_survives(
                 u,
@@ -681,7 +789,7 @@ pub(crate) fn enumerate_subtree_bounded<S: CliqueSink>(
                 let ctl = sink.emit(c, q2);
                 c.pop();
                 if ctl == Control::Stop {
-                    return Control::Stop;
+                    return (Control::Stop, None);
                 }
             }
             continue;
@@ -690,7 +798,7 @@ pub(crate) fn enumerate_subtree_bounded<S: CliqueSink>(
         kernel.filter_candidates_into(u, q2, cur.span(i_span.start..pos), next, stats, Scan::X);
         let x2_end = next.mark();
         c.push(u);
-        let ctl = enumerate_subtree_bounded(
+        let (ctl, child_proof) = enumerate_subtree_bounded(
             kernel,
             stats,
             c,
@@ -706,11 +814,21 @@ pub(crate) fn enumerate_subtree_bounded<S: CliqueSink>(
         c.pop();
         next.truncate(mark);
         if ctl == Control::Stop {
-            return Control::Stop;
+            return (Control::Stop, None);
+        }
+        if kept_all {
+            proof = child_proof;
+            if proof.is_some_and(|p| kernel.dominates(p, c.len() + i_span.len())) {
+                stats.dominated_siblings += (i_span.len() - 1) as u64;
+                break;
+            }
         }
     }
-    Control::Continue
+    (Control::Continue, proof)
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

@@ -136,7 +136,7 @@ impl LargeMule {
             c.push(u);
             // Algorithm 6 lives in `kernel::enumerate_subtree_bounded`,
             // shared with the prepared per-component path.
-            let ctl = enumerate_subtree_bounded(
+            let (ctl, _) = enumerate_subtree_bounded(
                 &self.kernel,
                 &mut self.stats,
                 &mut c,

@@ -331,7 +331,7 @@ impl Worker<'_> {
         } else {
             c.push(local);
             let mut remap = RemapSink::new(&mut sink, map);
-            let ctl = if t >= 2 {
+            let (ctl, _) = if t >= 2 {
                 enumerate_subtree_bounded(
                     kernel,
                     &mut self.stats,

@@ -637,7 +637,7 @@ fn step<S: CliqueSink>(
                 map: &pc.to_original,
                 scratch,
             };
-            let ctl = if min_size >= 2 {
+            let (ctl, _) = if min_size >= 2 {
                 enumerate_subtree_bounded(
                     &pc.kernel,
                     stats,

@@ -50,6 +50,10 @@ pub struct EnumerationStats {
     /// Pointer advances + candidate comparisons performed by the linear
     /// two-pointer merge strategy.
     pub merge_steps: u64,
+    /// Sibling subtrees skipped by the kernel's dominated-sibling rule:
+    /// the first child proved `C ∪ I` an α-clique, so no later sibling
+    /// can emit (see the `mule::kernel` module docs).
+    pub dominated_siblings: u64,
 }
 
 impl EnumerationStats {
@@ -76,6 +80,7 @@ impl EnumerationStats {
         self.dense_probes += other.dense_probes;
         self.gallop_probes += other.gallop_probes;
         self.merge_steps += other.merge_steps;
+        self.dominated_siblings += other.dominated_siblings;
     }
 
     /// Total filter probes across strategies — the "work performed"
@@ -102,6 +107,7 @@ mod tests {
             dense_probes: 4,
             gallop_probes: 2,
             merge_steps: 1,
+            dominated_siblings: 2,
         };
         let b = EnumerationStats {
             calls: 4,
@@ -114,6 +120,7 @@ mod tests {
             dense_probes: 6,
             gallop_probes: 3,
             merge_steps: 9,
+            dominated_siblings: 5,
         };
         a.merge(&b);
         assert_eq!(a.calls, 7);
@@ -125,6 +132,7 @@ mod tests {
         assert_eq!(a.dense_probes, 10);
         assert_eq!(a.gallop_probes, 5);
         assert_eq!(a.merge_steps, 10);
+        assert_eq!(a.dominated_siblings, 7);
         assert_eq!(a.total_probes(), 25);
     }
 

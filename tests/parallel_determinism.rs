@@ -124,6 +124,14 @@ proptest! {
         m.run(&mut sink);
         let out = parallel(&g, alpha, threads);
         prop_assert_eq!(&out.stats, m.stats(), "threads={}", threads);
+        // Named on its own: the kernel's dominated-sibling skips are
+        // decided inside a root subtree, so they merge like the rest.
+        prop_assert_eq!(
+            out.stats.dominated_siblings,
+            m.stats().dominated_siblings,
+            "threads={}",
+            threads
+        );
     }
 
     #[test]

@@ -92,6 +92,47 @@ fn search_tree_respects_theorem_3_bound() {
     }
 }
 
+/// MULE's search statistics on the complete graph `K_n` with every edge
+/// at probability `p`.
+fn complete_graph_stats(n: usize, p: f64, alpha: f64) -> mule::EnumerationStats {
+    let mut b = GraphBuilder::new(n);
+    for u in 0..n as u32 {
+        for v in u + 1..n as u32 {
+            b.add_edge(u, v, p).unwrap();
+        }
+    }
+    let mut m = Mule::new(&b.build(), alpha).unwrap();
+    let mut sink = CountSink::new();
+    m.run(&mut sink);
+    assert_eq!(sink.count, 1, "K_{n} has one maximal clique");
+    *m.stats()
+}
+
+/// The dominated-sibling rule: on `K₂₀` with certain edges each root's
+/// first-child chain proves the rest of the clique, so the search
+/// visits one chain per root — `20·21/2` nodes plus the conceptual
+/// root — where the unpivoted search visits all `2²⁰` subsets.
+#[test]
+fn certain_clique_search_visits_one_chain_per_root() {
+    let stats = complete_graph_stats(20, 1.0, 0.5);
+    assert!(stats.calls <= 20 * 21 / 2 + 1, "{} nodes", stats.calls);
+    assert!(stats.dominated_siblings > 0);
+}
+
+/// At an exact tie the rule does not fire: `K₄` at `p = 0.5` has
+/// `clq = 2⁻⁶ = α`, which does not clear α by the rounding margin, so
+/// root 0's chain (`{0}`, `{0,1}`, `{0,1,2}`, each with `C ∪ I = K₄`)
+/// searches its siblings. Only root 1 skips one, since `{1,2,3}` has
+/// `clq = 2⁻³`: 15 of the `2⁴` subsets are visited. Just below the tie
+/// every chain skips and the search is the `4·5/2 + 1` chain nodes.
+#[test]
+fn exact_tie_does_not_skip_siblings() {
+    let tie = complete_graph_stats(4, 0.5, 0.5f64.powi(6));
+    assert_eq!((tie.calls, tie.dominated_siblings), ((1 << 4) - 1, 1));
+    let below = complete_graph_stats(4, 0.5, 0.5f64.powi(7));
+    assert_eq!((below.calls, below.dominated_siblings), (4 * 5 / 2 + 1, 4));
+}
+
 /// Observation 5: output size lower bound is `(n/2)·C(n,⌊n/2⌋)` vertex
 /// ids on the extremal graph — confirm MULE's emitted output size matches.
 #[test]

@@ -1,12 +1,12 @@
-//! Ablations of MULE's design choices (DESIGN.md "Design choices"):
+//! Ablations of MULE's design choices:
 //!
 //! 1. dense adjacency index vs galloping binary search for the
 //!    GenerateI/GenerateX neighborhood filter;
 //! 2. natural vertex order vs degeneracy relabeling;
 //! 3. sequential vs parallel root fan-out.
 //!
-//! (Choice 1 of DESIGN.md — incremental factors vs recomputation — is the
-//! MULE/DFS–NOIP comparison benched in `mule_vs_noip.rs`.)
+//! (The paper's own key choice — incremental factors vs recomputation — is
+//! the MULE/DFS–NOIP comparison benched in `mule_vs_noip.rs`.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mule::sinks::CountSink;

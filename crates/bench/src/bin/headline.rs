@@ -8,8 +8,8 @@
 //!   6 s (t=7).
 //!
 //! Absolute numbers shift (2010 Java vs Rust, stand-in data); the ratios
-//! and their ordering are the reproduction target recorded in
-//! EXPERIMENTS.md.
+//! and their ordering are the reproduction target; the report prints
+//! the paper's ratio in the last column of each row.
 //!
 //! A second mode records the repo's own **perf trajectory**: `--json`
 //! times the sequential and parallel default enumeration paths on

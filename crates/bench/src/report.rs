@@ -1,6 +1,6 @@
 //! TSV experiment reports: every harness binary prints its series to
 //! stdout *and* writes a TSV file under `results/`, so figures can be
-//! re-plotted and EXPERIMENTS.md can cite stable artifacts.
+//! re-plotted and write-ups can cite stable artifacts.
 //!
 //! Two further building blocks live here because every harness needs
 //! them and no crates.io dependency is available offline:

@@ -3,9 +3,12 @@
 //!
 //! We do not ship the original data (STRING/BioGRID, DBLP, SNAP); each
 //! dataset is synthesized at the paper's vertex/edge scale with a
-//! generator matching its formation mechanism — see DESIGN.md's
-//! substitution table for the rationale per dataset. All stand-ins are
-//! deterministic given `(name, seed)`.
+//! generator matching its formation mechanism: the co-membership graphs
+//! (PPI, DBLP and ca-GrQc co-authorship) are affiliation / team
+//! projections, the peer-to-peer and voting graphs Chung–Lu power laws,
+//! and the synthetic BA rows Barabási–Albert. [`table1`] holds
+//! each dataset's recipe. All stand-ins are deterministic given
+//! `(name, seed)`.
 //!
 //! Large datasets (DBLP with 685k vertices / 2.28M edges) accept a
 //! `scale ∈ (0, 1]` so the full Figure 5/6 sweeps run in minutes; scale

@@ -14,8 +14,9 @@
 //!
 //! The reader validates the magic, bounds, ordering and probabilities, so
 //! a truncated or corrupted file fails loudly instead of producing a
-//! malformed graph. (Hand-rolled rather than a serde format because no
-//! serde serializer crate is on the offline allowlist — see DESIGN.md.)
+//! malformed graph. (Hand-rolled rather than a serde format because the
+//! workspace builds offline and its `serde` is a derive-only shim with no
+//! serializer crate behind it.)
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::io::{Read, Write};

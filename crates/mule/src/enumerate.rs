@@ -42,7 +42,8 @@
 //! allocations per search node once the buffers reach the deepest path
 //! (see the kernel module docs for the span layout).
 
-use crate::kernel::DepthArenas;
+use crate::kernel::{enumerate_subtree, search_root, DepthArenas};
+use crate::limits::RunLimits;
 use crate::sinks::{CliqueSink, Control};
 use crate::stats::EnumerationStats;
 use ugraph_core::{GraphError, UncertainGraph, VertexId};
@@ -116,7 +117,8 @@ pub struct MuleConfig {
     /// default — the closed-form root expansion (see
     /// `Mule::run_from_root`) produces the identical output in O(m).
     /// This switch exists for the root-expansion ablation and to explain
-    /// the paper's 21-hour DBLP run (EXPERIMENTS.md).
+    /// the paper's 21-hour DBLP run: on DBLP's 685k vertices the literal
+    /// root scans about n²/2 ≈ 2.3·10¹¹ candidate tuples.
     pub naive_root: bool,
 }
 
@@ -243,13 +245,10 @@ impl Mule {
             sink.emit(&[], 1.0);
             return;
         }
-        // The arenas and the clique buffer are struct members so their
-        // capacity survives across runs, but the recursion needs them
-        // mutably alongside `&mut self` — move them out for the run.
-        let mut arenas = std::mem::take(&mut self.arenas);
-        let mut c = std::mem::take(&mut self.clique_buf);
+        let (arenas, c) = (&mut self.arenas, &mut self.clique_buf);
         arenas.clear();
         c.clear();
+        let limits = &mut RunLimits::none();
         if self.naive_root {
             // Literal Algorithm 1/2 root: Î = {(u, 1)} for all u, filtered
             // per branch by GenerateI/GenerateX. Θ(n²) total root work.
@@ -257,47 +256,27 @@ impl Mule {
                 arenas.even.push((u, 1.0));
             }
             self.stats.calls -= 1; // enumerate_subtree recounts the root
-            crate::kernel::enumerate_subtree(
+            enumerate_subtree(
                 &self.kernel,
                 &mut self.stats,
-                &mut c,
+                c,
                 1.0,
                 0..arenas.even.mark(),
                 0..0,
                 &mut arenas.even,
                 &mut arenas.odd,
-                &mut crate::limits::RunLimits::none(),
+                0,
+                limits,
                 sink,
             );
         } else {
             for u in 0..n as VertexId {
-                let (i0, x0) = self.kernel.expand_root_into(
-                    u,
-                    &mut arenas.even,
-                    &mut self.stats.i_candidates_scanned,
-                );
-                c.push(u);
-                let (ctl, _) = crate::kernel::enumerate_subtree(
-                    &self.kernel,
-                    &mut self.stats,
-                    &mut c,
-                    1.0,
-                    i0,
-                    x0,
-                    &mut arenas.even,
-                    &mut arenas.odd,
-                    &mut crate::limits::RunLimits::none(),
-                    sink,
-                );
-                c.pop();
-                arenas.clear();
+                let ctl = search_root(&self.kernel, u, 0, &mut self.stats, arenas, c, limits, sink);
                 if ctl == Control::Stop {
                     break;
                 }
             }
         }
-        self.arenas = arenas;
-        self.clique_buf = c;
     }
 }
 

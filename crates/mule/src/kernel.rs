@@ -2,8 +2,11 @@
 //! graph preparation (α-pruning, optional relabeling, the tiered
 //! neighborhood index), the GenerateI/GenerateX candidate filter
 //! (Algorithms 3 and 4) with its per-call adaptive strategy dispatch
-//! (dense row / bitset+gallop / two-pointer merge), and the candidate
-//! **arena** the filters write into.
+//! (dense row / bitset+gallop / two-pointer merge), the candidate
+//! **arena** the filters write into, and the one recursion every driver
+//! runs: [`enumerate_subtree`] (Algorithm 6, which is Algorithm 2 at a
+//! size threshold `t ≤ 1`) entered through the root step
+//! [`search_root`].
 //!
 //! # Arena span layout
 //!
@@ -39,11 +42,11 @@
 //!
 //! # Dominated siblings
 //!
-//! Both recursions ([`enumerate_subtree`], [`enumerate_subtree_bounded`])
-//! carry one pruning rule that the unpivoted Algorithm 2 lacks. At a node
-//! `(C, q, I, X)`, suppose the first child `u₀ = min I` keeps every later
-//! candidate (`|I'| = |I| − 1`) and its subtree proves `C ∪ I` an
-//! α-clique. Then the remaining children are skipped
+//! The recursion ([`enumerate_subtree`]) carries one pruning rule that
+//! the unpivoted Algorithms 2 and 6 lack. At a node `(C, q, I, X)`,
+//! suppose the first child `u₀ = min I` keeps every later candidate
+//! (`|I'| = |I| − 1`) and its subtree proves `C ∪ I` an α-clique. Then
+//! the remaining children are skipped
 //! (`EnumerationStats::dominated_siblings` counts them).
 //!
 //! *Why it is sound.* A later sibling's subtree only ever holds sets `K`
@@ -54,9 +57,9 @@
 //! output, and the emitted stream is byte-identical to the search
 //! without it. Only `calls` and the scan and probe counters fall.
 //!
-//! *Where the proof comes from.* Each recursion returns, beside its
+//! *Where the proof comes from.* The recursion returns, beside its
 //! [`Control`], the probability of `C ∪ I` it computed while proving
-//! `C ∪ I` complete: `q` at an emission node, `q·r` at a leaf first
+//! `C ∪ I` complete: `q` at a node with `I = X = ∅`, `q·r` at a leaf first
 //! child with `I = {u₀}`, otherwise whatever a first child that kept
 //! everything returned. No extra work is done to get it.
 //!
@@ -274,8 +277,8 @@ impl Kernel {
         }
     }
 
-    /// Closed-form root expansion shared by sequential MULE, LARGE–MULE
-    /// and the parallel workers: at the root every factor is 1 and every
+    /// Closed-form root expansion behind [`search_root`] and top-k's β
+    /// search: at the root every factor is 1 and every
     /// vertex `< u` has moved to `X` by the time `u` is processed, so
     ///
     /// * `I₀(u) = {(w, p(u,w)) : w ∈ Γ(u), w > u}`
@@ -577,29 +580,44 @@ impl Kernel {
     }
 }
 
-/// Algorithm 2 (`Enum-Uncertain-MC`) over arena spans — the one copy of
-/// MULE's recursion, shared by [`crate::Mule`] and the parallel workers.
+/// Algorithm 6 (`Enum-Uncertain-MC-Large`) over arena spans — the one
+/// kernel recursion, shared by [`crate::Mule`], [`crate::LargeMule`], the
+/// prepared per-component path (`crate::prepare`) and the parallel
+/// workers. At `t ≤ 1` it is exactly MULE's Algorithm 2: the line-8 cut
+/// `|C| + 1 + |I'| < t` can never hold, and the emission test `|C| ≥ t`
+/// always does below the root (`C` is never empty there). Callers with
+/// no size threshold pass `t = 0`.
 ///
 /// `i_span` and `x_span` index into `cur` (this depth's buffer); each
 /// branch appends the child's filtered `I'` span and then its `X'` span
 /// at `next`'s tail, recurses with the buffers swapped, and truncates
 /// back afterwards. The child's `X'` is the filtered parent `X` followed
 /// by the filtered already-processed prefix of the parent `I` — the same
-/// order Algorithm 2's `X ← X ∪ {(u, r)}` (line 10) grows the owned set,
-/// without materializing it.
+/// order the `X ← X ∪ {(u, r)}` update grows the owned set, without
+/// materializing it.
+///
+/// **Size bound.** A branch is abandoned when `|C| + 1 + |I'| < t`
+/// (line 8). The paper's `continue` there also skips the explicit
+/// `X ← X ∪ {(u, r)}` update; here that is harmless, because `u` stays
+/// in the parent `I` span and every later sibling filters the processed
+/// prefix of that span into its `X'` regardless. A first child cut this
+/// way proves nothing. A node with `I = ∅ ∧ X = ∅` emits only when
+/// `|C| ≥ t`; it is reached only through branches that passed the bound,
+/// so that holds except at a too-small root (asserted in debug builds).
 ///
 /// **Dominated siblings.** When the first child `u₀ = min I` keeps every
 /// later candidate (`|I'| = |I| − 1`) and its subtree proves `C ∪ I` an
 /// α-clique, the remaining children are skipped: each could only emit a
 /// set `K ⊊ C ∪ I` without `u₀`, and `clq(K ∪ {u₀}) ≥ clq(C ∪ I) ≥ α`
 /// because dropping vertices drops factors `≤ 1`, so `u₀` in its `X`
-/// blocks the emission. The skip needs the computed `clq(C ∪ I)` to be
-/// `≥ α·(1 + 1e-9)` and `|C ∪ I| ≤ 2048`, so rounding can never make it
-/// override a sibling's own test at a tie (bound in the module docs).
-/// Returns the `Control` and that proof: `Some(q)` at an emission node,
-/// `Some(clq(C ∪ {u₀}))` when `I = {u₀}` is a leaf child, the first
-/// child's proof when it kept everything, else `None`.
-#[allow(clippy::too_many_arguments)] // mirrors Algorithm 2's state tuple
+/// blocks the emission. That holds whatever the size of `K`, so the
+/// size bound does not weaken it. The skip needs the computed
+/// `clq(C ∪ I)` to be `≥ α·(1 + 1e-9)` and `|C ∪ I| ≤ 2048`, so rounding
+/// can never make it override a sibling's own test at a tie (bound in
+/// the module docs). Returns the `Control` and that proof: `Some(q)` at
+/// an `I = X = ∅` node, `Some(clq(C ∪ {u₀}))` when `I = {u₀}` is a leaf
+/// child, the first child's proof when it kept everything, else `None`.
+#[allow(clippy::too_many_arguments)] // mirrors Algorithm 6's state tuple
 pub(crate) fn enumerate_subtree<S: CliqueSink>(
     kernel: &Kernel,
     stats: &mut EnumerationStats,
@@ -609,6 +627,7 @@ pub(crate) fn enumerate_subtree<S: CliqueSink>(
     x_span: Range<usize>,
     cur: &mut CandidateArena,
     next: &mut CandidateArena,
+    t: usize,
     limits: &mut RunLimits,
     sink: &mut S,
 ) -> Subtree {
@@ -621,8 +640,12 @@ pub(crate) fn enumerate_subtree<S: CliqueSink>(
         return (Control::Stop, None);
     }
     if i_span.is_empty() && x_span.is_empty() {
-        stats.emitted += 1;
-        return (sink.emit(c, q), Some(q));
+        debug_assert!(c.len() >= t || c.is_empty());
+        if c.len() >= t {
+            stats.emitted += 1;
+            return (sink.emit(c, q), Some(q));
+        }
+        return (Control::Continue, Some(q));
     }
     let mut proof = None;
     for pos in i_span.clone() {
@@ -634,14 +657,23 @@ pub(crate) fn enumerate_subtree<S: CliqueSink>(
         // the I span is sorted by vertex id).
         kernel.filter_candidates_into(u, q2, cur.span(pos + 1..i_span.end), next, stats, Scan::I);
         let x2_start = next.mark();
+        let i2_len = x2_start - mark;
+        // Line 8: not enough material left to reach t vertices.
+        if c.len() + 1 + i2_len < t {
+            stats.size_pruned += 1;
+            next.truncate(mark);
+            continue;
+        }
         // The first child kept every later candidate: C ∪ {u} ∪ I' = C ∪ I.
-        let kept_all = pos == i_span.start && x2_start - mark == i_span.len() - 1;
-        if mark == x2_start {
-            // I' is empty: the child is a leaf, so X' is only tested for
+        let kept_all = pos == i_span.start && i2_len == i_span.len() - 1;
+        if i2_len == 0 {
+            // I' is empty: the child is a leaf (and past the line-8
+            // bound, so |C| + 1 ≥ t), and X' is only tested for
             // emptiness (Lemma 9) — answer that directly with the
             // short-circuiting existence filter instead of materializing
             // X'. This inlines the child call (counters match what the
             // recursion would have recorded, minus the skipped scans).
+            debug_assert!(c.len() + 1 >= t);
             stats.calls += 1;
             stats.max_depth = stats.max_depth.max(c.len() + 1);
             if limits.probe(stats.calls) {
@@ -683,6 +715,7 @@ pub(crate) fn enumerate_subtree<S: CliqueSink>(
             x2_start..x2_end,
             next,
             cur,
+            t,
             limits,
             sink,
         );
@@ -702,129 +735,47 @@ pub(crate) fn enumerate_subtree<S: CliqueSink>(
     (Control::Continue, proof)
 }
 
-/// Algorithm 6 (`Enum-Uncertain-MC-Large`) over arena spans — the
-/// size-bounded sibling of [`enumerate_subtree`], shared by
-/// [`crate::LargeMule`] and the per-component prepared path
-/// (`crate::prepare`). Identical span layout and the same
-/// dominated-sibling rule and return value; two differences:
-///
-/// * a branch is abandoned when `|C'| + |I'| < t` (line 8 — the
-///   `continue` also skips the explicit `X ← X ∪ {(u, r)}` update,
-///   which is safe because `u` stays in the parent `I` span and later
-///   siblings filter it into their `X'` regardless; a first child cut
-///   this way proves nothing);
-/// * a node with `I = ∅ ∧ X = ∅` emits only when `|C| ≥ t` (reached
-///   only through branches that passed the bound, so the condition
-///   holds except at a too-small root — asserted in debug builds).
-///
-/// The dominated-sibling skip (same subset-monotonicity proof, same
-/// `α·(1 + 1e-9)` margin and `|C ∪ I| ≤ 2048` guard) stays sound under
-/// the bound: it rests on no skipped sibling's clique being α-maximal,
-/// whatever its size.
-#[allow(clippy::too_many_arguments)] // mirrors Algorithm 6's state tuple
-pub(crate) fn enumerate_subtree_bounded<S: CliqueSink>(
+/// Search the root subtree `C = {u}` — the step every root loop shares
+/// (sequential MULE, LARGE–MULE, the prepared schedule and the parallel
+/// workers): expand `I₀(u)` and `X₀(u)` in closed form
+/// ([`Kernel::expand_root_into`]), cut the root when `1 + |I₀| < t`
+/// (counted in `size_pruned`), otherwise run [`enumerate_subtree`] with
+/// `u` pushed onto `c`. Leaves `c` as it found it and both arenas empty.
+#[allow(clippy::too_many_arguments)] // the run loops' split-borrowed state
+pub(crate) fn search_root<S: CliqueSink>(
     kernel: &Kernel,
-    stats: &mut EnumerationStats,
-    c: &mut Vec<VertexId>,
-    q: f64,
-    i_span: Range<usize>,
-    x_span: Range<usize>,
-    cur: &mut CandidateArena,
-    next: &mut CandidateArena,
+    u: VertexId,
     t: usize,
+    stats: &mut EnumerationStats,
+    arenas: &mut DepthArenas,
+    c: &mut Vec<VertexId>,
     limits: &mut RunLimits,
     sink: &mut S,
-) -> Subtree {
-    stats.calls += 1;
-    stats.max_depth = stats.max_depth.max(c.len());
-    // Same pre-emission limit probe as `enumerate_subtree`.
-    if limits.probe(stats.calls) {
-        return (Control::Stop, None);
-    }
-    if i_span.is_empty() && x_span.is_empty() {
-        debug_assert!(c.len() >= t || c.is_empty());
-        if c.len() >= t {
-            stats.emitted += 1;
-            return (sink.emit(c, q), Some(q));
-        }
-        return (Control::Continue, Some(q));
-    }
-    let mut proof = None;
-    for pos in i_span.clone() {
-        let (u, r) = cur.get(pos);
-        let q2 = q * r;
-        let mark = next.mark();
-        kernel.filter_candidates_into(u, q2, cur.span(pos + 1..i_span.end), next, stats, Scan::I);
-        let i2_len = next.mark() - mark;
-        // Line 8: not enough material left to reach t vertices.
-        if c.len() + 1 + i2_len < t {
-            stats.size_pruned += 1;
-            next.truncate(mark);
-            continue;
-        }
-        let kept_all = pos == i_span.start && i2_len == i_span.len() - 1;
-        let x2_start = next.mark();
-        if mark == x2_start {
-            // I' empty: leaf child (and past the line 8 bound, so
-            // |C| + 1 ≥ t). Same emptiness short-circuit as
-            // `enumerate_subtree`.
-            debug_assert!(c.len() + 1 >= t);
-            stats.calls += 1;
-            stats.max_depth = stats.max_depth.max(c.len() + 1);
-            if limits.probe(stats.calls) {
-                return (Control::Stop, None);
-            }
-            if kept_all {
-                proof = Some(q2);
-            }
-            let extendable = kernel.any_candidate_survives(
-                u,
-                q2,
-                [cur.span(x_span.clone()), cur.span(i_span.start..pos)],
-                stats,
-            );
-            if !extendable {
-                stats.emitted += 1;
-                c.push(u);
-                let ctl = sink.emit(c, q2);
-                c.pop();
-                if ctl == Control::Stop {
-                    return (Control::Stop, None);
-                }
-            }
-            continue;
-        }
-        kernel.filter_candidates_into(u, q2, cur.span(x_span.clone()), next, stats, Scan::X);
-        kernel.filter_candidates_into(u, q2, cur.span(i_span.start..pos), next, stats, Scan::X);
-        let x2_end = next.mark();
+) -> Control {
+    let (i0, x0) = kernel.expand_root_into(u, &mut arenas.even, &mut stats.i_candidates_scanned);
+    let ctl = if 1 + i0.len() < t {
+        stats.size_pruned += 1;
+        Control::Continue
+    } else {
         c.push(u);
-        let (ctl, child_proof) = enumerate_subtree_bounded(
+        let (ctl, _) = enumerate_subtree(
             kernel,
             stats,
             c,
-            q2,
-            mark..x2_start,
-            x2_start..x2_end,
-            next,
-            cur,
+            1.0,
+            i0,
+            x0,
+            &mut arenas.even,
+            &mut arenas.odd,
             t,
             limits,
             sink,
         );
         c.pop();
-        next.truncate(mark);
-        if ctl == Control::Stop {
-            return (Control::Stop, None);
-        }
-        if kept_all {
-            proof = child_proof;
-            if proof.is_some_and(|p| kernel.dominates(p, c.len() + i_span.len())) {
-                stats.dominated_siblings += (i_span.len() - 1) as u64;
-                break;
-            }
-        }
-    }
-    (Control::Continue, proof)
+        ctl
+    };
+    arenas.clear();
+    ctl
 }
 
 #[cfg(test)]
@@ -850,6 +801,52 @@ mod tests {
         assert_eq!(a.span(0..2), &[1, 2]);
         a.clear();
         assert_eq!(a.mark(), 0);
+    }
+
+    /// Below the root, `t = 1` is `t = 0`: on random graphs a prepared
+    /// run at `min_size` 1 emits the `min_size` 0 stream (ids and
+    /// probability bits) with every counter equal and nothing
+    /// size-pruned, at 1 and 2 threads.
+    #[test]
+    fn threshold_one_searches_exactly_like_threshold_zero() {
+        use crate::Query;
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        use ugraph_core::GraphBuilder;
+
+        let mut rng = SmallRng::seed_from_u64(0x7E50_0001);
+        for case in 0..100 {
+            let n = rng.gen_range(0..=30);
+            let density = rng.gen_range(0.05..0.5);
+            let mut b = GraphBuilder::new(n);
+            for u in 0..n as VertexId {
+                for v in u + 1..n as VertexId {
+                    if rng.gen::<f64>() < density {
+                        b.add_edge(u, v, 1.0 - rng.gen::<f64>()).unwrap();
+                    }
+                }
+            }
+            let g = b.build();
+            let alpha = rng.gen_range(0.001..0.9);
+            for threads in [1, 2] {
+                let run = |min_size| {
+                    let query = Query::new(&g).alpha(alpha).min_size(min_size);
+                    let mut session = query.threads(threads).prepare().unwrap();
+                    let stream: Vec<(Vec<VertexId>, u64)> = session
+                        .collect()
+                        .unwrap()
+                        .into_iter()
+                        .map(|(c, p)| (c, p.to_bits()))
+                        .collect();
+                    (stream, *session.stats())
+                };
+                let ((want, zero), (got, one)) = (run(0), run(1));
+                let at = format!("case {case}, n={n}, α={alpha:e}, threads={threads}");
+                assert_eq!(got, want, "stream differs ({at})");
+                assert_eq!(one, zero, "counters differ ({at})");
+                assert_eq!(one.size_pruned, 0, "{at}");
+            }
+        }
     }
 
     #[test]

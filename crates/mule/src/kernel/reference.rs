@@ -2,9 +2,11 @@
 //! rule, kept as a test-only reference, and the property that pins the
 //! rule against them: on random graphs with planted near-certain blocks
 //! and on exact and rounding-level ties, the emitted stream (ids and
-//! probability bits) equals the reference's at `min_size` 0 and 3 and at
+//! probability bits) equals the reference's at `min_size` 0 to 3 and at
 //! 1 and 2 threads, the search visits no more nodes, and the rule fires
-//! wherever a planted block sits at the top of the id order.
+//! wherever a planted block sits at the top of the id order. The
+//! reference picks its recursion on `min_size ≥ 2`, as every caller once
+//! did, so `min_size` 1 and 2 sit on either side of that old switch.
 
 use super::{CandidateArena, DepthArenas, Kernel, Scan};
 use crate::limits::RunLimits;
@@ -318,11 +320,11 @@ fn scattered(rng: &mut SmallRng, n: usize, k: usize) -> Vec<VertexId> {
 }
 
 /// Compare the live kernel with the reference on `g` at `alpha`, for
-/// `min_size` 0 and 3 and 1 and 2 threads. Returns the fewest
-/// dominated siblings any of the four runs counted.
+/// `min_size` 0 to 3 and 1 and 2 threads. Returns the fewest dominated
+/// siblings any of the eight runs counted.
 fn check(g: &UncertainGraph, alpha: f64, case: &str) -> u64 {
     let mut fewest = u64::MAX;
-    for min_size in [0, 3] {
+    for min_size in [0, 1, 2, 3] {
         let query = || Query::new(g).alpha(alpha).min_size(min_size);
         let (want, ref_stats) = reference_run(query().prepare().unwrap().instance());
         let want: Vec<(Vec<VertexId>, u64)> =

@@ -14,17 +14,18 @@
 //!
 //! The emitted set is exactly `{C : C α-maximal in G, |C| ≥ t}` (Lemma 13;
 //! our tests pin the "at least t" reading, which is what the pseudo-code
-//! computes). Note the subtlety analyzed in DESIGN.md: a skipped branch
-//! also skips the `X ← X ∪ {(u, r)}` update, which is safe because any
-//! clique that `u` could still extend would have placed `u`'s branch above
-//! the size bound in the first place.
+//! computes).
 //!
-//! The bounded recursion shares the kernel's adaptive candidate filter,
-//! so the tiered neighborhood index (dense hub rows / bitset membership
-//! / CSR gallop+merge, per [`MuleConfig`]) applies here unchanged.
+//! Algorithm 6 is the kernel's one recursion
+//! (`kernel::enumerate_subtree`, entered per root through
+//! `kernel::search_root`); plain MULE runs the same code at `t = 0`. Its
+//! docs say why the line-8 cut may skip the `X ← X ∪ {(u, r)}` update.
+//! The tiered neighborhood index (dense hub rows / bitset membership /
+//! CSR gallop+merge, per [`MuleConfig`]) applies here unchanged.
 
 use crate::enumerate::MuleConfig;
-use crate::kernel::{enumerate_subtree_bounded, DepthArenas, Kernel};
+use crate::kernel::{search_root, DepthArenas, Kernel};
+use crate::limits::RunLimits;
 use crate::pruning::{shared_neighborhood_filter, PruneReport};
 use crate::sinks::{CliqueSink, Control};
 use crate::stats::EnumerationStats;
@@ -112,51 +113,24 @@ impl LargeMule {
     pub fn run<S: CliqueSink>(&mut self, sink: &mut S) -> &EnumerationStats {
         self.stats = EnumerationStats::new();
         self.stats.calls += 1; // the conceptual root node
-                               // Root-level subtrees expanded in closed form from the adjacency
-                               // (see `Kernel::expand_root_into` for the derivation); the
-                               // Algorithm 6 line 8 bound applies per root branch as
-                               // |{u}| + |I₀(u)|.
-
-        let n = self.kernel.g.num_vertices();
-        let mut arenas = std::mem::take(&mut self.arenas);
-        let mut c = std::mem::take(&mut self.clique_buf);
-        arenas.clear();
-        c.clear();
-        for u in 0..n as VertexId {
-            let (i0, x0) = self.kernel.expand_root_into(
-                u,
-                &mut arenas.even,
-                &mut self.stats.i_candidates_scanned,
-            );
-            if 1 + i0.len() < self.t {
-                self.stats.size_pruned += 1;
-                arenas.clear();
-                continue;
-            }
-            c.push(u);
-            // Algorithm 6 lives in `kernel::enumerate_subtree_bounded`,
-            // shared with the prepared per-component path.
-            let (ctl, _) = enumerate_subtree_bounded(
+        self.arenas.clear();
+        self.clique_buf.clear();
+        let limits = &mut RunLimits::none();
+        for u in 0..self.kernel.g.num_vertices() as VertexId {
+            let ctl = search_root(
                 &self.kernel,
-                &mut self.stats,
-                &mut c,
-                1.0,
-                i0,
-                x0,
-                &mut arenas.even,
-                &mut arenas.odd,
+                u,
                 self.t,
-                &mut crate::limits::RunLimits::none(),
+                &mut self.stats,
+                &mut self.arenas,
+                &mut self.clique_buf,
+                limits,
                 sink,
             );
-            c.pop();
-            arenas.clear();
             if ctl == Control::Stop {
                 break;
             }
         }
-        self.arenas = arenas;
-        self.clique_buf = c;
         &self.stats
     }
 }

@@ -54,7 +54,7 @@
 //! are equally schedule-independent (each root subtree contributes the
 //! same counters wherever it runs), so they equal the sequential run's.
 
-use crate::kernel::{enumerate_subtree, enumerate_subtree_bounded, DepthArenas};
+use crate::kernel::{search_root, DepthArenas};
 use crate::limits::{Interrupt, LimitSpec, RunLimits};
 use crate::prepare::PreparedInstance;
 use crate::sinks::{CollectSink, Control, RemapSink};
@@ -315,60 +315,23 @@ impl Worker<'_> {
     /// deterministic merge.
     fn run_root(&mut self, ci: u32, local: VertexId) {
         let (kernel, map) = self.inst.component_parts(ci);
-        let t = self.inst.min_size();
         let mut sink = CollectSink::new();
-        let mut arenas = std::mem::take(&mut self.arenas);
-        let mut c = std::mem::take(&mut self.clique_buf);
-        arenas.clear();
-        c.clear();
-        let (i0, x0) = kernel.expand_root_into(
+        let ctl = search_root(
+            kernel,
             local,
-            &mut arenas.even,
-            &mut self.stats.i_candidates_scanned,
+            self.inst.min_size(),
+            &mut self.stats,
+            &mut self.arenas,
+            &mut self.clique_buf,
+            &mut self.limits,
+            &mut RemapSink::new(&mut sink, map),
         );
-        if t >= 2 && 1 + i0.len() < t {
-            self.stats.size_pruned += 1;
-        } else {
-            c.push(local);
-            let mut remap = RemapSink::new(&mut sink, map);
-            let (ctl, _) = if t >= 2 {
-                enumerate_subtree_bounded(
-                    kernel,
-                    &mut self.stats,
-                    &mut c,
-                    1.0,
-                    i0,
-                    x0,
-                    &mut arenas.even,
-                    &mut arenas.odd,
-                    t,
-                    &mut self.limits,
-                    &mut remap,
-                )
-            } else {
-                enumerate_subtree(
-                    kernel,
-                    &mut self.stats,
-                    &mut c,
-                    1.0,
-                    i0,
-                    x0,
-                    &mut arenas.even,
-                    &mut arenas.odd,
-                    &mut self.limits,
-                    &mut remap,
-                )
-            };
-            // CollectSink never stops on its own; the only Stop the
-            // recursion can return here is a tripped limit.
-            debug_assert!(
-                ctl == Control::Continue || self.limits.tripped().is_some(),
-                "CollectSink never stops"
-            );
-            c.pop();
-        }
-        self.arenas = arenas;
-        self.clique_buf = c;
+        // CollectSink never stops on its own; the only Stop the
+        // recursion can return here is a tripped limit.
+        debug_assert!(
+            ctl == Control::Continue || self.limits.tripped().is_some(),
+            "CollectSink never stops"
+        );
         let root_original = map[local as usize];
         self.outputs.push((root_original, sink.into_pairs()));
     }

@@ -99,7 +99,7 @@
 
 use crate::enumerate::MuleConfig;
 use crate::kcore::CoreDecomposition;
-use crate::kernel::{enumerate_subtree, enumerate_subtree_bounded, DepthArenas, Kernel};
+use crate::kernel::{search_root, DepthArenas, Kernel};
 use crate::limits::{Interrupt, RunLimits};
 use crate::pruning::shared_neighborhood_peel;
 use crate::sinks::{CliqueSink, Control};
@@ -596,8 +596,8 @@ pub(crate) fn merge_runs<T>(
 }
 
 /// One schedule unit of a prepared run: emit a singleton directly, or
-/// expand and search a root subtree (bounded when a size threshold is
-/// configured), translating ids in the sink layer. Shared verbatim by
+/// search a root subtree at the configured size threshold
+/// ([`search_root`]), translating ids in the sink layer. Shared verbatim by
 /// [`PreparedInstance::run`] and [`PreparedInstance::run_unit`], so the
 /// streaming and pull-based paths cannot drift apart.
 #[allow(clippy::too_many_arguments)] // the run loop's split-borrowed state
@@ -621,53 +621,14 @@ fn step<S: CliqueSink>(
         }
         Unit::Root { comp, local } => {
             let pc = &components[comp as usize];
-            let (i0, x0) = pc.kernel.expand_root_into(
-                local,
-                &mut arenas.even,
-                &mut stats.i_candidates_scanned,
-            );
-            if min_size >= 2 && 1 + i0.len() < min_size {
-                stats.size_pruned += 1;
-                arenas.clear();
-                return Control::Continue;
-            }
-            c.push(local);
             let mut remap = Remap {
                 inner: sink,
                 map: &pc.to_original,
                 scratch,
             };
-            let (ctl, _) = if min_size >= 2 {
-                enumerate_subtree_bounded(
-                    &pc.kernel,
-                    stats,
-                    c,
-                    1.0,
-                    i0,
-                    x0,
-                    &mut arenas.even,
-                    &mut arenas.odd,
-                    min_size,
-                    limits,
-                    &mut remap,
-                )
-            } else {
-                enumerate_subtree(
-                    &pc.kernel,
-                    stats,
-                    c,
-                    1.0,
-                    i0,
-                    x0,
-                    &mut arenas.even,
-                    &mut arenas.odd,
-                    limits,
-                    &mut remap,
-                )
-            };
-            c.pop();
-            arenas.clear();
-            ctl
+            search_root(
+                &pc.kernel, local, min_size, stats, arenas, c, limits, &mut remap,
+            )
         }
     }
 }

@@ -361,8 +361,8 @@ impl MuleError {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// The incremental-probability kernel (the paper's contribution):
-    /// MULE, or LARGE-MULE's bounded recursion when
-    /// [`Query::min_size`] ≥ 2.
+    /// one recursion that is MULE, or LARGE-MULE's size-bounded search
+    /// when [`Query::min_size`] ≥ 2.
     #[default]
     Auto,
     /// The DFS–NOIP baseline (Algorithm 7) per prepared component —

@@ -121,13 +121,13 @@ fn emit_remapped(
     .emit(c, q)
 }
 
-/// [`crate::kernel::enumerate_subtree`] specialized to a [`TopKSink`]:
-/// identical α-semantics for `I`/`X` construction and the leaf
-/// short-circuit, plus the adaptive admission cut. A separate copy
-/// rather than a parameter of the shared kernel recursion because the
-/// cut must consult the sink's heap *between branches* — a feedback
-/// channel the streaming [`CliqueSink`] interface deliberately does not
-/// expose.
+/// The kernel recursion [`crate::kernel::enumerate_subtree`] at `t = 0`,
+/// specialized to a [`TopKSink`]: identical α-semantics for `I`/`X`
+/// construction and the leaf short-circuit, plus the adaptive admission
+/// cut. A separate copy rather than a parameter of the shared kernel
+/// recursion because the cut must consult the sink's heap *between
+/// branches* — a feedback channel the streaming [`CliqueSink`] interface
+/// deliberately does not expose.
 #[allow(clippy::too_many_arguments)] // mirrors Algorithm 2's state tuple
 fn beta_subtree(
     kernel: &Kernel,

@@ -51,23 +51,14 @@ impl DfsNoip {
     /// comparison isolates the incremental-probability machinery).
     pub fn new(g: &UncertainGraph, alpha: f64) -> Result<Self, GraphError> {
         let alpha = UncertainGraph::validate_alpha(alpha)?.get();
-        let pruned = subgraph::prune_below_alpha(g, alpha)?;
-        Ok(Self::from_pruned(pruned, alpha))
-    }
-
-    /// Wrap a graph that is **already α-pruned** (and an already
-    /// validated α) without the redundant prune pass — the session
-    /// API's per-component constructor ([`crate::Engine::Noip`]), where
-    /// pipeline stage 1 pruned before sharding.
-    pub(crate) fn from_pruned(pruned: UncertainGraph, alpha: f64) -> Self {
-        DfsNoip {
-            g: pruned,
+        Ok(DfsNoip {
+            g: subgraph::prune_below_alpha(g, alpha)?,
             alpha,
             stats: EnumerationStats::new(),
             arena: Arena::new(),
             scratch: Vec::new(),
             clique_buf: Vec::new(),
-        }
+        })
     }
 
     /// Counters from the most recent run.
@@ -195,7 +186,7 @@ mod tests {
     use super::*;
     use crate::naive::enumerate_naive;
     use crate::sinks::CollectSink;
-    use crate::{Engine, Query};
+    use crate::Query;
 
     /// One direct DFS–NOIP run over the whole graph, cliques sorted.
     fn noip_cliques(g: &UncertainGraph, alpha: f64) -> Vec<Vec<VertexId>> {
@@ -205,9 +196,9 @@ mod tests {
         sink.into_sorted_cliques()
     }
 
-    /// A session run on `engine`, cliques sorted.
-    fn session_cliques(g: &UncertainGraph, alpha: f64, engine: Engine) -> Vec<Vec<VertexId>> {
-        let mut session = Query::new(g).alpha(alpha).engine(engine).prepare().unwrap();
+    /// A MULE session run, cliques sorted.
+    fn session_cliques(g: &UncertainGraph, alpha: f64) -> Vec<Vec<VertexId>> {
+        let mut session = Query::new(g).alpha(alpha).prepare().unwrap();
         session.sorted_cliques().unwrap()
     }
     use ugraph_core::builder::{complete_graph, from_edges, GraphBuilder};
@@ -223,7 +214,7 @@ mod tests {
         for alpha in [0.9, 0.75, 0.5, 0.25, 1e-9] {
             assert_eq!(
                 noip_cliques(&g, alpha),
-                session_cliques(&g, alpha, Engine::Auto),
+                session_cliques(&g, alpha),
                 "α = {alpha}"
             );
         }
@@ -247,35 +238,6 @@ mod tests {
         assert_eq!(noip_cliques(&g0, 0.5), vec![Vec::<VertexId>::new()]);
         let g3 = GraphBuilder::new(3).build();
         assert_eq!(noip_cliques(&g3, 0.5), vec![vec![0], vec![1], vec![2]]);
-    }
-
-    #[test]
-    fn prepared_variant_matches_direct() {
-        // Disconnected structure + isolated vertex: the per-component
-        // path must reassemble the exact direct output.
-        let g = from_edges(
-            8,
-            &[
-                (0, 1, 0.9),
-                (1, 2, 0.9),
-                (0, 2, 0.9),
-                (4, 5, 0.7),
-                (5, 6, 0.2),
-            ],
-        )
-        .unwrap();
-        for alpha in [0.9, 0.5, 0.1] {
-            assert_eq!(
-                session_cliques(&g, alpha, Engine::Noip),
-                noip_cliques(&g, alpha),
-                "α = {alpha}"
-            );
-        }
-        let g0 = GraphBuilder::new(0).build();
-        assert_eq!(
-            session_cliques(&g0, 0.5, Engine::Noip),
-            vec![Vec::<VertexId>::new()]
-        );
     }
 
     #[test]

@@ -75,6 +75,24 @@
 //! `α(1 + δ)(1 − γ)/(1 + γ) ≥ α`: the skip never overrides a decision
 //! the sibling's own tests would make at a tie. An exact tie
 //! (`clq(C ∪ I) = α`) is never skipped.
+//!
+//! # β admission cut
+//!
+//! A sink may name a floor `β` ([`CliqueSink::admission_floor`]): it
+//! would reject every clique with `clq ≤ β`. The top-k sink does, with
+//! its current k-th best probability (the adaptive β of the top-k query,
+//! paper ref 47; see [`mod@crate::topk`]). Before a child `u` is expanded
+//! the recursion compares `q·r = clq(C ∪ {u})` with the floor and, when
+//! `q·r ≤ β`, skips the child (`EnumerationStats::beta_pruned` counts
+//! it): every set in its subtree has probability `≤ q·r`, since factors
+//! are `≤ 1`. The test comes before the filters, so a first child cut
+//! this way proves nothing for the dominated-sibling rule.
+//!
+//! β decides admission only; `I` and `X` are still built at α. `u` stays
+//! in the parent `I` span, so later siblings still filter it into their
+//! `X'`, exactly as after a line-8 cut: a skipped subtree changes no
+//! other branch's output. Sinks that keep the default `None` compile
+//! the test away.
 
 use crate::enumerate::{Candidate, IndexMode, MuleConfig};
 use crate::limits::RunLimits;
@@ -277,9 +295,9 @@ impl Kernel {
         }
     }
 
-    /// Closed-form root expansion behind [`search_root`] and top-k's β
-    /// search: at the root every factor is 1 and every
-    /// vertex `< u` has moved to `X` by the time `u` is processed, so
+    /// Closed-form root expansion behind [`search_root`]: at the root
+    /// every factor is 1 and every vertex `< u` has moved to `X` by the
+    /// time `u` is processed, so
     ///
     /// * `I₀(u) = {(w, p(u,w)) : w ∈ Γ(u), w > u}`
     /// * `X₀(u) = {(v, p(u,v)) : v ∈ Γ(u), v < u}`
@@ -617,6 +635,10 @@ impl Kernel {
 /// the module docs). Returns the `Control` and that proof: `Some(q)` at
 /// an `I = X = ∅` node, `Some(clq(C ∪ {u₀}))` when `I = {u₀}` is a leaf
 /// child, the first child's proof when it kept everything, else `None`.
+///
+/// **β admission cut.** A child with `q·r` at or below the sink's
+/// [`CliqueSink::admission_floor`] is skipped before its filters run
+/// (module docs, "β admission cut").
 #[allow(clippy::too_many_arguments)] // mirrors Algorithm 6's state tuple
 pub(crate) fn enumerate_subtree<S: CliqueSink>(
     kernel: &Kernel,
@@ -652,6 +674,10 @@ pub(crate) fn enumerate_subtree<S: CliqueSink>(
         let (u, r) = cur.get(pos);
         // clq(C ∪ {u}) — one multiplication (the key insight).
         let q2 = q * r;
+        if sink.admission_floor().is_some_and(|beta| q2 <= beta) {
+            stats.beta_pruned += 1;
+            continue;
+        }
         let mark = next.mark();
         // Algorithm 3: I' from candidates beyond u (they are > u because
         // the I span is sorted by vertex id).

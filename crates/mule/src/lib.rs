@@ -9,15 +9,15 @@
 //! | MULE (Algorithms 1–4) | [`Query::prepare`] → [`Prepared::collect`] / [`Prepared::count`] / [`Prepared::stream`] / [`Prepared::iter`] | [`Mule`] |
 //! | LARGE–MULE (Algorithms 5–6) | [`Query::min_size`] ≥ 2, then any execution method | [`LargeMule`] |
 //! | Modani–Dey shared-neighborhood filter | pipeline stage 3 ([`Query::shared_neighborhood`]) | [`pruning::shared_neighborhood_filter`] |
-//! | DFS–NOIP baseline (Algorithm 7) | [`Query::engine`]`(`[`Engine::Noip`]`)` | [`DfsNoip`] |
-//! | Top-k by probability (paper ref 47) | [`Prepared::top_k`] (adaptive β cut, [`topk`]) | [`sinks::TopKSink`] over [`Mule`]; [`zou_topk`] |
+//! | DFS–NOIP baseline (Algorithm 7) | — | [`DfsNoip`] |
+//! | Top-k by probability (paper ref 47) | [`Prepared::top_k`] (adaptive β cut inside the kernel recursion, [`topk`]) | [`sinks::TopKSink`] over [`Mule`]; [`zou_topk`] |
 //! | Theorem 1 / Moon–Moser bounds | — | [`bounds`] |
 //! | Bron–Kerbosch + Tomita pivot (paper refs 8, 42) | — | [`deterministic`] |
 //!
 //! # The session lifecycle
 //!
 //! [`Query::new`] collects every knob — α, size threshold, threads,
-//! index mode and budgets, pipeline stage toggles, engine — and
+//! index mode and budgets, pipeline stage toggles — and
 //! validates them at [`Query::prepare`], which runs the preprocessing
 //! pipeline ([`mod@prepare`]: α-prune → expected-degree core filter →
 //! shared-neighborhood peel → component-shard) **once**. The resulting
@@ -129,7 +129,7 @@ pub use prepare::{
     prepare, prepare_base, BaseComponent, PrepareConfig, PrepareReport, PreparedBase,
     PreparedInstance,
 };
-pub use query::{Base, Cliques, Engine, MuleError, Opened, Prepared, Query};
+pub use query::{Base, Cliques, MuleError, Opened, Prepared, Query};
 pub use sinks::{CliqueSink, Control};
 pub use stats::EnumerationStats;
 pub use worlds::{maximality_frequency, sampled_world_clique_stats, WorldCliqueStats};

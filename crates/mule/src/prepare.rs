@@ -634,8 +634,7 @@ fn step<S: CliqueSink>(
 }
 
 /// Crate-internal remap adapter with a borrowed scratch buffer, so run
-/// loops can construct one per root — or per emission, in `topk`'s
-/// β-cut recursion — without allocating (the public
+/// loops can construct one per root without allocating (the public
 /// [`crate::sinks::RemapSink`] owns its scratch instead).
 pub(crate) struct Remap<'a, S: CliqueSink> {
     pub(crate) inner: &'a mut S,
@@ -650,6 +649,10 @@ impl<S: CliqueSink> CliqueSink for Remap<'_, S> {
             .extend(clique.iter().map(|&v| self.map[v as usize]));
         debug_assert!(self.scratch.windows(2).all(|w| w[0] < w[1]));
         self.inner.emit(self.scratch, prob)
+    }
+
+    fn admission_floor(&self) -> Option<f64> {
+        self.inner.admission_floor()
     }
 }
 

@@ -5,19 +5,20 @@
 //! # Why a session
 //!
 //! Every capability — all α-maximal cliques, a size threshold
-//! (LARGE–MULE), parallel collection, top-k, the DFS–NOIP baseline — is
-//! a knob on one [`Query`] builder rather than a function of its own,
-//! so sequential/parallel and MULE/LARGE-MULE/NOIP are chosen by
-//! configuration. [`Query::prepare`] runs the pipeline
-//! ([`mod@crate::prepare`]) exactly once; and the resulting [`Prepared`]
-//! session serves [`collect`](Prepared::collect),
+//! (LARGE–MULE), parallel collection, top-k — is a knob on one [`Query`]
+//! builder rather than a function of its own, so sequential/parallel and
+//! MULE/LARGE-MULE are chosen by configuration, and every execution
+//! method runs the one kernel recursion. [`Query::prepare`] runs the
+//! pipeline ([`mod@crate::prepare`]) exactly once; and the resulting
+//! [`Prepared`] session serves [`collect`](Prepared::collect),
 //! [`count`](Prepared::count), [`stream`](Prepared::stream),
 //! [`top_k`](Prepared::top_k) and the pull-based
 //! [`iter`](Prepared::iter) over the same prepared instance —
 //! repeated-query workloads pay preprocessing once.
 //!
-//! The direct enumerator structs ([`crate::Mule`], [`crate::LargeMule`],
-//! [`crate::DfsNoip`]) remain the pipeline-off reference paths.
+//! The direct enumerator structs ([`crate::Mule`], [`crate::LargeMule`])
+//! remain the pipeline-off reference paths, and [`crate::DfsNoip`] is
+//! the paper's Algorithm 7 baseline, run directly.
 //!
 //! # Session lifecycle
 //!
@@ -171,11 +172,10 @@
 
 use crate::catalog::Kind;
 use crate::delta::GraphDelta;
-use crate::dfs_noip::DfsNoip;
 use crate::enumerate::{IndexMode, MuleConfig};
-use crate::limits::{CancelToken, Interrupt, LimitSpec, RunLimits};
+use crate::limits::{CancelToken, Interrupt, LimitSpec};
 use crate::prepare::{prepare, PrepareConfig, PrepareReport, PreparedBase, PreparedInstance};
-use crate::sinks::{CliqueSink, CollectSink, Control, CountSink, RemapSink, TopKSink};
+use crate::sinks::{CliqueSink, CollectSink, CountSink, TopKSink};
 use crate::stats::EnumerationStats;
 use crate::topk::RankedCliques;
 use std::collections::VecDeque;
@@ -357,21 +357,6 @@ impl MuleError {
     }
 }
 
-/// Which search engine a [`Prepared`] session runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// The incremental-probability kernel (the paper's contribution):
-    /// one recursion that is MULE, or LARGE-MULE's size-bounded search
-    /// when [`Query::min_size`] ≥ 2.
-    #[default]
-    Auto,
-    /// The DFS–NOIP baseline (Algorithm 7) per prepared component —
-    /// probability recomputed from scratch, maximality by full scan.
-    /// Always sequential; exists so ablations run through the same
-    /// session front door.
-    Noip,
-}
-
 /// Builder for a clique-mining session: the single public entry point.
 ///
 /// Collects every knob that used to be scattered across
@@ -386,7 +371,6 @@ pub struct Query<'g> {
     alpha_floor: f64,
     min_size: usize,
     threads: usize,
-    engine: Engine,
     core_filter: bool,
     shared_neighborhood: bool,
     shard_components: bool,
@@ -396,7 +380,7 @@ pub struct Query<'g> {
 
 impl<'g> Query<'g> {
     /// Start a query over `g` with default settings: all α-maximal
-    /// cliques, sequential, full preprocessing pipeline, [`Engine::Auto`].
+    /// cliques, sequential, full preprocessing pipeline.
     /// The α threshold has no default — set it with [`Query::alpha`].
     pub fn new(g: &'g UncertainGraph) -> Self {
         Query {
@@ -405,7 +389,6 @@ impl<'g> Query<'g> {
             alpha_floor: 0.0,
             min_size: 0,
             threads: 1,
-            engine: Engine::Auto,
             core_filter: true,
             shared_neighborhood: true,
             shard_components: true,
@@ -451,12 +434,6 @@ impl<'g> Query<'g> {
     /// One worker per available CPU.
     pub fn threads_auto(mut self) -> Self {
         self.threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-        self
-    }
-
-    /// Select the search engine (default [`Engine::Auto`]).
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -555,7 +532,7 @@ impl<'g> Query<'g> {
             return Err(MuleError::ZeroThreads);
         }
         let inst = prepare(self.g, alpha, &self.config())?;
-        Ok(Prepared::new(inst, self.engine, self.threads, self.limits))
+        Ok(Prepared::new(inst, self.threads, self.limits))
     }
 
     /// The pipeline configuration the builder describes.
@@ -575,8 +552,8 @@ impl<'g> Query<'g> {
     /// already holds the pipeline's output, and [`Query::open`] only
     /// validates it and rebuilds the deterministic per-component
     /// neighborhood index. The session starts with the saved
-    /// configuration, one worker thread and [`Engine::Auto`]; retune
-    /// with [`Prepared::set_threads`] / [`Prepared::set_engine`].
+    /// configuration and one worker thread; retune with
+    /// [`Prepared::set_threads`].
     ///
     /// Failures are typed: unreadable file → [`MuleError::Io`];
     /// structurally or semantically invalid content →
@@ -607,9 +584,9 @@ impl<'g> Query<'g> {
     /// are shared into the refined session as `Arc` clones.
     ///
     /// [`Query::alpha`] is not required (and not consulted) — α is
-    /// supplied per refinement. Runtime settings (threads, engine,
-    /// limits) set on this builder become the template every refined
-    /// session starts from.
+    /// supplied per refinement. Runtime settings (threads, limits) set
+    /// on this builder become the template every refined session starts
+    /// from.
     pub fn prepare_base(self) -> Result<Base, MuleError> {
         if self.threads == 0 {
             return Err(MuleError::ZeroThreads);
@@ -618,7 +595,6 @@ impl<'g> Query<'g> {
         Ok(Base {
             base,
             threads: self.threads,
-            engine: self.engine,
             limits: self.limits,
         })
     }
@@ -689,8 +665,8 @@ impl Opened {
 /// An α-generic prepared artifact: the output of [`Query::prepare_base`].
 ///
 /// Owns the [`PreparedBase`] (floor-pruned components, id maps, tiered
-/// indexes — computed once) plus the runtime template (threads, engine,
-/// limits) refined sessions start from. One resident `Base` serves every
+/// indexes — computed once) plus the runtime template (threads, limits)
+/// refined sessions start from. One resident `Base` serves every
 /// query threshold `α ≥ floor`: [`Base::refine`] derives a [`Prepared`]
 /// session byte-identical to a fresh `Query::new(&g).alpha(α).prepare()`
 /// while re-running only the cheap α-dependent bounds locally per
@@ -699,18 +675,16 @@ impl Opened {
 pub struct Base {
     base: PreparedBase,
     threads: usize,
-    engine: Engine,
     limits: LimitSpec,
 }
 
 impl Base {
     /// A base opened from a catalog: default runtime template (one
-    /// thread, [`Engine::Auto`], no limits), like [`Query::open`].
+    /// thread, no limits), like [`Query::open`].
     fn from_base(base: PreparedBase) -> Self {
         Base {
             base,
             threads: 1,
-            engine: Engine::Auto,
             limits: LimitSpec::default(),
         }
     }
@@ -745,11 +719,6 @@ impl Base {
         Ok(())
     }
 
-    /// Retune the engine template refined sessions start with.
-    pub fn set_engine(&mut self, engine: Engine) {
-        self.engine = engine;
-    }
-
     /// Derive a full [`Prepared`] session at `alpha` — the per-α step.
     ///
     /// Output is byte-identical (cliques, order, probability bits,
@@ -768,12 +737,7 @@ impl Base {
             });
         }
         let inst = self.base.refine(alpha)?;
-        Ok(Prepared::new(
-            inst,
-            self.engine,
-            self.threads,
-            self.limits.clone(),
-        ))
+        Ok(Prepared::new(inst, self.threads, self.limits.clone()))
     }
 
     /// Fold a [`GraphDelta`] batch into the resident base, re-running
@@ -818,10 +782,6 @@ impl Base {
 /// recent execution are at [`Prepared::stats`].
 pub struct Prepared {
     inst: PreparedInstance,
-    /// One reusable DFS–NOIP enumerator per component ([`Engine::Noip`]
-    /// only; empty under [`Engine::Auto`]).
-    noip: Vec<DfsNoip>,
-    engine: Engine,
     threads: usize,
     stats: EnumerationStats,
     /// Per-execution limits (deadline / node budget / cancel token);
@@ -831,23 +791,19 @@ pub struct Prepared {
 
 impl Prepared {
     /// A session around `inst` with the given runtime settings.
-    fn new(inst: PreparedInstance, engine: Engine, threads: usize, limits: LimitSpec) -> Self {
-        let mut session = Prepared {
+    fn new(inst: PreparedInstance, threads: usize, limits: LimitSpec) -> Self {
+        Prepared {
             inst,
-            noip: Vec::new(),
-            engine: Engine::Auto,
             threads,
             stats: EnumerationStats::new(),
             limits,
-        };
-        session.set_engine(engine);
-        session
+        }
     }
 
     /// A fresh session around an instance that came out of a catalog:
-    /// default runtime settings, engine state built on demand.
+    /// default runtime settings.
     fn from_instance(inst: PreparedInstance) -> Self {
-        Prepared::new(inst, Engine::Auto, 1, LimitSpec::default())
+        Prepared::new(inst, 1, LimitSpec::default())
     }
 
     /// Persist this session's prepared instance as a UGQ1 catalog file
@@ -855,7 +811,7 @@ impl Prepared {
     /// [`Query::open`] rebuilds an equivalent session — same α, size
     /// threshold, stage toggles and index configuration — that serves
     /// every query byte-identically, without re-running any pipeline
-    /// stage. Runtime-only settings (threads, engine) are not part of
+    /// stage. Runtime-only settings (threads, limits) are not part of
     /// the catalog. The write is atomic-durable (temp file + fsync +
     /// rename): on error the prior file is intact.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), MuleError> {
@@ -882,25 +838,6 @@ impl Prepared {
         Ok(())
     }
 
-    /// Switch the search engine of an existing session. Selecting
-    /// [`Engine::Noip`] lazily builds the per-component baseline
-    /// enumerators on first switch (the same construction
-    /// [`Query::prepare`] performs eagerly); switching back to
-    /// [`Engine::Auto`] keeps them around for free re-switching.
-    pub fn set_engine(&mut self, engine: Engine) {
-        if engine == Engine::Noip && self.noip.is_empty() {
-            // Component graphs are already α-pruned by pipeline stage 1,
-            // so the baseline enumerators wrap a copy directly instead of
-            // re-running the prune pass.
-            self.noip = self
-                .inst
-                .components()
-                .map(|(sub, _)| DfsNoip::from_pruned(sub.clone(), self.inst.alpha()))
-                .collect();
-        }
-        self.engine = engine;
-    }
-
     /// Fold a [`GraphDelta`] batch into the live session: re-run the
     /// pipeline stages only on the touched components, share every
     /// untouched component's bytes, and rebuild the emission schedule.
@@ -921,10 +858,6 @@ impl Prepared {
     pub fn apply(&mut self, delta: &GraphDelta) -> Result<(), MuleError> {
         crate::delta::apply_instance(&mut self.inst, delta)?;
         self.stats = EnumerationStats::new();
-        // Engine state wraps per-component graphs that may just have
-        // changed: rebuild it for Noip sessions, drop it otherwise.
-        self.noip.clear();
-        self.set_engine(self.engine);
         Ok(())
     }
 
@@ -962,11 +895,6 @@ impl Prepared {
         self.threads
     }
 
-    /// The engine this session dispatches to.
-    pub fn engine(&self) -> Engine {
-        self.engine
-    }
-
     /// What each pipeline stage removed and the shape of the prepared
     /// instance — fixed at prepare time, stable across executions.
     pub fn report(&self) -> &PrepareReport {
@@ -987,7 +915,8 @@ impl Prepared {
     /// Stream every qualifying α-maximal clique — canonical order,
     /// original ids, exact probability — into `sink`, sequentially.
     /// This is the zero-copy primitive the other execution methods are
-    /// built on; the sink can stop the run early via [`Control::Stop`].
+    /// built on; the sink can stop the run early via
+    /// [`Control::Stop`](crate::Control::Stop).
     ///
     /// With limits configured ([`Query::deadline`] /
     /// [`Query::node_budget`] / [`Query::cancel_token`]) an interrupted
@@ -996,19 +925,8 @@ impl Prepared {
     /// prefix of the uninterrupted stream. With no limits (the default)
     /// this never errors.
     pub fn stream<S: CliqueSink>(&mut self, sink: &mut S) -> Result<&EnumerationStats, MuleError> {
-        let interrupt = match self.engine {
-            Engine::Auto => {
-                let mut limits = self.limits.arm();
-                let interrupt = self.inst.run_limited(sink, &mut limits);
-                self.stats = *self.inst.stats();
-                interrupt
-            }
-            Engine::Noip => {
-                let mut limits = self.limits.arm();
-                self.stats = run_noip(&self.inst, &mut self.noip, sink, &mut limits);
-                limits.tripped()
-            }
-        };
+        let interrupt = self.inst.run_limited(sink, &mut self.limits.arm());
+        self.stats = *self.inst.stats();
         match interrupt {
             Some(i) => Err(MuleError::from_interrupt(i, self.stats)),
             None => Ok(&self.stats),
@@ -1017,16 +935,16 @@ impl Prepared {
 
     /// Collect all qualifying cliques as `(clique, probability)` pairs
     /// in canonical emission order. Runs on the session's configured
-    /// thread count: with [`Query::threads`] > 1 (and [`Engine::Auto`])
-    /// the work-stealing scheduler fans root subtrees out per component
-    /// and merges back the byte-identical stream.
+    /// thread count: with [`Query::threads`] > 1 the work-stealing
+    /// scheduler fans root subtrees out per component and merges back
+    /// the byte-identical stream.
     ///
     /// An interrupted run (deadline / budget / cancellation) returns
     /// the typed error with partial counters and discards the partial
     /// result set; stream into your own sink via [`Prepared::stream`]
     /// to keep the prefix that was produced.
     pub fn collect(&mut self) -> Result<Vec<(Vec<VertexId>, f64)>, MuleError> {
-        if self.threads > 1 && self.engine == Engine::Auto {
+        if self.threads > 1 {
             let (out, interrupt) = crate::parallel::par_enumerate_prepared_limited(
                 &self.inst,
                 self.threads,
@@ -1052,10 +970,8 @@ impl Prepared {
         Ok(cliques)
     }
 
-    /// Count qualifying cliques without storing them (sequential —
-    /// counting is a streaming query; buffering the full output to
-    /// parallelize a count would defeat it). Interruption semantics as
-    /// [`Prepared::stream`].
+    /// Count qualifying cliques without storing them (sequential).
+    /// Interruption semantics as [`Prepared::stream`].
     pub fn count(&mut self) -> Result<u64, MuleError> {
         let mut sink = CountSink::new();
         self.stream(&mut sink)?;
@@ -1063,27 +979,20 @@ impl Prepared {
     }
 
     /// The `k` most probable qualifying cliques, probability descending
-    /// (ties lexicographic). Errors on `k = 0`. Under [`Engine::Auto`]
-    /// with no size threshold and no limits this runs the adaptive
-    /// β-cut engine (`mule::topk`): subtrees whose probability has
-    /// fallen to the current k-th best are skipped, maximality still
-    /// judged at α. Otherwise — including whenever a deadline, budget
-    /// or cancel token is configured — it selects over the streamed
-    /// enumeration, which enforces the limits and produces the
-    /// identical ranking.
+    /// (ties lexicographic). Errors on `k = 0`. Streams into a
+    /// [`TopKSink`] (sequential), and the search always applies the
+    /// adaptive β cut ([`mod@crate::topk`]): once `k` cliques are held,
+    /// subtrees whose probability has fallen to the current k-th best
+    /// are skipped, maximality still judged at α. The ranking equals
+    /// selecting over the full stream; size threshold and limits apply
+    /// as in [`Prepared::stream`].
     pub fn top_k(&mut self, k: usize) -> Result<RankedCliques, MuleError> {
         if k == 0 {
             return Err(MuleError::ZeroTopK);
         }
-        if self.engine == Engine::Auto && self.min_size() <= 1 && !self.limits.is_active() {
-            let (top, stats) = crate::topk::beta_top_k(&self.inst, k);
-            self.stats = stats;
-            Ok(top)
-        } else {
-            let mut sink = TopKSink::new(k);
-            self.stream(&mut sink)?;
-            Ok(sink.into_sorted())
-        }
+        let mut sink = TopKSink::new(k);
+        self.stream(&mut sink)?;
+        Ok(sink.into_sorted())
     }
 
     /// A pull-based iterator over the qualifying cliques, in the same
@@ -1093,181 +1002,14 @@ impl Prepared {
     /// result set; dropping the iterator abandons the rest of the
     /// search. [`Prepared::stats`] reflects the progress made so far.
     pub fn iter(&mut self) -> Cliques<'_> {
-        let mut buf = VecDeque::new();
-        let stage = match self.engine {
-            Engine::Auto => {
-                if let Some(empty) = self.inst.begin_incremental() {
-                    buf.push_back(empty);
-                }
-                self.stats = *self.inst.stats();
-                IterStage::Pipeline { next_unit: 0 }
-            }
-            Engine::Noip => {
-                self.stats = EnumerationStats::new();
-                self.stats.calls = 1; // the conceptual root node
-                if self.inst.original_vertices() == 0 && self.min_size() <= 1 {
-                    self.stats.emitted += 1;
-                    buf.push_back((Vec::new(), 1.0));
-                }
-                IterStage::Noip {
-                    next_comp: 0,
-                    next_singleton: 0,
-                }
-            }
-        };
+        let buf = self.inst.begin_incremental().into_iter().collect();
+        self.stats = *self.inst.stats();
         Cliques {
             prepared: self,
             buf,
-            stage,
+            next_unit: 0,
         }
     }
-}
-
-/// The DFS–NOIP engine: one baseline run per prepared component
-/// (ids translated in the sink layer), singletons emitted directly,
-/// the size threshold enforced by an emission filter. Counters are
-/// the merged per-component baseline counters. A [`Control::Stop`]
-/// from the sink is latched, so later components are neither
-/// searched nor allowed to emit — the same early-stop contract the
-/// [`Engine::Auto`] path honors per schedule unit.
-///
-/// Limits are enforced more coarsely than in the MULE kernel (whose
-/// recursion probes per search node): the baseline's own recursion is
-/// untouched, so probes happen per *emission* (amortized, via
-/// [`ProbeSink`] below the id translation so sub-threshold emissions
-/// still tick) and immediately at every component boundary. The prefix
-/// guarantee is identical; only the interruption latency is looser. A
-/// tripped limit leaves the latch un-stopped, and the caller
-/// distinguishes the two Stop sources via `limits.tripped()`.
-fn run_noip<S: CliqueSink>(
-    inst: &PreparedInstance,
-    noips: &mut [DfsNoip],
-    sink: &mut S,
-    limits: &mut RunLimits,
-) -> EnumerationStats {
-    let mut stats = EnumerationStats::new();
-    stats.calls = 1; // the conceptual root node
-    let t = inst.min_size();
-    let mut latch = StopLatch {
-        inner: sink,
-        stopped: false,
-    };
-    let mut filter = MinSizeSink {
-        inner: &mut latch,
-        t,
-    };
-    let mut ticks = 0u64;
-    if limits.probe_now(ticks) {
-        return stats;
-    }
-    if inst.original_vertices() == 0 {
-        if t <= 1 {
-            stats.emitted += 1;
-            filter.inner.emit(&[], 1.0);
-        }
-        return stats;
-    }
-    for (noip, (_, map)) in noips.iter_mut().zip(inst.components()) {
-        {
-            let mut remap = RemapSink::new(&mut filter, map);
-            let mut probe = ProbeSink {
-                inner: &mut remap,
-                limits,
-                ticks: &mut ticks,
-            };
-            noip.run(&mut probe);
-        }
-        stats.merge(noip.stats());
-        if filter.inner.stopped || limits.probe_now(ticks) {
-            return stats;
-        }
-    }
-    for &v in inst.singletons() {
-        stats.calls += 1;
-        stats.max_depth = stats.max_depth.max(1);
-        stats.emitted += 1;
-        if filter.emit(&[v], 1.0) == Control::Stop {
-            break;
-        }
-    }
-    stats
-}
-
-/// Innermost NOIP sink adapter: ticks the armed [`RunLimits`] once per
-/// emission and answers [`Control::Stop`] — without forwarding the
-/// emission — when a limit fires, so the baseline recursion unwinds on
-/// a clean prefix.
-struct ProbeSink<'a, S: CliqueSink> {
-    inner: &'a mut S,
-    limits: &'a mut RunLimits,
-    ticks: &'a mut u64,
-}
-
-impl<S: CliqueSink> CliqueSink for ProbeSink<'_, S> {
-    fn emit(&mut self, clique: &[VertexId], prob: f64) -> Control {
-        *self.ticks += 1;
-        if self.limits.probe(*self.ticks) {
-            return Control::Stop;
-        }
-        self.inner.emit(clique, prob)
-    }
-}
-
-/// Latches the first [`Control::Stop`] a sink returns: every later
-/// emission is swallowed and answered with `Stop`, so a multi-segment
-/// driver (the NOIP per-component loop) can both unwind its current
-/// segment and know not to start the next one.
-struct StopLatch<'a, S: CliqueSink> {
-    inner: &'a mut S,
-    stopped: bool,
-}
-
-impl<S: CliqueSink> CliqueSink for StopLatch<'_, S> {
-    fn emit(&mut self, clique: &[VertexId], prob: f64) -> Control {
-        if self.stopped {
-            return Control::Stop;
-        }
-        let ctl = self.inner.emit(clique, prob);
-        if ctl == Control::Stop {
-            self.stopped = true;
-        }
-        ctl
-    }
-}
-
-/// Emission filter enforcing [`Query::min_size`] for engines whose
-/// recursion has no size bound of its own (DFS–NOIP): cliques below the
-/// threshold are dropped, everything else passes through. Inactive
-/// (pure pass-through) for `t ≤ 1`, so the empty clique and singletons
-/// keep their default-semantics emissions.
-struct MinSizeSink<'a, S: CliqueSink> {
-    inner: &'a mut S,
-    t: usize,
-}
-
-impl<S: CliqueSink> CliqueSink for MinSizeSink<'_, S> {
-    fn emit(&mut self, clique: &[VertexId], prob: f64) -> Control {
-        if self.t >= 2 && clique.len() < self.t {
-            return Control::Continue;
-        }
-        self.inner.emit(clique, prob)
-    }
-}
-
-/// Where the pull iterator is in the enumeration.
-enum IterStage {
-    /// Walking the prepared schedule, one unit per refill.
-    Pipeline {
-        /// Next schedule unit to run.
-        next_unit: usize,
-    },
-    /// Walking the NOIP per-component runs, then the singletons.
-    Noip {
-        /// Next component to run.
-        next_comp: usize,
-        /// Next singleton to emit once components are done.
-        next_singleton: usize,
-    },
 }
 
 /// Pull-based clique iterator borrowing a [`Prepared`] session — see
@@ -1276,7 +1018,8 @@ enum IterStage {
 pub struct Cliques<'p> {
     prepared: &'p mut Prepared,
     buf: VecDeque<(Vec<VertexId>, f64)>,
-    stage: IterStage,
+    /// Next schedule unit to run.
+    next_unit: usize,
 }
 
 impl Iterator for Cliques<'_> {
@@ -1287,54 +1030,14 @@ impl Iterator for Cliques<'_> {
             if let Some(item) = self.buf.pop_front() {
                 return Some(item);
             }
-            match &mut self.stage {
-                IterStage::Pipeline { next_unit } => {
-                    if *next_unit >= self.prepared.inst.num_units() {
-                        return None;
-                    }
-                    let mut sink = CollectSink::new();
-                    self.prepared.inst.run_unit(*next_unit, &mut sink);
-                    *next_unit += 1;
-                    self.prepared.stats = *self.prepared.inst.stats();
-                    self.buf.extend(sink.into_pairs());
-                }
-                IterStage::Noip {
-                    next_comp,
-                    next_singleton,
-                } => {
-                    let t = self.prepared.inst.min_size();
-                    if *next_comp < self.prepared.noip.len() {
-                        let (_, map) = self
-                            .prepared
-                            .inst
-                            .components()
-                            .nth(*next_comp)
-                            .expect("component index in range");
-                        let noip = &mut self.prepared.noip[*next_comp];
-                        let mut collect = CollectSink::new();
-                        {
-                            let mut filter = MinSizeSink {
-                                inner: &mut collect,
-                                t,
-                            };
-                            let mut remap = RemapSink::new(&mut filter, map);
-                            noip.run(&mut remap);
-                        }
-                        self.prepared.stats.merge(noip.stats());
-                        *next_comp += 1;
-                        self.buf.extend(collect.into_pairs());
-                    } else if *next_singleton < self.prepared.inst.singletons().len() {
-                        let v = self.prepared.inst.singletons()[*next_singleton];
-                        *next_singleton += 1;
-                        self.prepared.stats.calls += 1;
-                        self.prepared.stats.max_depth = self.prepared.stats.max_depth.max(1);
-                        self.prepared.stats.emitted += 1;
-                        self.buf.push_back((vec![v], 1.0));
-                    } else {
-                        return None;
-                    }
-                }
+            if self.next_unit >= self.prepared.inst.num_units() {
+                return None;
             }
+            let mut sink = CollectSink::new();
+            self.prepared.inst.run_unit(self.next_unit, &mut sink);
+            self.next_unit += 1;
+            self.prepared.stats = *self.prepared.inst.stats();
+            self.buf.extend(sink.into_pairs());
         }
     }
 }
@@ -1421,65 +1124,13 @@ mod tests {
     }
 
     #[test]
-    fn noip_engine_matches_auto() {
-        let g = fixture();
-        for alpha in [0.9, 0.5, 0.1] {
-            let mut auto = Query::new(&g).alpha(alpha).prepare().unwrap();
-            let mut noip = Query::new(&g)
-                .alpha(alpha)
-                .engine(Engine::Noip)
-                .prepare()
-                .unwrap();
-            let mut a = auto.collect().unwrap();
-            let mut b = noip.collect().unwrap();
-            a.sort_by(|x, y| x.0.cmp(&y.0));
-            b.sort_by(|x, y| x.0.cmp(&y.0));
-            assert_eq!(a, b, "α={alpha}");
-            let mut pulled: Vec<_> = noip.iter().collect();
-            pulled.sort_by(|x, y| x.0.cmp(&y.0));
-            assert_eq!(pulled, b, "α={alpha} (iter)");
-        }
-    }
-
-    #[test]
-    fn noip_stream_honors_early_stop_across_components() {
-        // Stop during the first component must prevent any further
-        // emission — later components and singletons stay silent.
-        let g = fixture();
-        let mut s = Query::new(&g)
-            .alpha(0.5)
-            .engine(Engine::Noip)
-            .prepare()
-            .unwrap();
-        let mut calls = 0usize;
-        let mut sink = crate::sinks::FnSink(|_c: &[VertexId], _p: f64| {
-            calls += 1;
-            Control::Stop
-        });
-        let stats = *s.stream(&mut sink).unwrap();
-        assert!(stats.emitted >= 1);
-        assert_eq!(calls, 1, "emissions after Control::Stop");
-    }
-
-    #[test]
     fn empty_and_edgeless_graphs() {
         let g0 = GraphBuilder::new(0).build();
-        for engine in [Engine::Auto, Engine::Noip] {
-            let mut s = Query::new(&g0).alpha(0.5).engine(engine).prepare().unwrap();
-            assert_eq!(s.collect().unwrap(), vec![(vec![], 1.0)], "{engine:?}");
-            assert_eq!(s.iter().count(), 1, "{engine:?}");
-            let mut bounded = Query::new(&g0)
-                .alpha(0.5)
-                .min_size(2)
-                .engine(engine)
-                .prepare()
-                .unwrap();
-            assert_eq!(
-                bounded.count().unwrap(),
-                0,
-                "{engine:?}: empty clique misses t"
-            );
-        }
+        let mut s = Query::new(&g0).alpha(0.5).prepare().unwrap();
+        assert_eq!(s.collect().unwrap(), vec![(vec![], 1.0)]);
+        assert_eq!(s.iter().count(), 1);
+        let mut bounded = Query::new(&g0).alpha(0.5).min_size(2).prepare().unwrap();
+        assert_eq!(bounded.count().unwrap(), 0, "empty clique misses t");
         let g3 = GraphBuilder::new(3).build();
         let mut s = Query::new(&g3).alpha(0.5).prepare().unwrap();
         assert_eq!(s.count().unwrap(), 3);
@@ -1521,33 +1172,18 @@ mod tests {
     #[test]
     fn base_refines_byte_identically_across_engines_and_settings() {
         let g = fixture();
-        for engine in [Engine::Auto, Engine::Noip] {
-            for t in [0usize, 3] {
-                let base = Query::new(&g)
-                    .min_size(t)
-                    .engine(engine)
-                    .prepare_base()
-                    .unwrap();
-                for alpha in [0.9, 0.5, 0.25] {
-                    let mut refined = base.refine(alpha).unwrap();
-                    let mut fresh = Query::new(&g)
-                        .alpha(alpha)
-                        .min_size(t)
-                        .engine(engine)
-                        .prepare()
-                        .unwrap();
-                    assert_eq!(
-                        refined.collect().unwrap(),
-                        fresh.collect().unwrap(),
-                        "{engine:?} t={t} α={alpha}"
-                    );
-                    assert_eq!(refined.stats(), fresh.stats(), "{engine:?} t={t} α={alpha}");
-                    assert_eq!(
-                        refined.report(),
-                        fresh.report(),
-                        "{engine:?} t={t} α={alpha}"
-                    );
-                }
+        for t in [0usize, 3] {
+            let base = Query::new(&g).min_size(t).prepare_base().unwrap();
+            for alpha in [0.9, 0.5, 0.25] {
+                let mut refined = base.refine(alpha).unwrap();
+                let mut fresh = Query::new(&g).alpha(alpha).min_size(t).prepare().unwrap();
+                assert_eq!(
+                    refined.collect().unwrap(),
+                    fresh.collect().unwrap(),
+                    "t={t} α={alpha}"
+                );
+                assert_eq!(refined.stats(), fresh.stats(), "t={t} α={alpha}");
+                assert_eq!(refined.report(), fresh.report(), "t={t} α={alpha}");
             }
         }
     }
@@ -1593,17 +1229,11 @@ mod tests {
         );
         reopened.set_threads(2).unwrap();
         assert!(reopened.set_threads(0).is_err());
-        reopened.set_engine(Engine::Noip);
         for alpha in [0.9, 0.5] {
             let mut a = reopened.refine(alpha).unwrap();
             // Same runtime template on the fresh side: the contract is
             // byte-identity under *equal* settings.
-            let mut b = Query::new(&g)
-                .alpha(alpha)
-                .threads(2)
-                .engine(Engine::Noip)
-                .prepare()
-                .unwrap();
+            let mut b = Query::new(&g).alpha(alpha).threads(2).prepare().unwrap();
             assert_eq!(a.collect().unwrap(), b.collect().unwrap(), "α={alpha}");
         }
         // File round trip through save/open_base.

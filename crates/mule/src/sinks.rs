@@ -28,6 +28,16 @@ pub trait CliqueSink {
     /// Handle one maximal clique. Return [`Control::Stop`] to end the
     /// enumeration early (used by e.g. "first k" queries).
     fn emit(&mut self, clique: &[VertexId], prob: f64) -> Control;
+
+    /// A probability `β` at or below which this sink would reject every
+    /// further clique, if it has one. The kernel recursion reads it
+    /// before each branch and skips a subtree entered at `clq ≤ β`
+    /// (probability only falls deeper in the subtree); see the `kernel`
+    /// module docs, "β admission cut". `None` — the default — means
+    /// every clique is wanted and no subtree is skipped.
+    fn admission_floor(&self) -> Option<f64> {
+        None
+    }
 }
 
 /// Counts cliques (and total output size) without storing them.
@@ -153,6 +163,10 @@ impl<S: CliqueSink> CliqueSink for RemapSink<'_, S> {
             scratch: &mut self.scratch,
         }
         .emit(clique, prob)
+    }
+
+    fn admission_floor(&self) -> Option<f64> {
+        self.inner.admission_floor()
     }
 }
 
@@ -311,6 +325,12 @@ impl TopKSink {
 }
 
 impl CliqueSink for TopKSink {
+    /// The heap admits only `prob` above [`TopKSink::threshold`], so a
+    /// full heap's k-th best probability is the floor.
+    fn admission_floor(&self) -> Option<f64> {
+        self.threshold()
+    }
+
     fn emit(&mut self, clique: &[VertexId], prob: f64) -> Control {
         if self.k == 0 {
             return Control::Stop;

@@ -5,20 +5,17 @@
 //! The paper contrasts itself with ref 47: MULE enumerates *all* α-maximal
 //! cliques, while the top-k problem returns only the `k` most probable
 //! ones. [`crate::Prepared::top_k`] answers the top-k query on top of
-//! MULE in two variants, both running per-component over the
-//! preprocessing pipeline ([`mod@crate::prepare`]):
-//!
-//! * exhaustive enumeration through a bounded min-heap
-//!   ([`crate::sinks::TopKSink`] over [`crate::Prepared::stream`]);
-//!   exact, simple, and a fair "enumerate-then-select" baseline — the
-//!   path taken under a size threshold, a limit or [`crate::Engine::Noip`];
-//! * the adaptive β cut — the same answer, but the adaptive
-//!   threshold β (the current k-th best probability, read back from the
-//!   sink's heap between branches) is fed into **branch admission**:
-//!   clique probability is non-increasing along a search path
-//!   (`clq(C ∪ {u}) = clq(C) · r` with `r ≤ 1`), so once the heap is
-//!   full, a subtree entered at probability `≤ β` cannot contain any
-//!   clique that would be admitted, and the recursion skips it.
+//! MULE: it streams the prepared enumeration ([`mod@crate::prepare`])
+//! into a bounded min-heap ([`crate::sinks::TopKSink`]) and feeds the
+//! adaptive threshold β — the heap's current k-th best probability —
+//! back into **branch admission** through
+//! [`crate::CliqueSink::admission_floor`]. Clique probability is
+//! non-increasing along a search path (`clq(C ∪ {u}) = clq(C) · r` with
+//! `r ≤ 1`), so once the heap is full, a subtree entered at probability
+//! `≤ β` cannot contain any clique that would be admitted, and the kernel
+//! recursion skips it (`kernel` module docs, "β admission cut"). The cut
+//! runs inside the one kernel recursion, so it composes with the size
+//! threshold, the run limits and the dominated-sibling skip.
 //!
 //! # The α-maximality subtlety
 //!
@@ -34,201 +31,39 @@
 //! skipping a subtree never changes what *other* branches emit — it
 //! only discards emissions that the heap would have rejected anyway.
 
-use crate::kernel::{CandidateArena, DepthArenas, Kernel, Scan};
-use crate::prepare::{PreparedInstance, Unit};
-use crate::sinks::{CliqueSink, Control, TopKSink};
-use crate::stats::EnumerationStats;
-use std::ops::Range;
 use ugraph_core::VertexId;
 
 /// A ranked answer list: `(clique, probability)` pairs, probability
 /// descending.
 pub type RankedCliques = Vec<(Vec<VertexId>, f64)>;
 
-/// The adaptive-β top-k engine over an already-prepared instance:
-/// walks the instance's schedule with [`beta_subtree`], feeding the
-/// heap's current k-th best probability back into branch admission.
-/// The β-cut engine behind [`crate::Prepared::top_k`].
-pub(crate) fn beta_top_k(inst: &PreparedInstance, k: usize) -> (RankedCliques, EnumerationStats) {
-    let mut sink = TopKSink::new(k);
-    let mut stats = EnumerationStats::new();
-    stats.calls = 1; // the conceptual root node
-    if inst.original_vertices() == 0 {
-        stats.emitted = 1;
-        sink.emit(&[], 1.0);
-        return (sink.into_sorted(), stats);
-    }
-    let mut arenas = DepthArenas::new();
-    let mut c: Vec<VertexId> = Vec::new();
-    let mut scratch: Vec<VertexId> = Vec::new();
-    for &unit in inst.schedule() {
-        match unit {
-            Unit::Singleton(v) => {
-                stats.calls += 1;
-                stats.max_depth = stats.max_depth.max(1);
-                stats.emitted += 1;
-                if sink.emit(&[v], 1.0) == Control::Stop {
-                    break;
-                }
-            }
-            Unit::Root { comp, local } => {
-                let (kernel, map) = inst.component_parts(comp);
-                let (i0, x0) = kernel.expand_root_into(
-                    local,
-                    &mut arenas.even,
-                    &mut stats.i_candidates_scanned,
-                );
-                c.push(local);
-                let ctl = beta_subtree(
-                    kernel,
-                    &mut stats,
-                    &mut c,
-                    1.0,
-                    i0,
-                    x0,
-                    &mut arenas.even,
-                    &mut arenas.odd,
-                    map,
-                    &mut scratch,
-                    &mut sink,
-                );
-                c.pop();
-                arenas.clear();
-                if ctl == Control::Stop {
-                    break;
-                }
-            }
-        }
-    }
-    (sink.into_sorted(), stats)
-}
-
-/// Translate `c` to original ids and offer it to the heap, via the
-/// shared borrowed-scratch remap adapter (one translation
-/// implementation for the whole crate).
-fn emit_remapped(
-    sink: &mut TopKSink,
-    map: &[VertexId],
-    scratch: &mut Vec<VertexId>,
-    c: &[VertexId],
-    q: f64,
-) -> Control {
-    crate::prepare::Remap {
-        inner: sink,
-        map,
-        scratch,
-    }
-    .emit(c, q)
-}
-
-/// The kernel recursion [`crate::kernel::enumerate_subtree`] at `t = 0`,
-/// specialized to a [`TopKSink`]: identical α-semantics for `I`/`X`
-/// construction and the leaf short-circuit, plus the adaptive admission
-/// cut. A separate copy rather than a parameter of the shared kernel
-/// recursion because the cut must consult the sink's heap *between
-/// branches* — a feedback channel the streaming [`CliqueSink`] interface
-/// deliberately does not expose.
-#[allow(clippy::too_many_arguments)] // mirrors Algorithm 2's state tuple
-fn beta_subtree(
-    kernel: &Kernel,
-    stats: &mut EnumerationStats,
-    c: &mut Vec<VertexId>,
-    q: f64,
-    i_span: Range<usize>,
-    x_span: Range<usize>,
-    cur: &mut CandidateArena,
-    next: &mut CandidateArena,
-    map: &[VertexId],
-    scratch: &mut Vec<VertexId>,
-    sink: &mut TopKSink,
-) -> Control {
-    stats.calls += 1;
-    stats.max_depth = stats.max_depth.max(c.len());
-    if i_span.is_empty() && x_span.is_empty() {
-        stats.emitted += 1;
-        return emit_remapped(sink, map, scratch, c, q);
-    }
-    for pos in i_span.clone() {
-        let (u, r) = cur.get(pos);
-        let q2 = q * r;
-        // The adaptive cut: admission requires prob > β, and probability
-        // only shrinks deeper in the subtree, so `q2 ≤ β` proves no
-        // admissible clique below. `u` stays in this node's I span, so
-        // later siblings' X' still see it (α-maximality unaffected).
-        if sink.threshold().is_some_and(|beta| q2 <= beta) {
-            stats.beta_pruned += 1;
-            continue;
-        }
-        let mark = next.mark();
-        kernel.filter_candidates_into(u, q2, cur.span(pos + 1..i_span.end), next, stats, Scan::I);
-        let x2_start = next.mark();
-        if mark == x2_start {
-            // I' empty: leaf child — X' only tested for emptiness
-            // (Lemma 9), at the α threshold as always.
-            stats.calls += 1;
-            stats.max_depth = stats.max_depth.max(c.len() + 1);
-            let extendable = kernel.any_candidate_survives(
-                u,
-                q2,
-                [cur.span(x_span.clone()), cur.span(i_span.start..pos)],
-                stats,
-            );
-            if !extendable {
-                stats.emitted += 1;
-                c.push(u);
-                let ctl = emit_remapped(sink, map, scratch, c, q2);
-                c.pop();
-                if ctl == Control::Stop {
-                    return Control::Stop;
-                }
-            }
-            continue;
-        }
-        kernel.filter_candidates_into(u, q2, cur.span(x_span.clone()), next, stats, Scan::X);
-        kernel.filter_candidates_into(u, q2, cur.span(i_span.start..pos), next, stats, Scan::X);
-        let x2_end = next.mark();
-        c.push(u);
-        let ctl = beta_subtree(
-            kernel,
-            stats,
-            c,
-            q2,
-            mark..x2_start,
-            x2_start..x2_end,
-            next,
-            cur,
-            map,
-            scratch,
-            sink,
-        );
-        c.pop();
-        next.truncate(mark);
-        if ctl == Control::Stop {
-            return Control::Stop;
-        }
-    }
-    Control::Continue
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prepare::{prepare, PrepareConfig};
+    use crate::sinks::{CliqueSink, FnSink, TopKSink};
+    use crate::stats::EnumerationStats;
     use ugraph_core::builder::from_edges;
     use ugraph_core::clique;
     use ugraph_core::UncertainGraph;
 
-    /// Top-k by selecting over the full enumeration stream.
+    /// Top-k by selecting over the full enumeration stream: the heap sits
+    /// behind an [`FnSink`], which keeps the default admission floor, so
+    /// the search cuts nothing.
     fn top_k_full(g: &UncertainGraph, alpha: f64, k: usize) -> RankedCliques {
         let mut session = crate::Query::new(g).alpha(alpha).prepare().unwrap();
-        let mut sink = TopKSink::new(k);
-        session.stream(&mut sink).unwrap();
-        sink.into_sorted()
+        let mut top = TopKSink::new(k);
+        session
+            .stream(&mut FnSink(|c: &[VertexId], p| top.emit(c, p)))
+            .unwrap();
+        top.into_sorted()
     }
 
     /// Top-k through the adaptive β cut, with its search counters.
     fn top_k_beta(g: &UncertainGraph, alpha: f64, k: usize) -> (RankedCliques, EnumerationStats) {
-        beta_top_k(&prepare(g, alpha, &PrepareConfig::default()).unwrap(), k)
+        let mut session = crate::Query::new(g).alpha(alpha).prepare().unwrap();
+        let mut sink = TopKSink::new(k);
+        let stats = *session.stream(&mut sink).unwrap();
+        (sink.into_sorted(), stats)
     }
 
     fn fixture() -> UncertainGraph {
@@ -331,8 +166,8 @@ mod tests {
         assert!(stats.beta_pruned > 0, "cut never fired");
         let baseline_calls = {
             let mut m = crate::Mule::new(&g, 0.01).unwrap();
-            let mut sink = TopKSink::new(1);
-            m.run(&mut sink);
+            let mut top = TopKSink::new(1);
+            m.run(&mut FnSink(|c: &[VertexId], p| top.emit(c, p)));
             m.stats().calls
         };
         assert!(

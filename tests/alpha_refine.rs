@@ -6,13 +6,13 @@
 //! approximation.
 //!
 //! The battery sweeps random graphs × a probability-palette α grid ×
-//! floors × `min_size` × engine × index mode × thread counts × the
+//! floors × `min_size` × index mode × thread counts × the
 //! eight on/off combinations of the stage toggles, plus
 //! deterministic component-split scenarios (refinement masking a
 //! bridge edge must re-split a base component exactly as the fresh
 //! pipeline discovers it) and the floor's typed error.
 
-use mule::{Engine, IndexMode, MuleError, Query};
+use mule::{IndexMode, MuleError, Query};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -54,12 +54,10 @@ fn random_graph(n: usize, density: f64, seed: u64) -> UncertainGraph {
 
 /// Pin one (graph, floor, settings) cell: build the base once, refine
 /// across the grid, and demand byte-identity with fresh prepares.
-#[allow(clippy::too_many_arguments)]
 fn assert_refine_identical(
     g: &UncertainGraph,
     floor: f64,
     min_size: usize,
-    engine: Engine,
     index_mode: IndexMode,
     threads: usize,
     stages: u8,
@@ -71,7 +69,6 @@ fn assert_refine_identical(
         .index_mode(index_mode)
         .prepare_base()
         .unwrap_or_else(|e| panic!("{what}: prepare_base: {e}"));
-    base.set_engine(engine);
     base.set_threads(threads).unwrap();
     for alpha in ALPHA_GRID.into_iter().filter(|a| *a >= floor) {
         let mut refined = base
@@ -81,7 +78,6 @@ fn assert_refine_identical(
             .alpha(alpha)
             .min_size(min_size)
             .index_mode(index_mode)
-            .engine(engine)
             .threads(threads)
             .prepare()
             .unwrap_or_else(|e| panic!("{what}: fresh prepare({alpha}): {e}"));
@@ -132,21 +128,18 @@ proptest! {
         seed in 0u64..1_000_000,
         floor_i in 0usize..3,
         min_size in 0usize..4,
-        noip in any::<bool>(),
         mode_i in 0usize..3,
         two_threads in any::<bool>(),
         stages in 0u8..8,
     ) {
         let g = random_graph(n, density, seed);
         let floor = [0.0, 0.2, 0.4][floor_i];
-        let engine = if noip { Engine::Noip } else { Engine::Auto };
         let index_mode = [IndexMode::Auto, IndexMode::Always, IndexMode::Never][mode_i];
         let threads = if two_threads { 2 } else { 1 };
         assert_refine_identical(
             &g,
             floor,
             min_size,
-            engine,
             index_mode,
             threads,
             stages,
@@ -187,16 +180,7 @@ fn refinement_splits_components_like_the_fresh_pipeline() {
     assert_eq!(split.report().components_kept, 2);
 
     for alpha in [0.2, 0.5, 0.9] {
-        assert_refine_identical(
-            &g,
-            0.0,
-            0,
-            Engine::Auto,
-            IndexMode::Auto,
-            1,
-            ALL_STAGES,
-            "barbell",
-        );
+        assert_refine_identical(&g, 0.0, 0, IndexMode::Auto, 1, ALL_STAGES, "barbell");
         let mut refined = base.refine(alpha).unwrap();
         let mut fresh = Query::new(&g).alpha(alpha).prepare().unwrap();
         assert_eq!(refined.collect().unwrap(), fresh.collect().unwrap());
@@ -225,7 +209,6 @@ fn refinement_shatters_chains_and_drops_small_fragments() {
                 &g,
                 floor,
                 min_size,
-                Engine::Auto,
                 IndexMode::Auto,
                 1,
                 ALL_STAGES,

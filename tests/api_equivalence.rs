@@ -1,15 +1,16 @@
 //! Session-API equivalence pins: every pair of paths the builder can
 //! take to the same answer must be **byte-identical** — same cliques,
 //! same order, same probability bits, equal stats — across α ×
-//! `min_size` × threads × index mode × engine × top-k: the execution
+//! `min_size` × threads × index mode × limits × top-k: the execution
 //! methods against each other, the knobs that must be output-neutral,
-//! and the session engines against the direct enumerators. Seeded
-//! random graphs plus structured edge cases, in the same property-test
-//! style as `tests/pipeline_equality.rs`.
+//! and the session against the direct enumerators. Seeded random graphs
+//! plus structured edge cases, in the same property-test style as
+//! `tests/pipeline_equality.rs`.
 
-use mule::sinks::{CollectSink, TopKSink};
-use mule::{DfsNoip, Engine, IndexMode, LargeMule, MuleError, Query};
+use mule::sinks::{CliqueSink, CollectSink, FnSink, TopKSink};
+use mule::{IndexMode, LargeMule, MuleError, Query};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
+use std::time::Duration;
 use ugraph_core::{GraphBuilder, UncertainGraph, VertexId};
 
 fn random_graph(seed: u64, n: usize, density: f64) -> UncertainGraph {
@@ -157,73 +158,52 @@ fn index_modes_are_output_neutral() {
     }
 }
 
-/// `Prepared::top_k` (the adaptive β cut) vs selecting over the full
-/// stream with a `TopKSink`, bits included.
+/// `Prepared::top_k` (the adaptive β cut inside the kernel recursion)
+/// vs selecting over the full stream, bits included, with and without a
+/// size threshold and under each kind of generous limit. The reference
+/// heap sits behind an [`FnSink`], which keeps the default admission
+/// floor, so its search cuts nothing. The cut must fire on every axis
+/// value: a path that silently falls back to the uncut search fails.
 #[test]
 fn top_k_beta_cut_matches_full_stream() {
+    type Limit = fn(Query<'_>) -> Query<'_>;
+    let limits: [(&str, Limit); 3] = [
+        ("none", |q| q),
+        ("node_budget", |q| q.node_budget(1 << 40)),
+        ("deadline", |q| q.deadline(Duration::from_secs(3600))),
+    ];
+    let min_sizes = [0usize, 3];
+    let mut pruned_per_min_size = [0u64; 2];
+    let mut pruned_per_limit = [0u64; 3];
     for seed in 0..8u64 {
         let g = random_graph(400 + seed, 12, 0.45);
         for alpha in [0.5, 0.1, 0.01] {
-            let mut s = Query::new(&g).alpha(alpha).prepare().unwrap();
-            for k in [1usize, 3, 8] {
-                let got = bits(s.top_k(k).unwrap());
-                let mut sink = TopKSink::new(k);
-                s.stream(&mut sink).unwrap();
-                let exhaustive = bits(sink.into_sorted());
-                assert_eq!(got, exhaustive, "seed={seed} α={alpha} k={k} (exhaustive)");
+            for (mi, &t) in min_sizes.iter().enumerate() {
+                for (li, (limit, with_limit)) in limits.iter().enumerate() {
+                    let query = Query::new(&g).alpha(alpha).min_size(t);
+                    let mut s = with_limit(query).prepare().unwrap();
+                    for k in [1usize, 3, 8] {
+                        let at = format!("seed={seed} α={alpha} t={t} limit={limit} k={k}");
+                        let got = bits(s.top_k(k).unwrap());
+                        let pruned = s.stats().beta_pruned;
+                        let mut top = TopKSink::new(k);
+                        s.stream(&mut FnSink(|c: &[VertexId], p| top.emit(c, p)))
+                            .unwrap();
+                        assert_eq!(s.stats().beta_pruned, 0, "{at}: reference was cut");
+                        let exhaustive = bits(top.into_sorted());
+                        assert_eq!(got, exhaustive, "{at} (exhaustive)");
+                        pruned_per_min_size[mi] += pruned;
+                        pruned_per_limit[li] += pruned;
+                    }
+                }
             }
         }
     }
-}
-
-/// The NOIP engine through the builder vs one direct [`DfsNoip`] run
-/// over the whole graph.
-#[test]
-fn noip_engine_matches_direct_dfs_noip() {
-    for seed in 0..6u64 {
-        let g = random_graph(500 + seed, 11, 0.3);
-        for alpha in [0.5, 0.1] {
-            let mut s = Query::new(&g)
-                .alpha(alpha)
-                .engine(Engine::Noip)
-                .prepare()
-                .unwrap();
-            let mut got: Vec<Vec<VertexId>> =
-                s.collect().unwrap().into_iter().map(|(c, _)| c).collect();
-            got.sort();
-            let mut direct = DfsNoip::new(&g, alpha).unwrap();
-            let mut sink = CollectSink::new();
-            direct.run(&mut sink);
-            assert_eq!(
-                got,
-                sink.into_sorted_cliques(),
-                "seed={seed} α={alpha} (direct)"
-            );
-        }
+    for (t, pruned) in min_sizes.iter().zip(pruned_per_min_size) {
+        assert!(pruned > 0, "min_size {t}: the β cut never fired");
     }
-}
-
-/// The NOIP engine with a size threshold: the core-filter/peel stages
-/// plus the emission filter must reproduce exactly the direct
-/// [`LargeMule`] answer set on non-trivial graphs.
-#[test]
-fn noip_engine_with_min_size_matches_legacy_large() {
-    for seed in 0..5u64 {
-        let g = random_graph(600 + seed, 11, 0.45);
-        for alpha in [0.5, 0.1] {
-            for t in 2..=4usize {
-                let mut s = Query::new(&g)
-                    .alpha(alpha)
-                    .engine(Engine::Noip)
-                    .min_size(t)
-                    .prepare()
-                    .unwrap();
-                let mut got: Vec<Vec<VertexId>> =
-                    s.collect().unwrap().into_iter().map(|(c, _)| c).collect();
-                got.sort();
-                assert_eq!(got, large_mule(&g, alpha, t), "seed={seed} α={alpha} t={t}");
-            }
-        }
+    for ((limit, _), pruned) in limits.iter().zip(pruned_per_limit) {
+        assert!(pruned > 0, "limit {limit}: the β cut never fired");
     }
 }
 

@@ -6,7 +6,7 @@
 //! at all. Being per-thread, it cannot be moved by a concurrent test.
 
 use mule::prepare::pipeline_invocations;
-use mule::{Engine, Query};
+use mule::Query;
 use ugraph_core::builder::from_edges;
 use ugraph_core::VertexId;
 
@@ -95,20 +95,19 @@ fn cold_open_serves_all_queries_with_zero_pipeline_work() {
             "round {round}: open_bytes collect"
         );
 
-        // Engine and thread retuning on the reopened session is runtime
-        // state — no pipeline involvement.
+        // Thread retuning on the reopened session is runtime state — no
+        // pipeline involvement.
         from_bytes.set_threads(2).unwrap();
-        from_bytes.set_engine(Engine::Noip);
-        let mut noip: Vec<(Vec<VertexId>, u64)> = from_bytes
+        let parallel: Vec<(Vec<VertexId>, u64)> = from_bytes
             .collect()
             .unwrap()
             .into_iter()
             .map(|(c, p)| (c, p.to_bits()))
             .collect();
-        noip.sort();
-        let mut sorted_ref = reference.clone();
-        sorted_ref.sort();
-        assert_eq!(noip, sorted_ref, "round {round}: NOIP engine after open");
+        assert_eq!(
+            parallel, reference,
+            "round {round}: parallel collect after open"
+        );
     }
 
     assert_eq!(

@@ -2,13 +2,13 @@
 //! saved as a UGQ1 catalog and reopened must serve **byte-identical**
 //! answers — same cliques, same canonical order, bit-equal
 //! probabilities, equal `EnumerationStats` — across graphs × α ×
-//! `min_size` × index mode × engine, for every execution method
+//! `min_size` × index mode, for every execution method
 //! (`collect`, `count`, `top_k`, `iter`).
 //!
 //! The zero-pipeline-work half of the claim is pinned separately by
 //! `tests/catalog_cold_open.rs`, which reads the pipeline counter.
 
-use mule::{Engine, EnumerationStats, IndexMode, Prepared, Query};
+use mule::{EnumerationStats, IndexMode, Prepared, Query};
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use ugraph_core::{GraphBuilder, UncertainGraph, VertexId};
@@ -78,20 +78,15 @@ fn round_trip_matrix_is_byte_identical() {
         for alpha in [0.9, 0.5, 0.1] {
             for min_size in [0usize, 3] {
                 for mode in [IndexMode::Auto, IndexMode::Always, IndexMode::Never] {
-                    for engine in [Engine::Auto, Engine::Noip] {
-                        let what =
-                            format!("seed={seed} α={alpha} t={min_size} {mode:?} {engine:?}");
-                        let mut original = Query::new(&g)
-                            .alpha(alpha)
-                            .min_size(min_size)
-                            .index_mode(mode)
-                            .engine(engine)
-                            .prepare()
-                            .unwrap();
-                        let mut reopened = Query::open_bytes(original.to_catalog_bytes()).unwrap();
-                        reopened.set_engine(engine);
-                        assert_identical(&mut original, &mut reopened, &what);
-                    }
+                    let what = format!("seed={seed} α={alpha} t={min_size} {mode:?}");
+                    let mut original = Query::new(&g)
+                        .alpha(alpha)
+                        .min_size(min_size)
+                        .index_mode(mode)
+                        .prepare()
+                        .unwrap();
+                    let mut reopened = Query::open_bytes(original.to_catalog_bytes()).unwrap();
+                    assert_identical(&mut original, &mut reopened, &what);
                 }
             }
         }

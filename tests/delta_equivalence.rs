@@ -7,14 +7,14 @@
 //! optimization, never an approximation.
 //!
 //! The battery sweeps random graphs × random mutation batches × α ×
-//! `min_size` × engine × index mode × thread counts × the eight on/off
+//! `min_size` × index mode × thread counts × the eight on/off
 //! combinations of the stage toggles, plus deterministic
 //! component-join (bridge insert) and component-split (bridge delete,
 //! re-weight below α) scenarios, empty / inverse / no-op batches,
 //! below-threshold inserts, the representability errors, the sharded
 //! precondition errors, reopen-with-pending-deltas, and compaction.
 
-use mule::{catalog, Engine, GraphDelta, IndexMode, MuleError, Prepared, Query};
+use mule::{catalog, GraphDelta, IndexMode, MuleError, Prepared, Query};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -165,14 +165,12 @@ proptest! {
         alpha_i in 0usize..4,
         min_size in 0usize..4,
         ops in 1usize..9,
-        noip in any::<bool>(),
         mode_i in 0usize..3,
         two_threads in any::<bool>(),
         stages in 0u8..8,
     ) {
         let g = random_graph(n, density, seed);
         let alpha = [0.1, 0.3, 0.5, 0.7][alpha_i];
-        let engine = if noip { Engine::Noip } else { Engine::Auto };
         let mode = [IndexMode::Auto, IndexMode::Always, IndexMode::Never][mode_i];
         let threads = if two_threads { 2 } else { 1 };
         let what = format!(
@@ -184,7 +182,6 @@ proptest! {
             .alpha(alpha)
             .min_size(min_size)
             .index_mode(mode)
-            .engine(engine)
             .threads(threads)
             .prepare()
             .unwrap();
@@ -195,7 +192,6 @@ proptest! {
                     .alpha(alpha)
                     .min_size(min_size)
                     .index_mode(mode)
-                    .engine(engine)
                     .threads(threads)
                     .prepare()
                     .unwrap();

@@ -3,9 +3,9 @@
 //! A sink that answers [`Control::Stop`] ends the enumeration *for
 //! good*: the engine must unwind without another `emit` call — not
 //! per branch, not per root, and in particular not per connected
-//! component. PR 5 fixed NOIP's latch; this suite pins MULE,
-//! LARGE-MULE and NOIP against the same three properties so the
-//! engines cannot drift apart again:
+//! component. This suite pins the direct MULE, LARGE-MULE and DFS–NOIP
+//! enumerators against the same three properties so the engines cannot
+//! drift apart:
 //!
 //! 1. **silence after Stop** — once a sink returns Stop it is never
 //!    offered another clique, even when unexplored components remain;
@@ -17,7 +17,7 @@
 //!
 //! Graphs are generated with two independent vertex blocks (no edges
 //! across), so every case has ≥ 2 components and the latch must hold
-//! across the component loop, the code path PR 5 repaired.
+//! from the roots of one component to those of the next.
 
 use mule::sinks::{CliqueSink, Control};
 use mule::{DfsNoip, LargeMule, Mule};

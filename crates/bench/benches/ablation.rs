@@ -2,16 +2,20 @@
 //!
 //! 1. dense adjacency index vs galloping binary search for the
 //!    GenerateI/GenerateX neighborhood filter;
-//! 2. natural vertex order vs degeneracy relabeling;
+//! 2. the closed-form root expansion vs the paper's literal Θ(n²) root;
 //! 3. sequential vs parallel root fan-out.
+//!
+//! (The natural-vs-degeneracy vertex order ablation is gone with the
+//! relabeling it measured; its last result is in the kernel docs,
+//! "Negative results".)
 //!
 //! (The paper's own key choice — incremental factors vs recomputation — is
 //! the MULE/DFS–NOIP comparison benched in `mule_vs_noip.rs`.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mule::sinks::CountSink;
-use mule::{IndexMode, Mule, MuleConfig, Query};
-use ugraph_bench::harness::dataset;
+use mule::{IndexMode, MuleConfig, Query};
+use ugraph_bench::harness::{dataset, mule_query};
 
 fn bench_ablations(c: &mut Criterion) {
     let g = dataset("wiki-vote", 42, 0.1);
@@ -30,25 +34,8 @@ fn bench_ablations(c: &mut Criterion) {
                     index_mode: mode,
                     ..Default::default()
                 };
-                let mut m = Mule::with_config(&g, alpha, cfg).unwrap();
-                let mut sink = CountSink::new();
-                m.run(&mut sink);
-                sink.count
-            })
-        });
-    }
-
-    for (label, degeneracy) in [("natural", false), ("degeneracy", true)] {
-        group.bench_function(BenchmarkId::new("ordering", label), |b| {
-            b.iter(|| {
-                let cfg = MuleConfig {
-                    degeneracy_order: degeneracy,
-                    ..Default::default()
-                };
-                let mut m = Mule::with_config(&g, alpha, cfg).unwrap();
-                let mut sink = CountSink::new();
-                m.run(&mut sink);
-                sink.count
+                let mut m = mule_query(&g, alpha, &cfg).prepare().unwrap();
+                m.count().unwrap()
             })
         });
     }
@@ -59,13 +46,14 @@ fn bench_ablations(c: &mut Criterion) {
         for (label, naive) in [("closed-form", false), ("naive", true)] {
             group.bench_function(BenchmarkId::new("root", label), |b| {
                 b.iter(|| {
-                    let cfg = MuleConfig {
-                        naive_root: naive,
-                        ..Default::default()
-                    };
-                    let mut m = Mule::with_config(&big, 0.5, cfg).unwrap();
                     let mut sink = CountSink::new();
-                    m.run(&mut sink);
+                    if naive {
+                        mule::enumerate::naive_root(&big, 0.5, &mut sink).unwrap();
+                    } else {
+                        let cfg = MuleConfig::default();
+                        let mut m = mule_query(&big, 0.5, &cfg).prepare().unwrap();
+                        m.stream(&mut sink).unwrap();
+                    }
                     sink.count
                 })
             });

@@ -9,10 +9,10 @@
 //! --bench filter_kernel` to also record the distributions as TSV.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use mule::sinks::CountSink;
-use mule::{IndexMode, Mule, MuleConfig};
+use mule::{IndexMode, MuleConfig};
 use rand::seq::SliceRandom;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
+use ugraph_bench::harness::mule_query;
 use ugraph_core::intersect::gallop_search;
 use ugraph_core::{BitSet, GraphBuilder, NeighborhoodIndex, UncertainGraph};
 
@@ -46,12 +46,8 @@ fn bench_filter_paths(c: &mut Criterion) {
                 index_mode: mode,
                 ..Default::default()
             };
-            let mut m = Mule::with_config(&g, 0.2, cfg).unwrap();
-            b.iter(|| {
-                let mut sink = CountSink::new();
-                m.run(&mut sink);
-                sink.count
-            });
+            let mut m = mule_query(&g, 0.2, &cfg).prepare().unwrap();
+            b.iter(|| m.count().unwrap());
         });
     }
     group.finish();

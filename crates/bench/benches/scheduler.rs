@@ -9,9 +9,9 @@
 //! way the output is byte-identical to sequential (asserted here too).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mule::sinks::CountSink;
-use mule::{Mule, Query};
+use mule::{MuleConfig, Query};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
+use ugraph_bench::harness::mule_query;
 use ugraph_core::{GraphBuilder, UncertainGraph};
 
 /// A few dense hubs over a sparse periphery: root subtree costs differ
@@ -39,21 +39,14 @@ fn skewed_graph(n: usize, hubs: usize, seed: u64) -> UncertainGraph {
 fn bench_scheduler(c: &mut Criterion) {
     let g = skewed_graph(1500, 6, 11);
     let alpha = 0.05;
-    let expected = {
-        let mut m = Mule::new(&g, alpha).unwrap();
-        let mut sink = CountSink::new();
-        m.run(&mut sink);
-        sink.count
-    };
+    let mut sequential = mule_query(&g, alpha, &MuleConfig::default())
+        .prepare()
+        .unwrap();
+    let expected = sequential.count().unwrap();
     let mut group = c.benchmark_group("scheduler");
     group.sample_size(10);
     group.bench_function("sequential", |b| {
-        let mut m = Mule::new(&g, alpha).unwrap();
-        b.iter(|| {
-            let mut sink = CountSink::new();
-            m.run(&mut sink);
-            sink.count
-        });
+        b.iter(|| sequential.count().unwrap());
     });
     for threads in [1usize, 2, 4, 8] {
         group.bench_function(BenchmarkId::new("work-stealing", threads), |b| {

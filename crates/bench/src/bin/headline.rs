@@ -97,10 +97,7 @@ fn query_for<'g>(
     min_size: usize,
     cfg: &mule::MuleConfig,
 ) -> mule::Query<'g> {
-    mule::Query::new(g)
-        .alpha(alpha)
-        .min_size(min_size)
-        .kernel_config(cfg.clone())
+    harness::query(g, cfg).alpha(alpha).min_size(min_size)
 }
 
 /// The perf-trajectory suite behind `--json`: sequential + parallel
@@ -180,9 +177,8 @@ fn run_trajectory(args: &Args) {
         // One α-generic base per graph: the artifact every α-refinement
         // row below derives from. Built once, like a serving process
         // would hold it resident.
-        let alpha_base = mule::Query::new(g)
+        let alpha_base = harness::query(g, &mule_cfg)
             .min_size(min_size)
-            .kernel_config(mule_cfg.clone())
             .prepare_base()
             .expect("prepare base");
         for &alpha in &alphas {

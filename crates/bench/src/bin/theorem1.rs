@@ -16,8 +16,7 @@
 use mule::bounds::{max_alpha_maximal_cliques, moon_moser};
 use mule::deterministic::count_maximal_cliques_deterministic;
 use mule::naive::count_naive;
-use mule::sinks::CountSink;
-use mule::Mule;
+use mule::MuleConfig;
 use ugraph_bench::{harness, Args, Report};
 use ugraph_gen::extremal::{lemma1_graph, moon_moser_graph};
 
@@ -39,23 +38,24 @@ fn main() {
     );
     for n in 2..=max_n {
         let g = lemma1_graph(n, alpha);
-        let mut m = Mule::new(&g, alpha).expect("valid alpha");
-        let mut sink = CountSink::new();
-        m.run(&mut sink);
+        let mut m = harness::mule_query(&g, alpha, &MuleConfig::default())
+            .prepare()
+            .expect("valid alpha");
+        let count = m.count().expect("unlimited run");
         let bound = max_alpha_maximal_cliques(n as u64).expect("fits u128");
         let naive = if n <= 14 {
             count_naive(&g, alpha).expect("valid alpha").to_string()
         } else {
             "-".to_string()
         };
-        let status = if sink.count as u128 == bound {
+        let status = if count as u128 == bound {
             ""
         } else {
             "  <-- MISMATCH"
         };
         t1.row(&[
             n.to_string(),
-            format!("{}{status}", sink.count),
+            format!("{count}{status}"),
             bound.to_string(),
             naive,
             m.stats().calls.to_string(),
@@ -72,14 +72,15 @@ fn main() {
     for n in 2..=max_n.min(18) {
         let g = moon_moser_graph(n);
         let bk = count_maximal_cliques_deterministic(&g);
-        let mut m = Mule::new(&g, 1.0).expect("alpha = 1 is valid");
-        let mut sink = CountSink::new();
-        m.run(&mut sink);
+        let mut m = harness::mule_query(&g, 1.0, &MuleConfig::default())
+            .prepare()
+            .expect("alpha = 1 is valid");
+        let count = m.count().expect("unlimited run");
         mm.row(&[
             n.to_string(),
             bk.to_string(),
             moon_moser(n).to_string(),
-            sink.count.to_string(),
+            count.to_string(),
         ]);
     }
     mm.emit(&dir, "moon_moser");

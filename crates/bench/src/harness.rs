@@ -15,7 +15,7 @@
 //! reported time.
 
 use mule::sinks::{CliqueSink, Control, CountSink};
-use mule::{DfsNoip, EnumerationStats, LargeMule, Mule, MuleConfig};
+use mule::{DfsNoip, EnumerationStats, MuleConfig, Query};
 use std::time::{Duration, Instant};
 use ugraph_core::{UncertainGraph, VertexId};
 
@@ -96,14 +96,19 @@ impl CliqueSink for DeadlineSink {
 /// Which algorithm a timed run should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Algo {
-    /// MULE (Algorithms 1–4), the direct single-kernel path.
+    /// MULE (Algorithms 1–4): the session with every stage toggle off,
+    /// one kernel over the α-pruned graph.
     Mule,
-    /// MULE with the paper's literal Θ(n²) root (ablation of the
-    /// closed-form root expansion; explains the paper's DBLP runtimes).
+    /// MULE with the paper's literal Θ(n²) root
+    /// ([`mule::enumerate::naive_root`], default [`MuleConfig`]): the
+    /// ablation of the closed-form root expansion that explains the
+    /// paper's DBLP runtimes.
     MuleNaiveRoot,
     /// The DFS–NOIP baseline (Algorithm 7).
     DfsNoip,
-    /// LARGE–MULE with the given size threshold (direct path).
+    /// LARGE–MULE with the given size threshold: the session at that
+    /// `min_size` with only the shared-neighborhood peel on (the paper's
+    /// Algorithm 5 preprocessing), one kernel.
     LargeMule(usize),
     /// The preprocessing pipeline (`mule::prepare`) with the given
     /// `min_size` (0 = all maximal cliques): prune → core filter →
@@ -148,46 +153,24 @@ pub fn timed_run_with(
     let mut sink = DeadlineSink::new(budget);
     let start = Instant::now();
     let stats = match algo {
-        Algo::Mule => {
-            let mut m = Mule::with_config(g, alpha, mule_cfg.clone()).expect("valid alpha");
-            m.run(&mut sink);
-            *m.stats()
-        }
         Algo::MuleNaiveRoot => {
-            let cfg = MuleConfig {
-                naive_root: true,
-                ..mule_cfg.clone()
-            };
-            let mut m = Mule::with_config(g, alpha, cfg).expect("valid alpha");
-            m.run(&mut sink);
-            *m.stats()
+            mule::enumerate::naive_root(g, alpha, &mut sink).expect("valid alpha")
         }
         Algo::DfsNoip => {
             let mut d = DfsNoip::new(g, alpha).expect("valid alpha");
             d.run(&mut sink);
             *d.stats()
         }
-        Algo::LargeMule(t) => {
-            let mut l = LargeMule::with_config(g, alpha, t, mule_cfg.clone()).expect("valid alpha");
-            l.run(&mut sink);
-            *l.stats()
-        }
-        Algo::Pipeline(t) => {
-            // The pipeline path goes through the session front door
-            // (`mule::Query`), same as the CLI: one prepare, then a
-            // streamed run — the timed region covers both, matching the
-            // paper's whole-query timing.
-            let mut session = mule::Query::new(g)
+        Algo::Mule => stream(mule_query(g, alpha, mule_cfg), &mut sink),
+        Algo::LargeMule(t) => stream(
+            query(g, mule_cfg)
                 .alpha(alpha)
                 .min_size(t)
-                .kernel_config(mule_cfg.clone())
-                .prepare()
-                .expect("valid alpha");
-            session
-                .stream(&mut sink)
-                .expect("unlimited run cannot be interrupted");
-            *session.stats()
-        }
+                .core_filter(false)
+                .shard_components(false),
+            &mut sink,
+        ),
+        Algo::Pipeline(t) => stream(query(g, mule_cfg).alpha(alpha).min_size(t), &mut sink),
     };
     let seconds = start.elapsed().as_secs_f64();
     RunResult {
@@ -198,6 +181,36 @@ pub fn timed_run_with(
         stats,
         timed_out: sink.expired,
     }
+}
+
+/// A session builder over `g` carrying `cfg`'s index settings — the one
+/// place the suite's kernel configuration turns into [`Query`] knobs.
+pub fn query<'g>(g: &'g UncertainGraph, cfg: &MuleConfig) -> Query<'g> {
+    Query::new(g)
+        .index_mode(cfg.index_mode)
+        .max_index_bytes(cfg.max_index_bytes)
+        .dense_index_bytes(cfg.dense_index_bytes)
+}
+
+/// The session [`Algo::Mule`] times: every stage toggle off, so one
+/// kernel searches the whole α-pruned graph.
+pub fn mule_query<'g>(g: &'g UncertainGraph, alpha: f64, cfg: &MuleConfig) -> Query<'g> {
+    query(g, cfg)
+        .alpha(alpha)
+        .core_filter(false)
+        .shared_neighborhood(false)
+        .shard_components(false)
+}
+
+/// Prepare `query` and stream it into `sink`. Every MULE variant goes
+/// through the session front door, same as the CLI: the timed region
+/// covers the prepare and the run, matching the paper's whole-query
+/// timing.
+fn stream(query: Query<'_>, sink: &mut impl CliqueSink) -> EnumerationStats {
+    let mut session = query.prepare().expect("valid alpha");
+    *session
+        .stream(sink)
+        .expect("unlimited run cannot be interrupted")
 }
 
 /// Time one point `repeats` times and summarize the samples

@@ -218,19 +218,6 @@ pub fn degeneracy_order(g: &UncertainGraph) -> (Vec<VertexId>, usize) {
     (order, degeneracy)
 }
 
-/// Convenience: relabel a graph so that a degeneracy order becomes the id
-/// order (vertex removed first gets id 0). Returns the relabeled graph and
-/// the permutation `perm[old] = new`.
-pub fn degeneracy_relabel(g: &UncertainGraph) -> (UncertainGraph, Vec<VertexId>) {
-    let (order, _) = degeneracy_order(g);
-    let mut perm = vec![0 as VertexId; g.num_vertices()];
-    for (new, &old) in order.iter().enumerate() {
-        perm[old as usize] = new as u32;
-    }
-    let h = relabel(g, &perm).expect("relabeling a valid graph cannot fail");
-    (h, perm)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,7 +363,13 @@ mod tests {
     #[test]
     fn degeneracy_relabel_round_trip() {
         let g = fixture();
-        let (h, perm) = degeneracy_relabel(&g);
+        // The vertex removed first gets id 0.
+        let (order, _) = degeneracy_order(&g);
+        let mut perm = vec![0 as VertexId; g.num_vertices()];
+        for (new, &old) in order.iter().enumerate() {
+            perm[old as usize] = new as VertexId;
+        }
+        let h = relabel(&g, &perm).unwrap();
         assert_eq!(h.num_edges(), g.num_edges());
         for (u, v, p) in g.edges() {
             assert_eq!(h.edge_prob_raw(perm[u as usize], perm[v as usize]), Some(p));

@@ -1,6 +1,7 @@
-//! Persisting prepared sessions: encode a [`PreparedInstance`] or a
-//! [`PreparedBase`] into the UGQ1 container ([`ugraph_io::catalog`]) and
-//! rebuild it — with **zero pipeline work** — from the bytes.
+//! Persisting prepared sessions: encode a session's prepared instance or
+//! a base's α-independent artifact into the UGQ1 container
+//! ([`ugraph_io::catalog`]) and rebuild it — with **zero pipeline work**
+//! — from the bytes.
 //!
 //! Sessions reach the codec through [`crate::Prepared::save`] /
 //! [`crate::Query::open`] and their base and either-kind counterparts.
@@ -51,7 +52,7 @@
 //!
 //! A second section layout, same container, flagged in the header:
 //! instead of a fixed-α prepared instance it stores a
-//! [`PreparedBase`] — the α-*independent* half of the pipeline — so one
+//! `PreparedBase` — the α-*independent* half of the pipeline — so one
 //! file serves every `α ≥ floor` via `PreparedBase::refine` with zero
 //! pipeline work beyond the local refinement. Header reuse: `alpha_bits`
 //! carries the **floor** (may be `0.0`, unlike a query α); `min_size`,
@@ -85,7 +86,7 @@
 //! through [`crate::Query::open`] or a fixed instance through
 //! [`crate::Query::open_base`] fails there with the typed
 //! [`CatalogError::WrongKind`] — never a misparse.
-//! [`crate::Query::open_any`] accepts either kind and dispatches on the
+//! [`crate::Query::open_any_bytes`] accepts either kind and dispatches on the
 //! same flag after the same single parse.
 //!
 //! # Appended delta sections (`delta.{i}`)
@@ -654,10 +655,6 @@ fn config_from_header(h: &CatalogHeader) -> Result<PrepareConfig, CatalogError> 
             index_mode: index_mode_from_u8(h.index_mode)?,
             max_index_bytes: to_usize(h.max_index_bytes, "max_index_bytes")?,
             dense_index_bytes: to_usize(h.dense_index_bytes, "dense_index_bytes")?,
-            // Ablation switches of the direct path; the pipeline ignores
-            // them and the catalog does not persist them.
-            degeneracy_order: false,
-            naive_root: false,
         },
     })
 }
@@ -1000,7 +997,7 @@ impl Image {
     }
 
     /// Decode the artifact of either kind, pending deltas replayed —
-    /// what [`crate::Query::open_any`] returns for the same bytes.
+    /// what [`crate::Query::open_any_bytes`] returns for the same bytes.
     pub fn open(&self) -> Result<Opened, MuleError> {
         self.decode(Opened::fixed, Opened::base)
     }

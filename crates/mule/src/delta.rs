@@ -8,7 +8,7 @@
 //! components**, merging joined components and splitting disconnected
 //! ones through the existing monotone id maps. The result is pinned
 //! byte-identical — graphs, id maps, schedule, report, probability
-//! bits — to a fresh [`crate::prepare()`] / [`crate::prepare_base`] of
+//! bits — to a fresh [`crate::Query::prepare`] / [`crate::Query::prepare_base`] of
 //! the mutated graph (`tests/delta_equivalence.rs`), at a fraction of
 //! the cost when churn is localized.
 //!
@@ -589,7 +589,7 @@ pub(crate) fn apply_instance(
 /// Fold `delta` into a base artifact. Bases store every edge at their
 /// floor, so there is no precondition; untouched components and
 /// isolated vertices carry over verbatim. Byte-identity to a fresh
-/// [`crate::prepare_base`] of the mutated graph is pinned by
+/// [`crate::Query::prepare_base`] of the mutated graph is pinned by
 /// `tests/delta_equivalence.rs`.
 pub(crate) fn apply_base(base: &mut PreparedBase, delta: &GraphDelta) -> Result<(), MuleError> {
     if delta.is_empty() {

@@ -42,11 +42,11 @@
 //! allocations per search node once the buffers reach the deepest path
 //! (see the kernel module docs for the span layout).
 
-use crate::kernel::{enumerate_subtree, search_root, DepthArenas};
+use crate::kernel::{enumerate_subtree, DepthArenas, Kernel};
 use crate::limits::RunLimits;
-use crate::sinks::{CliqueSink, Control};
+use crate::sinks::CliqueSink;
 use crate::stats::EnumerationStats;
-use ugraph_core::{GraphError, UncertainGraph, VertexId};
+use ugraph_core::{subgraph, GraphError, UncertainGraph, VertexId};
 
 /// A candidate tuple `(vertex, factor)`: adding `vertex` to the current
 /// clique multiplies its probability by `factor`.
@@ -81,7 +81,9 @@ impl std::str::FromStr for IndexMode {
     }
 }
 
-/// Configuration for [`Mule`].
+/// Kernel configuration: how each enumeration kernel filters candidates
+/// (set through [`crate::Query::index_mode`],
+/// [`crate::Query::max_index_bytes`] and [`crate::Query::dense_index_bytes`]).
 #[derive(Debug, Clone)]
 pub struct MuleConfig {
     /// Neighborhood membership strategy.
@@ -107,19 +109,6 @@ pub struct MuleConfig {
     /// hottest hub rows is where the measured win is. See
     /// [`ugraph_core::adjacency`] for the tier-selection heuristic.
     pub dense_index_bytes: usize,
-    /// If true, relabel vertices by degeneracy order before enumerating and
-    /// translate emitted cliques back. Changes the search-tree shape, never
-    /// the output set. Off by default (the paper uses natural ids).
-    pub degeneracy_order: bool,
-    /// Reproduce the paper's literal Algorithm 1 root behavior: seed the
-    /// search with Î = {(u, 1) : u ∈ V} and filter it per branch, which
-    /// costs Θ(n²) candidate scans before any clique is found. Off by
-    /// default — the closed-form root expansion (see
-    /// `Mule::run_from_root`) produces the identical output in O(m).
-    /// This switch exists for the root-expansion ablation and to explain
-    /// the paper's 21-hour DBLP run: on DBLP's 685k vertices the literal
-    /// root scans about n²/2 ≈ 2.3·10¹¹ candidate tuples.
-    pub naive_root: bool,
 }
 
 impl Default for MuleConfig {
@@ -128,179 +117,57 @@ impl Default for MuleConfig {
             index_mode: IndexMode::Auto,
             max_index_bytes: 64 << 20,
             dense_index_bytes: 4 << 20,
-            degeneracy_order: false,
-            naive_root: false,
         }
     }
 }
 
-/// The MULE enumerator. Holds the α-pruned graph plus the acceleration
-/// structures; [`Mule::run`] streams every α-maximal clique to a sink.
+/// MULE with the paper's literal Algorithm 1 root: seed the search
+/// with `Î = {(u, 1) : u ∈ V}` and filter it per branch, which costs
+/// Θ(n²) candidate scans before any clique is found. Streams every
+/// α-maximal clique of `g` into `sink` (the same stream, in the same
+/// order, as `Query::new(g).alpha(alpha)` with every stage toggle off)
+/// and returns the run's counters.
 ///
-/// ```
-/// use mule::{Mule, sinks::CollectSink};
-/// use ugraph_core::builder::from_edges;
-///
-/// let g = from_edges(4, &[(0, 1, 0.9), (1, 2, 0.9), (0, 2, 0.9), (2, 3, 0.6)]).unwrap();
-/// let mut mule = Mule::new(&g, 0.5).unwrap();
-/// let mut sink = CollectSink::new();
-/// mule.run(&mut sink);
-/// assert_eq!(
-///     sink.into_sorted_cliques(),
-///     vec![vec![0, 1, 2], vec![2, 3]],
-/// );
-/// ```
-pub struct Mule {
-    kernel: crate::kernel::Kernel,
-    naive_root: bool,
-    stats: EnumerationStats,
-    /// Candidate arena pair reused across runs (capacity persists, so a
-    /// rerun on the same instance is allocation-free).
-    arenas: DepthArenas,
-    /// Current-clique buffer, reused across runs like the arena.
-    clique_buf: Vec<VertexId>,
-}
-
-impl Mule {
-    /// Prepare an enumeration of all α-maximal cliques of `g` with the
-    /// default configuration. The input graph is α-pruned up front
-    /// (Observation 3): edges with `p(e) < α` cannot appear in any
-    /// α-clique.
-    pub fn new(g: &UncertainGraph, alpha: f64) -> Result<Self, GraphError> {
-        Self::with_config(g, alpha, MuleConfig::default())
+/// The session never runs this root: it expands each root in closed form
+/// (`kernel::search_root`) in O(m). This function exists for the
+/// root-expansion ablation and to explain the paper's 21-hour DBLP run:
+/// on DBLP's 685k vertices the literal root scans about
+/// n²/2 ≈ 2.3·10¹¹ candidate tuples. It runs on the default
+/// [`MuleConfig`] and without limits.
+pub fn naive_root<S: CliqueSink>(
+    g: &UncertainGraph,
+    alpha: f64,
+    sink: &mut S,
+) -> Result<EnumerationStats, GraphError> {
+    let alpha = UncertainGraph::validate_alpha(alpha)?.get();
+    let pruned = subgraph::prune_below_alpha(g, alpha)?;
+    let kernel = Kernel::wrap(pruned, alpha, &MuleConfig::default());
+    let mut arenas = DepthArenas::new();
+    for u in kernel.g.vertices() {
+        arenas.even.push((u, 1.0));
     }
-
-    /// Prepare an enumeration with an explicit [`MuleConfig`].
-    pub fn with_config(
-        g: &UncertainGraph,
-        alpha: f64,
-        config: MuleConfig,
-    ) -> Result<Self, GraphError> {
-        let kernel = crate::kernel::Kernel::prepare(g, alpha, &config)?;
-        Ok(Mule {
-            kernel,
-            naive_root: config.naive_root,
-            stats: EnumerationStats::new(),
-            arenas: DepthArenas::new(),
-            clique_buf: Vec::new(),
-        })
-    }
-
-    /// The α threshold this enumerator was built with.
-    pub fn alpha(&self) -> f64 {
-        self.kernel.alpha
-    }
-
-    /// The pruned graph the search actually runs on.
-    pub fn graph(&self) -> &UncertainGraph {
-        &self.kernel.g
-    }
-
-    /// Whether the dense adjacency index was built.
-    pub fn uses_dense_index(&self) -> bool {
-        self.kernel.index.is_some()
-    }
-
-    /// Counters from the most recent [`Mule::run`].
-    pub fn stats(&self) -> &EnumerationStats {
-        &self.stats
-    }
-
-    /// Enumerate every α-maximal clique, streaming each (in canonical
-    /// sorted order, with its exact probability) into `sink`. Returns the
-    /// run's statistics. Stops early if the sink returns
-    /// [`Control::Stop`].
-    pub fn run<S: CliqueSink>(&mut self, sink: &mut S) -> &EnumerationStats {
-        self.stats = EnumerationStats::new();
-        if let Some(back) = self.kernel.back_map.take() {
-            // Translate internal ids to original ids on emission; cliques
-            // are re-sorted because the relabeling is not monotone.
-            let mut translating = TranslatingSink {
-                inner: sink,
-                back: &back,
-                scratch: Vec::new(),
-            };
-            self.run_from_root(&mut translating);
-            self.kernel.back_map = Some(back);
-        } else {
-            self.run_from_root(sink);
-        }
-        &self.stats
-    }
-
-    /// The root of Algorithm 2, with the Θ(n²) root-level candidate scan
-    /// replaced by its closed form: at the root every factor is 1 and every
-    /// vertex `< u` has moved to `X` when `u` is processed, so
-    /// `I₀(u) = {(w, p(u,w)) : w ∈ Γ(u), w > u}` and
-    /// `X₀(u) = {(v, p(u,v)) : v ∈ Γ(u), v < u}` read straight off the
-    /// (already α-pruned) adjacency in O(deg u). This is what makes
-    /// million-vertex inputs (the paper's DBLP graph) feasible: the naive
-    /// root loop would scan ~n²/2 candidate tuples before any real work.
-    fn run_from_root<S: CliqueSink>(&mut self, sink: &mut S) {
-        self.stats.calls += 1; // the conceptual root node
-        let n = self.kernel.g.num_vertices();
-        if n == 0 {
-            // The empty clique is maximal in the empty graph.
-            self.stats.emitted += 1;
-            sink.emit(&[], 1.0);
-            return;
-        }
-        let (arenas, c) = (&mut self.arenas, &mut self.clique_buf);
-        arenas.clear();
-        c.clear();
-        let limits = &mut RunLimits::none();
-        if self.naive_root {
-            // Literal Algorithm 1/2 root: Î = {(u, 1)} for all u, filtered
-            // per branch by GenerateI/GenerateX. Θ(n²) total root work.
-            for u in self.kernel.g.vertices() {
-                arenas.even.push((u, 1.0));
-            }
-            self.stats.calls -= 1; // enumerate_subtree recounts the root
-            enumerate_subtree(
-                &self.kernel,
-                &mut self.stats,
-                c,
-                1.0,
-                0..arenas.even.mark(),
-                0..0,
-                &mut arenas.even,
-                &mut arenas.odd,
-                0,
-                limits,
-                sink,
-            );
-        } else {
-            for u in 0..n as VertexId {
-                let ctl = search_root(&self.kernel, u, 0, &mut self.stats, arenas, c, limits, sink);
-                if ctl == Control::Stop {
-                    break;
-                }
-            }
-        }
-    }
-}
-
-/// Sink adapter translating relabeled vertex ids back to the caller's ids.
-struct TranslatingSink<'a, S: CliqueSink> {
-    inner: &'a mut S,
-    back: &'a [VertexId],
-    scratch: Vec<VertexId>,
-}
-
-impl<S: CliqueSink> CliqueSink for TranslatingSink<'_, S> {
-    fn emit(&mut self, clique: &[VertexId], prob: f64) -> Control {
-        self.scratch.clear();
-        self.scratch
-            .extend(clique.iter().map(|&v| self.back[v as usize]));
-        self.scratch.sort_unstable();
-        self.inner.emit(&self.scratch, prob)
-    }
+    let mut stats = EnumerationStats::new();
+    enumerate_subtree(
+        &kernel,
+        &mut stats,
+        &mut Vec::new(),
+        1.0,
+        0..arenas.even.mark(),
+        0..0,
+        &mut arenas.even,
+        &mut arenas.odd,
+        0,
+        &mut RunLimits::none(),
+        sink,
+    );
+    Ok(stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sinks::{CollectSink, CountSink, FirstKSink};
+    use crate::sinks::{CollectSink, FirstKSink};
+    use crate::{Prepared, Query};
     use ugraph_core::builder::{complete_graph, from_edges, GraphBuilder};
     use ugraph_core::clique;
     use ugraph_core::Prob;
@@ -309,6 +176,10 @@ mod tests {
     fn all_cliques(g: &UncertainGraph, alpha: f64) -> Vec<Vec<VertexId>> {
         let mut session = crate::Query::new(g).alpha(alpha).prepare().unwrap();
         session.sorted_cliques().unwrap()
+    }
+
+    fn stages_off(g: &UncertainGraph, alpha: f64) -> Prepared {
+        Query::new(g).alpha(alpha).stages_off().prepare().unwrap()
     }
 
     fn fixture() -> UncertainGraph {
@@ -336,10 +207,7 @@ mod tests {
     #[test]
     fn emitted_probability_matches_reference() {
         let g = fixture();
-        let mut mule = Mule::new(&g, 0.5).unwrap();
-        let mut sink = CollectSink::new();
-        mule.run(&mut sink);
-        for (c, p) in sink.into_pairs() {
+        for (c, p) in stages_off(&g, 0.5).collect().unwrap() {
             let exact = clique::clique_probability(&g, &c).unwrap();
             assert!((p - exact).abs() < 1e-12, "{c:?}: {p} vs {exact}");
         }
@@ -387,10 +255,9 @@ mod tests {
     #[test]
     fn invalid_alpha_rejected() {
         let g = fixture();
-        assert!(Mule::new(&g, 0.0).is_err());
-        assert!(Mule::new(&g, -0.5).is_err());
-        assert!(Mule::new(&g, 1.5).is_err());
-        assert!(Mule::new(&g, f64::NAN).is_err());
+        for bad in [0.0, -0.5, 1.5, f64::NAN] {
+            assert!(Query::new(&g).alpha(bad).prepare().is_err(), "α={bad}");
+        }
     }
 
     #[test]
@@ -410,15 +277,13 @@ mod tests {
         for alpha in [0.9, 0.5, 0.1] {
             let mut results = Vec::new();
             for mode in [IndexMode::Always, IndexMode::Never] {
-                let cfg = MuleConfig {
-                    index_mode: mode,
-                    ..Default::default()
-                };
-                let mut m = Mule::with_config(&g, alpha, cfg).unwrap();
-                let mut sink = CollectSink::new();
-                m.run(&mut sink);
-                assert_eq!(m.uses_dense_index(), mode == IndexMode::Always);
-                results.push(sink.into_sorted_cliques());
+                let query = Query::new(&g).alpha(alpha).index_mode(mode);
+                let mut session = query.shard_components(false).prepare().unwrap();
+                let kernels = &session.instance().components;
+                assert!(kernels
+                    .iter()
+                    .all(|pc| pc.kernel.index.is_some() == (mode == IndexMode::Always)));
+                results.push(session.sorted_cliques().unwrap());
             }
             assert_eq!(results[0], results[1], "α={alpha}");
         }
@@ -429,44 +294,48 @@ mod tests {
         let g = fixture();
         for alpha in [0.9, 0.5, 0.25] {
             let fast = all_cliques(&g, alpha);
-            let cfg = MuleConfig {
-                naive_root: true,
-                ..Default::default()
-            };
-            let mut m = Mule::with_config(&g, alpha, cfg).unwrap();
             let mut sink = CollectSink::new();
-            m.run(&mut sink);
+            let naive = naive_root(&g, alpha, &mut sink).unwrap();
             assert_eq!(sink.into_sorted_cliques(), fast, "α={alpha}");
             // And the naive root provably does more scanning work.
-            let mut fast_m = Mule::new(&g, alpha).unwrap();
-            let mut s2 = CountSink::new();
-            fast_m.run(&mut s2);
-            assert!(m.stats().total_scanned() >= fast_m.stats().total_scanned());
+            let mut fast_m = stages_off(&g, alpha);
+            fast_m.count().unwrap();
+            assert!(naive.total_scanned() >= fast_m.stats().total_scanned());
         }
     }
 
     #[test]
     fn degeneracy_order_preserves_output() {
+        // Relabel so a degeneracy order becomes the id order: the search
+        // tree changes shape, the output set (mapped back) does not.
         let g = fixture();
+        let (order, _) = subgraph::degeneracy_order(&g);
+        let mut perm = vec![0 as VertexId; g.num_vertices()];
+        for (new, &old) in order.iter().enumerate() {
+            perm[old as usize] = new as VertexId;
+        }
+        let h = subgraph::relabel(&g, &perm).unwrap();
         for alpha in [0.9, 0.5, 0.25] {
             let plain = all_cliques(&g, alpha);
-            let cfg = MuleConfig {
-                degeneracy_order: true,
-                ..Default::default()
-            };
-            let mut m = Mule::with_config(&g, alpha, cfg).unwrap();
-            let mut sink = CollectSink::new();
-            m.run(&mut sink);
-            assert_eq!(sink.into_sorted_cliques(), plain, "α={alpha}");
+            let mut back: Vec<Vec<VertexId>> = all_cliques(&h, alpha)
+                .into_iter()
+                .map(|c| {
+                    let mut c: Vec<VertexId> = c.iter().map(|&v| order[v as usize]).collect();
+                    c.sort_unstable();
+                    c
+                })
+                .collect();
+            back.sort();
+            assert_eq!(back, plain, "α={alpha}");
         }
     }
 
     #[test]
     fn early_stop_respects_sink() {
         let g = complete_graph(6, Prob::new(0.5).unwrap());
-        let mut m = Mule::new(&g, 0.125).unwrap();
+        let mut m = stages_off(&g, 0.125);
         let mut sink = FirstKSink::new(3);
-        m.run(&mut sink);
+        m.stream(&mut sink).unwrap();
         assert_eq!(sink.into_cliques().len(), 3);
         assert!(m.stats().emitted >= 3);
         assert!(m.stats().emitted < 20, "must have stopped early");
@@ -475,9 +344,8 @@ mod tests {
     #[test]
     fn stats_are_populated() {
         let g = fixture();
-        let mut m = Mule::new(&g, 0.5).unwrap();
-        let mut sink = CountSink::new();
-        m.run(&mut sink);
+        let mut m = stages_off(&g, 0.5);
+        m.count().unwrap();
         let s = m.stats();
         assert_eq!(s.emitted, 3);
         assert!(s.calls >= 4, "root + one node per clique at minimum");
@@ -488,14 +356,12 @@ mod tests {
     #[test]
     fn rerun_resets_stats_and_is_idempotent() {
         let g = fixture();
-        let mut m = Mule::new(&g, 0.5).unwrap();
-        let mut s1 = CountSink::new();
-        m.run(&mut s1);
+        let mut m = stages_off(&g, 0.5);
+        let count1 = m.count().unwrap();
         let calls1 = m.stats().calls;
-        let mut s2 = CountSink::new();
-        m.run(&mut s2);
+        let count2 = m.count().unwrap();
         assert_eq!(m.stats().calls, calls1);
-        assert_eq!(s1.count, s2.count);
+        assert_eq!(count1, count2);
     }
 
     #[test]
@@ -533,9 +399,9 @@ mod tests {
     #[test]
     fn pruned_graph_accessor_reflects_alpha() {
         let g = fixture();
-        let m = Mule::new(&g, 0.75).unwrap();
+        let m = stages_off(&g, 0.75);
         // The 0.6 pendant edge is pruned.
-        assert_eq!(m.graph().num_edges(), 3);
+        assert_eq!(m.report().final_edges, 3);
         assert_eq!(m.alpha(), 0.75);
     }
 }

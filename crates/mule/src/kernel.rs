@@ -1,5 +1,5 @@
 //! Shared search kernel for MULE, LARGE–MULE and the parallel workers:
-//! graph preparation (α-pruning, optional relabeling, the tiered
+//! the per-component search state (an α-pruned graph and its tiered
 //! neighborhood index), the GenerateI/GenerateX candidate filter
 //! (Algorithms 3 and 4) with its per-call adaptive strategy dispatch
 //! (dense row / bitset+gallop / two-pointer merge), the candidate
@@ -88,11 +88,35 @@
 //! are `≤ 1`. The test comes before the filters, so a first child cut
 //! this way proves nothing for the dominated-sibling rule.
 //!
+//! The root step applies the same test at `q = 1`: once `β ≥ 1`, no
+//! clique can clear it, so [`search_root`] returns before expanding the
+//! root's adjacency. A root skipped this way counts one `beta_pruned`
+//! and no `calls`: it is not searched, exactly like a cut child.
+//!
 //! β decides admission only; `I` and `X` are still built at α. `u` stays
 //! in the parent `I` span, so later siblings still filter it into their
 //! `X'`, exactly as after a line-8 cut: a skipped subtree changes no
 //! other branch's output. Sinks that keep the default `None` compile
 //! the test away.
+//!
+//! # Negative results
+//!
+//! Measured and dropped, so they are not tried again blind:
+//!
+//! * Kernel strategies (tried with the tiered index): dense rows at the
+//!   wiki-vote stand-in's full scale, a merge over the bitset tier, a
+//!   transposed row walk, span range clipping and struct-of-arrays
+//!   arenas all measured slower than the per-call dispatch kept here,
+//!   and were reverted.
+//! * Degeneracy-order relabeling (an ablation switch of the removed
+//!   direct enumerator: relabel the α-pruned graph by a degeneracy
+//!   order, search, translate each clique back and re-sort it). On the
+//!   wiki-vote stand-in at scale 0.1, α 0.001 (2 vCPUs, 10 timed
+//!   iterations each, relabel cost included), the median was 63.5 ms
+//!   with natural ids and 41.8 ms with the relabeling (min 57.7 /
+//!   41.0 ms). It was removed anyway: it changes the order in which
+//!   cliques are emitted, so it cannot sit behind the session, whose
+//!   stream is pinned to the canonical ascending-root order.
 
 use crate::enumerate::{Candidate, IndexMode, MuleConfig};
 use crate::limits::RunLimits;
@@ -101,7 +125,7 @@ use crate::stats::EnumerationStats;
 use std::ops::Range;
 use std::sync::Arc;
 use ugraph_core::intersect::{gallop_cost, gallop_search};
-use ugraph_core::{subgraph, GraphError, NeighborhoodIndex, UncertainGraph, VertexId};
+use ugraph_core::{NeighborhoodIndex, UncertainGraph, VertexId};
 
 /// A growable scratch stack of `T` addressed by [`Range<usize>`] spans.
 ///
@@ -234,39 +258,12 @@ pub(crate) struct Kernel {
     pub g: Arc<UncertainGraph>,
     pub alpha: f64,
     pub index: Option<Arc<NeighborhoodIndex>>,
-    /// When degeneracy relabeling is on: internal id → original id.
-    pub back_map: Option<Vec<VertexId>>,
 }
 
 impl Kernel {
-    /// α-prune (Observation 3), optionally relabel by degeneracy order, and
-    /// build the dense adjacency index per the configuration.
-    pub fn prepare(
-        g: &UncertainGraph,
-        alpha: f64,
-        config: &MuleConfig,
-    ) -> Result<Self, GraphError> {
-        let alpha = UncertainGraph::validate_alpha(alpha)?.get();
-        let mut pruned = subgraph::prune_below_alpha(g, alpha)?;
-        let back_map = if config.degeneracy_order {
-            let (relabeled, perm) = subgraph::degeneracy_relabel(&pruned);
-            let mut back = vec![0 as VertexId; perm.len()];
-            for (old, &new) in perm.iter().enumerate() {
-                back[new as usize] = old as VertexId;
-            }
-            pruned = relabeled;
-            Some(back)
-        } else {
-            None
-        };
-        Ok(Kernel {
-            back_map,
-            ..Kernel::wrap(pruned, alpha, config)
-        })
-    }
-
-    /// Wrap an existing, already-pruned graph (used by LARGE–MULE after the
-    /// Modani–Dey pass, which must not be α-pruned twice).
+    /// Wrap an already α-pruned graph (Observation 3: every edge has
+    /// `p ≥ alpha`) and build its tiered neighborhood index per the
+    /// configuration.
     pub fn wrap(g: UncertainGraph, alpha: f64, config: &MuleConfig) -> Self {
         let build_index = match config.index_mode {
             IndexMode::Always => true,
@@ -279,7 +276,6 @@ impl Kernel {
             g: Arc::new(g),
             alpha,
             index,
-            back_map: None,
         }
     }
 
@@ -291,7 +287,6 @@ impl Kernel {
             g: Arc::clone(&self.g),
             alpha,
             index: self.index.as_ref().map(Arc::clone),
-            back_map: self.back_map.clone(),
         }
     }
 
@@ -599,12 +594,25 @@ impl Kernel {
 }
 
 /// Algorithm 6 (`Enum-Uncertain-MC-Large`) over arena spans — the one
-/// kernel recursion, shared by [`crate::Mule`], [`crate::LargeMule`], the
-/// prepared per-component path (`crate::prepare`) and the parallel
-/// workers. At `t ≤ 1` it is exactly MULE's Algorithm 2: the line-8 cut
-/// `|C| + 1 + |I'| < t` can never hold, and the emission test `|C| ≥ t`
-/// always does below the root (`C` is never empty there). Callers with
-/// no size threshold pass `t = 0`.
+/// kernel recursion, shared by the prepared per-component path
+/// (`crate::prepare`), the parallel workers and the literal-root
+/// [`crate::enumerate::naive_root`]. At `t ≤ 1` it is exactly MULE's
+/// Algorithm 2: the line-8 cut `|C| + 1 + |I'| < t` can never hold, and
+/// the emission test `|C| ≥ t` always does below the root (`C` is never
+/// empty there). Callers with no size threshold pass `t = 0`.
+///
+/// **LARGE–MULE (Algorithms 5–6).** At a size threshold `t ≥ 2` the
+/// session ([`crate::Query::min_size`]) emits exactly
+/// `{C : C α-maximal in G, |C| ≥ t}` (Lemma 13). The paper's prose says
+/// "size `t`", but its pseudo-code computes the "at least `t`" set, and
+/// the LARGE–MULE tests pin that reading. Two mechanisms make this much
+/// faster than filtering MULE's output: Algorithm 5's Modani–Dey
+/// shared-neighborhood filter, which is pipeline stage 3
+/// ([`crate::pruning::shared_neighborhood_peel`]) and on
+/// clique-projection graphs like DBLP removes almost everything (the
+/// paper: 76797 s for MULE vs 32 s for LARGE–MULE at `t = 3`), and the
+/// line-8 search bound below, which abandons a branch whose clique plus
+/// all remaining candidates cannot reach `t` vertices.
 ///
 /// `i_span` and `x_span` index into `cur` (this depth's buffer); each
 /// branch appends the child's filtered `I'` span and then its `X'` span
@@ -762,11 +770,15 @@ pub(crate) fn enumerate_subtree<S: CliqueSink>(
 }
 
 /// Search the root subtree `C = {u}` — the step every root loop shares
-/// (sequential MULE, LARGE–MULE, the prepared schedule and the parallel
-/// workers): expand `I₀(u)` and `X₀(u)` in closed form
-/// ([`Kernel::expand_root_into`]), cut the root when `1 + |I₀| < t`
-/// (counted in `size_pruned`), otherwise run [`enumerate_subtree`] with
-/// `u` pushed onto `c`. Leaves `c` as it found it and both arenas empty.
+/// (the prepared schedule and the parallel workers): expand `I₀(u)` and
+/// `X₀(u)` in closed form ([`Kernel::expand_root_into`]), cut the root
+/// when `1 + |I₀| < t` (counted in `size_pruned`), otherwise run
+/// [`enumerate_subtree`] with `u` pushed onto `c`. Leaves `c` as it found
+/// it and both arenas empty.
+///
+/// A sink whose admission floor is already `≥ 1` rejects every clique
+/// (each factor is `≤ 1`), so the root is skipped before its expansion
+/// and counted in `beta_pruned` (module docs, "β admission cut").
 #[allow(clippy::too_many_arguments)] // the run loops' split-borrowed state
 pub(crate) fn search_root<S: CliqueSink>(
     kernel: &Kernel,
@@ -778,6 +790,10 @@ pub(crate) fn search_root<S: CliqueSink>(
     limits: &mut RunLimits,
     sink: &mut S,
 ) -> Control {
+    if sink.admission_floor().is_some_and(|beta| beta >= 1.0) {
+        stats.beta_pruned += 1;
+        return Control::Continue;
+    }
     let (i0, x0) = kernel.expand_root_into(u, &mut arenas.even, &mut stats.i_candidates_scanned);
     let ctl = if 1 + i0.len() < t {
         stats.size_pruned += 1;
@@ -810,6 +826,7 @@ mod reference;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ugraph_core::subgraph;
 
     #[test]
     fn arena_mark_truncate_and_span() {
@@ -897,7 +914,7 @@ mod tests {
                 index_mode: mode,
                 ..Default::default()
             };
-            let kernel = Kernel::prepare(&g, 0.3, &cfg).unwrap();
+            let kernel = Kernel::wrap(subgraph::prune_below_alpha(&g, 0.3).unwrap(), 0.3, &cfg);
             // Candidates probing Γ(0): 2 survives (0.8·q2 ≥ α), 4 is not a
             // neighbor, 3 was α-pruned from the kernel graph.
             let mut arena = CandidateArena::new();
@@ -957,7 +974,7 @@ mod tests {
                     dense_index_bytes: budget,
                     ..Default::default()
                 };
-                let kernel = Kernel::prepare(&g, 0.3, &cfg).unwrap();
+                let kernel = Kernel::wrap(subgraph::prune_below_alpha(&g, 0.3).unwrap(), 0.3, &cfg);
                 let mut out = CandidateArena::new();
                 let mut stats = EnumerationStats::new();
                 kernel.filter_candidates_into(

@@ -1,147 +1,15 @@
-//! LARGE–MULE (Algorithms 5–6): enumerate only the α-maximal cliques with
-//! at least `t` vertices.
-//!
-//! Two mechanisms make this much faster than filtering MULE's output:
-//!
-//! 1. the Modani–Dey shared-neighborhood filter
-//!    ([`crate::pruning::shared_neighborhood_filter`]) shrinks the graph up
-//!    front — on clique-projection graphs like DBLP this removes almost
-//!    everything (the paper: 76797 s for MULE vs 32 s for LARGE–MULE at
-//!    `t = 3`);
-//! 2. the search bound `|C'| + |I'| < t → skip` (Algorithm 6, line 8): a
-//!    branch whose clique plus all remaining candidates cannot reach `t`
-//!    vertices is abandoned.
-//!
-//! The emitted set is exactly `{C : C α-maximal in G, |C| ≥ t}` (Lemma 13;
-//! our tests pin the "at least t" reading, which is what the pseudo-code
-//! computes).
-//!
-//! Algorithm 6 is the kernel's one recursion
-//! (`kernel::enumerate_subtree`, entered per root through
-//! `kernel::search_root`); plain MULE runs the same code at `t = 0`. Its
-//! docs say why the line-8 cut may skip the `X ← X ∪ {(u, r)}` update.
-//! The tiered neighborhood index (dense hub rows / bitset membership /
-//! CSR gallop+merge, per [`MuleConfig`]) applies here unchanged.
-
-use crate::enumerate::MuleConfig;
-use crate::kernel::{search_root, DepthArenas, Kernel};
-use crate::limits::RunLimits;
-use crate::pruning::{shared_neighborhood_filter, PruneReport};
-use crate::sinks::{CliqueSink, Control};
-use crate::stats::EnumerationStats;
-use ugraph_core::{GraphError, UncertainGraph, VertexId};
-
-/// The LARGE–MULE enumerator.
-///
-/// ```
-/// use mule::{LargeMule, sinks::CollectSink};
-/// use ugraph_core::builder::from_edges;
-///
-/// // A triangle and a disjoint heavy edge.
-/// let g = from_edges(5, &[(0, 1, 0.9), (1, 2, 0.9), (0, 2, 0.9), (3, 4, 0.9)]).unwrap();
-/// let mut lm = LargeMule::new(&g, 0.5, 3).unwrap();
-/// let mut sink = CollectSink::new();
-/// lm.run(&mut sink);
-/// // Only the triangle has ≥ 3 vertices.
-/// assert_eq!(sink.into_sorted_cliques(), vec![vec![0, 1, 2]]);
-/// ```
-pub struct LargeMule {
-    kernel: Kernel,
-    t: usize,
-    prune_report: PruneReport,
-    stats: EnumerationStats,
-    /// Candidate arena pair reused across runs (see `kernel` module docs
-    /// for the span layout).
-    arenas: DepthArenas,
-    /// Current-clique buffer, reused across runs like the arena.
-    clique_buf: Vec<VertexId>,
-}
-
-impl LargeMule {
-    /// Prepare an enumeration of α-maximal cliques with at least `t`
-    /// vertices, using the default [`MuleConfig`].
-    ///
-    /// `t ≥ 2` per the paper (with `t ≤ 1` every maximal clique qualifies;
-    /// use plain [`crate::Mule`] for that).
-    pub fn new(g: &UncertainGraph, alpha: f64, t: usize) -> Result<Self, GraphError> {
-        Self::with_config(g, alpha, t, MuleConfig::default())
-    }
-
-    /// Prepare with an explicit configuration.
-    pub fn with_config(
-        g: &UncertainGraph,
-        alpha: f64,
-        t: usize,
-        config: MuleConfig,
-    ) -> Result<Self, GraphError> {
-        assert!(t >= 2, "size threshold t must be at least 2 (got {t})");
-        let alpha = UncertainGraph::validate_alpha(alpha)?.get();
-        let (pruned, prune_report) = shared_neighborhood_filter(g, alpha, t)?;
-        let kernel = Kernel::wrap(pruned, alpha, &config);
-        Ok(LargeMule {
-            kernel,
-            t,
-            prune_report,
-            stats: EnumerationStats::new(),
-            arenas: DepthArenas::new(),
-            clique_buf: Vec::new(),
-        })
-    }
-
-    /// The size threshold `t`.
-    pub fn threshold(&self) -> usize {
-        self.t
-    }
-
-    /// What the preprocessing removed.
-    pub fn prune_report(&self) -> &PruneReport {
-        &self.prune_report
-    }
-
-    /// The graph the search runs on (after α and shared-neighborhood
-    /// pruning).
-    pub fn graph(&self) -> &UncertainGraph {
-        &self.kernel.g
-    }
-
-    /// Counters from the most recent run.
-    pub fn stats(&self) -> &EnumerationStats {
-        &self.stats
-    }
-
-    /// Enumerate every α-maximal clique with at least `t` vertices.
-    pub fn run<S: CliqueSink>(&mut self, sink: &mut S) -> &EnumerationStats {
-        self.stats = EnumerationStats::new();
-        self.stats.calls += 1; // the conceptual root node
-        self.arenas.clear();
-        self.clique_buf.clear();
-        let limits = &mut RunLimits::none();
-        for u in 0..self.kernel.g.num_vertices() as VertexId {
-            let ctl = search_root(
-                &self.kernel,
-                u,
-                self.t,
-                &mut self.stats,
-                &mut self.arenas,
-                &mut self.clique_buf,
-                limits,
-                sink,
-            );
-            if ctl == Control::Stop {
-                break;
-            }
-        }
-        &self.stats
-    }
-}
+//! LARGE–MULE (Algorithms 5–6) checked through the session: at
+//! [`crate::Query::min_size`] `t` it emits exactly MULE's output filtered
+//! to cliques of at least `t` vertices (Lemma 13, the "at least t"
+//! reading). The algorithm is the kernel's one recursion
+//! (`kernel::enumerate_subtree`, whose docs carry the argument) behind
+//! the preprocessing pipeline's size stages.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::sinks::CollectSink;
     use crate::Query;
     use ugraph_core::builder::{complete_graph, from_edges, GraphBuilder};
-    use ugraph_core::Prob;
+    use ugraph_core::{Prob, UncertainGraph, VertexId};
 
     /// The α-maximal cliques of `g` with at least `t` vertices through
     /// the session API, sorted.
@@ -193,13 +61,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn threshold_below_two_panics() {
-        let g = GraphBuilder::new(2).build();
-        let _ = LargeMule::new(&g, 0.5, 1);
-    }
-
-    #[test]
     fn empty_result_when_no_large_clique() {
         let g = from_edges(3, &[(0, 1, 0.9), (1, 2, 0.9)]).unwrap(); // path
         assert!(large_cliques(&g, 0.5, 3).is_empty());
@@ -219,13 +80,13 @@ mod tests {
             b.add_edge(0, w, 0.99).unwrap();
         }
         let g = b.build();
-        let mut lm = LargeMule::new(&g, 0.5, 5).unwrap();
-        let mut s = CollectSink::new();
-        lm.run(&mut s);
-        assert_eq!(s.into_sorted_cliques(), vec![vec![0, 1, 2, 3, 4]]);
-        let mut m = crate::Mule::new(&g, 0.5).unwrap();
-        let mut cs = crate::sinks::CountSink::new();
-        m.run(&mut cs);
+        // One unsharded kernel each: the peel alone against no stage.
+        let single = Query::new(&g).alpha(0.5).core_filter(false);
+        let single = single.shard_components(false);
+        let mut lm = single.clone().min_size(5).prepare().unwrap();
+        assert_eq!(lm.sorted_cliques().unwrap(), vec![vec![0, 1, 2, 3, 4]]);
+        let mut m = single.shared_neighborhood(false).prepare().unwrap();
+        m.count().unwrap();
         assert!(
             lm.stats().calls < m.stats().calls,
             "large {} vs mule {}",
@@ -233,16 +94,16 @@ mod tests {
             m.stats().calls
         );
         // Preprocessing stripped the pendants.
-        assert_eq!(lm.graph().num_edges(), 10);
-        assert!(lm.prune_report().shared_pruned_edges >= 40);
+        assert_eq!(lm.report().final_edges, 10);
+        assert!(lm.report().shared_pruned_edges >= 40);
     }
 
     #[test]
     fn accessors_report_configuration() {
         let g = complete_graph(4, Prob::new(0.9).unwrap());
-        let lm = LargeMule::new(&g, 0.5, 3).unwrap();
-        assert_eq!(lm.threshold(), 3);
-        assert_eq!(lm.graph().num_vertices(), 4);
+        let lm = Query::new(&g).alpha(0.5).min_size(3).prepare().unwrap();
+        assert_eq!(lm.min_size(), 3);
+        assert_eq!(lm.report().final_vertices, 4);
     }
 
     #[test]

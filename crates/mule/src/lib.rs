@@ -4,13 +4,13 @@
 //! from an Uncertain Graph"* (ICDE 2015), behind one entry point: the
 //! [`Query`] builder and the reusable [`Prepared`] session it produces.
 //!
-//! | Paper artifact | Through the session API | Direct (pipeline-off) path |
+//! | Paper artifact | Through the session API | Stage toggles and other paths |
 //! |---|---|---|
-//! | MULE (Algorithms 1–4) | [`Query::prepare`] → [`Prepared::collect`] / [`Prepared::count`] / [`Prepared::stream`] / [`Prepared::iter`] | [`Mule`] |
-//! | LARGE–MULE (Algorithms 5–6) | [`Query::min_size`] ≥ 2, then any execution method | [`LargeMule`] |
-//! | Modani–Dey shared-neighborhood filter | pipeline stage 3 ([`Query::shared_neighborhood`]) | [`pruning::shared_neighborhood_filter`] |
+//! | MULE (Algorithms 1–4) | [`Query::prepare`] → [`Prepared::collect`] / [`Prepared::count`] / [`Prepared::stream`] / [`Prepared::iter`] | pipeline off: [`Query::core_filter`], [`Query::shared_neighborhood`], [`Query::shard_components`] all `false`; the paper's literal Θ(n²) root: [`enumerate::naive_root`] |
+//! | LARGE–MULE (Algorithms 5–6) | [`Query::min_size`] ≥ 2, then any execution method | the same toggles; the search bound is in the kernel recursion |
+//! | Modani–Dey shared-neighborhood filter | pipeline stage 3 ([`Query::shared_neighborhood`]) | [`pruning::shared_neighborhood_peel`] |
 //! | DFS–NOIP baseline (Algorithm 7) | — | [`DfsNoip`] |
-//! | Top-k by probability (paper ref 47) | [`Prepared::top_k`] (adaptive β cut inside the kernel recursion, [`topk`]) | [`sinks::TopKSink`] over [`Mule`]; [`zou_topk`] |
+//! | Top-k by probability (paper ref 47) | [`Prepared::top_k`] (adaptive β cut inside the kernel recursion, [`topk`]) | [`zou_topk`] |
 //! | Theorem 1 / Moon–Moser bounds | — | [`bounds`] |
 //! | Bron–Kerbosch + Tomita pivot (paper refs 8, 42) | — | [`deterministic`] |
 //!
@@ -57,10 +57,11 @@
 //! pipeline runs.
 //!
 //! The session API is the only way in: there are no free-function
-//! shortcuts beside it. The enumerator types ([`Mule`], [`LargeMule`],
-//! [`DfsNoip`]) remain the direct single-kernel reference paths,
-//! byte-identical to the pipeline on default settings (pinned by
-//! `tests/pipeline_equality.rs`).
+//! shortcuts or enumerator types beside it. Every stage toggle is
+//! output-neutral: with all of them off the session runs one kernel
+//! over the α-pruned graph and emits the byte-identical stream (pinned
+//! by `tests/pipeline_equality.rs`). [`DfsNoip`], the paper's baseline,
+//! runs directly.
 //!
 //! Extensions beyond the paper: [`mod@prepare`] (the pipeline),
 //! [`mod@delta`] (dynamic graphs — typed mutation batches folded into
@@ -104,7 +105,8 @@ pub mod dfs_noip;
 pub mod enumerate;
 pub mod kcore;
 mod kernel;
-pub mod large;
+#[cfg(test)]
+mod large;
 pub mod limits;
 pub mod naive;
 pub mod parallel;
@@ -121,14 +123,9 @@ pub mod zou_topk;
 
 pub use delta::{DeltaOp, GraphDelta};
 pub use dfs_noip::DfsNoip;
-pub use enumerate::{Candidate, IndexMode, Mule, MuleConfig};
-pub use large::LargeMule;
+pub use enumerate::{Candidate, IndexMode, MuleConfig};
 pub use limits::CancelToken;
-pub use parallel::par_enumerate_prepared;
-pub use prepare::{
-    prepare, prepare_base, BaseComponent, PrepareConfig, PrepareReport, PreparedBase,
-    PreparedInstance,
-};
+pub use prepare::PrepareReport;
 pub use query::{Base, Cliques, MuleError, Opened, Prepared, Query};
 pub use sinks::{CliqueSink, Control};
 pub use stats::EnumerationStats;

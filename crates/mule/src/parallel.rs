@@ -9,7 +9,7 @@
 //!
 //! # Input: the preprocessing pipeline
 //!
-//! Since PR 3 the driver runs over a [`PreparedInstance`]
+//! Since PR 3 the driver runs over a prepared instance
 //! ([`mod@crate::prepare`]): the graph arrives α-pruned and sharded into
 //! compact per-component kernels, and the root tasks seeded into the
 //! deques are `(component, local root)` pairs — sharding falls out of
@@ -72,7 +72,7 @@ type RootOutput = (VertexId, Vec<(Vec<VertexId>, f64)>);
 /// Result of a parallel enumeration: the cliques (sorted lexicographically,
 /// probabilities parallel) plus merged statistics.
 #[derive(Debug, Clone)]
-pub struct ParallelOutput {
+pub(crate) struct ParallelOutput {
     /// All α-maximal cliques, each sorted ascending, the list sorted
     /// lexicographically.
     pub cliques: Vec<Vec<VertexId>>,
@@ -89,26 +89,21 @@ type RootTask = (u32, u32);
 
 /// Enumerate a prepared instance on `threads` worker threads
 /// (`threads = 0` means one worker per available CPU), honoring the
-/// instance's `min_size`. The deques are seeded with per-component root
-/// tasks, so component sharding is the unit of distribution; the output
-/// is identical to [`PreparedInstance::run`] — and, on default prepare
-/// settings, byte-identical to sequential [`crate::Mule`].
-pub fn par_enumerate_prepared(inst: &PreparedInstance, threads: usize) -> ParallelOutput {
-    let (out, interrupt) = par_enumerate_prepared_limited(inst, threads, &LimitSpec::default());
-    debug_assert!(interrupt.is_none(), "no limits were configured");
-    out
-}
-
-/// [`par_enumerate_prepared`] under live limits. Every worker arms its
-/// own [`RunLimits`] from the same spec, sharing one deadline instant
-/// and one atomic node counter — so the budget bounds the run's *total*
-/// search nodes and all workers observe the same clock and the same
-/// [`crate::CancelToken`]. A tripped worker clears its own deque (so no
-/// peer steals the work it is abandoning) and retires; peers observe
-/// the same condition at their next probe, within one amortization
-/// window. Returns the merged (partial, on interruption) output and
-/// stats plus the most severe interrupt any worker hit.
-pub(crate) fn par_enumerate_prepared_limited(
+/// instance's `min_size`, under live limits. The deques are seeded with
+/// per-component root tasks, so component sharding is the unit of
+/// distribution; the output is identical to the sequential
+/// [`PreparedInstance::run_limited`] stream, sorted.
+///
+/// Every worker arms its own [`RunLimits`] from the same spec, sharing
+/// one deadline instant and one atomic node counter — so the budget
+/// bounds the run's *total* search nodes and all workers observe the
+/// same clock and the same [`crate::CancelToken`]. A tripped worker
+/// clears its own deque (so no peer steals the work it is abandoning)
+/// and retires; peers observe the same condition at their next probe,
+/// within one amortization window. Returns the merged (partial, on
+/// interruption) output and stats plus the most severe interrupt any
+/// worker hit.
+pub(crate) fn par_enumerate_prepared(
     inst: &PreparedInstance,
     threads: usize,
     spec: &LimitSpec,
@@ -355,7 +350,7 @@ mod tests {
     /// workers.
     fn parallel(g: &UncertainGraph, alpha: f64, threads: usize) -> ParallelOutput {
         let inst = prepare(g, alpha, &PrepareConfig::default()).unwrap();
-        par_enumerate_prepared(&inst, threads)
+        par_enumerate_prepared(&inst, threads, &LimitSpec::default()).0
     }
 
     fn fixture() -> UncertainGraph {
@@ -404,9 +399,8 @@ mod tests {
         // equal sequential MULE's exactly — not just emitted.
         let g = fixture();
         for alpha in [0.9, 0.4, 0.05] {
-            let mut m = crate::Mule::new(&g, alpha).unwrap();
-            let mut sink = crate::sinks::CountSink::new();
-            m.run(&mut sink);
+            let mut m = Query::new(&g).alpha(alpha).stages_off().prepare().unwrap();
+            m.count().unwrap();
             for threads in [1, 3, 8] {
                 let out = parallel(&g, alpha, threads);
                 assert_eq!(&out.stats, m.stats(), "α={alpha}, threads={threads}");
@@ -488,7 +482,7 @@ mod tests {
                 let expected = session.sorted_cliques().unwrap();
                 let inst = prepare(&g, alpha, &PrepareConfig::with_min_size(t)).unwrap();
                 for threads in [1, 3] {
-                    let out = par_enumerate_prepared(&inst, threads);
+                    let out = par_enumerate_prepared(&inst, threads, &LimitSpec::default()).0;
                     assert_eq!(out.cliques, expected, "α={alpha}, t={t}, threads={threads}");
                 }
             }

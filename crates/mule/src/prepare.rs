@@ -21,7 +21,7 @@
 //! 3. **Shared-neighborhood peeling** (Modani–Dey, engaged when
 //!    `t ≥ 3`): recursively delete edges with fewer than `t − 2` common
 //!    neighbors and vertices of degree under `t − 1`
-//!    ([`crate::pruning::shared_neighborhood_filter`]); the same
+//!    ([`crate::pruning::shared_neighborhood_peel`]); the same
 //!    induction shows edges of ≥-t α-cliques (and their maximality
 //!    witnesses) survive to the fixpoint.
 //! 4. **Connected-component decomposition**: an α-clique never spans two
@@ -40,7 +40,7 @@
 //!
 //! # One stage runner, one assembler
 //!
-//! [`prepare`], `PreparedBase::refine` and incremental maintenance
+//! `prepare`, `PreparedBase::refine` and incremental maintenance
 //! ([`crate::delta`]) each run stage 1 their own way — a global prune; a
 //! mask inside each base component, skipped when the component's
 //! smallest probability is already ≥ α; the batch folded into the
@@ -74,8 +74,9 @@
 //!
 //! Each component's kernel builds its own tiered
 //! [`ugraph_core::NeighborhoodIndex`] over the **compact remapped ids**
-//! (configured by [`PrepareConfig::mule`], built once at prepare time so
-//! the steady-state zero-allocation guarantee holds across reruns).
+//! (configured by the session's index settings, built once at prepare
+//! time so the steady-state zero-allocation guarantee holds across
+//! reruns).
 //! That compactness is what makes the dense probability tier cheap: a
 //! hub's dense row costs `8 ·` *component size* bytes, not `8 · n`, so
 //! sharded instances afford one-load filter probes on far more hubs
@@ -85,17 +86,18 @@
 //!
 //! Sequential MULE emits cliques in global lexicographic order (each
 //! root subtree `C = {u}` emits lexicographically, roots ascend).
-//! [`PreparedInstance::run`] therefore schedules root subtrees in
+//! A prepared run therefore schedules root subtrees in
 //! ascending *original*-id order across components — interleaving
 //! components exactly as the direct search would — and folds the id
 //! translation into the sink layer. The schedule sorts the component
 //! roots by original id and merges the ascending singleton run into
-//! them, with no `n`-slot table. On default settings the emitted
-//! stream (cliques, order, probability bits) is identical to running
-//! [`crate::Mule`] on the whole graph. The work-stealing parallel
-//! driver ([`crate::parallel::par_enumerate_prepared`]) seeds its
-//! deques per component and re-establishes the same order with its
-//! slot-per-root merge.
+//! them, with no `n`-slot table. The emitted stream (cliques, order,
+//! probability bits) is identical whichever stages run, and identical to
+//! one kernel searching the whole α-pruned graph (every stage toggle
+//! off). The work-stealing parallel driver
+//! (`crate::parallel::par_enumerate_prepared`) seeds its deques per
+//! component and re-establishes the same order with its slot-per-root
+//! merge.
 
 use crate::enumerate::MuleConfig;
 use crate::kcore::CoreDecomposition;
@@ -107,7 +109,7 @@ use crate::stats::EnumerationStats;
 use std::cell::Cell;
 use ugraph_core::{subgraph, ComponentSplit, Components, GraphError, UncertainGraph, VertexId};
 
-/// Count of [`prepare`] / [`prepare_base`] pipeline executions started
+/// Count of `prepare` / `prepare_base` pipeline executions started
 /// on the **calling thread** (monotone, never reset). The session API
 /// ([`crate::Prepared`]) promises that a prepared instance answers any
 /// number of queries with the pipeline run exactly once; this counter
@@ -128,9 +130,9 @@ fn count_pipeline_run() {
     PIPELINE_RUNS.with(|runs| runs.set(runs.get() + 1));
 }
 
-/// Configuration for [`prepare`].
+/// Configuration for [`prepare`]: what [`crate::Query`] collects.
 #[derive(Debug, Clone)]
-pub struct PrepareConfig {
+pub(crate) struct PrepareConfig {
     /// Only cliques with at least this many vertices are wanted
     /// (`0`/`1` = all α-maximal cliques). Values ≥ 2 engage the
     /// size-based stages and the Algorithm 6 search bound.
@@ -146,8 +148,7 @@ pub struct PrepareConfig {
     /// instance is a single component with an identity id map.
     pub shard_components: bool,
     /// Kernel configuration for the per-component search (index mode /
-    /// budget). `degeneracy_order` and `naive_root` are ignored here —
-    /// they are ablation switches of the direct [`crate::Mule`] path.
+    /// budgets).
     pub mule: MuleConfig,
 }
 
@@ -163,6 +164,7 @@ impl Default for PrepareConfig {
     }
 }
 
+#[cfg(test)]
 impl PrepareConfig {
     /// Default configuration with a size threshold.
     pub fn with_min_size(min_size: usize) -> Self {
@@ -271,21 +273,9 @@ impl PrepareReport {
 
 /// One compact per-component instance: a dense-id subgraph wrapped in a
 /// ready search kernel, plus the monotone map back to original ids.
-pub struct PreparedComponent {
+pub(crate) struct PreparedComponent {
     pub(crate) kernel: Kernel,
     pub(crate) to_original: Vec<VertexId>,
-}
-
-impl PreparedComponent {
-    /// The compact, remapped component graph the search runs on.
-    pub fn graph(&self) -> &UncertainGraph {
-        &self.kernel.g
-    }
-
-    /// Monotone map from compact ids to original vertex ids.
-    pub fn to_original(&self) -> &[VertexId] {
-        &self.to_original
-    }
 }
 
 /// One schedule entry of the global ascending-root emission order.
@@ -300,8 +290,8 @@ pub(crate) enum Unit {
 /// The output of [`prepare`]: compact per-component instances, the
 /// old↔new id maps, a [`PrepareReport`], and reusable search state, so
 /// the same prepared instance can be enumerated repeatedly
-/// (allocation-free in steady state, like [`crate::Mule`]).
-pub struct PreparedInstance {
+/// (allocation-free in steady state).
+pub(crate) struct PreparedInstance {
     pub(crate) alpha: f64,
     pub(crate) min_size: usize,
     pub(crate) original_n: usize,
@@ -328,7 +318,7 @@ pub struct PreparedInstance {
 }
 
 /// Run every pipeline stage over `g` and build the prepared instance.
-pub fn prepare(
+pub(crate) fn prepare(
     g: &UncertainGraph,
     alpha: f64,
     config: &PrepareConfig,
@@ -386,13 +376,13 @@ impl PreparedInstance {
         &self.singletons
     }
 
-    /// Counters from the most recent [`PreparedInstance::run`].
+    /// Counters from the most recent [`PreparedInstance::run_limited`].
     pub fn stats(&self) -> &EnumerationStats {
         &self.stats
     }
 
     /// The configuration the instance was prepared under.
-    pub fn config(&self) -> &PrepareConfig {
+    pub(crate) fn config(&self) -> &PrepareConfig {
         &self.config
     }
 
@@ -438,17 +428,17 @@ impl PreparedInstance {
         &self.schedule
     }
 
-    /// Enumerate every α-maximal clique (of size ≥ `min_size` when one
-    /// was configured) across all components, streaming each — in
-    /// canonical order, translated back to original ids — into `sink`.
-    /// On default settings the emitted stream is byte-identical to
-    /// [`crate::Mule::run`] on the original graph (see module docs).
-    pub fn run<S: CliqueSink>(&mut self, sink: &mut S) -> &EnumerationStats {
+    /// [`Self::run_limited`] without limits (the tests' entry point).
+    #[cfg(test)]
+    pub(crate) fn run<S: CliqueSink>(&mut self, sink: &mut S) -> &EnumerationStats {
         self.run_limited(sink, &mut RunLimits::none());
         &self.stats
     }
 
-    /// [`Self::run`] under live [`RunLimits`]: probes once up front
+    /// Enumerate every α-maximal clique (of size ≥ `min_size` when one
+    /// was configured) across all components, streaming each — in
+    /// canonical order, translated back to original ids — into `sink`,
+    /// under live [`RunLimits`]: probes once up front
     /// (so a zero deadline or pre-tripped token interrupts before the
     /// first emission even on tiny inputs), at every schedule-unit
     /// boundary, and — through the kernel — every ~1024 search nodes
@@ -469,8 +459,7 @@ impl PreparedInstance {
         }
         if self.original_n == 0 {
             // The empty clique is maximal in the empty graph — but it
-            // has zero vertices, so it never meets a size threshold
-            // (direct LargeMule likewise emits nothing here).
+            // has zero vertices, so it never meets a size threshold.
             if self.min_size <= 1 {
                 self.stats.emitted += 1;
                 sink.emit(&[], 1.0);
@@ -508,10 +497,11 @@ impl PreparedInstance {
     }
 
     /// Begin an incremental (unit-at-a-time) run: reset the counters and
-    /// account for the conceptual root, exactly like [`Self::run`] does
-    /// up front. Returns the empty-graph emission, if any — the one
-    /// clique the schedule loop cannot express. Drives the pull-based
-    /// iterator of the session API ([`crate::Prepared::iter`]).
+    /// account for the conceptual root, exactly like
+    /// [`Self::run_limited`] does up front. Returns the empty-graph
+    /// emission, if any — the one clique the schedule loop cannot
+    /// express. Drives the pull-based iterator of the session API
+    /// ([`crate::Prepared::iter`]).
     pub(crate) fn begin_incremental(&mut self) -> Option<(Vec<VertexId>, f64)> {
         self.stats = EnumerationStats::new();
         self.stats.calls += 1; // the conceptual root node
@@ -530,8 +520,8 @@ impl PreparedInstance {
     }
 
     /// Run exactly one schedule unit into `sink` — the same per-unit
-    /// body [`Self::run`] loops over, so an incremental consumer emits
-    /// the byte-identical stream. Counters accumulate into
+    /// body [`Self::run_limited`] loops over, so an incremental consumer
+    /// emits the byte-identical stream. Counters accumulate into
     /// [`Self::stats`]; call [`Self::begin_incremental`] first.
     pub(crate) fn run_unit<S: CliqueSink>(&mut self, idx: usize, sink: &mut S) -> Control {
         let unit = self.schedule[idx];
@@ -560,21 +550,27 @@ impl PreparedInstance {
 
 /// The global emission schedule: units in ascending original-id order.
 /// Component-internal ids ascend in original order, so sorting the
-/// component roots by original id interleaves components exactly as the
-/// direct root loop would; the ascending singleton run is then merged
-/// in, with no `n`-slot table. Built only by [`Assembly::finish`].
+/// component roots by original id interleaves components exactly as one
+/// root loop over the whole graph would; the ascending singleton run is
+/// then merged in, with no `n`-slot table. A lone component's roots are
+/// already in order, and with no singletons there is nothing to merge:
+/// the single-kernel shape (every stage off, or the identity fast path)
+/// skips both passes. Built only by [`Assembly::finish`].
 fn build_schedule(singletons: &[VertexId], components: &[PreparedComponent]) -> Vec<Unit> {
     let orig = |unit: &Unit| match *unit {
         Unit::Singleton(v) => v,
         Unit::Root { comp, local } => components[comp as usize].to_original[local as usize],
     };
-    let mut roots: Vec<Unit> = (0..)
-        .zip(components)
-        .flat_map(|(comp, pc)| {
-            (0..pc.to_original.len() as u32).map(move |local| Unit::Root { comp, local })
-        })
-        .collect();
-    roots.sort_unstable_by_key(orig);
+    let mut roots = Vec::with_capacity(components.iter().map(|pc| pc.to_original.len()).sum());
+    for (comp, pc) in (0..).zip(components) {
+        roots.extend((0..pc.to_original.len() as u32).map(|local| Unit::Root { comp, local }));
+    }
+    if components.len() > 1 {
+        roots.sort_unstable_by_key(orig);
+    }
+    if singletons.is_empty() {
+        return roots;
+    }
     merge_runs(roots, singletons.iter().map(|&v| Unit::Singleton(v)), orig)
 }
 
@@ -597,9 +593,10 @@ pub(crate) fn merge_runs<T>(
 
 /// One schedule unit of a prepared run: emit a singleton directly, or
 /// search a root subtree at the configured size threshold
-/// ([`search_root`]), translating ids in the sink layer. Shared verbatim by
-/// [`PreparedInstance::run`] and [`PreparedInstance::run_unit`], so the
-/// streaming and pull-based paths cannot drift apart.
+/// ([`search_root`]), translating ids in the sink layer unless the
+/// component's map is the identity. Shared verbatim by
+/// [`PreparedInstance::run_limited`] and [`PreparedInstance::run_unit`],
+/// so the streaming and pull-based paths cannot drift apart.
 #[allow(clippy::too_many_arguments)] // the run loop's split-borrowed state
 fn step<S: CliqueSink>(
     components: &[PreparedComponent],
@@ -621,6 +618,12 @@ fn step<S: CliqueSink>(
         }
         Unit::Root { comp, local } => {
             let pc = &components[comp as usize];
+            // A strictly increasing map whose last entry is `len − 1` is
+            // the identity (the single-kernel shape): no translation.
+            let map = &pc.to_original;
+            if map.last().is_some_and(|&v| v as usize + 1 == map.len()) {
+                return search_root(&pc.kernel, local, min_size, stats, arenas, c, limits, sink);
+            }
             let mut remap = Remap {
                 inner: sink,
                 map: &pc.to_original,
@@ -666,23 +669,13 @@ impl<S: CliqueSink> CliqueSink for Remap<'_, S> {
 /// and the smallest edge probability inside it — the O(1) "does α touch
 /// this component at all?" probe `PreparedBase::refine` keys its
 /// fast path on.
-pub struct BaseComponent {
+pub(crate) struct BaseComponent {
     pub(crate) kernel: Kernel,
     pub(crate) to_original: Vec<VertexId>,
     pub(crate) min_prob: f64,
 }
 
 impl BaseComponent {
-    /// The compact, remapped component graph (floor-pruned bytes).
-    pub fn graph(&self) -> &UncertainGraph {
-        &self.kernel.g
-    }
-
-    /// Monotone map from compact ids to original vertex ids.
-    pub fn to_original(&self) -> &[VertexId] {
-        &self.to_original
-    }
-
     /// Wrap one floor-pruned component (at least two vertices, so it
     /// has edges) in a kernel stamped at the floor.
     pub(crate) fn new(
@@ -719,7 +712,7 @@ impl BaseComponent {
 /// `tests/alpha_refine.rs`). A component the α-stages leave untouched
 /// is **shared** into the refined view as two `Arc` clones (graph +
 /// index) with a re-stamped α — zero copying, zero index rebuild.
-pub struct PreparedBase {
+pub(crate) struct PreparedBase {
     pub(crate) floor: f64,
     pub(crate) original_n: usize,
     pub(crate) original_edges: usize,
@@ -738,7 +731,7 @@ pub struct PreparedBase {
 /// `[0, 1]`; `0.0` (the default in the session API) prunes nothing, so
 /// the base serves **every** valid α. Counts as one pipeline execution
 /// for [`pipeline_invocations`]; refinements add zero.
-pub fn prepare_base(
+pub(crate) fn prepare_base(
     g: &UncertainGraph,
     floor: f64,
     config: &PrepareConfig,
@@ -821,7 +814,7 @@ impl PreparedBase {
     }
 
     /// The configuration refinements are built under.
-    pub fn config(&self) -> &PrepareConfig {
+    pub(crate) fn config(&self) -> &PrepareConfig {
         &self.config
     }
 
@@ -1238,8 +1231,19 @@ mod tests {
         .unwrap()
     }
 
+    /// One unsharded kernel over the α-pruned graph, core filter off:
+    /// the peel (engaged at `min_size ≥ 3`) is the only stage left.
+    fn single_kernel(min_size: usize) -> PrepareConfig {
+        PrepareConfig {
+            min_size,
+            core_filter: false,
+            shard_components: false,
+            ..Default::default()
+        }
+    }
+
     fn direct(g: &UncertainGraph, alpha: f64) -> (Vec<Vec<VertexId>>, Vec<u64>) {
-        let mut m = crate::Mule::new(g, alpha).unwrap();
+        let mut m = prepare(g, alpha, &single_kernel(0)).unwrap();
         let mut sink = CollectSink::new();
         m.run(&mut sink);
         let pairs = sink.into_pairs();
@@ -1272,7 +1276,7 @@ mod tests {
     fn stats_match_direct_mule() {
         let g = fixture();
         for alpha in [0.9, 0.5, 0.25] {
-            let mut m = crate::Mule::new(&g, alpha).unwrap();
+            let mut m = prepare(&g, alpha, &single_kernel(0)).unwrap();
             let mut s1 = CountSink::new();
             m.run(&mut s1);
             let mut inst = prepare(&g, alpha, &PrepareConfig::default()).unwrap();
@@ -1331,8 +1335,8 @@ mod tests {
         let g = from_edges(8, &edges).unwrap();
         for alpha in [0.9, 0.5, 0.1, 0.01] {
             for t in 2..=5 {
-                // Direct path: LargeMule on the whole graph.
-                let mut lm = crate::LargeMule::new(&g, alpha, t).unwrap();
+                // One kernel on the whole graph.
+                let mut lm = prepare(&g, alpha, &single_kernel(t)).unwrap();
                 let mut sink = CollectSink::new();
                 lm.run(&mut sink);
                 let expected = sink.into_sorted_cliques();
@@ -1383,9 +1387,9 @@ mod tests {
     #[test]
     fn empty_graph_with_min_size_emits_nothing() {
         // The empty clique has zero vertices, so it never meets a size
-        // threshold — matching direct LargeMule exactly.
+        // threshold, on one kernel or sharded.
         let g = GraphBuilder::new(0).build();
-        let mut lm = crate::LargeMule::new(&g, 0.5, 3).unwrap();
+        let mut lm = prepare(&g, 0.5, &single_kernel(3)).unwrap();
         let mut direct = CollectSink::new();
         lm.run(&mut direct);
         assert!(direct.is_empty());
@@ -1396,7 +1400,8 @@ mod tests {
         assert!(sink.is_empty());
 
         let inst = prepare(&g, 0.5, &PrepareConfig::with_min_size(3)).unwrap();
-        let out = crate::parallel::par_enumerate_prepared(&inst, 2);
+        let limits = crate::limits::LimitSpec::default();
+        let (out, _) = crate::parallel::par_enumerate_prepared(&inst, 2, &limits);
         assert!(out.cliques.is_empty());
         assert_eq!(out.stats.emitted, 0);
     }

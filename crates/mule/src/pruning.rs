@@ -11,8 +11,9 @@
 //! to a fixpoint*, since deletions reduce degrees and shared neighborhoods
 //! elsewhere — cannot remove any vertex or edge of a clique with ≥ t
 //! vertices (each survives every round by induction, because the rest of
-//! the clique is still present). The α-edge pruning of Observation 3 is
-//! applied first so that "clique" here means "α-feasible clique".
+//! the clique is still present). The α-edge pruning of Observation 3
+//! runs first (pipeline stage 1, before this peel's stage 3) so that
+//! "clique" here means "α-feasible clique".
 //!
 //! The fixpoint is computed by batched peeling rounds over *dirty*
 //! vertices: removing edge `{u, v}` only changes `Γ(u)` and `Γ(v)`, so a
@@ -21,13 +22,11 @@
 //! intersection. Batching (rather than a per-edge work queue) keeps the
 //! removal of a hub's edges from fanning out into quadratic re-checks.
 
-use ugraph_core::{subgraph, GraphBuilder, GraphError, UncertainGraph, VertexId};
+use ugraph_core::{GraphBuilder, GraphError, UncertainGraph, VertexId};
 
-/// Outcome counters for a pruning run.
+/// Outcome counters for a peel run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PruneReport {
-    /// Edges removed because `p(e) < α` (Observation 3).
-    pub alpha_pruned_edges: usize,
     /// Edges removed by the shared-neighborhood / degree conditions.
     pub shared_pruned_edges: usize,
     /// Vertices that had qualifying edges after α-pruning but lost all of
@@ -39,38 +38,14 @@ pub struct PruneReport {
     pub examinations: usize,
 }
 
-/// Apply α-pruning followed by shared-neighborhood filtering for size
-/// threshold `t`. Returns the pruned graph (same vertex-id space) and a
-/// report of what was removed.
-///
-/// For `t ≤ 2` only the α-pruning applies (every edge trivially satisfies
-/// the conditions).
-pub fn shared_neighborhood_filter(
-    g: &UncertainGraph,
-    alpha: f64,
-    t: usize,
-) -> Result<(UncertainGraph, PruneReport), GraphError> {
-    let pruned = subgraph::prune_below_alpha(g, alpha)?;
-    let alpha_pruned_edges = g.num_edges() - pruned.num_edges();
-    if t <= 2 {
-        let report = PruneReport {
-            alpha_pruned_edges,
-            ..Default::default()
-        };
-        return Ok((pruned, report));
-    }
-    let (peeled, mut report) = shared_neighborhood_peel(&pruned, t)?;
-    report.alpha_pruned_edges = alpha_pruned_edges;
-    Ok((peeled, report))
-}
-
-/// The shared-neighborhood fixpoint alone, **assuming `g` is already
-/// α-pruned** (so "clique" in the soundness argument means "α-feasible
-/// clique" — see module docs). The preprocessing pipeline
-/// (`crate::prepare`) calls this directly for its stage 3, having
-/// α-pruned in stage 1; calling it on an unpruned graph peels against
-/// deterministic cliques instead, which is still a valid (weaker)
-/// filter but not what LARGE–MULE's preprocessing specifies.
+/// The shared-neighborhood fixpoint for size threshold `t`, **assuming
+/// `g` is already α-pruned** (so "clique" in the soundness argument means
+/// "α-feasible clique" — see module docs). Returns the peeled graph
+/// (same vertex-id space) and a report of what was removed. The
+/// preprocessing pipeline (`crate::prepare`) runs this as its stage 3,
+/// having α-pruned in stage 1; calling it on an unpruned graph peels
+/// against deterministic cliques instead, which is still a valid
+/// (weaker) filter but not what LARGE–MULE's preprocessing specifies.
 ///
 /// For `t ≤ 2` the conditions are vacuous and the graph is returned
 /// unchanged (a copy).
@@ -172,13 +147,25 @@ fn remove_edge(adj: &mut [Vec<(VertexId, f64)>], u: VertexId, v: VertexId) {
 mod tests {
     use super::*;
     use ugraph_core::builder::{complete_graph, from_edges};
-    use ugraph_core::Prob;
+    use ugraph_core::{subgraph, Prob};
+
+    /// LARGE–MULE's preprocessing: the α-prune (Observation 3), then the
+    /// peel — pipeline stages 1 and 3.
+    fn prune_and_peel(
+        g: &UncertainGraph,
+        alpha: f64,
+        t: usize,
+    ) -> Result<(UncertainGraph, PruneReport), GraphError> {
+        shared_neighborhood_peel(&subgraph::prune_below_alpha(g, alpha)?, t)
+    }
 
     #[test]
     fn t_two_only_alpha_prunes() {
         let g = from_edges(3, &[(0, 1, 0.9), (1, 2, 0.1)]).unwrap();
-        let (p, r) = shared_neighborhood_filter(&g, 0.5, 2).unwrap();
-        assert_eq!(p.num_edges(), 1);
+        let query = crate::Query::new(&g).alpha(0.5).min_size(2);
+        let p = query.core_filter(false).shard_components(false);
+        let r = p.prepare().unwrap().report().clone();
+        assert_eq!(r.final_edges, 1);
         assert_eq!(r.alpha_pruned_edges, 1);
         assert_eq!(r.shared_pruned_edges, 0);
     }
@@ -187,10 +174,10 @@ mod tests {
     fn complete_graph_survives_up_to_its_size() {
         let g = complete_graph(5, Prob::new(0.9).unwrap());
         for t in 2..=5 {
-            let (p, _) = shared_neighborhood_filter(&g, 0.1, t).unwrap();
+            let (p, _) = prune_and_peel(&g, 0.1, t).unwrap();
             assert_eq!(p.num_edges(), 10, "t = {t}");
         }
-        let (p, r) = shared_neighborhood_filter(&g, 0.1, 6).unwrap();
+        let (p, r) = prune_and_peel(&g, 0.1, 6).unwrap();
         assert_eq!(p.num_edges(), 0, "no 6-clique in K5");
         assert_eq!(r.degree_pruned_vertices, 5);
     }
@@ -209,7 +196,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let (p, r) = shared_neighborhood_filter(&g, 0.5, 3).unwrap();
+        let (p, r) = prune_and_peel(&g, 0.5, 3).unwrap();
         assert_eq!(p.num_edges(), 3, "only the triangle survives");
         assert!(p.contains_edge(0, 1) && p.contains_edge(1, 2) && p.contains_edge(0, 2));
         assert!(r.shared_pruned_edges >= 2);
@@ -232,7 +219,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let (p, r) = shared_neighborhood_filter(&g, 0.5, 4).unwrap();
+        let (p, r) = prune_and_peel(&g, 0.5, 4).unwrap();
         assert_eq!(p.num_edges(), 0);
         assert_eq!(r.shared_pruned_edges, 6);
     }
@@ -246,7 +233,7 @@ mod tests {
             }
         }
         let g = from_edges(6, &edges).unwrap();
-        let (p, _) = shared_neighborhood_filter(&g, 0.5, 4).unwrap();
+        let (p, _) = prune_and_peel(&g, 0.5, 4).unwrap();
         assert_eq!(p.num_edges(), 6);
         for u in 0..4u32 {
             for v in (u + 1)..4 {
@@ -270,7 +257,7 @@ mod tests {
         edges.push((3, 5, 0.8));
         edges.push((4, 5, 0.8));
         let g = from_edges(6, &edges).unwrap();
-        let (p, _) = shared_neighborhood_filter(&g, 0.01, 4).unwrap();
+        let (p, _) = prune_and_peel(&g, 0.01, 4).unwrap();
         // The K4 {0,1,2,3} must be intact; the K3 {3,4,5} may vanish.
         for u in 0..4u32 {
             for v in (u + 1)..4 {
@@ -297,7 +284,7 @@ mod tests {
             }
             let g = b.build();
             for t in 3..=5 {
-                let (fast, _) = shared_neighborhood_filter(&g, 0.5, t).unwrap();
+                let (fast, _) = prune_and_peel(&g, 0.5, t).unwrap();
                 let slow = naive_fixpoint(&g, t);
                 let fast_edges: Vec<_> = fast.edges().map(|(u, v, _)| (u, v)).collect();
                 assert_eq!(fast_edges, slow, "trial {trial}, t = {t}");
@@ -335,7 +322,7 @@ mod tests {
     #[test]
     fn vertex_ids_stay_stable() {
         let g = from_edges(4, &[(0, 1, 0.9), (1, 2, 0.9), (0, 2, 0.9), (2, 3, 0.9)]).unwrap();
-        let (p, _) = shared_neighborhood_filter(&g, 0.5, 3).unwrap();
+        let (p, _) = prune_and_peel(&g, 0.5, 3).unwrap();
         assert_eq!(p.num_vertices(), 4);
     }
 }

@@ -16,9 +16,11 @@
 //! [`iter`](Prepared::iter) over the same prepared instance —
 //! repeated-query workloads pay preprocessing once.
 //!
-//! The direct enumerator structs ([`crate::Mule`], [`crate::LargeMule`])
-//! remain the pipeline-off reference paths, and [`crate::DfsNoip`] is
-//! the paper's Algorithm 7 baseline, run directly.
+//! The session is the only way to run MULE and LARGE–MULE: the
+//! pipeline-off shape is the same session with its stage toggles off
+//! ([`Query::core_filter`], [`Query::shared_neighborhood`],
+//! [`Query::shard_components`]). [`crate::DfsNoip`] is the paper's
+//! Algorithm 7 baseline, run directly.
 //!
 //! # Session lifecycle
 //!
@@ -359,10 +361,9 @@ impl MuleError {
 
 /// Builder for a clique-mining session: the single public entry point.
 ///
-/// Collects every knob that used to be scattered across
-/// [`MuleConfig`], [`PrepareConfig`] and per-function parameters,
-/// validates on [`Query::prepare`] (before any preprocessing work), and
-/// produces a reusable [`Prepared`] session. See the
+/// Collects every knob — α, size threshold, threads, index settings,
+/// stage toggles, limits — validates on [`Query::prepare`] (before any
+/// preprocessing work), and produces a reusable [`Prepared`] session. See the
 /// [module docs](self) for the lifecycle.
 #[derive(Debug, Clone)]
 pub struct Query<'g> {
@@ -455,15 +456,6 @@ impl<'g> Query<'g> {
     /// [`IndexMode::Auto`] (see [`MuleConfig::max_index_bytes`]).
     pub fn max_index_bytes(mut self, bytes: usize) -> Self {
         self.mule.max_index_bytes = bytes;
-        self
-    }
-
-    /// Replace the whole kernel configuration at once (harness/CLI
-    /// convenience; the granular setters cover the common cases). The
-    /// `degeneracy_order` / `naive_root` ablation switches are ignored
-    /// by the pipeline, exactly as [`PrepareConfig::mule`] documents.
-    pub fn kernel_config(mut self, cfg: MuleConfig) -> Self {
-        self.mule = cfg;
         self
     }
 
@@ -622,16 +614,11 @@ impl<'g> Query<'g> {
         )?)
     }
 
-    /// Open a catalog file of either kind: a fixed-α catalog becomes a
-    /// [`Prepared`] session ([`Query::open`]), an α-generic base a
-    /// [`Base`] ([`Query::open_base`]), chosen by the header flag. For
-    /// callers that learn the kind from the file — it is parsed and
-    /// checksummed once, not sniffed and then reopened.
-    pub fn open_any(path: impl AsRef<Path>) -> Result<Opened, MuleError> {
-        Self::open_any_bytes(crate::catalog::read_image(path.as_ref())?)
-    }
-
-    /// [`Query::open_any`] over an in-memory byte image.
+    /// Open a catalog byte image of either kind: a fixed-α catalog
+    /// becomes a [`Prepared`] session ([`Query::open_bytes`]), an
+    /// α-generic base a [`Base`] ([`Query::open_base_bytes`]), chosen by
+    /// the header flag. For callers that learn the kind from the file —
+    /// it is parsed and checksummed once, not sniffed and then reopened.
     pub fn open_any_bytes(bytes: impl Into<Vec<u8>>) -> Result<Opened, MuleError> {
         Ok(crate::catalog::decode(
             Bytes::from(bytes.into()),
@@ -642,7 +629,19 @@ impl<'g> Query<'g> {
     }
 }
 
-/// A reopened catalog of either kind: what [`Query::open_any`] returns.
+#[cfg(test)]
+impl Query<'_> {
+    /// Every stage toggle off: one identity-mapped kernel over the
+    /// α-pruned graph, the shape the tests compare the pipeline against.
+    pub(crate) fn stages_off(self) -> Self {
+        self.core_filter(false)
+            .shared_neighborhood(false)
+            .shard_components(false)
+    }
+}
+
+/// A reopened catalog of either kind: what [`Query::open_any_bytes`]
+/// returns.
 // Both variants are moved once per open; boxing buys nothing.
 #[allow(clippy::large_enum_variant)]
 pub enum Opened {
@@ -664,7 +663,7 @@ impl Opened {
 
 /// An α-generic prepared artifact: the output of [`Query::prepare_base`].
 ///
-/// Owns the [`PreparedBase`] (floor-pruned components, id maps, tiered
+/// Owns the α-independent artifact (floor-pruned components, id maps, tiered
 /// indexes — computed once) plus the runtime template (threads, limits)
 /// refined sessions start from. One resident `Base` serves every
 /// query threshold `α ≥ floor`: [`Base::refine`] derives a [`Prepared`]
@@ -704,8 +703,9 @@ impl Base {
         self.base.components().len()
     }
 
-    /// The underlying α-independent artifact, for advanced callers.
-    pub fn prepared_base(&self) -> &PreparedBase {
+    /// The underlying α-independent artifact.
+    #[cfg(test)]
+    pub(crate) fn prepared_base(&self) -> &PreparedBase {
         &self.base
     }
 
@@ -774,7 +774,7 @@ impl Base {
 
 /// A reusable mining session: the output of [`Query::prepare`].
 ///
-/// Owns the [`PreparedInstance`] (compact per-component kernels, id
+/// Owns the prepared instance (compact per-component kernels, id
 /// maps, [`PrepareReport`]) and executes queries over it. Every
 /// execution method reuses the same prepared state — preprocessing ran
 /// exactly once, at [`Query::prepare`] — and reruns are allocation-free
@@ -906,9 +906,9 @@ impl Prepared {
         &self.stats
     }
 
-    /// The underlying prepared instance, for advanced drivers (e.g. the
-    /// work-stealing scheduler [`crate::parallel::par_enumerate_prepared`]).
-    pub fn instance(&self) -> &PreparedInstance {
+    /// The underlying prepared instance.
+    #[cfg(test)]
+    pub(crate) fn instance(&self) -> &PreparedInstance {
         &self.inst
     }
 
@@ -945,11 +945,8 @@ impl Prepared {
     /// to keep the prefix that was produced.
     pub fn collect(&mut self) -> Result<Vec<(Vec<VertexId>, f64)>, MuleError> {
         if self.threads > 1 {
-            let (out, interrupt) = crate::parallel::par_enumerate_prepared_limited(
-                &self.inst,
-                self.threads,
-                &self.limits,
-            );
+            let (out, interrupt) =
+                crate::parallel::par_enumerate_prepared(&self.inst, self.threads, &self.limits);
             self.stats = out.stats;
             match interrupt {
                 Some(i) => Err(MuleError::from_interrupt(i, self.stats)),
@@ -1170,7 +1167,7 @@ mod tests {
     }
 
     #[test]
-    fn base_refines_byte_identically_across_engines_and_settings() {
+    fn base_refines_byte_identically_across_min_sizes_and_alphas() {
         let g = fixture();
         for t in [0usize, 3] {
             let base = Query::new(&g).min_size(t).prepare_base().unwrap();

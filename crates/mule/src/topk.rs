@@ -165,9 +165,11 @@ mod tests {
         assert_eq!(top, vec![(vec![0, 1], 0.95)]);
         assert!(stats.beta_pruned > 0, "cut never fired");
         let baseline_calls = {
-            let mut m = crate::Mule::new(&g, 0.01).unwrap();
+            let m = crate::Query::new(&g).alpha(0.01).stages_off();
+            let mut m = m.prepare().unwrap();
             let mut top = TopKSink::new(1);
-            m.run(&mut FnSink(|c: &[VertexId], p| top.emit(c, p)));
+            m.stream(&mut FnSink(|c: &[VertexId], p| top.emit(c, p)))
+                .unwrap();
             m.stats().calls
         };
         assert!(
@@ -176,6 +178,34 @@ mod tests {
             stats.calls,
             baseline_calls
         );
+    }
+
+    /// Once the floor reaches 1 no clique can be admitted (every factor
+    /// is ≤ 1), so each later root is skipped before its expansion: one
+    /// `beta_pruned` and no `calls` per root. A certain edge at the top
+    /// of the id order fills a `top_k(1)` heap at probability 1.
+    #[test]
+    fn roots_are_skipped_once_the_floor_reaches_one() {
+        let mut edges = vec![(0u32, 1u32, 1.0)];
+        for u in 2..12u32 {
+            for v in (u + 1)..12 {
+                edges.push((u, v, 0.6));
+            }
+        }
+        let g = from_edges(12, &edges).unwrap();
+        let (top, stats) = top_k_beta(&g, 0.01, 1);
+        assert_eq!(top, top_k_full(&g, 0.01, 1));
+        assert_eq!(top, vec![(vec![0, 1], 1.0)]);
+        // The conceptual root, root 0 and its leaf child {0, 1}. Without
+        // the skip, roots 1–11 would add one call each (14 in all).
+        assert_eq!(stats.calls, 3, "{stats:?}");
+        assert_eq!(stats.beta_pruned, 11);
+        let mut full = crate::Query::new(&g).alpha(0.01).prepare().unwrap();
+        let mut heap = TopKSink::new(1);
+        full.stream(&mut FnSink(|c: &[VertexId], p| heap.emit(c, p)))
+            .unwrap();
+        assert!(stats.calls < full.stats().calls);
+        assert_eq!(full.stats().beta_pruned, 0);
     }
 
     /// The α-maximality subtlety (module docs): maximality must be

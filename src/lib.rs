@@ -48,8 +48,8 @@ pub use ugraph_io as io;
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
     pub use mule::{
-        sinks::CollectSink, sinks::CountSink, CliqueSink, IndexMode, LargeMule, Mule, MuleConfig,
-        MuleError, Prepared, Query,
+        sinks::CollectSink, sinks::CountSink, CliqueSink, IndexMode, MuleConfig, MuleError,
+        Prepared, Query,
     };
     pub use ugraph_core::{GraphBuilder, GraphError, GraphStats, Prob, UncertainGraph, VertexId};
 }

@@ -3,6 +3,8 @@
 //! state** — after a first run has grown the arenas and scratch buffers
 //! to the deepest path, a rerun on the same enumerator instance must not
 //! touch the allocator at all when the sink doesn't allocate either.
+//! Every MULE run here goes through `Prepared::stream`, the session's
+//! sequential execution primitive.
 //!
 //! The whole test binary runs under a counting wrapper around the system
 //! allocator (a `#[global_allocator]` is process-wide, which is why this
@@ -63,6 +65,14 @@ fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (ALLOCATIONS.with(Cell::get) - before, out)
 }
 
+/// One kernel over the α-pruned graph: every stage toggle off.
+fn stages_off(query: mule::Query<'_>) -> mule::Query<'_> {
+    query
+        .core_filter(false)
+        .shared_neighborhood(false)
+        .shard_components(false)
+}
+
 /// A seeded graph big enough to recurse several levels and hit both the
 /// emitting-leaf and dead-end paths.
 fn dense_fixture() -> ugraph_core::UncertainGraph {
@@ -84,16 +94,13 @@ fn dense_fixture() -> ugraph_core::UncertainGraph {
 fn mule_steady_state_rerun_allocates_nothing() {
     let g = dense_fixture();
     for mode in [mule::IndexMode::Always, mule::IndexMode::Never] {
-        let cfg = mule::MuleConfig {
-            index_mode: mode,
-            ..Default::default()
-        };
-        let mut m = mule::Mule::with_config(&g, 0.05, cfg).unwrap();
+        let query = mule::Query::new(&g).alpha(0.05).index_mode(mode);
+        let mut m = stages_off(query).prepare().unwrap();
         let mut warm = mule::sinks::CountSink::new();
-        m.run(&mut warm); // grows arenas + clique buffer to the deepest path
+        m.stream(&mut warm).unwrap(); // grows arenas + clique buffer to the deepest path
         assert!(warm.count > 50, "fixture too easy: {} cliques", warm.count);
         let mut sink = mule::sinks::CountSink::new();
-        let (allocs, _) = allocations_during(|| m.run(&mut sink));
+        let (allocs, _) = allocations_during(|| m.stream(&mut sink).is_ok());
         assert_eq!(
             allocs, 0,
             "steady-state MULE rerun allocated {allocs} times (mode {mode:?})"
@@ -105,12 +112,15 @@ fn mule_steady_state_rerun_allocates_nothing() {
 #[test]
 fn large_mule_steady_state_rerun_allocates_nothing() {
     let g = dense_fixture();
-    let mut lm = mule::LargeMule::new(&g, 0.05, 4).unwrap();
+    // LARGE–MULE: one kernel with only the shared-neighborhood peel.
+    let query = mule::Query::new(&g).alpha(0.05).min_size(4);
+    let query = query.core_filter(false).shard_components(false);
+    let mut lm = query.prepare().unwrap();
     let mut warm = mule::sinks::CountSink::new();
-    lm.run(&mut warm);
+    lm.stream(&mut warm).unwrap();
     assert!(warm.count > 0);
     let mut sink = mule::sinks::CountSink::new();
-    let (allocs, _) = allocations_during(|| lm.run(&mut sink));
+    let (allocs, _) = allocations_during(|| lm.stream(&mut sink).is_ok());
     assert_eq!(
         allocs, 0,
         "steady-state LARGE-MULE rerun allocated {allocs} times"
@@ -147,7 +157,7 @@ fn dfs_noip_steady_state_rerun_allocates_nothing() {
 
 #[test]
 fn prepared_pipeline_steady_state_rerun_allocates_nothing() {
-    // The pipelined path (PreparedInstance::run over per-component
+    // The pipelined path (the default session over per-component
     // kernels) must keep the steady-state guarantee with the tiered
     // index in every configuration: dense rows engaged (the planted
     // high-id hub clears both the absolute and the relative
@@ -176,20 +186,13 @@ fn prepared_pipeline_steady_state_rerun_allocates_nothing() {
         (mule::IndexMode::Always, 0),
         (mule::IndexMode::Never, 0),
     ] {
-        let cfg = mule::PrepareConfig {
-            mule: mule::MuleConfig {
-                index_mode: mode,
-                dense_index_bytes: budget,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let mut inst = mule::prepare(&g, 0.05, &cfg).unwrap();
+        let query = mule::Query::new(&g).alpha(0.05).index_mode(mode);
+        let mut inst = query.dense_index_bytes(budget).prepare().unwrap();
         let mut warm = mule::sinks::CountSink::new();
-        inst.run(&mut warm);
+        inst.stream(&mut warm).unwrap();
         assert!(warm.count > 50, "fixture too easy: {} cliques", warm.count);
         let mut sink = mule::sinks::CountSink::new();
-        let (allocs, _) = allocations_during(|| inst.run(&mut sink));
+        let (allocs, _) = allocations_during(|| inst.stream(&mut sink).is_ok());
         assert_eq!(
             allocs, 0,
             "steady-state prepared rerun allocated {allocs} times (mode {mode:?}, budget {budget})"
@@ -204,9 +207,11 @@ fn first_run_allocation_count_is_bounded_by_depth_not_nodes() {
     // times (arena growth doublings), never per node: a graph with tens of
     // thousands of search nodes stays under a small constant.
     let g = dense_fixture();
-    let mut m = mule::Mule::new(&g, 0.05).unwrap();
+    let mut m = stages_off(mule::Query::new(&g).alpha(0.05))
+        .prepare()
+        .unwrap();
     let mut sink = mule::sinks::CountSink::new();
-    let (allocs, _) = allocations_during(|| m.run(&mut sink));
+    let (allocs, _) = allocations_during(|| m.stream(&mut sink).is_ok());
     let nodes = m.stats().calls;
     assert!(nodes > 1_000, "fixture too easy: {nodes} nodes");
     assert!(

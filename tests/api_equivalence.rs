@@ -3,12 +3,12 @@
 //! same order, same probability bits, equal stats — across α ×
 //! `min_size` × threads × index mode × limits × top-k: the execution
 //! methods against each other, the knobs that must be output-neutral,
-//! and the session against the direct enumerators. Seeded random graphs
+//! and the full pipeline against one kernel with the stages off. Seeded random graphs
 //! plus structured edge cases, in the same property-test style as
 //! `tests/pipeline_equality.rs`.
 
-use mule::sinks::{CliqueSink, CollectSink, FnSink, TopKSink};
-use mule::{IndexMode, LargeMule, MuleError, Query};
+use mule::sinks::{CliqueSink, FnSink, TopKSink};
+use mule::{IndexMode, MuleError, Query};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use std::time::Duration;
 use ugraph_core::{GraphBuilder, UncertainGraph, VertexId};
@@ -33,12 +33,12 @@ fn bits(pairs: Vec<(Vec<VertexId>, f64)>) -> Pairs {
     pairs.into_iter().map(|(c, p)| (c, p.to_bits())).collect()
 }
 
-/// One direct LARGE–MULE run over the whole graph, cliques sorted.
+/// One LARGE–MULE run over the whole graph — one kernel, only the
+/// shared-neighborhood peel on — cliques sorted.
 fn large_mule(g: &UncertainGraph, alpha: f64, t: usize) -> Vec<Vec<VertexId>> {
-    let mut large = LargeMule::new(g, alpha, t).unwrap();
-    let mut sink = CollectSink::new();
-    large.run(&mut sink);
-    sink.into_sorted_cliques()
+    let query = Query::new(g).alpha(alpha).min_size(t).core_filter(false);
+    let mut large = query.shard_components(false).prepare().unwrap();
+    large.sorted_cliques().unwrap()
 }
 
 const ALPHAS: [f64; 4] = [0.9, 0.5, 0.1, 0.01];
@@ -81,7 +81,7 @@ fn collect_count_and_iter_agree() {
     }
 }
 
-/// `min_size` through the builder vs the direct [`LargeMule`] kernel.
+/// `min_size` through the full pipeline vs one LARGE–MULE kernel.
 #[test]
 fn min_size_matches_legacy_large_and_prepared() {
     for seed in 0..10u64 {

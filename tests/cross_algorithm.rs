@@ -3,14 +3,14 @@
 //!
 //! Oracles and subjects:
 //! * brute force over all subsets (`mule::naive`) — ground truth;
-//! * MULE (both adjacency strategies, with and without degeneracy
-//!   relabeling);
+//! * MULE (both adjacency strategies, and on the graph relabeled by a
+//!   degeneracy order);
 //! * DFS–NOIP;
 //! * parallel MULE;
 //! * LARGE–MULE vs the size-filtered ground truth;
 //! * Bron–Kerbosch on the skeleton vs MULE as α → 0⁺.
 
-use mule::enumerate::{IndexMode, Mule, MuleConfig};
+use mule::enumerate::{IndexMode, MuleConfig};
 use mule::sinks::CollectSink;
 use mule::{DfsNoip, Query};
 use rand::rngs::SmallRng;
@@ -64,11 +64,30 @@ fn noip_cliques(g: &UncertainGraph, alpha: f64) -> Vec<Vec<VertexId>> {
     sink.into_sorted_cliques()
 }
 
+/// One kernel over the α-pruned graph (every stage toggle off) under an
+/// explicit kernel config, cliques sorted.
 fn mule_with(g: &UncertainGraph, alpha: f64, config: MuleConfig) -> Vec<Vec<VertexId>> {
-    let mut m = Mule::with_config(g, alpha, config).unwrap();
-    let mut sink = CollectSink::new();
-    m.run(&mut sink);
-    sink.into_sorted_cliques()
+    let query = Query::new(g)
+        .alpha(alpha)
+        .index_mode(config.index_mode)
+        .max_index_bytes(config.max_index_bytes)
+        .dense_index_bytes(config.dense_index_bytes)
+        .core_filter(false)
+        .shared_neighborhood(false)
+        .shard_components(false);
+    query.prepare().unwrap().sorted_cliques().unwrap()
+}
+
+/// `g` relabeled so that a degeneracy order becomes the id order (the
+/// vertex removed first gets id 0), plus `order`, which maps each new id
+/// back to the original one.
+fn degeneracy_relabeled(g: &UncertainGraph) -> (UncertainGraph, Vec<VertexId>) {
+    let (order, _) = ugraph_core::subgraph::degeneracy_order(g);
+    let mut perm = vec![0 as VertexId; g.num_vertices()];
+    for (new, &old) in order.iter().enumerate() {
+        perm[old as usize] = new as VertexId;
+    }
+    (ugraph_core::subgraph::relabel(g, &perm).unwrap(), order)
 }
 
 #[test]
@@ -131,11 +150,19 @@ fn index_strategies_and_ordering_agree_on_larger_graphs() {
                     "mode {mode:?} trial {trial}"
                 );
             }
-            let cfg = MuleConfig {
-                degeneracy_order: true,
-                ..Default::default()
-            };
-            assert_eq!(mule_with(&g, alpha, cfg), base, "degeneracy trial {trial}");
+            // The vertex order shapes the search tree, never the output
+            // set: enumerate the degeneracy-relabeled graph and map back.
+            let (h, order) = degeneracy_relabeled(&g);
+            let mut back: Vec<Vec<VertexId>> = mule_with(&h, alpha, MuleConfig::default())
+                .into_iter()
+                .map(|c| {
+                    let mut c: Vec<VertexId> = c.iter().map(|&v| order[v as usize]).collect();
+                    c.sort_unstable();
+                    c
+                })
+                .collect();
+            back.sort();
+            assert_eq!(back, base, "degeneracy trial {trial}");
         }
     }
 }
@@ -206,11 +233,14 @@ fn emitted_probabilities_match_oracle_for_every_algorithm() {
     let mut rng = SmallRng::seed_from_u64(21);
     let g = random_uniform_graph(20, 0.5, &mut rng);
     let alpha = 0.01;
-    let mut m = Mule::new(&g, alpha).unwrap();
-    let mut sink = CollectSink::new();
-    m.run(&mut sink);
-    assert!(!sink.is_empty());
-    for (c, p) in sink.into_pairs() {
+    let pairs = Query::new(&g)
+        .alpha(alpha)
+        .prepare()
+        .unwrap()
+        .collect()
+        .unwrap();
+    assert!(!pairs.is_empty());
+    for (c, p) in pairs {
         let exact = ugraph_core::clique::clique_probability(&g, &c).unwrap();
         assert!(
             (p - exact).abs() <= 1e-12 * exact.max(1.0),

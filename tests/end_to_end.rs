@@ -5,8 +5,7 @@
 use uncertain_clique::core::{clique, sample, DuplicatePolicy};
 use uncertain_clique::gen::{datasets, rng::rng_from_seed};
 use uncertain_clique::io;
-use uncertain_clique::mule::sinks::{CountSink, SizeHistogramSink};
-use uncertain_clique::mule::LargeMule;
+use uncertain_clique::mule::sinks::SizeHistogramSink;
 use uncertain_clique::prelude::*;
 
 #[test]
@@ -43,12 +42,12 @@ fn dataset_to_text_to_enumeration_pipeline() {
     // must agree exactly and the singleton gap must equal the number of
     // isolated vertices.
     let alpha = 0.05;
-    let mut m1 = Mule::new(&g, alpha).unwrap();
+    let mut m1 = Query::new(&g).alpha(alpha).prepare().unwrap();
     let mut h1 = SizeHistogramSink::new();
-    m1.run(&mut h1);
-    let mut m2 = Mule::new(&loaded.graph, alpha).unwrap();
+    m1.stream(&mut h1).unwrap();
+    let mut m2 = Query::new(&loaded.graph).alpha(alpha).prepare().unwrap();
     let mut h2 = SizeHistogramSink::new();
-    m2.run(&mut h2);
+    m2.stream(&mut h2).unwrap();
     assert_eq!(
         &h1.histogram()[2..],
         &h2.histogram()[2..],
@@ -94,13 +93,13 @@ fn mined_complexes_validate_against_possible_worlds() {
 fn large_mule_consistent_with_histogram_tail_on_dataset() {
     let g = datasets::by_name("ca-GrQc").unwrap().build_scaled(11, 0.1);
     let alpha = 0.05;
-    let mut m = Mule::new(&g, alpha).unwrap();
+    let mut m = Query::new(&g).alpha(alpha).prepare().unwrap();
     let mut hist = SizeHistogramSink::new();
-    m.run(&mut hist);
+    m.stream(&mut hist).unwrap();
     for t in [3usize, 4, 5] {
-        let mut lm = LargeMule::new(&g, alpha, t).unwrap();
+        let mut lm = Query::new(&g).alpha(alpha).min_size(t).prepare().unwrap();
         let mut count = CountSink::new();
-        lm.run(&mut count);
+        lm.stream(&mut count).unwrap();
         assert_eq!(count.count, hist.count_at_least(t), "t = {t}");
     }
 }

@@ -152,8 +152,7 @@ fn extremal_shapes_agree_with_oracle() {
 /// leaf short-circuit must agree with materializing X' exactly).
 #[test]
 fn arena_kernel_matches_oracle_under_both_index_modes() {
-    use mule::sinks::CollectSink;
-    use mule::{IndexMode, Mule, MuleConfig};
+    use mule::{IndexMode, Query};
 
     let mut cases: Vec<(String, UncertainGraph)> = Vec::new();
     // Deep path: K8 with probabilities straddling every α power.
@@ -200,15 +199,12 @@ fn arena_kernel_matches_oracle_under_both_index_modes() {
         for alpha in [0.9, 0.5, 0.1, 0.01, 1e-6] {
             let expected = enumerate_naive(g, alpha).unwrap();
             for mode in [IndexMode::Auto, IndexMode::Always, IndexMode::Never] {
-                let cfg = MuleConfig {
-                    index_mode: mode,
-                    ..Default::default()
-                };
-                let mut m = Mule::with_config(g, alpha, cfg).unwrap();
-                let mut sink = CollectSink::new();
-                m.run(&mut sink);
+                // One kernel over the α-pruned graph: every stage off.
+                let query = Query::new(g).alpha(alpha).index_mode(mode);
+                let query = query.core_filter(false).shared_neighborhood(false);
+                let mut m = query.shard_components(false).prepare().unwrap();
                 assert_eq!(
-                    sink.into_sorted_cliques(),
+                    m.sorted_cliques().unwrap(),
                     expected,
                     "{label} α={alpha} mode={mode:?}"
                 );

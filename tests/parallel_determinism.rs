@@ -1,7 +1,8 @@
 //! Parallel MULE determinism (satellite of PR 1, extended to the
 //! work-stealing scheduler in PR 2).
 //!
-//! The work-stealing driver (`par_enumerate_prepared`) promises output *identical* to
+//! The work-stealing driver behind `Prepared::collect` at
+//! `Query::threads` > 1 promises output *identical* to
 //! sequential MULE — not just the same set of cliques, but the same
 //! lexicographic order and bit-for-bit equal clique probabilities.
 //! Since PR 2 the scheduler is work-stealing (per-worker deques seeded
@@ -14,9 +15,7 @@
 //! happens, and the stats property pins schedule-independence of the
 //! merged counters (they must equal the sequential run's exactly).
 
-use mule::parallel::ParallelOutput;
-use mule::sinks::CollectSink;
-use mule::{par_enumerate_prepared, Mule, Query};
+use mule::{EnumerationStats, Query};
 use proptest::prelude::*;
 use ugraph_core::{GraphBuilder, UncertainGraph};
 
@@ -38,21 +37,47 @@ fn arb_graph(max_n: usize) -> impl Strategy<Value = UncertainGraph> {
     })
 }
 
+/// Sequential MULE — one kernel, every stage toggle off — counted, with
+/// its counters.
+fn sequential(g: &UncertainGraph, alpha: f64) -> mule::Prepared {
+    let query = Query::new(g).alpha(alpha).core_filter(false);
+    let query = query.shared_neighborhood(false).shard_components(false);
+    let mut m = query.prepare().unwrap();
+    m.count().unwrap();
+    m
+}
+
 /// Sequential MULE as (clique, probability) pairs in emission order
-/// sorted lexicographically — the exact shape `ParallelOutput` promises.
+/// sorted lexicographically — the exact shape the parallel collect
+/// promises.
 fn sequential_pairs(g: &UncertainGraph, alpha: f64) -> Vec<(Vec<u32>, f64)> {
-    let mut m = Mule::new(g, alpha).unwrap();
-    let mut sink = CollectSink::new();
-    m.run(&mut sink);
-    let mut pairs = sink.into_pairs();
+    let mut pairs = sequential(g, alpha).collect().unwrap();
     pairs.sort_by(|a, b| a.0.cmp(&b.0));
     pairs
 }
 
-/// The work-stealing driver over the default prepared session of `g`.
+/// A `collect` on the default prepared session of `g` at `threads`
+/// workers: the cliques (sorted lexicographically), their
+/// probabilities, and the merged counters.
+struct ParallelOutput {
+    cliques: Vec<Vec<u32>>,
+    probs: Vec<f64>,
+    stats: EnumerationStats,
+}
+
 fn parallel(g: &UncertainGraph, alpha: f64, threads: usize) -> ParallelOutput {
-    let session = Query::new(g).alpha(alpha).prepare().unwrap();
-    par_enumerate_prepared(session.instance(), threads)
+    let mut session = Query::new(g)
+        .alpha(alpha)
+        .threads(threads)
+        .prepare()
+        .unwrap();
+    let (cliques, probs) = session.collect().unwrap().into_iter().unzip();
+    let stats = *session.stats();
+    ParallelOutput {
+        cliques,
+        probs,
+        stats,
+    }
 }
 
 proptest! {
@@ -119,9 +144,7 @@ proptest! {
         // which worker explores it, so the merged statistics must be
         // *equal* to sequential MULE's — a strong pin on the
         // work-stealing scheduler doing no duplicated or dropped work.
-        let mut m = Mule::new(&g, alpha).unwrap();
-        let mut sink = mule::sinks::CountSink::new();
-        m.run(&mut sink);
+        let m = sequential(&g, alpha);
         let out = parallel(&g, alpha, threads);
         prop_assert_eq!(&out.stats, m.stats(), "threads={}", threads);
         // Named on its own: the kernel's dominated-sibling skips are

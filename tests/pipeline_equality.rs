@@ -9,43 +9,42 @@
 //! acceptance pin for the "byte-identical on default settings" claim.
 
 use mule::sinks::{CollectSink, TopKSink};
-use mule::{LargeMule, Mule, PrepareConfig, Query};
+use mule::Query;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use ugraph_core::{GraphBuilder, UncertainGraph, VertexId};
 
-/// Emission-ordered `(clique, prob bits)` pairs from the direct MULE
-/// path (no pipeline).
+/// The pipeline-off shape: every stage toggle off, one kernel over the
+/// α-pruned graph.
+fn stages_off(g: &UncertainGraph, alpha: f64) -> Query<'_> {
+    Query::new(g)
+        .alpha(alpha)
+        .core_filter(false)
+        .shared_neighborhood(false)
+        .shard_components(false)
+}
+
+/// Emission-ordered `(clique, prob bits)` pairs from the pipeline-off
+/// MULE path.
 fn direct_mule(g: &UncertainGraph, alpha: f64) -> Vec<(Vec<VertexId>, u64)> {
-    let mut m = Mule::new(g, alpha).unwrap();
+    piped(stages_off(g, alpha))
+}
+
+/// Emission-ordered pairs from a session built by `query`.
+fn piped(query: Query<'_>) -> Vec<(Vec<VertexId>, u64)> {
+    let mut session = query.prepare().unwrap();
     let mut sink = CollectSink::new();
-    m.run(&mut sink);
+    session.stream(&mut sink).unwrap();
     sink.into_pairs()
         .into_iter()
         .map(|(c, p)| (c, p.to_bits()))
         .collect()
 }
 
-/// Emission-ordered pairs from the pipeline with the given config.
-fn piped(g: &UncertainGraph, alpha: f64, cfg: &PrepareConfig) -> Vec<(Vec<VertexId>, u64)> {
-    let mut inst = mule::prepare(g, alpha, cfg).unwrap();
-    let mut sink = CollectSink::new();
-    inst.run(&mut sink);
-    sink.into_pairs()
-        .into_iter()
-        .map(|(c, p)| (c, p.to_bits()))
-        .collect()
-}
-
-/// Sorted pairs from the direct LARGE–MULE path.
+/// Sorted pairs from the LARGE–MULE path with only its own
+/// preprocessing (the shared-neighborhood peel), on one kernel.
 fn direct_large(g: &UncertainGraph, alpha: f64, t: usize) -> Vec<(Vec<VertexId>, u64)> {
-    let mut lm = LargeMule::new(g, alpha, t).unwrap();
-    let mut sink = CollectSink::new();
-    lm.run(&mut sink);
-    let mut pairs: Vec<(Vec<VertexId>, u64)> = sink
-        .into_pairs()
-        .into_iter()
-        .map(|(c, p)| (c, p.to_bits()))
-        .collect();
+    let query = Query::new(g).alpha(alpha).min_size(t);
+    let mut pairs = piped(query.core_filter(false).shard_components(false));
     pairs.sort();
     pairs
 }
@@ -76,7 +75,7 @@ fn default_pipeline_is_byte_identical_to_direct_mule() {
         let g = random_graph(seed, 14 + (seed % 6) as usize, density);
         for alpha in ALPHAS {
             assert_eq!(
-                piped(&g, alpha, &PrepareConfig::default()),
+                piped(Query::new(&g).alpha(alpha)),
                 direct_mule(&g, alpha),
                 "seed={seed} α={alpha}"
             );
@@ -92,12 +91,12 @@ fn default_pipeline_stats_equal_direct_mule() {
     for seed in 0..8u64 {
         let g = random_graph(seed, 14, 0.2);
         for alpha in [0.5, 0.05] {
-            let mut m = Mule::new(&g, alpha).unwrap();
+            let mut m = stages_off(&g, alpha).prepare().unwrap();
             let mut s1 = mule::sinks::CountSink::new();
-            m.run(&mut s1);
-            let mut inst = mule::prepare(&g, alpha, &PrepareConfig::default()).unwrap();
+            m.stream(&mut s1).unwrap();
+            let mut inst = Query::new(&g).alpha(alpha).prepare().unwrap();
             let mut s2 = mule::sinks::CountSink::new();
-            inst.run(&mut s2);
+            inst.stream(&mut s2).unwrap();
             assert_eq!(inst.stats(), m.stats(), "seed={seed} α={alpha}");
             assert_eq!(s1.count, s2.count);
         }
@@ -113,7 +112,7 @@ fn min_size_pipeline_matches_direct_large_mule() {
         let g = random_graph(100 + seed, 13 + (seed % 5) as usize, density);
         for alpha in ALPHAS {
             for t in 2..=5usize {
-                let mut got = piped(&g, alpha, &PrepareConfig::with_min_size(t));
+                let mut got = piped(Query::new(&g).alpha(alpha).min_size(t));
                 got.sort();
                 assert_eq!(
                     got,
@@ -135,7 +134,7 @@ fn stage_toggles_are_output_neutral() {
         for alpha in [0.5, 0.1] {
             for t in [0usize, 3, 4] {
                 let reference = {
-                    let mut pairs = piped(&g, alpha, &PrepareConfig::with_min_size(t));
+                    let mut pairs = piped(Query::new(&g).alpha(alpha).min_size(t));
                     pairs.sort();
                     pairs
                 };
@@ -145,14 +144,13 @@ fn stage_toggles_are_output_neutral() {
                     (true, true, false),
                     (false, false, false),
                 ] {
-                    let cfg = PrepareConfig {
-                        min_size: t,
-                        core_filter: core,
-                        shared_neighborhood: shared,
-                        shard_components: shard,
-                        ..Default::default()
-                    };
-                    let mut got = piped(&g, alpha, &cfg);
+                    let query = Query::new(&g)
+                        .alpha(alpha)
+                        .min_size(t)
+                        .core_filter(core)
+                        .shared_neighborhood(shared)
+                        .shard_components(shard);
+                    let mut got = piped(query);
                     got.sort();
                     assert_eq!(
                         got, reference,
@@ -194,7 +192,7 @@ fn structured_graphs_agree() {
     for (i, g) in cases.iter().enumerate() {
         for alpha in ALPHAS {
             assert_eq!(
-                piped(g, alpha, &PrepareConfig::default()),
+                piped(Query::new(g).alpha(alpha)),
                 direct_mule(g, alpha),
                 "case={i} α={alpha}"
             );
@@ -213,15 +211,10 @@ fn parallel_pipeline_matches_direct_sequential() {
         for alpha in [0.5, 0.05] {
             let expected = direct_mule(&g, alpha);
             for threads in [1usize, 2, 5] {
-                let out = mule::par_enumerate_prepared(
-                    Query::new(&g).alpha(alpha).prepare().unwrap().instance(),
-                    threads,
-                );
-                let got: Vec<(Vec<VertexId>, u64)> = out
-                    .cliques
-                    .into_iter()
-                    .zip(out.probs.iter().map(|p| p.to_bits()))
-                    .collect();
+                let query = Query::new(&g).alpha(alpha).threads(threads);
+                let out = query.prepare().unwrap().collect().unwrap();
+                let got: Vec<(Vec<VertexId>, u64)> =
+                    out.into_iter().map(|(c, p)| (c, p.to_bits())).collect();
                 assert_eq!(got, expected, "seed={seed} α={alpha} threads={threads}");
             }
         }
@@ -236,9 +229,9 @@ fn topk_pipeline_matches_direct_selection() {
         let g = random_graph(400 + seed, 12, 0.4);
         for alpha in [0.5, 0.1] {
             let mut all: Vec<(Vec<VertexId>, f64)> = {
-                let mut m = Mule::new(&g, alpha).unwrap();
+                let mut m = stages_off(&g, alpha).prepare().unwrap();
                 let mut sink = CollectSink::new();
-                m.run(&mut sink);
+                m.stream(&mut sink).unwrap();
                 sink.into_pairs()
             };
             all.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));

@@ -117,7 +117,8 @@ proptest! {
         (g, alpha) in dyadic_graph_and_alpha(12),
         t in 3usize..=5,
     ) {
-        let (pruned, _) = mule::pruning::shared_neighborhood_filter(&g, alpha, t).unwrap();
+        let alpha_pruned = subgraph::prune_below_alpha(&g, alpha).unwrap();
+        let (pruned, _) = mule::pruning::shared_neighborhood_peel(&alpha_pruned, t).unwrap();
         // Every α-maximal clique of size ≥ t must survive edge-for-edge.
         for c in cliques(Query::new(&g).alpha(alpha)) {
             if c.len() >= t {

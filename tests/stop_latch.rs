@@ -3,9 +3,10 @@
 //! A sink that answers [`Control::Stop`] ends the enumeration *for
 //! good*: the engine must unwind without another `emit` call — not
 //! per branch, not per root, and in particular not per connected
-//! component. This suite pins the direct MULE, LARGE-MULE and DFS–NOIP
-//! enumerators against the same three properties so the engines cannot
-//! drift apart:
+//! component. This suite pins MULE and LARGE-MULE through the session
+//! (one kernel with the stages off, and MULE sharded into components)
+//! and the direct DFS–NOIP enumerator against the same three properties
+//! so the paths cannot drift apart:
 //!
 //! 1. **silence after Stop** — once a sink returns Stop it is never
 //!    offered another clique, even when unexplored components remain;
@@ -20,7 +21,7 @@
 //! from the roots of one component to those of the next.
 
 use mule::sinks::{CliqueSink, Control};
-use mule::{DfsNoip, LargeMule, Mule};
+use mule::{DfsNoip, Query};
 use proptest::prelude::*;
 use ugraph_core::{GraphBuilder, UncertainGraph, VertexId};
 
@@ -124,16 +125,26 @@ fn split_graph_alpha_k() -> impl Strategy<Value = (UncertainGraph, f64, usize)> 
     })
 }
 
+/// One kernel over the α-pruned graph: every stage toggle off.
+fn stages_off(query: Query<'_>) -> mule::Prepared {
+    let query = query.core_filter(false).shared_neighborhood(false);
+    query.shard_components(false).prepare().unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn all_engines_latch_stop_identically((g, alpha, k) in split_graph_alpha_k()) {
         assert_latches("MULE", k, &mut |sink| {
-            Mule::new(&g, alpha).unwrap().run(sink);
+            stages_off(Query::new(&g).alpha(alpha)).stream(sink).unwrap();
+        })?;
+        assert_latches("MULE (sharded)", k, &mut |sink| {
+            Query::new(&g).alpha(alpha).prepare().unwrap().stream(sink).unwrap();
         })?;
         assert_latches("LARGE-MULE", k, &mut |sink| {
-            LargeMule::new(&g, alpha, 2).unwrap().run(sink);
+            let query = Query::new(&g).alpha(alpha).min_size(2).core_filter(false);
+            query.shard_components(false).prepare().unwrap().stream(sink).unwrap();
         })?;
         assert_latches("NOIP", k, &mut |sink| {
             DfsNoip::new(&g, alpha).unwrap().run(sink);
@@ -167,7 +178,7 @@ proptest! {
         token.reset();
         let full = session.collect().unwrap();
         let expected = full_stream(&mut |sink| {
-            Mule::new(&g, alpha).unwrap().run(sink);
+            stages_off(Query::new(&g).alpha(alpha)).stream(sink).unwrap();
         });
         let got: Vec<(Vec<VertexId>, u64)> =
             full.into_iter().map(|(c, p)| (c, p.to_bits())).collect();

@@ -2,7 +2,7 @@
 
 use mule::bounds::{self, max_alpha_maximal_cliques, moon_moser};
 use mule::sinks::CountSink;
-use mule::{Mule, Query};
+use mule::{Prepared, Query};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use ugraph_core::{GraphBuilder, UncertainGraph};
@@ -12,6 +12,14 @@ use ugraph_gen::extremal::{lemma1_graph, moon_moser_graph};
 fn count(g: &UncertainGraph, alpha: f64) -> u64 {
     let mut session = Query::new(g).alpha(alpha).prepare().unwrap();
     session.count().unwrap()
+}
+
+/// One kernel over the α-pruned graph (every stage toggle off), so the
+/// counters are the whole-graph search's.
+fn stages_off(g: &UncertainGraph, alpha: f64) -> Prepared {
+    let query = Query::new(g).alpha(alpha).core_filter(false);
+    let query = query.shared_neighborhood(false).shard_components(false);
+    query.prepare().unwrap()
 }
 
 /// Theorem 1 lower bound (Lemma 1): the extremal construction attains
@@ -79,9 +87,9 @@ fn moon_moser_family_attains_its_bound() {
 fn search_tree_respects_theorem_3_bound() {
     for n in 2..=18 {
         let g = lemma1_graph(n, 0.5);
-        let mut m = Mule::new(&g, 0.5).unwrap();
+        let mut m = stages_off(&g, 0.5);
         let mut sink = CountSink::new();
-        m.run(&mut sink);
+        m.stream(&mut sink).unwrap();
         let calls = m.stats().calls as u128;
         assert!(calls <= 1u128 << n, "n={n}: {calls} calls > 2^{n}");
         // And the output itself certifies Observation 5's growth.
@@ -101,9 +109,9 @@ fn complete_graph_stats(n: usize, p: f64, alpha: f64) -> mule::EnumerationStats 
             b.add_edge(u, v, p).unwrap();
         }
     }
-    let mut m = Mule::new(&b.build(), alpha).unwrap();
+    let mut m = stages_off(&b.build(), alpha);
     let mut sink = CountSink::new();
-    m.run(&mut sink);
+    m.stream(&mut sink).unwrap();
     assert_eq!(sink.count, 1, "K_{n} has one maximal clique");
     *m.stats()
 }
@@ -139,9 +147,9 @@ fn exact_tie_does_not_skip_siblings() {
 fn output_size_matches_observation_5_witness() {
     for n in [6usize, 9, 12] {
         let g = lemma1_graph(n, 0.5);
-        let mut m = Mule::new(&g, 0.5).unwrap();
+        let mut m = stages_off(&g, 0.5);
         let mut sink = CountSink::new();
-        m.run(&mut sink);
+        m.stream(&mut sink).unwrap();
         assert_eq!(
             sink.total_vertices as u128,
             bounds::output_size_lower_bound(n as u64).unwrap(),

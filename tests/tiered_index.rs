@@ -17,7 +17,7 @@
 //! — random graphs at the swept α values hit both continuously.
 
 use mule::sinks::CollectSink;
-use mule::{IndexMode, LargeMule, Mule, MuleConfig, PrepareConfig};
+use mule::{IndexMode, MuleConfig, Query};
 use proptest::prelude::*;
 use ugraph_core::{GraphBuilder, UncertainGraph, VertexId};
 
@@ -49,33 +49,44 @@ fn arb_hub_graph() -> impl Strategy<Value = UncertainGraph> {
     })
 }
 
-/// Emission-ordered `(clique, prob bits)` pairs from the direct MULE
-/// path under an explicit config.
-fn direct_pairs(g: &UncertainGraph, alpha: f64, cfg: MuleConfig) -> Vec<(Vec<VertexId>, u64)> {
-    let mut m = Mule::with_config(g, alpha, cfg).unwrap();
+/// A session builder at `alpha` under an explicit kernel config.
+fn query<'g>(g: &'g UncertainGraph, alpha: f64, cfg: &MuleConfig) -> Query<'g> {
+    Query::new(g)
+        .alpha(alpha)
+        .index_mode(cfg.index_mode)
+        .max_index_bytes(cfg.max_index_bytes)
+        .dense_index_bytes(cfg.dense_index_bytes)
+}
+
+/// One unsharded kernel over the α-pruned graph, core filter off: at
+/// `min_size` 0 no stage runs (MULE), above it the peel alone
+/// (LARGE–MULE's own preprocessing).
+fn single_kernel(query: Query<'_>) -> Query<'_> {
+    query.core_filter(false).shard_components(false)
+}
+
+/// Emission-ordered `(clique, prob bits)` pairs from a session.
+fn pairs(query: Query<'_>) -> Vec<(Vec<VertexId>, u64)> {
+    let mut session = query.prepare().unwrap();
     let mut sink = CollectSink::new();
-    m.run(&mut sink);
+    session.stream(&mut sink).unwrap();
     sink.into_pairs()
         .into_iter()
         .map(|(c, p)| (c, p.to_bits()))
         .collect()
 }
 
+/// Emission-ordered pairs from the pipeline-off MULE path under an
+/// explicit config.
+fn direct_pairs(g: &UncertainGraph, alpha: f64, cfg: MuleConfig) -> Vec<(Vec<VertexId>, u64)> {
+    pairs(single_kernel(query(g, alpha, &cfg)))
+}
+
 /// Emission-ordered pairs from the preprocessing pipeline (compact
 /// per-component kernels — the path where dense rows are
 /// component-local) under an explicit kernel config.
 fn piped_pairs(g: &UncertainGraph, alpha: f64, cfg: MuleConfig) -> Vec<(Vec<VertexId>, u64)> {
-    let prep = PrepareConfig {
-        mule: cfg,
-        ..Default::default()
-    };
-    let mut inst = mule::prepare(g, alpha, &prep).unwrap();
-    let mut sink = CollectSink::new();
-    inst.run(&mut sink);
-    sink.into_pairs()
-        .into_iter()
-        .map(|(c, p)| (c, p.to_bits()))
-        .collect()
+    pairs(query(g, alpha, &cfg))
 }
 
 /// The tier-budget grid the pins sweep: dense tier disabled, one
@@ -151,13 +162,7 @@ proptest! {
         let alpha = 0.05f64;
         let reference = {
             let cfg = MuleConfig { index_mode: IndexMode::Never, ..Default::default() };
-            let mut lm = LargeMule::with_config(&g, alpha, t, cfg).unwrap();
-            let mut sink = CollectSink::new();
-            lm.run(&mut sink);
-            sink.into_pairs()
-                .into_iter()
-                .map(|(c, p)| (c, p.to_bits()))
-                .collect::<Vec<_>>()
+            pairs(single_kernel(query(&g, alpha, &cfg).min_size(t)))
         };
         for budget in budgets(g.num_vertices()) {
             let cfg = MuleConfig {
@@ -165,14 +170,7 @@ proptest! {
                 dense_index_bytes: budget,
                 ..Default::default()
             };
-            let mut lm = LargeMule::with_config(&g, alpha, t, cfg).unwrap();
-            let mut sink = CollectSink::new();
-            lm.run(&mut sink);
-            let got: Vec<(Vec<VertexId>, u64)> = sink
-                .into_pairs()
-                .into_iter()
-                .map(|(c, p)| (c, p.to_bits()))
-                .collect();
+            let got = pairs(single_kernel(query(&g, alpha, &cfg).min_size(t)));
             prop_assert_eq!(&got, &reference, "t {} budget {}", t, budget);
         }
     }
@@ -208,9 +206,9 @@ fn probe_counters_attribute_strategies() {
             dense_index_bytes: budget,
             ..Default::default()
         };
-        let mut m = Mule::with_config(&g, 0.05, cfg).unwrap();
+        let mut m = single_kernel(query(&g, 0.05, &cfg)).prepare().unwrap();
         let mut sink = mule::sinks::CountSink::new();
-        m.run(&mut sink);
+        m.stream(&mut sink).unwrap();
         (sink.count, *m.stats())
     };
 

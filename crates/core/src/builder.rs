@@ -1,10 +1,16 @@
 //! Mutable construction of [`UncertainGraph`]s.
 //!
 //! The builder accumulates undirected edges, validates them (no self-loops,
-//! probabilities in `(0, 1]`, endpoints in range), and finally sorts
-//! everything into CSR form. Duplicate edges are rejected by default; a
-//! merge policy can be selected for data sources that legitimately repeat
-//! edges (e.g. multi-file loaders).
+//! probabilities in `(0, 1]`, endpoints in range), sorts them into
+//! canonical order (`u < v`, ascending `(u, v)`), folds repeats, and
+//! hands the result to [`from_sorted_edges`], which fills the CSR arrays
+//! in two linear passes. Duplicate edges are rejected by default; a merge
+//! policy can be selected for data sources that legitimately repeat edges
+//! (e.g. multi-file loaders).
+//!
+//! Sources whose edges already arrive in canonical order (the UGB1
+//! reader in `ugraph-io`) call [`from_sorted_edges`] directly and skip
+//! the builder's edge list and sort.
 
 use crate::error::{GraphError, VertexId};
 use crate::graph::UncertainGraph;
@@ -127,75 +133,108 @@ impl GraphBuilder {
         // Sort normalized edges; duplicates become adjacent.
         self.edges
             .sort_unstable_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)).then(a.2.total_cmp(&b.2)));
-        let mut dedup: Vec<(VertexId, VertexId, f64)> = Vec::with_capacity(self.edges.len());
-        for (u, v, p) in self.edges.drain(..) {
-            match dedup.last_mut() {
-                Some(&mut (lu, lv, ref mut lp)) if lu == u && lv == v => match self.policy {
-                    DuplicatePolicy::Error => {
-                        if *lp != p {
-                            return Err(GraphError::DuplicateEdge { u, v });
-                        }
+        // Fold each run of duplicates into its first edge, in place.
+        let policy = self.policy;
+        let mut conflict = None;
+        self.edges.dedup_by(|&mut (u, v, p), kept| {
+            if (u, v) != (kept.0, kept.1) {
+                return false;
+            }
+            let kp = &mut kept.2;
+            match policy {
+                DuplicatePolicy::Error => {
+                    if *kp != p {
+                        conflict.get_or_insert(GraphError::DuplicateEdge { u, v });
                     }
-                    DuplicatePolicy::KeepMax => *lp = lp.max(p),
-                    DuplicatePolicy::KeepLast => *lp = p,
-                    DuplicatePolicy::NoisyOr => *lp = 1.0 - (1.0 - *lp) * (1.0 - p),
-                },
-                _ => dedup.push((u, v, p)),
+                }
+                DuplicatePolicy::KeepMax => *kp = kp.max(p),
+                DuplicatePolicy::KeepLast => *kp = p,
+                DuplicatePolicy::NoisyOr => *kp = 1.0 - (1.0 - *kp) * (1.0 - p),
             }
+            true
+        });
+        if let Some(e) = conflict {
+            return Err(e);
         }
-
-        // Degree counting pass, then CSR fill.
-        let n = self.n;
-        let mut degree = vec![0usize; n];
-        for &(u, v, _) in &dedup {
-            degree[u as usize] += 1;
-            degree[v as usize] += 1;
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        for v in 0..n {
-            offsets.push(offsets[v] + degree[v]);
-        }
-        let total = offsets[n];
-        let mut neighbors = vec![0 as VertexId; total];
-        let mut probs = vec![0.0f64; total];
-        let mut cursor = offsets.clone();
-        // dedup is sorted by (u, v); filling u-side slots in that order keeps
-        // each adjacency list sorted. The v-side slots also land sorted
-        // because for fixed v the u values arrive in increasing order.
-        for &(u, v, p) in &dedup {
-            let cu = &mut cursor[u as usize];
-            neighbors[*cu] = v;
-            probs[*cu] = p;
-            *cu += 1;
-        }
-        for &(u, v, p) in &dedup {
-            let cv = &mut cursor[v as usize];
-            neighbors[*cv] = u;
-            probs[*cv] = p;
-            *cv += 1;
-        }
-        // The two passes above interleave u-side and v-side entries per
-        // vertex; each vertex's slice is the concatenation of its higher
-        // neighbors (first pass) and lower neighbors (second pass), so a
-        // final per-vertex sort is required.
-        for v in 0..n {
-            let range = offsets[v]..offsets[v + 1];
-            let mut pairs: Vec<(VertexId, f64)> = neighbors[range.clone()]
-                .iter()
-                .copied()
-                .zip(probs[range.clone()].iter().copied())
-                .collect();
-            pairs.sort_unstable_by_key(|&(w, _)| w);
-            for (i, (w, p)) in pairs.into_iter().enumerate() {
-                neighbors[offsets[v] + i] = w;
-                probs[offsets[v] + i] = p;
-            }
-        }
-        Ok(UncertainGraph::from_csr_parts(
-            offsets, neighbors, probs, self.name,
-        ))
+        let g = from_sorted_edges(self.n, self.edges.iter().copied())
+            .expect("sorted, folded builder edges are in canonical order");
+        Ok(g.with_name(self.name))
     }
+}
+
+/// Build a graph on `n` vertices from edges already in canonical order:
+/// each normalized (`u < v`) and strictly increasing in `(u, v)`, so no
+/// edge repeats. Two linear passes over `edges` and no sort; `edges` is
+/// cloned once and must yield the same items both times.
+///
+/// **Pass 1** checks every edge — normalized, strictly after its
+/// predecessor, `v < n`, probability in `(0, 1]` — and counts degrees.
+/// **Pass 2** writes both arcs of each edge in list order. That leaves
+/// every row ascending: row `x`'s lower neighbours arrive from the edges
+/// of earlier first endpoints, in ascending order, and its upper
+/// neighbours follow from `x`'s own edges, also ascending. Besides the
+/// CSR arrays themselves the build allocates nothing; the row starts
+/// double as the fill cursors.
+///
+/// The error string names the first edge that breaks the order or fails
+/// a check. The result satisfies [`UncertainGraph::check_invariants`] by
+/// construction; debug builds re-check it.
+///
+/// # Panics
+/// If `n` exceeds `u32::MAX` (vertex ids are `u32`).
+///
+/// ```
+/// use ugraph_core::builder::from_sorted_edges;
+/// let g = from_sorted_edges(3, [(0, 1, 0.5), (0, 2, 0.25)].into_iter()).unwrap();
+/// assert_eq!(g.neighbors(2), &[0]);
+/// assert!(from_sorted_edges(3, [(0, 2, 0.5), (0, 1, 0.5)].into_iter()).is_err());
+/// ```
+pub fn from_sorted_edges<I>(n: usize, edges: I) -> Result<UncertainGraph, String>
+where
+    I: Iterator<Item = (VertexId, VertexId, f64)> + Clone,
+{
+    assert!(n <= u32::MAX as usize, "vertex ids are u32");
+    // Pass 1: row `x`'s degree is counted into `offsets[x + 1]`.
+    let mut offsets = vec![0usize; n + 1];
+    let mut prev = None;
+    for (index, (u, v, p)) in edges.clone().enumerate() {
+        if u >= v {
+            return Err(format!("edge {index}: not normalized ({u} ≥ {v})"));
+        }
+        if prev.is_some_and(|q| (u, v) <= q) {
+            return Err(format!("edge {index}: out of order"));
+        }
+        prev = Some((u, v));
+        if v as usize >= n {
+            let e = GraphError::VertexOutOfRange { vertex: v, n };
+            return Err(format!("edge {index}: {e}"));
+        }
+        Prob::new(p).map_err(|e| format!("edge {index}: {e}"))?;
+        offsets[u as usize + 1] += 1;
+        offsets[v as usize + 1] += 1;
+    }
+    // Exclusive prefix sums: `offsets[x + 1]` becomes row `x`'s start,
+    // the cursor pass 2 advances to the row's end — the next row's start.
+    let mut total = 0;
+    for slot in &mut offsets[1..] {
+        let degree = *slot;
+        *slot = total;
+        total += degree;
+    }
+    // Pass 2: the in-order fill (see above for why rows come out sorted).
+    let mut neighbors = vec![0 as VertexId; total];
+    let mut probs = vec![0.0f64; total];
+    for (u, v, p) in edges {
+        for (row, w) in [(u, v), (v, u)] {
+            let at = &mut offsets[row as usize + 1];
+            neighbors[*at] = w;
+            probs[*at] = p;
+            *at += 1;
+        }
+    }
+    let g = UncertainGraph::from_csr_parts(offsets, neighbors, probs, String::new());
+    debug_assert_eq!(g.check_invariants(), Ok(()));
+    Ok(g)
 }
 
 /// Build a graph directly from an edge list; a convenience wrapper used

@@ -206,9 +206,12 @@ impl UncertainGraph {
         Prob::new(alpha).map_err(|_| GraphError::InvalidAlpha { value: alpha })
     }
 
-    /// Check internal CSR invariants; used by tests, the binary reader
-    /// and [`Self::try_from_csr`]. Runs in `O(n + m)` time with one
-    /// `n`-slot cursor array.
+    /// Check internal CSR invariants; used by tests, by
+    /// [`Self::try_from_csr`] (the catalog reader's entry), and as a debug
+    /// assertion after [`crate::builder::from_sorted_edges`], which every
+    /// builder and UGB1 load goes through (release builds skip it there:
+    /// that fill establishes the invariants by construction). Runs in
+    /// `O(n + m)` time with one `n`-slot cursor array.
     ///
     /// Verified invariants: offsets monotone and bounded, adjacency sorted
     /// strictly increasing (no duplicates), no self-loops, probabilities in

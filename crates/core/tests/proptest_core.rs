@@ -3,8 +3,9 @@
 //! orders and component labelings.
 
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use ugraph_core::bitset::BitSet;
-use ugraph_core::{subgraph, Components, GraphBuilder, UncertainGraph};
+use ugraph_core::{subgraph, Components, DuplicatePolicy, GraphBuilder, UncertainGraph};
 
 fn arb_graph(max_n: usize) -> impl Strategy<Value = UncertainGraph> {
     (2..=max_n, any::<u64>(), 0.05f64..0.9).prop_map(|(n, seed, density)| {
@@ -27,6 +28,113 @@ fn arb_key_sets(len: usize) -> impl Strategy<Value = (Vec<usize>, Vec<usize>)> {
         proptest::collection::vec(0..len, 0..len),
         proptest::collection::vec(0..len, 0..len),
     )
+}
+
+/// A builder input with repeats, shuffled, in mixed orientation: a random
+/// edge set on `0..n` (`n = 0` allowed; low densities leave vertices
+/// isolated) plus, when `hub`, vertex `n / 2` adjacent to every other
+/// vertex, each edge listed one to three times. `same_p` repeats an edge
+/// with its probability bit for bit, the only repeat
+/// [`DuplicatePolicy::Error`] accepts.
+fn shuffled_edge_list(
+    n: usize,
+    seed: u64,
+    density: f64,
+    hub: bool,
+    same_p: bool,
+) -> Vec<(u32, u32, f64)> {
+    use rand::{rngs::SmallRng, seq::SliceRandom, Rng, SeedableRng};
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut edges = Vec::new();
+    let is_hub = |w: u32| hub && w as usize == n / 2;
+    for u in 0..n as u32 {
+        for v in (u + 1)..n as u32 {
+            if !(is_hub(u) || is_hub(v)) && rng.gen::<f64>() >= density {
+                continue;
+            }
+            let p = 1.0 - rng.gen::<f64>();
+            for _ in 0..rng.gen_range(1..=3) {
+                let q = if same_p { p } else { 1.0 - rng.gen::<f64>() };
+                edges.push(if rng.gen::<bool>() {
+                    (u, v, q)
+                } else {
+                    (v, u, q)
+                });
+            }
+        }
+    }
+    edges.shuffle(&mut rng);
+    edges
+}
+
+/// The graph `GraphBuilder` must produce from `edges` under `policy`,
+/// built without it: repeats gathered per edge in a `BTreeMap` and folded
+/// in ascending probability order (the builder's documented tiebreak),
+/// rows read off sorted maps into a checked CSR.
+fn btreemap_reference(
+    n: usize,
+    edges: &[(u32, u32, f64)],
+    policy: DuplicatePolicy,
+) -> UncertainGraph {
+    let mut repeats: BTreeMap<(u32, u32), Vec<f64>> = BTreeMap::new();
+    for &(u, v, p) in edges {
+        repeats.entry((u.min(v), u.max(v))).or_default().push(p);
+    }
+    let mut rows = vec![BTreeMap::new(); n];
+    for ((u, v), mut ps) in repeats {
+        ps.sort_by(f64::total_cmp);
+        let p = match policy {
+            DuplicatePolicy::NoisyOr => ps[1..]
+                .iter()
+                .fold(ps[0], |a, &b| 1.0 - (1.0 - a) * (1.0 - b)),
+            // Error (all repeats equal), KeepMax, and KeepLast, whose
+            // "last" is the largest after the sort.
+            _ => *ps.last().unwrap(),
+        };
+        rows[u as usize].insert(v, p);
+        rows[v as usize].insert(u, p);
+    }
+    let (mut offsets, mut neighbors, mut probs) = (vec![0], Vec::new(), Vec::new());
+    for row in &rows {
+        neighbors.extend(row.keys());
+        probs.extend(row.values());
+        offsets.push(neighbors.len());
+    }
+    UncertainGraph::try_from_csr(offsets, neighbors, probs, String::new()).unwrap()
+}
+
+/// `try_build` against [`btreemap_reference`] under every policy.
+fn check_builder_against_reference(
+    n: usize,
+    seed: u64,
+    density: f64,
+    hub: bool,
+) -> Result<(), TestCaseError> {
+    for policy in [
+        DuplicatePolicy::Error,
+        DuplicatePolicy::KeepMax,
+        DuplicatePolicy::KeepLast,
+        DuplicatePolicy::NoisyOr,
+    ] {
+        let edges = shuffled_edge_list(n, seed, density, hub, policy == DuplicatePolicy::Error);
+        let mut b = GraphBuilder::new(n).duplicate_policy(policy);
+        for &(u, v, p) in &edges {
+            b.add_edge(u, v, p).unwrap();
+        }
+        let g = b.try_build().unwrap();
+        prop_assert!(g.check_invariants().is_ok(), "{:?}", policy);
+        prop_assert_eq!(g, btreemap_reference(n, &edges, policy), "{:?}", policy);
+    }
+    Ok(())
+}
+
+#[test]
+fn builder_matches_reference_on_corner_cases() {
+    for n in [0, 1, 2, 3] {
+        for hub in [false, true] {
+            check_builder_against_reference(n, 7, 0.5, hub).unwrap();
+        }
+    }
 }
 
 proptest! {
@@ -83,6 +191,19 @@ proptest! {
             prop_assert!(u < v);
             prop_assert_eq!(g.edge_prob_raw(v, u), Some(p));
         }
+    }
+
+    /// Shuffled, repeated, mixed-orientation input builds exactly the
+    /// sorted reference adjacency: the one in-order fill leaves every row
+    /// sorted without a per-row sort.
+    #[test]
+    fn builder_matches_btreemap_reference(
+        n in 0usize..40,
+        seed in any::<u64>(),
+        density in 0.0f64..0.6,
+        hub in any::<bool>(),
+    ) {
+        check_builder_against_reference(n, seed, density, hub)?;
     }
 
     #[test]

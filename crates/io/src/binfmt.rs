@@ -12,15 +12,25 @@
 //! edges   m × (u32 u, u32 v, f64 p), u < v, lexicographic order
 //! ```
 //!
-//! The reader validates the magic, bounds, ordering and probabilities, so
-//! a truncated or corrupted file fails loudly instead of producing a
-//! malformed graph. (Hand-rolled rather than a serde format because the
-//! workspace builds offline and its `serde` is a derive-only shim with no
+//! The edges arrive in exactly the order the CSR wants them, so the
+//! reader builds the graph in two linear passes over the payload
+//! ([`ugraph_core::builder::from_sorted_edges`]), with no edge list and
+//! no sort. Before anything is allocated it checks the magic, the UTF-8
+//! name, `n ≤ u32::MAX`, that the payload is exactly `16·m` bytes (no
+//! truncation, no trailing bytes) and the `n` plausibility bound
+//! ([`EDGELESS_VERTEX_ALLOWANCE`]). Pass 1 then checks every edge —
+//! `u < v`, strictly increasing `(u, v)`, `v < n`, `p ∈ (0, 1]` — and
+//! counts degrees; pass 2 fills the CSR rows in file order. A truncated
+//! or corrupted file fails with [`BinError::Corrupt`] instead of
+//! producing a malformed graph. Memory: the file buffer plus the CSR
+//! arrays. (Hand-rolled rather than a serde format because the workspace
+//! builds offline and its `serde` is a derive-only shim with no
 //! serializer crate behind it.)
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::io::{Read, Write};
-use ugraph_core::{GraphBuilder, UncertainGraph};
+use ugraph_core::builder::from_sorted_edges;
+use ugraph_core::UncertainGraph;
 
 const MAGIC: &[u8; 4] = b"UGB1";
 
@@ -107,14 +117,18 @@ pub fn from_bytes(mut data: Bytes) -> Result<UncertainGraph, BinError> {
     if n > u32::MAX as usize {
         return Err(BinError::Corrupt(format!("vertex count {n} exceeds u32")));
     }
-    need(
-        &data,
-        m.checked_mul(16)
-            .ok_or_else(|| BinError::Corrupt("edge count overflow".into()))?,
-        "edges",
-    )?;
+    let payload_len = m
+        .checked_mul(16)
+        .ok_or_else(|| BinError::Corrupt("edge count overflow".into()))?;
+    need(&data, payload_len, "edges")?;
+    if data.remaining() > payload_len {
+        return Err(BinError::Corrupt(format!(
+            "{} trailing bytes after edge {m}",
+            data.remaining() - payload_len
+        )));
+    }
     // Length sanity *before* allocation: `m` is now bounded by the real
-    // payload, but `n` is a bare header claim that try_build turns into
+    // payload, but `n` is a bare header claim that the CSR turns into
     // O(n) memory — bound it by what the edges can justify plus a
     // generous isolated-vertex allowance, so a hostile few-byte header
     // cannot reserve gigabytes.
@@ -123,28 +137,13 @@ pub fn from_bytes(mut data: Bytes) -> Result<UncertainGraph, BinError> {
             "vertex count {n} implausible for {m} edges"
         )));
     }
-    let mut b = GraphBuilder::with_capacity(n, m);
-    let mut prev: Option<(u32, u32)> = None;
-    for i in 0..m {
-        let u = data.get_u32_le();
-        let v = data.get_u32_le();
-        let p = data.get_f64_le();
-        if u >= v {
-            return Err(BinError::Corrupt(format!(
-                "edge {i}: not normalized ({u} ≥ {v})"
-            )));
-        }
-        if let Some(prev) = prev {
-            if (u, v) <= prev {
-                return Err(BinError::Corrupt(format!("edge {i}: out of order")));
-            }
-        }
-        prev = Some((u, v));
-        b.add_edge(u, v, p)
-            .map_err(|e| BinError::Corrupt(format!("edge {i}: {e}")))?;
-    }
-    Ok(b.try_build()
-        .map_err(|e| BinError::Corrupt(e.to_string()))?
+    let edges = data.chunks_exact(16).map(|e| {
+        let word = |at: usize| e[at..at + 4].try_into().expect("4-byte field");
+        let p = f64::from_le_bytes(e[8..16].try_into().expect("8-byte field"));
+        (u32::from_le_bytes(word(0)), u32::from_le_bytes(word(4)), p)
+    });
+    Ok(from_sorted_edges(n, edges)
+        .map_err(BinError::Corrupt)?
         .with_name(name))
 }
 
@@ -301,6 +300,56 @@ mod tests {
     fn sparse_graph_with_many_isolated_vertices_loads() {
         let g = from_edges(50_000, &[(0, 49_999, 0.5)]).unwrap();
         assert_eq!(from_bytes(to_bytes(&g)).unwrap(), g);
+    }
+
+    /// A hand-crafted UGB1 file: empty name, `n`, then `edges` verbatim.
+    fn craft(n: u64, edges: &[(u32, u32, f64)]) -> Bytes {
+        let mut buf = BytesMut::new();
+        buf.put_slice(MAGIC);
+        buf.put_u32_le(0);
+        buf.put_u64_le(n);
+        buf.put_u64_le(edges.len() as u64);
+        for &(u, v, p) in edges {
+            buf.put_u32_le(u);
+            buf.put_u32_le(v);
+            buf.put_f64_le(p);
+        }
+        buf.freeze()
+    }
+
+    fn corrupt_reason(data: Bytes) -> String {
+        match from_bytes(data) {
+            Err(BinError::Corrupt(why)) => why,
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn endpoint_out_of_range_rejected() {
+        let why = corrupt_reason(craft(3, &[(0, 1, 0.5), (1, 3, 0.5)]));
+        assert!(why.contains("out of range"), "{why}");
+    }
+
+    #[test]
+    fn zero_and_nan_probabilities_rejected() {
+        for p in [0.0, -0.0, f64::NAN, f64::INFINITY] {
+            let why = corrupt_reason(craft(2, &[(0, 1, p)]));
+            assert!(why.contains("probability"), "p = {p}: {why}");
+        }
+    }
+
+    #[test]
+    fn repeated_edge_rejected() {
+        let why = corrupt_reason(craft(3, &[(0, 1, 0.5), (0, 1, 0.5)]));
+        assert!(why.contains("edge 1: out of order"), "{why}");
+    }
+
+    #[test]
+    fn trailing_byte_rejected() {
+        let mut bytes = to_bytes(&fixture()).to_vec();
+        bytes.push(0);
+        let why = corrupt_reason(Bytes::from(bytes));
+        assert!(why.contains("trailing"), "{why}");
     }
 
     #[test]

@@ -91,7 +91,10 @@
 //! The root step applies the same test at `q = 1`: once `β ≥ 1`, no
 //! clique can clear it, so [`search_root`] returns before expanding the
 //! root's adjacency. A root skipped this way counts one `beta_pruned`
-//! and no `calls`: it is not searched, exactly like a cut child.
+//! and no `calls`: it is not searched, exactly like a cut child. The
+//! prepared schedule's singleton units (isolated vertices, each the
+//! probability-1 clique `{v}`) take the same test: once `β ≥ 1` a
+//! singleton is not emitted and counts one `beta_pruned` and no `calls`.
 //!
 //! β decides admission only; `I` and `X` are still built at α. `u` stays
 //! in the parent `I` span, so later siblings still filter it into their

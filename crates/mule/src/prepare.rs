@@ -591,8 +591,9 @@ pub(crate) fn merge_runs<T>(
     out
 }
 
-/// One schedule unit of a prepared run: emit a singleton directly, or
-/// search a root subtree at the configured size threshold
+/// One schedule unit of a prepared run: emit a singleton directly (or
+/// skip it once the sink's admission floor is `≥ 1`), or search a root
+/// subtree at the configured size threshold
 /// ([`search_root`]), translating ids in the sink layer unless the
 /// component's map is the identity. Shared verbatim by
 /// [`PreparedInstance::run_limited`] and [`PreparedInstance::run_unit`],
@@ -610,6 +611,13 @@ fn step<S: CliqueSink>(
     sink: &mut S,
 ) -> Control {
     match unit {
+        // A floor at or above 1 rejects even a probability-1 singleton:
+        // skip it as `search_root` skips a root (kernel docs, "β
+        // admission cut").
+        Unit::Singleton(_) if sink.admission_floor().is_some_and(|beta| beta >= 1.0) => {
+            stats.beta_pruned += 1;
+            Control::Continue
+        }
         Unit::Singleton(v) => {
             stats.calls += 1;
             stats.max_depth = stats.max_depth.max(1);

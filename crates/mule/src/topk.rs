@@ -208,6 +208,33 @@ mod tests {
         assert_eq!(full.stats().beta_pruned, 0);
     }
 
+    /// Isolated vertices of a sharded instance are singleton schedule
+    /// units, each the probability-1 clique `{v}`; once the floor
+    /// reaches 1 they are skipped like roots, one `beta_pruned` and no
+    /// `calls` each. Two edges make two components, so the instance is
+    /// sharded and vertices 2–37 are singletons.
+    #[test]
+    fn singletons_are_skipped_once_the_floor_reaches_one() {
+        let g = from_edges(40, &[(0, 1, 1.0), (38, 39, 0.9)]).unwrap();
+        let session = crate::Query::new(&g).alpha(0.5).prepare().unwrap();
+        assert_eq!(session.instance().singletons().len(), 36);
+        // Units after the heap fills are skipped. k = 1: root 1, the 36
+        // singletons and roots 38, 39; k = 3: singletons 4–37 and roots
+        // 38, 39, once {2} and {3} have joined {0, 1}.
+        for (k, skipped) in [(1, 39), (3, 36)] {
+            let (top, stats) = top_k_beta(&g, 0.5, k);
+            assert_eq!(top, top_k_full(&g, 0.5, k), "k={k}");
+            let mut full = crate::Query::new(&g).alpha(0.5).prepare().unwrap();
+            let mut heap = TopKSink::new(k);
+            full.stream(&mut FnSink(|c: &[VertexId], p| heap.emit(c, p)))
+                .unwrap();
+            assert!(stats.calls < full.stats().calls, "k={k}: {stats:?}");
+            assert_eq!(stats.beta_pruned, skipped, "k={k}: {stats:?}");
+        }
+        // k = 1: the conceptual root, root 0 and its leaf child {0, 1}.
+        assert_eq!(top_k_beta(&g, 0.5, 1).1.calls, 3);
+    }
+
     /// The α-maximality subtlety (module docs): maximality must be
     /// judged at α even inside β-cut territory. {2,3} has probability
     /// 0.9 > α but is NOT maximal — its witness {2,3,4} has probability

@@ -19,12 +19,13 @@
 //! * `count_ms` — `Prepared::stream` into a counting sink;
 //! * `op_ms` — the whole CLI op, in-process.
 //!
-//! Beside the layers it prints the count's `cliques`, `search_nodes` and
-//! `dominated_siblings` (sibling subtrees the kernel skipped). Apart from
-//! that counter the harness uses only API the catalog layers have had
-//! since α-generic bases exist, so with the `dominated` lines removed the
-//! same file builds against an older tree for a before/after comparison
-//! on one machine.
+//! Beside the layers it prints the count's `cliques`, `search_nodes`,
+//! `dominated_siblings` (sibling subtrees the kernel skipped) and
+//! `hub_roots` (roots searched on their own neighbourhood kernel). Apart
+//! from those two counters the harness uses only API the catalog layers
+//! have had since α-generic bases exist, so with the `dominated` and
+//! `hub_roots` lines removed the same file builds against an older tree
+//! for a before/after comparison on one machine.
 //!
 //! ```text
 //! cargo run -p ugraph-bench --release --bin cold_open -- \
@@ -66,7 +67,7 @@ fn main() {
         "op_ms",
     ];
     let mut samples: Vec<Vec<f64>> = vec![Vec::new(); layers.len()];
-    let (mut count, mut nodes, mut dominated) = (0u64, 0u64, 0u64);
+    let (mut count, mut nodes, mut dominated, mut hub_roots) = (0u64, 0u64, 0u64, 0u64);
     let (mut sections, mut bytes) = (0usize, 0usize);
     let cli_args: Vec<String> = [
         "enumerate",
@@ -109,6 +110,7 @@ fn main() {
         count = sink.count;
         nodes = session.stats().calls;
         dominated = session.stats().dominated_siblings;
+        hub_roots = session.stats().hub_roots;
         drop((session, base));
 
         let (mut out, mut err) = (Vec::new(), Vec::new());
@@ -145,6 +147,7 @@ fn main() {
     json.key("cliques").int(count as i64);
     json.key("search_nodes").int(nodes as i64);
     json.key("dominated_siblings").int(dominated as i64);
+    json.key("hub_roots").int(hub_roots as i64);
     for (name, s) in layers.iter().zip(&samples) {
         let summary = Summary::from_samples(s);
         json.key(name).begin_obj();

@@ -59,7 +59,7 @@ options:
 
 /// Append the work-performed counters to the current JSON row: the
 /// candidate-scan totals plus the tiered index's per-strategy probe
-/// counters and the kernel's dominated-sibling skips, so
+/// counters, the kernel's dominated-sibling skips and its hub roots, so
 /// `BENCH_pr<N>.json` tracks probes avoided rather than only wall-clock
 /// on a noisy single-CPU container.
 fn emit_counters(json: &mut Json, stats: &mule::EnumerationStats) {
@@ -72,6 +72,7 @@ fn emit_counters(json: &mut Json, stats: &mule::EnumerationStats) {
     json.key("merge_steps").int(stats.merge_steps as i64);
     json.key("dominated_siblings")
         .int(stats.dominated_siblings as i64);
+    json.key("hub_roots").int(stats.hub_roots as i64);
 }
 
 /// First vertex pair with no edge in `g` — an always-representable

@@ -56,6 +56,17 @@
 //! on small/dense graphs (all the paper's Figure 1 inputs fit easily);
 //! `mule`'s enumeration picks automatically and exposes both budgets in
 //! its config.
+//!
+//! # The third tier: neighbourhood indexes
+//!
+//! A component over the membership budget gets no index, and its
+//! filters fall back to merging or galloping CSR rows. For its hub
+//! roots `mule` indexes the root's closed neighbourhood instead: the
+//! subgraph induced by `N[u]` ([`UncertainGraph::refill_induced`]) is
+//! small enough for both tiers above, under the same budgets, and one
+//! scratch index is rebuilt in place per hub root
+//! ([`NeighborhoodIndex::rebuild`]). `mule`'s kernel module docs ("Hub
+//! roots") give the exactness argument.
 
 use crate::bitset::{self, AndOnesIter, OnesIter};
 use crate::error::VertexId;
@@ -92,6 +103,10 @@ pub const DENSE_ROW_MAX_BYTES: usize = 32 << 10;
 
 /// Tiered neighborhood rows: O(1) bit-membership probes for every
 /// vertex, one-load membership+probability rows for hubs.
+///
+/// [`Default`] is the index of the empty graph, a starting point for
+/// [`NeighborhoodIndex::rebuild`].
+#[derive(Default)]
 pub struct NeighborhoodIndex {
     /// `n` membership rows of `stride` words each, row `v` at `v * stride`.
     words: Vec<u64>,
@@ -105,6 +120,9 @@ pub struct NeighborhoodIndex {
     /// Concatenated dense probability rows, each of length `n`;
     /// `0.0` = non-neighbor.
     dense: Vec<f64>,
+    /// The admitted hubs in dense-slot order (kept so a rebuild reuses
+    /// the buffer).
+    hubs: Vec<VertexId>,
     /// Smallest degree among admitted hubs (`None` when the dense tier
     /// is empty) — the realized auto-tuned hub threshold.
     hub_threshold: Option<usize>,
@@ -149,52 +167,57 @@ impl NeighborhoodIndex {
     /// per admitted hub, capped by `dense_budget_bytes` (pass `0` to
     /// disable the dense tier entirely).
     pub fn build(g: &UncertainGraph, dense_budget_bytes: usize) -> Self {
+        let mut index = Self::default();
+        index.rebuild(g, dense_budget_bytes);
+        index
+    }
+
+    /// Rebuild in place for `g`: the index [`Self::build`] returns, over
+    /// this index's buffers, so a caller that re-indexes one scratch
+    /// graph many times allocates only while the buffers grow.
+    pub fn rebuild(&mut self, g: &UncertainGraph, dense_budget_bytes: usize) {
         let n = g.num_vertices();
         let stride = n.div_ceil(64);
-        let mut words = vec![0u64; n * stride];
+        self.words.clear();
+        self.words.resize(n * stride, 0);
         for v in g.vertices() {
             let base = v as usize * stride;
             for &w in g.neighbors(v) {
-                words[base + w as usize / 64] |= 1u64 << (w as usize % 64);
+                self.words[base + w as usize / 64] |= 1u64 << (w as usize % 64);
             }
         }
 
         // Dense tier: eligible hubs in descending degree order (ties by
-        // id — the sort is stable over an id-ascending scan), admitted
-        // while the tier stays within budget. Rows beyond the
-        // cache-residency cap are never built (see
+        // id), admitted while the tier stays within budget. Rows beyond
+        // the cache-residency cap are never built (see
         // [`DENSE_ROW_MAX_BYTES`]).
         let row_bytes = n.saturating_mul(8);
         let mean_degree = (2 * g.num_edges()).checked_div(n).unwrap_or(0);
         let hub_floor = MIN_DENSE_DEGREE.max(DENSE_HUB_DEGREE_FACTOR * mean_degree);
-        let mut hubs: Vec<VertexId> = if row_bytes <= DENSE_ROW_MAX_BYTES {
-            g.vertices().filter(|&v| g.degree(v) >= hub_floor).collect()
-        } else {
-            Vec::new()
-        };
-        hubs.sort_by_key(|&v| std::cmp::Reverse(g.degree(v)));
+        self.hubs.clear();
+        if row_bytes <= DENSE_ROW_MAX_BYTES {
+            self.hubs
+                .extend(g.vertices().filter(|&v| g.degree(v) >= hub_floor));
+        }
+        self.hubs
+            .sort_unstable_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v));
         let max_rows = dense_budget_bytes.checked_div(row_bytes).unwrap_or(0);
-        hubs.truncate(max_rows);
+        self.hubs.truncate(max_rows);
 
-        let mut dense_slot = vec![NO_DENSE_ROW; n];
-        let mut dense = vec![0.0f64; hubs.len() * n];
-        for (slot, &v) in hubs.iter().enumerate() {
-            dense_slot[v as usize] = slot as u32;
+        self.dense_slot.clear();
+        self.dense_slot.resize(n, NO_DENSE_ROW);
+        self.dense.clear();
+        self.dense.resize(self.hubs.len() * n, 0.0);
+        for (slot, &v) in self.hubs.iter().enumerate() {
+            self.dense_slot[v as usize] = slot as u32;
             let base = slot * n;
             for (w, p) in g.neighbors_with_probs(v) {
-                dense[base + w as usize] = p;
+                self.dense[base + w as usize] = p;
             }
         }
-        let hub_threshold = hubs.iter().map(|&v| g.degree(v)).min();
-
-        NeighborhoodIndex {
-            words,
-            stride,
-            n,
-            dense_slot,
-            dense,
-            hub_threshold,
-        }
+        self.hub_threshold = self.hubs.last().map(|&v| g.degree(v));
+        self.stride = stride;
+        self.n = n;
     }
 
     /// Heuristic for the membership tier: build the index when its word
@@ -441,6 +464,33 @@ mod tests {
         let g = path4();
         assert!(NeighborhoodIndex::should_build(&g, 1 << 20));
         assert!(!NeighborhoodIndex::should_build(&g, 0));
+    }
+
+    #[test]
+    fn rebuild_in_place_equals_a_fresh_build() {
+        let graphs = [
+            hub_graph(),
+            path4(),
+            complete_graph(9, Prob::new(0.5).unwrap()),
+        ];
+        let mut idx = NeighborhoodIndex::default();
+        assert_eq!(idx.num_vertices(), 0);
+        for g in graphs.iter().chain(graphs.iter().rev()) {
+            for budget in [0, 8 * g.num_vertices(), UNBOUNDED] {
+                idx.rebuild(g, budget);
+                let fresh = NeighborhoodIndex::build(g, budget);
+                assert_eq!(idx.num_vertices(), fresh.num_vertices());
+                assert_eq!(idx.dense_rows(), fresh.dense_rows());
+                assert_eq!(idx.hub_degree_threshold(), fresh.hub_degree_threshold());
+                for u in g.vertices() {
+                    assert_eq!(idx.row(u).words(), fresh.row(u).words(), "row {u}");
+                    assert_eq!(idx.dense_row(u), fresh.dense_row(u), "dense row {u}");
+                    for v in g.vertices() {
+                        assert_eq!(idx.contains_edge(u, v), g.contains_edge(u, v));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -87,6 +87,52 @@ impl UncertainGraph {
         Ok(g)
     }
 
+    /// Refill `self` in place with the subgraph of `g` induced by `keep`,
+    /// vertex `keep[i]` becoming `i`. `keep` must be strictly ascending
+    /// and in range, so the relabel is monotone: rows stay sorted and
+    /// every kept arc carries the bits `g` stores. This is the monotone
+    /// case of [`crate::subgraph::induced_subgraph`] over reused
+    /// buffers: a caller that refills one scratch graph many times
+    /// allocates only while its buffers grow.
+    ///
+    /// `slot` is the caller's rank table, indexed by `g`'s ids. The call
+    /// grows it to `g.num_vertices()` entries of `u32::MAX` and leaves
+    /// every entry it set at `u32::MAX` again, so one table serves every
+    /// refill from graphs of up to its length. Runs in `O(Σ deg(keep))`.
+    pub fn refill_induced(
+        &mut self,
+        g: &UncertainGraph,
+        keep: &[VertexId],
+        slot: &mut Vec<VertexId>,
+    ) {
+        debug_assert!(keep.windows(2).all(|w| w[0] < w[1]), "keep must ascend");
+        if slot.len() < g.num_vertices() {
+            slot.resize(g.num_vertices(), VertexId::MAX);
+        }
+        for (new, &old) in (0..).zip(keep) {
+            slot[old as usize] = new;
+        }
+        self.offsets.clear();
+        self.neighbors.clear();
+        self.probs.clear();
+        self.name.clear();
+        self.offsets.push(0);
+        for &old in keep {
+            for (w, p) in g.neighbors_with_probs(old) {
+                let new = slot[w as usize];
+                if new != VertexId::MAX {
+                    self.neighbors.push(new);
+                    self.probs.push(p);
+                }
+            }
+            self.offsets.push(self.neighbors.len());
+        }
+        self.m = self.neighbors.len() / 2;
+        for &old in keep {
+            slot[old as usize] = VertexId::MAX;
+        }
+    }
+
     /// Number of vertices `n = |V|`.
     #[inline]
     pub fn num_vertices(&self) -> usize {
@@ -290,6 +336,14 @@ impl UncertainGraph {
     }
 }
 
+/// The empty graph (`n = 0`), a starting point for
+/// [`UncertainGraph::refill_induced`].
+impl Default for UncertainGraph {
+    fn default() -> Self {
+        Self::from_csr_parts(vec![0], Vec::new(), Vec::new(), String::new())
+    }
+}
+
 impl std::fmt::Debug for UncertainGraph {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("UncertainGraph")
@@ -377,6 +431,35 @@ mod tests {
         assert!(crate::UncertainGraph::validate_alpha(1.0).is_ok());
         assert!(crate::UncertainGraph::validate_alpha(0.0).is_err());
         assert!(crate::UncertainGraph::validate_alpha(1.1).is_err());
+    }
+
+    #[test]
+    fn refill_induced_matches_induced_subgraph_and_resets_slots() {
+        let mut b = GraphBuilder::new(8);
+        for (u, v, p) in [
+            (0, 2, 0.5),
+            (0, 5, 0.25),
+            (2, 5, 0.75),
+            (2, 7, 0.125),
+            (5, 7, 1.0),
+            (1, 3, 0.5),
+            (3, 5, 0.5),
+        ] {
+            b.add_edge(u, v, p).unwrap();
+        }
+        let g = b.build();
+        let mut local = crate::UncertainGraph::default();
+        assert_eq!(local.num_vertices(), 0);
+        let mut slot = Vec::new();
+        // A larger refill, then a smaller one over the same buffers.
+        for keep in [&[0u32, 2, 3, 5, 7][..], &[2, 5, 7], &[], &[4]] {
+            local.refill_induced(&g, keep, &mut slot);
+            let (want, _) = crate::subgraph::induced_subgraph(&g, keep).unwrap();
+            assert_eq!(local, want, "keep {keep:?}");
+            local.check_invariants().unwrap();
+            assert_eq!(slot.len(), 8);
+            assert!(slot.iter().all(|&s| s == u32::MAX), "keep {keep:?}");
+        }
     }
 
     #[test]

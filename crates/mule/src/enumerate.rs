@@ -34,6 +34,10 @@
 //! membership probe plus galloping CSR search for everything else, and —
 //! when no index is built ([`MuleConfig::index_mode`]) — galloping or a
 //! linear two-pointer merge depending on the candidate-to-degree ratio.
+//! Under [`IndexMode::Auto`] a component too large for an index still
+//! searches its hub roots on an index of their own neighbourhood
+//! ([`crate::HUB_ROOT_MIN_DEGREE`]; the `kernel` module docs, "Hub
+//! roots").
 //!
 //! The candidate sets themselves live in a per-search pair of
 //! depth-alternating arenas (`kernel::DepthArenas`): each
@@ -57,7 +61,9 @@ pub type Candidate = (VertexId, f64);
 pub enum IndexMode {
     /// Build the index when its membership tier fits in
     /// [`MuleConfig::max_index_bytes`]; otherwise run index-free
-    /// (gallop / merge over the CSR adjacency).
+    /// (gallop / merge over the CSR adjacency), except that roots of
+    /// degree at least [`crate::HUB_ROOT_MIN_DEGREE`] are searched on an
+    /// index of their own closed neighbourhood, under the same budgets.
     #[default]
     Auto,
     /// Always build the index (tests/ablation).
@@ -91,7 +97,8 @@ pub struct MuleConfig {
     /// Budget for the index's bitset membership tier under
     /// [`IndexMode::Auto`] (bytes): the tier costs `n²/8` bytes and is
     /// skipped — leaving the CSR-only strategies — when it would exceed
-    /// this.
+    /// this. A hub root's neighbourhood index is held to the same
+    /// budget.
     pub max_index_bytes: usize,
     /// Budget for the index's dense probability tier, in bytes **per
     /// enumeration kernel** — when the preprocessing pipeline shards
@@ -148,7 +155,7 @@ pub fn naive_root<S: CliqueSink>(
     }
     let mut stats = EnumerationStats::new();
     enumerate_subtree(
-        &kernel,
+        &kernel.view(),
         &mut stats,
         &mut Vec::new(),
         1.0,

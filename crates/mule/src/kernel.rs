@@ -6,7 +6,8 @@
 //! **arena** the filters write into, and the one recursion every driver
 //! runs: [`enumerate_subtree`] (Algorithm 6, which is Algorithm 2 at a
 //! size threshold `t ≤ 1`) entered through the root step
-//! [`search_root`].
+//! [`search_root`], which searches the hub roots of index-free components
+//! on their own neighbourhood kernel (see "Hub roots").
 //!
 //! # Arena span layout
 //!
@@ -102,10 +103,76 @@
 //! other branch's output. Sinks that keep the default `None` compile
 //! the test away.
 //!
+//! # Hub roots
+//!
+//! A component whose membership tier would exceed
+//! [`MuleConfig::max_index_bytes`] (`n²/8` bytes: over 23,170 vertices at
+//! the default 64 MiB) runs index-free, so every filter merges or
+//! gallops whole CSR rows — and a hub root pays that for each of its
+//! thousands of search nodes. Yet the root subtree `C = {u}` only ever
+//! reads `Γ(u)` (the closed-form root sets of
+//! [`KernelRef::expand_root_into`]). So when the component kernel has no index under [`IndexMode::Auto`]
+//! and `deg(u) ≥` [`HUB_ROOT_MIN_DEGREE`], [`search_root`] builds the
+//! subgraph induced by `N[u] = {u} ∪ Γ(u)`, relabelled monotonically,
+//! gives it its own tiered index under the same budgets, and runs the
+//! unchanged [`enumerate_subtree`] on it; a remap in the sink layer
+//! translates local ids back. This is the per-root local subgraph of
+//! Eppstein, Löffler & Strash ("Listing All Maximal Cliques in Sparse
+//! Graphs in Near-optimal Time", ISAAC 2010). Roots whose `I₀` is empty
+//! or fails the size cut do no filtering and keep the component kernel.
+//!
+//! *Why it is exact.* Every candidate in the subtree, in `I` and in `X`,
+//! lies in `Γ(u)`, so intersecting with a local row `Γ(w) ∩ N[u]` keeps
+//! exactly what intersecting with `Γ(w)` keeps. The relabel preserves
+//! order, so spans stay sorted and children are visited in the same
+//! order. Local rows carry the CSR's own `f64` bits, and each filter
+//! multiplies the same operands in the same order. The emitted stream,
+//! `calls`, `emitted`, `max_depth` and the size, β and dominated-sibling
+//! counters are therefore those of the component kernel; only the scan
+//! and strategy counters (`*_scanned`, `dense_probes`, `gallop_probes`,
+//! `merge_steps`) move, and `EnumerationStats::hub_roots` counts the
+//! roots searched this way. `tests/tiered_index.rs` pins all of this
+//! against `IndexMode::Never`, which keeps meaning CSR-only.
+//!
+//! *Where it lives.* The local CSR, its id tables and its index sit in
+//! [`HubScratch`], beside the arenas in each enumerator's or worker's
+//! [`DepthArenas`], and are refilled in place
+//! ([`UncertainGraph::refill_induced`], [`NeighborhoodIndex::rebuild`]):
+//! a rerun allocates nothing (`tests/alloc_regression.rs`).
+//!
+//! *The threshold.* Building a neighbourhood kernel costs
+//! `O(Σ_{v ∈ N[u]} deg v)` plus its index, which a root of a few dozen
+//! neighbours does not earn back. A sweep of [`HUB_ROOT_MIN_DEGREE`] on the DBLP10 stand-in
+//! (`mule generate --dataset DBLP10 --seed 42`, `count` after prepare,
+//! min_size 0, best of 3 rounds of 3 runs each on a 2-vCPU host, where
+//! one run spreads 10–30%):
+//!
+//! | α | index-free CSR | 64 | 128 | 256 |
+//! |---|---|---|---|---|
+//! | 0.3 | 3.49 s | 1.67 s (1,169 hub roots) | 1.77 s (502) | 1.62 s (207) |
+//! | 0.5 | 764 ms | 522 ms (553) | 470 ms (235) | 518 ms (95) |
+//! | 0.7 | 166 ms | 120 ms (238) | 131 ms (93) | 126 ms (36) |
+//!
+//! The three thresholds are within the host's noise of one another: the
+//! gain comes from the few hubs of degree in the hundreds, which every
+//! threshold catches. 128 is the middle of the range. `search nodes`
+//! were equal in every cell (11,581,870 / 3,241,095 / 1,396,827).
+//!
 //! # Negative results
 //!
 //! Measured and dropped, so they are not tried again blind:
 //!
+//! * A component-wide bitset for the DBLP10 stand-in's giant component
+//!   (39,250 vertices at α 0.7, over the 64 MiB membership budget),
+//!   measured on a prototype: hub roots ran about 20% faster, but
+//!   decoding the floor-0.3 base catalog went from about 80 to 629 ms,
+//!   since every open rebuilds the `n²/8`-byte tier. The neighbourhood
+//!   kernels above index only what a hub root reads.
+//! * A reverse gallop for short rows on the index-free path (search the
+//!   candidate span for each entry of a pivot row shorter than it),
+//!   measured on a prototype: it cut the DBLP10 count by about 9%, and
+//!   the neighbourhood kernels, which give hub roots an index, supersede
+//!   it.
 //! * Kernel strategies (tried with the tiered index): dense rows at the
 //!   wiki-vote stand-in's full scale, a merge over the bitset tier, a
 //!   transposed row walk, span range clipping and struct-of-arrays
@@ -123,7 +190,7 @@
 
 use crate::enumerate::{Candidate, IndexMode, MuleConfig};
 use crate::limits::RunLimits;
-use crate::sinks::{CliqueSink, Control};
+use crate::sinks::{CliqueSink, Control, Remap};
 use crate::stats::EnumerationStats;
 use std::ops::Range;
 use std::sync::Arc;
@@ -199,12 +266,13 @@ pub(crate) type CandSpan<'a> = &'a [Candidate];
 
 /// The depth-alternating buffer pair (see the module docs): nodes at
 /// even depth hold their spans in `even` and write children into `odd`,
-/// and vice versa. Owned by each enumerator / worker so capacity
-/// persists across runs.
-#[derive(Debug, Default)]
+/// and vice versa — plus the hub-root scratch ([`HubScratch`]). Owned
+/// by each enumerator / worker so capacity persists across runs.
+#[derive(Default)]
 pub(crate) struct DepthArenas {
     pub even: CandidateArena,
     pub odd: CandidateArena,
+    pub hub: HubScratch,
 }
 
 impl DepthArenas {
@@ -253,6 +321,10 @@ impl Scan {
 /// `deg/|src| = 16`.
 const MERGE_FACTOR: usize = 16;
 
+/// Smallest degree at which a root of an index-free component is
+/// searched on its own neighbourhood kernel (module docs, "Hub roots").
+pub const HUB_ROOT_MIN_DEGREE: usize = 128;
+
 /// Prepared search state shared by the enumeration algorithms.
 ///
 /// The graph and index sit behind [`Arc`] so a component that refine
@@ -261,6 +333,10 @@ pub(crate) struct Kernel {
     pub g: Arc<UncertainGraph>,
     pub alpha: f64,
     pub index: Option<Arc<NeighborhoodIndex>>,
+    /// The configuration a hub root's neighbourhood kernel is indexed
+    /// under: `Some` exactly when the component is index-free under
+    /// [`IndexMode::Auto`] (module docs, "Hub roots").
+    hubs: Option<MuleConfig>,
 }
 
 impl Kernel {
@@ -275,10 +351,13 @@ impl Kernel {
         };
         let index =
             build_index.then(|| Arc::new(NeighborhoodIndex::build(&g, config.dense_index_bytes)));
+        let hubs =
+            (index.is_none() && config.index_mode == IndexMode::Auto).then(|| config.clone());
         Kernel {
             g: Arc::new(g),
             alpha,
             index,
+            hubs,
         }
     }
 
@@ -290,9 +369,103 @@ impl Kernel {
             g: Arc::clone(&self.g),
             alpha,
             index: self.index.as_ref().map(Arc::clone),
+            hubs: self.hubs.clone(),
         }
     }
 
+    /// The borrowed search state of the whole component.
+    pub fn view(&self) -> KernelRef<'_> {
+        KernelRef {
+            g: &self.g,
+            alpha: self.alpha,
+            index: self.index.as_deref(),
+        }
+    }
+
+    /// The configuration to search root `u` on its own neighbourhood
+    /// kernel under, or `None` to search it on the component's: the
+    /// component is index-free under [`IndexMode::Auto`], `deg(u)` is at
+    /// least [`HUB_ROOT_MIN_DEGREE`], and the root has children to search
+    /// (`I₀(u)` is non-empty and passes the size cut `1 + |I₀| ≥ t`).
+    fn hub_root(&self, u: VertexId, t: usize) -> Option<&MuleConfig> {
+        let config = self.hubs.as_ref()?;
+        let nbrs = self.g.neighbors(u);
+        let upper = nbrs.len() - nbrs.partition_point(|&w| w < u);
+        (nbrs.len() >= HUB_ROOT_MIN_DEGREE && upper > 0 && 1 + upper >= t).then_some(config)
+    }
+}
+
+/// Reusable scratch for hub roots' neighbourhood kernels (module docs,
+/// "Hub roots"): the subgraph induced by `N[u]`, its tiered index and
+/// the id tables, refilled in place for each hub root, so a rerun over
+/// the same roots allocates nothing.
+#[derive(Default)]
+pub(crate) struct HubScratch {
+    /// Local id → component id: `N[u]` in ascending order.
+    ids: Vec<VertexId>,
+    /// Component id → local id (`u32::MAX` outside `N[u]`): the rank
+    /// table [`UncertainGraph::refill_induced`] reads.
+    slot: Vec<VertexId>,
+    g: UncertainGraph,
+    index: NeighborhoodIndex,
+    indexed: bool,
+    /// The component-id buffer each emitted clique is translated into.
+    clique: Vec<VertexId>,
+}
+
+impl HubScratch {
+    /// Load root `u`'s neighbourhood kernel: the subgraph of the
+    /// component graph `g` induced by `N[u]`, relabelled monotonically,
+    /// indexed when its membership tier fits `max_index_bytes`. Returns
+    /// `u`'s local id.
+    fn load(&mut self, g: &UncertainGraph, u: VertexId, config: &MuleConfig) -> VertexId {
+        let nbrs = g.neighbors(u);
+        let local = nbrs.partition_point(|&w| w < u);
+        self.ids.clear();
+        self.ids.extend_from_slice(&nbrs[..local]);
+        self.ids.push(u);
+        self.ids.extend_from_slice(&nbrs[local..]);
+        self.g.refill_induced(g, &self.ids, &mut self.slot);
+        self.indexed = NeighborhoodIndex::should_build(&self.g, config.max_index_bytes);
+        if self.indexed {
+            self.index.rebuild(&self.g, config.dense_index_bytes);
+        }
+        local as VertexId
+    }
+
+    /// The loaded kernel at `alpha`, and `sink` behind the translation
+    /// of local ids back to component ids.
+    fn split<'a, S: CliqueSink>(
+        &'a mut self,
+        alpha: f64,
+        sink: &'a mut S,
+    ) -> (KernelRef<'a>, Remap<'a, S>) {
+        let kernel = KernelRef {
+            g: &self.g,
+            alpha,
+            index: self.indexed.then_some(&self.index),
+        };
+        let remap = Remap {
+            inner: sink,
+            map: &self.ids,
+            scratch: &mut self.clique,
+        };
+        (kernel, remap)
+    }
+}
+
+/// The borrowed search state the filters and the recursion read: a
+/// component's ([`Kernel::view`]) or a hub root's neighbourhood kernel
+/// ([`HubScratch`]). An α-pruned graph, its α and its tiered index, if
+/// one was built.
+#[derive(Clone, Copy)]
+pub(crate) struct KernelRef<'a> {
+    pub g: &'a UncertainGraph,
+    pub alpha: f64,
+    pub index: Option<&'a NeighborhoodIndex>,
+}
+
+impl KernelRef<'_> {
     /// Closed-form root expansion behind [`search_root`]: at the root
     /// every factor is 1 and every vertex `< u` has moved to `X` by the
     /// time `u` is processed, so
@@ -364,7 +537,7 @@ impl Kernel {
         *side.counter(stats) += src.len() as u64;
         let nbrs = self.g.neighbors(u);
         let probs = self.g.neighbor_probs(u);
-        if let Some(idx) = &self.index {
+        if let Some(idx) = self.index {
             if let Some(drow) = idx.dense_row(u) {
                 // Dense rows only exist cache-resident, so the direct
                 // one-load-per-candidate probe is always the right call.
@@ -477,7 +650,7 @@ impl Kernel {
     ) -> bool {
         let nbrs = self.g.neighbors(u);
         let probs = self.g.neighbor_probs(u);
-        let index = self.index.as_ref();
+        let index = self.index;
         let dense = index.and_then(|idx| idx.dense_row(u));
         for src in srcs {
             if let Some(drow) = dense {
@@ -581,7 +754,7 @@ const DOMINANCE_MAX_SIZE: usize = 2048;
 /// siblings").
 pub(crate) type Subtree = (Control, Option<f64>);
 
-impl Kernel {
+impl KernelRef<'_> {
     /// Whether a computed `clq(C ∪ I) = p` over `size = |C ∪ I|`
     /// vertices lets a node skip the siblings of its first child: `p`
     /// clears α by [`DOMINANCE_MARGIN`], `size` is within
@@ -652,7 +825,7 @@ impl Kernel {
 /// (module docs, "β admission cut").
 #[allow(clippy::too_many_arguments)] // mirrors Algorithm 6's state tuple
 pub(crate) fn enumerate_subtree<S: CliqueSink>(
-    kernel: &Kernel,
+    kernel: &KernelRef<'_>,
     stats: &mut EnumerationStats,
     c: &mut Vec<VertexId>,
     q: f64,
@@ -774,7 +947,7 @@ pub(crate) fn enumerate_subtree<S: CliqueSink>(
 
 /// Search the root subtree `C = {u}` — the step every root loop shares
 /// (the prepared schedule and the parallel workers): expand `I₀(u)` and
-/// `X₀(u)` in closed form ([`Kernel::expand_root_into`]), cut the root
+/// `X₀(u)` in closed form ([`KernelRef::expand_root_into`]), cut the root
 /// when `1 + |I₀| < t` (counted in `size_pruned`), otherwise run
 /// [`enumerate_subtree`] with `u` pushed onto `c`. Leaves `c` as it found
 /// it and both arenas empty.
@@ -782,6 +955,11 @@ pub(crate) fn enumerate_subtree<S: CliqueSink>(
 /// A sink whose admission floor is already `≥ 1` rejects every clique
 /// (each factor is `≤ 1`), so the root is skipped before its expansion
 /// and counted in `beta_pruned` (module docs, "β admission cut").
+///
+/// A hub root of an index-free component is searched on its own
+/// neighbourhood kernel, loaded into `arenas.hub`, with emitted ids
+/// translated back in the sink layer; `hub_roots` counts it (module
+/// docs, "Hub roots").
 #[allow(clippy::too_many_arguments)] // the run loops' split-borrowed state
 pub(crate) fn search_root<S: CliqueSink>(
     kernel: &Kernel,
@@ -797,29 +975,52 @@ pub(crate) fn search_root<S: CliqueSink>(
         stats.beta_pruned += 1;
         return Control::Continue;
     }
-    let (i0, x0) = kernel.expand_root_into(u, &mut arenas.even, &mut stats.i_candidates_scanned);
-    let ctl = if 1 + i0.len() < t {
-        stats.size_pruned += 1;
-        Control::Continue
-    } else {
-        c.push(u);
-        let (ctl, _) = enumerate_subtree(
-            kernel,
-            stats,
-            c,
-            1.0,
-            i0,
-            x0,
-            &mut arenas.even,
-            &mut arenas.odd,
-            t,
-            limits,
-            sink,
-        );
-        c.pop();
-        ctl
+    let DepthArenas { even, odd, hub } = arenas;
+    let ctl = match kernel.hub_root(u, t) {
+        Some(config) => {
+            stats.hub_roots += 1;
+            let local = hub.load(&kernel.g, u, config);
+            let (local_kernel, mut remap) = hub.split(kernel.alpha, sink);
+            search_expanded(
+                &local_kernel,
+                local,
+                t,
+                stats,
+                even,
+                odd,
+                c,
+                limits,
+                &mut remap,
+            )
+        }
+        None => search_expanded(&kernel.view(), u, t, stats, even, odd, c, limits, sink),
     };
     arenas.clear();
+    ctl
+}
+
+/// The body of [`search_root`] on one kernel: expand the root, apply the
+/// size cut, recurse.
+#[allow(clippy::too_many_arguments)] // the run loops' split-borrowed state
+fn search_expanded<S: CliqueSink>(
+    kernel: &KernelRef<'_>,
+    u: VertexId,
+    t: usize,
+    stats: &mut EnumerationStats,
+    even: &mut CandidateArena,
+    odd: &mut CandidateArena,
+    c: &mut Vec<VertexId>,
+    limits: &mut RunLimits,
+    sink: &mut S,
+) -> Control {
+    let (i0, x0) = kernel.expand_root_into(u, even, &mut stats.i_candidates_scanned);
+    if 1 + i0.len() < t {
+        stats.size_pruned += 1;
+        return Control::Continue;
+    }
+    c.push(u);
+    let (ctl, _) = enumerate_subtree(kernel, stats, c, 1.0, i0, x0, even, odd, t, limits, sink);
+    c.pop();
     ctl
 }
 
@@ -918,6 +1119,7 @@ mod tests {
                 ..Default::default()
             };
             let kernel = Kernel::wrap(subgraph::prune_below_alpha(&g, 0.3).unwrap(), 0.3, &cfg);
+            let kernel = kernel.view();
             // Candidates probing Γ(0): 2 survives (0.8·q2 ≥ α), 4 is not a
             // neighbor, 3 was α-pruned from the kernel graph.
             let mut arena = CandidateArena::new();
@@ -949,39 +1151,71 @@ mod tests {
         use crate::enumerate::{IndexMode, MuleConfig};
         use ugraph_core::builder::from_edges;
 
-        // A hub (degree ≥ MIN_DENSE_DEGREE) so the dense tier engages
-        // under IndexMode::Always with an unbounded budget; candidate
-        // spans of different sizes exercise merge and gallop on the
-        // index-free path.
-        let mut edges: Vec<(u32, u32, f64)> = (1..=20u32)
-            .map(|v| (0, v, 0.35 + 0.03 * v as f64))
+        // Pivot 2 is a hub (degree ≥ MIN_DENSE_DEGREE) over the even
+        // candidates 4..=42, so the dense tier engages under
+        // IndexMode::Always with an unbounded budget; candidate spans of
+        // different sizes exercise merge and gallop on the index-free
+        // path. Root 49 is adjacent to the pivot and to every candidate
+        // (4..=46), so its neighbourhood kernel holds them all under a
+        // relabel that is not the identity: the fourth strategy.
+        let mut edges: Vec<(u32, u32, f64)> = (2..=21u32)
+            .map(|k| (2, 2 * k, 0.35 + 0.03 * k as f64))
             .collect();
-        edges.push((21, 22, 0.9));
-        let g = from_edges(23, &edges).unwrap();
+        edges.push((44, 46, 0.9));
+        edges.extend((1..=23u32).map(|k| (2 * k, 49, 0.95)));
+        let g = from_edges(50, &edges).unwrap();
+        let candidates: Vec<u32> = (2..=23u32).map(|k| 2 * k).collect();
+        let root = 49;
 
         let configs = [
-            ("dense", IndexMode::Always, usize::MAX),
-            ("bitset", IndexMode::Always, 0),
-            ("csr", IndexMode::Never, 0),
+            ("dense", IndexMode::Always, usize::MAX, usize::MAX),
+            ("bitset", IndexMode::Always, 0, usize::MAX),
+            ("csr", IndexMode::Never, 0, usize::MAX),
+            // The component (50 vertices, 400 index bytes) is over the
+            // membership budget; the root's 24-vertex neighbourhood
+            // (192 bytes) is within it.
+            ("local", IndexMode::Auto, usize::MAX, 200),
         ];
-        let mut arena = CandidateArena::new();
-        for w in 1..23u32 {
-            arena.push((w, 1.0));
-        }
         type Outcome = (String, Vec<(u32, u64)>, bool);
         for src_len in [1usize, 3, 22] {
             let mut outcomes: Vec<Outcome> = Vec::new();
-            for (label, mode, budget) in configs {
+            for (label, mode, budget, max_index) in configs {
                 let cfg = MuleConfig {
                     index_mode: mode,
                     dense_index_bytes: budget,
-                    ..Default::default()
+                    max_index_bytes: max_index,
                 };
                 let kernel = Kernel::wrap(subgraph::prune_below_alpha(&g, 0.3).unwrap(), 0.3, &cfg);
+                let mut hub = HubScratch::default();
+                // The pivot and the candidates in the searched kernel's ids.
+                let (view, pivot, ids): (KernelRef<'_>, u32, &[u32]) = if label == "local" {
+                    assert!(kernel.index.is_none(), "the component must be index-free");
+                    let config = kernel.hubs.as_ref().expect("an index-free Auto component");
+                    hub.load(&kernel.g, root, config);
+                    assert!(hub.indexed, "the neighbourhood fits the budget");
+                    let view = KernelRef {
+                        g: &hub.g,
+                        alpha: 0.3,
+                        index: Some(&hub.index),
+                    };
+                    (view, 0, &hub.ids)
+                } else {
+                    (kernel.view(), 2, &[])
+                };
+                let local = |w: u32| match ids.binary_search(&w) {
+                    Ok(i) => i as u32,
+                    Err(_) if ids.is_empty() => w,
+                    Err(_) => panic!("{w} is outside N[{root}]"),
+                };
+                let global = |w: u32| if ids.is_empty() { w } else { ids[w as usize] };
+                let mut arena = CandidateArena::new();
+                for &w in &candidates {
+                    arena.push((local(w), 1.0));
+                }
                 let mut out = CandidateArena::new();
                 let mut stats = EnumerationStats::new();
-                kernel.filter_candidates_into(
-                    0,
+                view.filter_candidates_into(
+                    pivot,
                     1.0,
                     arena.span(0..src_len),
                     &mut out,
@@ -991,19 +1225,19 @@ mod tests {
                 let survivors: Vec<(u32, u64)> = (0..out.mark())
                     .map(|i| {
                         let (w, r) = out.get(i);
-                        (w, r.to_bits())
+                        (global(w), r.to_bits())
                     })
                     .collect();
                 let mut s2 = EnumerationStats::new();
-                let alive = kernel.any_candidate_survives(
-                    0,
+                let alive = view.any_candidate_survives(
+                    pivot,
                     1.0,
                     [arena.span(0..src_len), arena.span(0..0)],
                     &mut s2,
                 );
                 // Exactly one strategy family fired per config.
                 match label {
-                    "dense" => assert!(stats.dense_probes > 0, "{label} len={src_len}"),
+                    "dense" | "local" => assert!(stats.dense_probes > 0, "{label} len={src_len}"),
                     "bitset" => assert!(
                         stats.dense_probes == 0 && stats.gallop_probes + stats.merge_steps > 0
                     ),
@@ -1011,6 +1245,7 @@ mod tests {
                 }
                 outcomes.push((label.to_string(), survivors, alive));
             }
+            assert!(!outcomes[0].1.is_empty(), "len={src_len} keeps nothing");
             for pair in outcomes.windows(2) {
                 assert_eq!(pair[0].1, pair[1].1, "survivors differ at len={src_len}");
                 assert_eq!(pair[0].2, pair[1].2, "existence differs at len={src_len}");

@@ -8,7 +8,7 @@
 //! reference picks its recursion on `min_size ≥ 2`, as every caller once
 //! did, so `min_size` 1 and 2 sit on either side of that old switch.
 
-use super::{CandidateArena, DepthArenas, Kernel, Scan};
+use super::{CandidateArena, DepthArenas, KernelRef, Scan};
 use crate::limits::RunLimits;
 use crate::prepare::{PreparedInstance, Unit};
 use crate::sinks::{CliqueSink, CollectSink, Control, RemapSink};
@@ -22,7 +22,7 @@ use ugraph_core::{GraphBuilder, UncertainGraph, VertexId};
 /// Algorithm 2 without the dominated-sibling rule.
 #[allow(clippy::too_many_arguments)] // mirrors Algorithm 2's state tuple
 fn subtree<S: CliqueSink>(
-    kernel: &Kernel,
+    kernel: &KernelRef<'_>,
     stats: &mut EnumerationStats,
     c: &mut Vec<VertexId>,
     q: f64,
@@ -112,7 +112,7 @@ fn subtree<S: CliqueSink>(
 /// Algorithm 6 without the dominated-sibling rule.
 #[allow(clippy::too_many_arguments)] // mirrors Algorithm 6's state tuple
 fn subtree_bounded<S: CliqueSink>(
-    kernel: &Kernel,
+    kernel: &KernelRef<'_>,
     stats: &mut EnumerationStats,
     c: &mut Vec<VertexId>,
     q: f64,
@@ -225,6 +225,7 @@ fn reference_run(inst: &PreparedInstance) -> (Vec<(Vec<VertexId>, f64)>, Enumera
             Unit::Root { comp, local } => (comp, local),
         };
         let (kernel, map) = inst.component_parts(comp);
+        let kernel = &kernel.view();
         arenas.clear();
         let (i0, x0) =
             kernel.expand_root_into(local, &mut arenas.even, &mut stats.i_candidates_scanned);

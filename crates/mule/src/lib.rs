@@ -124,6 +124,7 @@ pub mod zou_topk;
 pub use delta::{DeltaOp, GraphDelta};
 pub use dfs_noip::DfsNoip;
 pub use enumerate::{Candidate, IndexMode, MuleConfig};
+pub use kernel::HUB_ROOT_MIN_DEGREE;
 pub use limits::CancelToken;
 pub use prepare::PrepareReport;
 pub use query::{Base, Cliques, MuleError, Opened, Prepared, Query};

@@ -14,10 +14,14 @@
 //! compact per-component kernels, and the root tasks seeded into the
 //! deques are `(component, local root)` pairs — sharding falls out of
 //! the decomposition, and a worker never touches memory outside the
-//! component it is currently searching. The per-component tiered
-//! neighborhood index (dense hub rows + bitset membership) is built
-//! once at prepare time and shared read-only, so workers pay no
-//! index-construction or synchronization cost.
+//! component it is currently searching. A component's tiered
+//! neighborhood index (dense hub rows + bitset membership), when it
+//! fits its budget, is built at prepare (or catalog open) time and
+//! shared read-only. A hub root of a component too large for one is
+//! searched on its own neighbourhood kernel instead, which its worker
+//! builds in the scratch beside its arenas (`kernel` module docs, "Hub
+//! roots"). Either way workers share nothing mutable and never
+//! synchronize on an index.
 //!
 //! # Scheduling: per-worker deques + stealing
 //!
@@ -36,8 +40,9 @@
 //!
 //! No work is ever produced after seeding, so termination is a full
 //! sweep finding every deque empty. Each worker owns its own
-//! depth-alternating arena pair (`DepthArenas`), so the per-node
-//! zero-allocation property of the sequential kernel holds per worker.
+//! depth-alternating arena pair and hub-root scratch (`DepthArenas`), so
+//! the per-node zero-allocation property of the sequential kernel holds
+//! per worker.
 //!
 //! # Determinism by construction
 //!

@@ -104,7 +104,7 @@ use crate::kcore::CoreDecomposition;
 use crate::kernel::{search_root, DepthArenas, Kernel};
 use crate::limits::{Interrupt, RunLimits};
 use crate::pruning::shared_neighborhood_peel;
-use crate::sinks::{CliqueSink, Control};
+use crate::sinks::{CliqueSink, Control, Remap};
 use crate::stats::EnumerationStats;
 use std::cell::Cell;
 use ugraph_core::{subgraph, ComponentSplit, Components, GraphError, UncertainGraph, VertexId};
@@ -466,11 +466,8 @@ impl PreparedInstance {
             }
             return None;
         }
-        let mut arenas = std::mem::take(&mut self.arenas);
-        let mut c = std::mem::take(&mut self.clique_buf);
-        let mut scratch = std::mem::take(&mut self.remap_scratch);
-        arenas.clear();
-        c.clear();
+        self.arenas.clear();
+        self.clique_buf.clear();
         for &unit in &self.schedule {
             if limits.probe_now(self.stats.calls) {
                 break;
@@ -480,9 +477,9 @@ impl PreparedInstance {
                 self.min_size,
                 &mut self.stats,
                 unit,
-                &mut arenas,
-                &mut c,
-                &mut scratch,
+                &mut self.arenas,
+                &mut self.clique_buf,
+                &mut self.remap_scratch,
                 limits,
                 sink,
             );
@@ -490,9 +487,6 @@ impl PreparedInstance {
                 break;
             }
         }
-        self.arenas = arenas;
-        self.clique_buf = c;
-        self.remap_scratch = scratch;
         limits.tripped()
     }
 
@@ -524,27 +518,19 @@ impl PreparedInstance {
     /// emits the byte-identical stream. Counters accumulate into
     /// [`Self::stats`]; call [`Self::begin_incremental`] first.
     pub(crate) fn run_unit<S: CliqueSink>(&mut self, idx: usize, sink: &mut S) -> Control {
-        let unit = self.schedule[idx];
-        let mut arenas = std::mem::take(&mut self.arenas);
-        let mut c = std::mem::take(&mut self.clique_buf);
-        let mut scratch = std::mem::take(&mut self.remap_scratch);
         // The pull-based path is caller-paced (the consumer can simply
         // stop pulling), so it runs without limits.
-        let ctl = step(
+        step(
             &self.components,
             self.min_size,
             &mut self.stats,
-            unit,
-            &mut arenas,
-            &mut c,
-            &mut scratch,
+            self.schedule[idx],
+            &mut self.arenas,
+            &mut self.clique_buf,
+            &mut self.remap_scratch,
             &mut RunLimits::none(),
             sink,
-        );
-        self.arenas = arenas;
-        self.clique_buf = c;
-        self.remap_scratch = scratch;
-        ctl
+        )
     }
 }
 
@@ -641,29 +627,6 @@ fn step<S: CliqueSink>(
                 &pc.kernel, local, min_size, stats, arenas, c, limits, &mut remap,
             )
         }
-    }
-}
-
-/// Crate-internal remap adapter with a borrowed scratch buffer, so run
-/// loops can construct one per root without allocating (the public
-/// [`crate::sinks::RemapSink`] owns its scratch instead).
-pub(crate) struct Remap<'a, S: CliqueSink> {
-    pub(crate) inner: &'a mut S,
-    pub(crate) map: &'a [VertexId],
-    pub(crate) scratch: &'a mut Vec<VertexId>,
-}
-
-impl<S: CliqueSink> CliqueSink for Remap<'_, S> {
-    fn emit(&mut self, clique: &[VertexId], prob: f64) -> Control {
-        self.scratch.clear();
-        self.scratch
-            .extend(clique.iter().map(|&v| self.map[v as usize]));
-        debug_assert!(self.scratch.windows(2).all(|w| w[0] < w[1]));
-        self.inner.emit(self.scratch, prob)
-    }
-
-    fn admission_floor(&self) -> Option<f64> {
-        self.inner.admission_floor()
     }
 }
 

@@ -155,14 +155,37 @@ impl<'a, S: CliqueSink> RemapSink<'a, S> {
 impl<S: CliqueSink> CliqueSink for RemapSink<'_, S> {
     fn emit(&mut self, clique: &[VertexId], prob: f64) -> Control {
         // One translation implementation for the whole crate: the
-        // borrowed-scratch adapter in `prepare` (which carries the
+        // borrowed-scratch adapter below (which carries the
         // monotonicity debug_assert).
-        crate::prepare::Remap {
+        Remap {
             inner: &mut *self.inner,
             map: self.to_original,
             scratch: &mut self.scratch,
         }
         .emit(clique, prob)
+    }
+
+    fn admission_floor(&self) -> Option<f64> {
+        self.inner.admission_floor()
+    }
+}
+
+/// Crate-internal remap adapter with a borrowed scratch buffer, so run
+/// loops can construct one per root without allocating (the public
+/// [`RemapSink`] owns its scratch instead).
+pub(crate) struct Remap<'a, S: CliqueSink> {
+    pub(crate) inner: &'a mut S,
+    pub(crate) map: &'a [VertexId],
+    pub(crate) scratch: &'a mut Vec<VertexId>,
+}
+
+impl<S: CliqueSink> CliqueSink for Remap<'_, S> {
+    fn emit(&mut self, clique: &[VertexId], prob: f64) -> Control {
+        self.scratch.clear();
+        self.scratch
+            .extend(clique.iter().map(|&v| self.map[v as usize]));
+        debug_assert!(self.scratch.windows(2).all(|w| w[0] < w[1]));
+        self.inner.emit(self.scratch, prob)
     }
 
     fn admission_floor(&self) -> Option<f64> {

@@ -54,6 +54,11 @@ pub struct EnumerationStats {
     /// the first child proved `C ∪ I` an α-clique, so no later sibling
     /// can emit (see the `mule::kernel` module docs).
     pub dominated_siblings: u64,
+    /// Roots searched on their own neighbourhood kernel: hub roots of
+    /// components too large for a component index (see the
+    /// `mule::kernel` module docs, "Hub roots"). Zero under
+    /// `IndexMode::Never` and on indexed components.
+    pub hub_roots: u64,
 }
 
 impl EnumerationStats {
@@ -81,6 +86,7 @@ impl EnumerationStats {
         self.gallop_probes += other.gallop_probes;
         self.merge_steps += other.merge_steps;
         self.dominated_siblings += other.dominated_siblings;
+        self.hub_roots += other.hub_roots;
     }
 
     /// Total filter probes across strategies — the "work performed"
@@ -108,6 +114,7 @@ mod tests {
             gallop_probes: 2,
             merge_steps: 1,
             dominated_siblings: 2,
+            hub_roots: 1,
         };
         let b = EnumerationStats {
             calls: 4,
@@ -121,6 +128,7 @@ mod tests {
             gallop_probes: 3,
             merge_steps: 9,
             dominated_siblings: 5,
+            hub_roots: 3,
         };
         a.merge(&b);
         assert_eq!(a.calls, 7);
@@ -133,6 +141,7 @@ mod tests {
         assert_eq!(a.gallop_probes, 5);
         assert_eq!(a.merge_steps, 10);
         assert_eq!(a.dominated_siblings, 7);
+        assert_eq!(a.hub_roots, 4);
         assert_eq!(a.total_probes(), 25);
     }
 

@@ -202,6 +202,52 @@ fn prepared_pipeline_steady_state_rerun_allocates_nothing() {
 }
 
 #[test]
+fn hub_root_steady_state_rerun_allocates_nothing() {
+    // An index-free component (IndexMode::Auto over a membership budget
+    // the component exceeds) with two hub roots of different degree,
+    // each searched on a neighbourhood kernel refilled in the session's
+    // scratch: CSR-only under a zero budget, and indexed, dense rows
+    // included, under one that fits the larger neighbourhood.
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
+    let hub_degree = mule::HUB_ROOT_MIN_DEGREE;
+    let g = {
+        let mut rng = SmallRng::seed_from_u64(13);
+        let n = 3 * hub_degree as u32;
+        let mut b = ugraph_core::GraphBuilder::new(n as usize);
+        for v in 2..=hub_degree as u32 + 1 {
+            b.add_edge(0, v, 0.95).unwrap();
+        }
+        for v in (2..n).step_by(2).take(hub_degree + 16) {
+            b.add_edge(1, v, 0.95).unwrap();
+        }
+        for u in 2..n {
+            for v in (u + 1)..n {
+                if rng.gen::<f64>() < 0.06 {
+                    b.add_edge(u, v, 1.0 - rng.gen::<f64>() * 0.5).unwrap();
+                }
+            }
+        }
+        b.build()
+    };
+    let local_bytes = (hub_degree + 17) * (hub_degree + 17).div_ceil(64) * 8;
+    for max_index in [0, local_bytes] {
+        let query = mule::Query::new(&g).alpha(0.05).max_index_bytes(max_index);
+        let mut inst = query.dense_index_bytes(usize::MAX).prepare().unwrap();
+        let mut warm = mule::sinks::CountSink::new();
+        inst.stream(&mut warm).unwrap();
+        assert_eq!(inst.stats().hub_roots, 2, "max_index {max_index}");
+        assert!(warm.count > 50, "fixture too easy: {} cliques", warm.count);
+        let mut sink = mule::sinks::CountSink::new();
+        let (allocs, _) = allocations_during(|| inst.stream(&mut sink).is_ok());
+        assert_eq!(
+            allocs, 0,
+            "steady-state hub-root rerun allocated {allocs} times (max_index {max_index})"
+        );
+        assert_eq!(sink.count, warm.count);
+    }
+}
+
+#[test]
 fn first_run_allocation_count_is_bounded_by_depth_not_nodes() {
     // Even the *first* run must allocate only O(max_depth + log capacity)
     // times (arena growth doublings), never per node: a graph with tens of

@@ -15,11 +15,16 @@
 //! at every interior search node, and the existence short-circuit
 //! (`any_candidate_survives`) runs at every leaf child with empty `I'`
 //! — random graphs at the swept α values hit both continuously.
+//!
+//! The third tier, hub roots of index-free components searched on their
+//! own neighbourhood kernel, is pinned the same way against
+//! `IndexMode::Never`, counters included
+//! (`hub_roots_are_byte_identical_to_csr`).
 
 use mule::sinks::CollectSink;
-use mule::{IndexMode, MuleConfig, Query};
+use mule::{EnumerationStats, IndexMode, MuleConfig, MuleError, Query, HUB_ROOT_MIN_DEGREE};
 use proptest::prelude::*;
-use ugraph_core::{GraphBuilder, UncertainGraph, VertexId};
+use ugraph_core::{DuplicatePolicy, GraphBuilder, UncertainGraph, VertexId};
 
 /// Random graph with a planted hub (degree comfortably above both the
 /// dense tier's absolute floor and its relative
@@ -89,6 +94,94 @@ fn piped_pairs(g: &UncertainGraph, alpha: f64, cfg: MuleConfig) -> Vec<(Vec<Vert
     pairs(query(g, alpha, &cfg))
 }
 
+/// Random graph with a planted hub root: a vertex at a low id (so most
+/// of its neighbours are above it, in `I₀`) adjacent at `p ≥ 0.9` to
+/// every vertex but `far` others scattered over the id range, so its
+/// degree clears [`HUB_ROOT_MIN_DEGREE`] at every α below 0.9 and its
+/// neighbourhood relabels to ids that differ from the component's.
+/// Bernoulli periphery over the other vertices, and a triangle from each
+/// far vertex into the hub's neighbourhood, keep the hub's component
+/// larger than its neighbourhood.
+fn arb_hub_root_graph() -> impl Strategy<Value = UncertainGraph> {
+    (4usize..=24, 4usize..=16, any::<u64>(), 0.02f64..0.1).prop_map(
+        |(extra, far, seed, density)| {
+            use rand::{rngs::SmallRng, Rng, SeedableRng};
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let n = HUB_ROOT_MIN_DEGREE + extra + 1 + far;
+            let hub = rng.gen_range(0..n as u32 / 4);
+            let mut is_far = vec![false; n];
+            let mut drawn = 0;
+            while drawn < far {
+                let v = rng.gen_range(0..n);
+                if v != hub as usize && !is_far[v] {
+                    is_far[v] = true;
+                    drawn += 1;
+                }
+            }
+            let nbrs: Vec<u32> = (0..n as u32)
+                .filter(|&v| v != hub && !is_far[v as usize])
+                .collect();
+            // Later edges overwrite earlier draws of the same pair.
+            let mut b = GraphBuilder::new(n).duplicate_policy(DuplicatePolicy::KeepLast);
+            for u in (0..n as u32).filter(|&u| u != hub) {
+                for v in (u + 1..n as u32).filter(|&v| v != hub) {
+                    if rng.gen::<f64>() < density {
+                        b.add_edge(u, v, 1.0 - rng.gen::<f64>() * 0.9).unwrap();
+                    }
+                }
+            }
+            for &v in &nbrs {
+                b.add_edge(hub, v, 1.0 - rng.gen::<f64>() * 0.1).unwrap();
+            }
+            // A path through the hub's neighbours at p ≥ 0.9 closes a
+            // triangle over every hub edge, and each far vertex joins one
+            // of its edges in a triangle, so min_size 3's peel keeps the
+            // hub's degree and the far vertices.
+            for w in nbrs.windows(2) {
+                b.add_edge(w[0], w[1], 1.0 - rng.gen::<f64>() * 0.1)
+                    .unwrap();
+            }
+            for v in (0..n as u32).filter(|&v| is_far[v as usize]) {
+                let i = rng.gen_range(0..nbrs.len() - 1);
+                b.add_edge(v, nbrs[i], 0.95).unwrap();
+                b.add_edge(v, nbrs[i + 1], 0.95).unwrap();
+            }
+            b.build()
+        },
+    )
+}
+
+/// Bytes of a membership tier over `n` vertices, as
+/// `NeighborhoodIndex::should_build` prices it.
+fn membership_bytes(n: usize) -> usize {
+    n * n.div_ceil(64) * 8
+}
+
+/// What one run of a session yields: the emission-ordered
+/// `(clique, prob bits)` pairs and the counters.
+type Run = (Vec<(Vec<VertexId>, u64)>, EnumerationStats);
+
+/// `collect` on `threads` workers.
+fn collect_run(query: Query<'_>, threads: usize) -> Run {
+    let mut session = query.threads(threads).prepare().unwrap();
+    let pairs = session.collect().unwrap();
+    let bits = pairs.into_iter().map(|(c, p)| (c, p.to_bits())).collect();
+    (bits, *session.stats())
+}
+
+/// The counters the search tree fixes: everything but the scan and
+/// probe counters (which follow the filter strategy) and `hub_roots`.
+fn tree_counters(s: &EnumerationStats) -> [u64; 6] {
+    [
+        s.calls,
+        s.emitted,
+        s.size_pruned,
+        s.beta_pruned,
+        s.dominated_siblings,
+        s.max_depth as u64,
+    ]
+}
+
 /// The tier-budget grid the pins sweep: dense tier disabled, one
 /// component-sized row ("mid"), and unbounded.
 fn budgets(n: usize) -> [usize; 3] {
@@ -149,6 +242,96 @@ proptest! {
                 &piped_pairs(&g, alpha, cfg), &reference,
                 "budget {}", budget
             );
+        }
+    }
+
+    /// Hub roots of index-free components run on their own
+    /// neighbourhood kernel. Against `IndexMode::Never` the stream (ids
+    /// and probability bits), the search-tree counters, the top-k
+    /// rankings and a node-budget-interrupted prefix must all match, at
+    /// min_size 0 and 3 and on 1 and 2 threads. The neighbourhood
+    /// kernels run CSR-only (`max_index_bytes(0)` indexes nothing) and
+    /// indexed (a budget that fits the hub's neighbourhood but not its
+    /// component), and the hub path must have run (`hub_roots > 0`).
+    /// Under the default budget the component is indexed and no root
+    /// takes the hub path.
+    #[test]
+    fn hub_roots_are_byte_identical_to_csr(
+        g in arb_hub_root_graph(),
+        alpha in 0.001f64..0.85,
+        dense_tier in any::<bool>(),
+    ) {
+        let dense = if dense_tier { usize::MAX } else { 0 };
+        let hub_degree = g.max_degree();
+        prop_assert!(hub_degree >= HUB_ROOT_MIN_DEGREE);
+        let base = |mode: IndexMode, max_index: usize, min_size: usize| {
+            Query::new(&g)
+                .alpha(alpha)
+                .min_size(min_size)
+                .index_mode(mode)
+                .max_index_bytes(max_index)
+                .dense_index_bytes(dense)
+        };
+        for min_size in [0usize, 3] {
+            let never = || base(IndexMode::Never, 0, min_size);
+            let (want, want_stats) = collect_run(never(), 1);
+            prop_assert_eq!(want_stats.hub_roots, 0);
+            let indexed = MuleConfig::default().max_index_bytes;
+            for max_index in [0, membership_bytes(hub_degree + 1), indexed] {
+                let hubs = || base(IndexMode::Auto, max_index, min_size);
+                let at = format!("min_size {min_size}, max_index {max_index}, dense {dense}");
+                for threads in [1, 2] {
+                    let (got, stats) = collect_run(hubs(), threads);
+                    prop_assert_eq!(&got, &want, "stream, {}, threads {}", at, threads);
+                    prop_assert_eq!(
+                        tree_counters(&stats), tree_counters(&want_stats),
+                        "counters, {}, threads {}", at, threads
+                    );
+                    // An indexed component searches every root on its
+                    // own index.
+                    if max_index == indexed {
+                        prop_assert_eq!(stats.hub_roots, 0, "{}", at);
+                    } else {
+                        prop_assert!(stats.hub_roots > 0, "no hub root ran, {}", at);
+                    }
+                }
+                for k in [1, 10] {
+                    let mut reference = never().prepare().unwrap();
+                    let mut session = hubs().prepare().unwrap();
+                    let (a, b) = (reference.top_k(k).unwrap(), session.top_k(k).unwrap());
+                    let bits = |r: &mule::topk::RankedCliques| -> Vec<(Vec<VertexId>, u64)> {
+                        r.iter().map(|(c, p)| (c.clone(), p.to_bits())).collect()
+                    };
+                    prop_assert_eq!(bits(&b), bits(&a), "top-{}, {}", k, at);
+                    prop_assert_eq!(
+                        tree_counters(session.stats()), tree_counters(reference.stats()),
+                        "top-{} counters, {}", k, at
+                    );
+                }
+                // A node budget that fires mid-run: the same prefix and
+                // the same partial counters.
+                let budget = want_stats.calls / 2;
+                let prefix = |query: Query<'_>| -> Run {
+                    let mut session = query.node_budget(budget).prepare().unwrap();
+                    let mut sink = CollectSink::new();
+                    let stats = match session.stream(&mut sink) {
+                        Ok(stats) => *stats,
+                        Err(e) => {
+                            assert!(matches!(e, MuleError::BudgetExhausted { .. }), "{e}");
+                            *e.interrupted_stats().unwrap()
+                        }
+                    };
+                    let pairs = sink.into_pairs();
+                    (pairs.into_iter().map(|(c, p)| (c, p.to_bits())).collect(), stats)
+                };
+                let (want_prefix, want_partial) = prefix(never());
+                let (got_prefix, partial) = prefix(hubs());
+                prop_assert_eq!(&got_prefix, &want_prefix, "budget prefix, {}", at);
+                prop_assert_eq!(
+                    tree_counters(&partial), tree_counters(&want_partial),
+                    "budget counters, {}", at
+                );
+            }
         }
     }
 

@@ -178,8 +178,7 @@ impl NeighborhoodIndex {
     pub fn rebuild(&mut self, g: &UncertainGraph, dense_budget_bytes: usize) {
         let n = g.num_vertices();
         let stride = n.div_ceil(64);
-        self.words.clear();
-        self.words.resize(n * stride, 0);
+        zero_fill(&mut self.words, n * stride);
         for v in g.vertices() {
             let base = v as usize * stride;
             for &w in g.neighbors(v) {
@@ -206,8 +205,7 @@ impl NeighborhoodIndex {
 
         self.dense_slot.clear();
         self.dense_slot.resize(n, NO_DENSE_ROW);
-        self.dense.clear();
-        self.dense.resize(self.hubs.len() * n, 0.0);
+        zero_fill(&mut self.dense, self.hubs.len() * n);
         for (slot, &v) in self.hubs.iter().enumerate() {
             self.dense_slot[v as usize] = slot as u32;
             let base = slot * n;
@@ -289,6 +287,20 @@ impl NeighborhoodIndex {
     /// (masked iteration over the two word rows).
     pub fn iter_common(&self, u: VertexId, v: VertexId) -> AndOnesIter<'_> {
         AndOnesIter::new(self.row(u).words(), self.row(v).words())
+    }
+}
+
+/// Make `buf` `len` zeros. A buffer too small for them is replaced by a
+/// fresh zeroed allocation rather than grown and written: the allocator
+/// hands large zeroed blocks out as untouched pages, so a sparse
+/// membership tier costs memory only where its rows have bits (a
+/// written fill would touch all `n²/8` bytes).
+fn zero_fill<T: Copy + Default>(buf: &mut Vec<T>, len: usize) {
+    if buf.capacity() < len {
+        *buf = vec![T::default(); len];
+    } else {
+        buf.clear();
+        buf.resize(len, T::default());
     }
 }
 

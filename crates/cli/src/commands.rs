@@ -92,6 +92,12 @@ pub fn stats(args: &[String], out: &mut dyn Write) -> CmdResult {
 /// clique emitted before the trip — a byte-identical prefix of the
 /// uninterrupted output — followed by a `# interrupted:` marker line,
 /// and the process exits with code 3 instead of 0.
+///
+/// `--threads N` fans out only the unlimited listing (`--out` or
+/// stdout), through `mule::Prepared::collect`. `--count-only` and runs
+/// with `--timeout-ms` or `--node-budget` stream on one thread
+/// whatever it says, as do `mule topk` and `mule serve`. `0` is
+/// rejected with the library's typed error.
 pub fn enumerate(args: &[String], out: &mut dyn Write) -> CmdResult {
     let opts = Opts::parse(
         args,
@@ -142,7 +148,7 @@ pub fn enumerate(args: &[String], out: &mut dyn Write) -> CmdResult {
                 let alpha: f64 = opts.get_opt("alpha")?.ok_or_else(|| {
                     format!("{cat_path} holds an α-generic base: --alpha selects the refinement threshold and is required")
                 })?;
-                base.set_threads(threads.max(1)).map_err(fmt_err)?;
+                base.set_threads(threads).map_err(fmt_err)?;
                 base.refine(alpha).map_err(fmt_err)?
             }
             mule::Opened::Fixed(mut session) => {
@@ -150,7 +156,7 @@ pub fn enumerate(args: &[String], out: &mut dyn Write) -> CmdResult {
                     &["alpha"],
                     "--catalog: that setting is baked into the catalog",
                 )?;
-                session.set_threads(threads.max(1)).map_err(fmt_err)?;
+                session.set_threads(threads).map_err(fmt_err)?;
                 session
             }
         }
@@ -167,7 +173,7 @@ pub fn enumerate(args: &[String], out: &mut dyn Write) -> CmdResult {
         let mut query = mule::Query::new(&g)
             .alpha(alpha)
             .min_size(min_size)
-            .threads(threads.max(1))
+            .threads(threads)
             .index_mode(opts.get_or("index-mode", default_cfg.index_mode)?)
             .dense_index_bytes(opts.get_or("index-budget", default_cfg.dense_index_bytes)?);
         if no_prune {

@@ -43,7 +43,12 @@ USAGE: mule <command> [options]
 COMMANDS:
   stats      <graph>                        summarize a graph
   enumerate  <graph> --alpha A              enumerate α-maximal cliques
-               [--min-size T] [--threads N] [--count-only] [--out FILE]
+               [--min-size T] [--count-only] [--out FILE]
+               [--threads N]                (workers for the unlimited
+                                            listing only; --count-only and
+                                            runs with --timeout-ms or
+                                            --node-budget are sequential,
+                                            as are topk and serve)
                [--no-prune]                 (bypass the preprocessing pipeline)
                [--prune-report]             (print per-stage removal counts)
                [--index-mode auto|always|never]  (tiered neighborhood index;

@@ -190,6 +190,33 @@ fn enumerate_parallel_matches_sequential() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// `--threads 0` reaches the library's typed rejection on every route
+/// instead of quietly running on one thread: the graph route, a
+/// fixed-α catalog and an α-generic base catalog.
+#[test]
+fn enumerate_rejects_zero_threads() {
+    let dir = scratch("zero-threads");
+    let g = fixture_graph(&dir);
+    let cat = dir.join("g.ugq").to_string_lossy().into_owned();
+    let base = dir.join("base.ugq").to_string_lossy().into_owned();
+    let (code, _, err) = run(&["prepare", &g, "--alpha", "0.5", "--out", &cat]);
+    assert_eq!(code, 0, "{err}");
+    let (code, _, err) = run(&["prepare", &g, "--base", "--floor", "0.3", "--out", &base]);
+    assert_eq!(code, 0, "{err}");
+    for route in [
+        vec![g.as_str(), "--alpha", "0.5"],
+        vec!["--catalog", &cat],
+        vec!["--catalog", &base, "--alpha", "0.5"],
+    ] {
+        let (code, out, err) = run(&[&["enumerate"][..], &route, &["--threads", "0"]].concat());
+        assert_eq!(code, 2, "{route:?}: {out}");
+        let rejected = err.contains("thread count must be at least 1");
+        assert!(rejected, "{route:?}: {err}");
+        assert!(out.is_empty(), "{route:?}: {out}");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn enumerate_requires_alpha() {
     let dir = scratch("noalpha");

@@ -11,7 +11,7 @@
 use super::{CandidateArena, DepthArenas, KernelRef, Scan};
 use crate::limits::RunLimits;
 use crate::prepare::{PreparedInstance, Unit};
-use crate::sinks::{CliqueSink, CollectSink, Control, RemapSink};
+use crate::sinks::{CliqueSink, CollectSink, Control, Remap};
 use crate::stats::EnumerationStats;
 use crate::Query;
 use rand::rngs::SmallRng;
@@ -212,7 +212,7 @@ fn reference_run(inst: &PreparedInstance) -> (Vec<(Vec<VertexId>, f64)>, Enumera
     stats.calls += 1; // the conceptual root node
     let mut sink = CollectSink::new();
     let mut arenas = DepthArenas::new();
-    let mut c = Vec::new();
+    let (mut c, mut scratch) = (Vec::new(), Vec::new());
     for &unit in inst.schedule() {
         let (comp, local) = match unit {
             Unit::Singleton(v) => {
@@ -234,7 +234,11 @@ fn reference_run(inst: &PreparedInstance) -> (Vec<(Vec<VertexId>, f64)>, Enumera
             continue;
         }
         c.push(local);
-        let mut remap = RemapSink::new(&mut sink, map);
+        let mut remap = Remap {
+            inner: &mut sink,
+            map,
+            scratch: &mut scratch,
+        };
         let (even, odd) = (&mut arenas.even, &mut arenas.odd);
         let limits = &mut RunLimits::none();
         if t >= 2 {

@@ -67,7 +67,9 @@
 //! [`mod@delta`] (dynamic graphs — typed mutation batches folded into
 //! live sessions and catalogs component-locally, byte-identical to a
 //! fresh prepare of the mutated graph), [`parallel`]
-//! (work-stealing root-subtree fan-out, seeded per component),
+//! (a work-stealing scheduler that runs [`Prepared::collect`]'s schedule
+//! units — root subtrees and singletons — on several threads, with the
+//! sequential stream, counters and interrupts),
 //! [`verify`] (independent output checking), [`kcore`] (expected-degree
 //! core decomposition — the paper's future-work direction), [`worlds`]
 //! (sampled possible-world diagnostics) and [`naive`] (the exponential

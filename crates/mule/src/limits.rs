@@ -98,13 +98,15 @@ impl CancelToken {
 }
 
 /// Why a run was interrupted — the internal discriminant behind the
-/// three typed [`crate::MuleError`] variants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// three typed [`crate::MuleError`] variants. Declared in ascending
+/// severity (the reverse of the order [`RunLimits`] probes them in), so
+/// the most severe of several interrupts is their `max`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum Interrupt {
-    /// The configured wall-clock deadline passed.
-    Deadline,
     /// The configured search-node budget was consumed.
     Budget,
+    /// The configured wall-clock deadline passed.
+    Deadline,
     /// The external [`CancelToken`] was tripped.
     Cancelled,
 }
@@ -128,33 +130,25 @@ impl LimitSpec {
     /// Arm the spec for one execution starting now: the deadline
     /// becomes an absolute [`Instant`].
     pub(crate) fn arm(&self) -> RunLimits {
-        RunLimits {
-            active: self.is_active(),
-            deadline: self.deadline.map(|d| Instant::now() + d),
-            node_budget: self.node_budget,
-            cancel: self.cancel.clone(),
-            shared_calls: None,
-            published_calls: 0,
-            countdown: PROBE_INTERVAL,
-            tripped: None,
-        }
+        self.arm_shared(self.deadline.map(|d| Instant::now() + d), None)
     }
 
-    /// Arm for one worker of a parallel execution: the deadline instant
-    /// and the node counter are shared across workers, so the budget is
-    /// a *total* over the whole run and every worker sees the same
-    /// clock.
+    /// Arm for an execution whose clock started earlier: `deadline` is
+    /// the absolute instant. A parallel execution arms every worker
+    /// with the same instant and the same `shared_calls` counter, so
+    /// the budget is a *total* over the whole run and every worker sees
+    /// the same clock.
     pub(crate) fn arm_shared(
         &self,
         deadline: Option<Instant>,
-        shared_calls: Arc<AtomicU64>,
+        shared_calls: Option<Arc<AtomicU64>>,
     ) -> RunLimits {
         RunLimits {
             active: self.is_active(),
             deadline,
             node_budget: self.node_budget,
             cancel: self.cancel.clone(),
-            shared_calls: Some(shared_calls),
+            shared_calls,
             published_calls: 0,
             countdown: PROBE_INTERVAL,
             tripped: None,
@@ -163,7 +157,8 @@ impl LimitSpec {
 }
 
 /// Live limit state threaded through one enumeration run. Constructed
-/// by [`LimitSpec::arm`] (or [`RunLimits::none`] for unlimited runs);
+/// by [`LimitSpec::arm_shared`] (through [`LimitSpec::arm`] or
+/// [`RunLimits::none`]);
 /// probed from the kernel recursion; inspected once at the end.
 ///
 /// Everything is pre-allocated at arm time: probing performs no heap
@@ -190,16 +185,7 @@ pub(crate) struct RunLimits {
 impl RunLimits {
     /// Limits for an unlimited run: every probe is one false branch.
     pub(crate) fn none() -> Self {
-        RunLimits {
-            active: false,
-            deadline: None,
-            node_budget: None,
-            cancel: None,
-            shared_calls: None,
-            published_calls: 0,
-            countdown: PROBE_INTERVAL,
-            tripped: None,
-        }
+        LimitSpec::default().arm()
     }
 
     /// Why the run stopped, if a limit fired.
@@ -361,8 +347,8 @@ mod tests {
             ..Default::default()
         };
         let shared = Arc::new(AtomicU64::new(0));
-        let mut a = spec.arm_shared(None, shared.clone());
-        let mut b = spec.arm_shared(None, shared.clone());
+        let mut a = spec.arm_shared(None, Some(shared.clone()));
+        let mut b = spec.arm_shared(None, Some(shared.clone()));
         // Each worker alone is under budget …
         assert!(!a.probe_now(600));
         assert_eq!(shared.load(Ordering::Acquire), 600);

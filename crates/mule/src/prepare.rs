@@ -94,10 +94,9 @@
 //! them, with no `n`-slot table. The emitted stream (cliques, order,
 //! probability bits) is identical whichever stages run, and identical to
 //! one kernel searching the whole α-pruned graph (every stage toggle
-//! off). The work-stealing parallel driver
-//! (`crate::parallel::par_enumerate_prepared`) seeds its deques per
-//! component and re-establishes the same order with its slot-per-root
-//! merge.
+//! off). The work-stealing parallel driver (`crate::parallel`) runs the
+//! same schedule units on its workers and re-establishes the same order
+//! with its slot-per-unit merge.
 
 use crate::enumerate::MuleConfig;
 use crate::kcore::CoreDecomposition;
@@ -452,22 +451,9 @@ impl PreparedInstance {
         sink: &mut S,
         limits: &mut RunLimits,
     ) -> Option<Interrupt> {
-        self.stats = EnumerationStats::new();
-        self.stats.calls += 1; // the conceptual root node
-        if limits.probe_now(self.stats.calls) {
+        if !self.prologue(sink, limits) {
             return limits.tripped();
         }
-        if self.original_n == 0 {
-            // The empty clique is maximal in the empty graph — but it
-            // has zero vertices, so it never meets a size threshold.
-            if self.min_size <= 1 {
-                self.stats.emitted += 1;
-                sink.emit(&[], 1.0);
-            }
-            return None;
-        }
-        self.arenas.clear();
-        self.clique_buf.clear();
         for &unit in &self.schedule {
             if limits.probe_now(self.stats.calls) {
                 break;
@@ -490,22 +476,26 @@ impl PreparedInstance {
         limits.tripped()
     }
 
-    /// Begin an incremental (unit-at-a-time) run: reset the counters and
-    /// account for the conceptual root, exactly like
-    /// [`Self::run_limited`] does up front. Returns the empty-graph
-    /// emission, if any — the one clique the schedule loop cannot
-    /// express. Drives the pull-based iterator of the session API
-    /// ([`crate::Prepared::iter`]).
-    pub(crate) fn begin_incremental(&mut self) -> Option<(Vec<VertexId>, f64)> {
+    /// The prologue of every run — [`Self::run_limited`], the
+    /// pull-based iterator and the parallel driver: reset the
+    /// counters, count the conceptual root node, probe the limits once,
+    /// and emit the empty clique, maximal in the empty graph, unless a
+    /// size threshold excludes it (it has zero vertices). Returns
+    /// `false` when a limit fired, in which case no schedule unit may
+    /// run.
+    pub(crate) fn prologue<S: CliqueSink>(&mut self, sink: &mut S, limits: &mut RunLimits) -> bool {
         self.stats = EnumerationStats::new();
         self.stats.calls += 1; // the conceptual root node
         self.arenas.clear();
         self.clique_buf.clear();
+        if limits.probe_now(self.stats.calls) {
+            return false;
+        }
         if self.original_n == 0 && self.min_size <= 1 {
             self.stats.emitted += 1;
-            return Some((Vec::new(), 1.0));
+            sink.emit(&[], 1.0);
         }
-        None
+        true
     }
 
     /// Number of schedule units (root subtrees + singleton emissions).
@@ -516,7 +506,7 @@ impl PreparedInstance {
     /// Run exactly one schedule unit into `sink` — the same per-unit
     /// body [`Self::run_limited`] loops over, so an incremental consumer
     /// emits the byte-identical stream. Counters accumulate into
-    /// [`Self::stats`]; call [`Self::begin_incremental`] first.
+    /// [`Self::stats`]; call [`Self::prologue`] first.
     pub(crate) fn run_unit<S: CliqueSink>(&mut self, idx: usize, sink: &mut S) -> Control {
         // The pull-based path is caller-paced (the consumer can simply
         // stop pulling), so it runs without limits.
@@ -581,11 +571,12 @@ pub(crate) fn merge_runs<T>(
 /// skip it once the sink's admission floor is `≥ 1`), or search a root
 /// subtree at the configured size threshold
 /// ([`search_root`]), translating ids in the sink layer unless the
-/// component's map is the identity. Shared verbatim by
-/// [`PreparedInstance::run_limited`] and [`PreparedInstance::run_unit`],
-/// so the streaming and pull-based paths cannot drift apart.
+/// component's map is the identity. The only code that runs a unit:
+/// shared verbatim by [`PreparedInstance::run_limited`],
+/// [`PreparedInstance::run_unit`] and the parallel driver's workers, so
+/// the streaming, pull-based and parallel paths cannot drift apart.
 #[allow(clippy::too_many_arguments)] // the run loop's split-borrowed state
-fn step<S: CliqueSink>(
+pub(crate) fn step<S: CliqueSink>(
     components: &[PreparedComponent],
     min_size: usize,
     stats: &mut EnumerationStats,
@@ -1370,11 +1361,11 @@ mod tests {
         inst.run(&mut sink);
         assert!(sink.is_empty());
 
-        let inst = prepare(&g, 0.5, &PrepareConfig::with_min_size(3)).unwrap();
+        let mut inst = prepare(&g, 0.5, &PrepareConfig::with_min_size(3)).unwrap();
         let limits = crate::limits::LimitSpec::default();
-        let (out, _) = crate::parallel::par_enumerate_prepared(&inst, 2, &limits);
-        assert!(out.cliques.is_empty());
-        assert_eq!(out.stats.emitted, 0);
+        let (pairs, _) = crate::parallel::collect(&mut inst, 2, &limits);
+        assert!(pairs.is_empty());
+        assert_eq!(inst.stats().emitted, 0);
     }
 
     #[test]

@@ -175,7 +175,7 @@
 use crate::catalog::Kind;
 use crate::delta::GraphDelta;
 use crate::enumerate::{IndexMode, MuleConfig};
-use crate::limits::{CancelToken, Interrupt, LimitSpec};
+use crate::limits::{CancelToken, Interrupt, LimitSpec, RunLimits};
 use crate::prepare::{prepare, PrepareConfig, PrepareReport, PreparedBase, PreparedInstance};
 use crate::sinks::{CliqueSink, CollectSink, CountSink, TopKSink};
 use crate::stats::EnumerationStats;
@@ -425,8 +425,11 @@ impl<'g> Query<'g> {
     }
 
     /// Worker threads for [`Prepared::collect`] (default 1 =
-    /// sequential). `0` is rejected by [`Query::prepare`] — say
-    /// [`Query::threads_auto`] when you mean "one per CPU".
+    /// sequential), the only execution method that fans out:
+    /// [`Prepared::count`], [`Prepared::stream`], [`Prepared::top_k`]
+    /// and [`Prepared::iter`] run one thread whatever this says. `0` is
+    /// rejected by [`Query::prepare`] — say [`Query::threads_auto`]
+    /// when you mean "one per CPU".
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n;
         self
@@ -926,6 +929,12 @@ impl Prepared {
     /// this never errors.
     pub fn stream<S: CliqueSink>(&mut self, sink: &mut S) -> Result<&EnumerationStats, MuleError> {
         let interrupt = self.inst.run_limited(sink, &mut self.limits.arm());
+        self.settle(interrupt)
+    }
+
+    /// Take the counters of the run that just ended, and turn its
+    /// interrupt, if any, into the typed error.
+    fn settle(&mut self, interrupt: Option<Interrupt>) -> Result<&EnumerationStats, MuleError> {
         self.stats = *self.inst.stats();
         match interrupt {
             Some(i) => Err(MuleError::from_interrupt(i, self.stats)),
@@ -936,8 +945,10 @@ impl Prepared {
     /// Collect all qualifying cliques as `(clique, probability)` pairs
     /// in canonical emission order. Runs on the session's configured
     /// thread count: with [`Query::threads`] > 1 the work-stealing
-    /// scheduler fans root subtrees out per component and merges back
-    /// the byte-identical stream.
+    /// driver ([`mod@crate::parallel`]) runs the session's schedule
+    /// units on that many workers and concatenates their outputs back
+    /// into the byte-identical stream, with the sequential run's
+    /// counters.
     ///
     /// An interrupted run (deadline / budget / cancellation) returns
     /// the typed error with partial counters and discards the partial
@@ -945,18 +956,14 @@ impl Prepared {
     /// to keep the prefix that was produced.
     pub fn collect(&mut self) -> Result<Vec<(Vec<VertexId>, f64)>, MuleError> {
         if self.threads > 1 {
-            let (out, interrupt) =
-                crate::parallel::par_enumerate_prepared(&self.inst, self.threads, &self.limits);
-            self.stats = out.stats;
-            match interrupt {
-                Some(i) => Err(MuleError::from_interrupt(i, self.stats)),
-                None => Ok(out.cliques.into_iter().zip(out.probs).collect()),
-            }
-        } else {
-            let mut sink = CollectSink::new();
-            self.stream(&mut sink)?;
-            Ok(sink.into_pairs())
+            let (pairs, interrupt) =
+                crate::parallel::collect(&mut self.inst, self.threads, &self.limits);
+            self.settle(interrupt)?;
+            return Ok(pairs);
         }
+        let mut sink = CollectSink::new();
+        self.stream(&mut sink)?;
+        Ok(sink.into_pairs())
     }
 
     /// [`Prepared::collect`] without the probabilities: just the clique
@@ -999,11 +1006,13 @@ impl Prepared {
     /// result set; dropping the iterator abandons the rest of the
     /// search. [`Prepared::stats`] reflects the progress made so far.
     pub fn iter(&mut self) -> Cliques<'_> {
-        let buf = self.inst.begin_incremental().into_iter().collect();
+        // Caller-paced: the consumer stops by not pulling, so no limits.
+        let mut sink = CollectSink::new();
+        self.inst.prologue(&mut sink, &mut RunLimits::none());
         self.stats = *self.inst.stats();
         Cliques {
             prepared: self,
-            buf,
+            buf: sink.into_pairs().into(),
             next_unit: 0,
         }
     }

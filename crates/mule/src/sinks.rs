@@ -125,54 +125,14 @@ impl CliqueSink for CollectSink {
 /// Translates compact (remapped) vertex ids back to original ids on
 /// emission — the sink-layer half of the preprocessing pipeline
 /// (`mule::prepare`): enumerators run on dense per-component ids and
-/// this adapter folds the id translation into the emission path.
+/// this adapter folds the id translation into the emission path. The
+/// scratch buffer is borrowed, so run loops construct one per root
+/// without allocating.
 ///
 /// The map must be **monotone** (strictly increasing, as produced by
 /// component sharding, where a component's vertices keep their relative
 /// order), so a canonical (ascending) clique stays canonical after
-/// translation with no re-sort — checked in debug builds. For
-/// non-monotone relabelings (e.g. degeneracy orders) use the sorting
-/// translator inside `mule::enumerate` instead.
-pub struct RemapSink<'a, S: CliqueSink> {
-    inner: &'a mut S,
-    to_original: &'a [VertexId],
-    scratch: Vec<VertexId>,
-}
-
-impl<'a, S: CliqueSink> RemapSink<'a, S> {
-    /// Wrap `inner`, translating each emitted vertex `v` to
-    /// `to_original[v]`.
-    pub fn new(inner: &'a mut S, to_original: &'a [VertexId]) -> Self {
-        debug_assert!(to_original.windows(2).all(|w| w[0] < w[1]));
-        RemapSink {
-            inner,
-            to_original,
-            scratch: Vec::new(),
-        }
-    }
-}
-
-impl<S: CliqueSink> CliqueSink for RemapSink<'_, S> {
-    fn emit(&mut self, clique: &[VertexId], prob: f64) -> Control {
-        // One translation implementation for the whole crate: the
-        // borrowed-scratch adapter below (which carries the
-        // monotonicity debug_assert).
-        Remap {
-            inner: &mut *self.inner,
-            map: self.to_original,
-            scratch: &mut self.scratch,
-        }
-        .emit(clique, prob)
-    }
-
-    fn admission_floor(&self) -> Option<f64> {
-        self.inner.admission_floor()
-    }
-}
-
-/// Crate-internal remap adapter with a borrowed scratch buffer, so run
-/// loops can construct one per root without allocating (the public
-/// [`RemapSink`] owns its scratch instead).
+/// translation with no re-sort — checked in debug builds.
 pub(crate) struct Remap<'a, S: CliqueSink> {
     pub(crate) inner: &'a mut S,
     pub(crate) map: &'a [VertexId],
@@ -405,9 +365,14 @@ mod tests {
     #[test]
     fn remap_sink_translates_monotonically() {
         let mut inner = CollectSink::new();
+        let mut scratch = Vec::new();
         {
             let map = [3u32, 7, 9, 20];
-            let mut s = RemapSink::new(&mut inner, &map);
+            let mut s = Remap {
+                inner: &mut inner,
+                map: &map,
+                scratch: &mut scratch,
+            };
             assert_eq!(s.emit(&[0, 2, 3], 0.5), Control::Continue);
             assert_eq!(s.emit(&[1], 1.0), Control::Continue);
         }
@@ -419,7 +384,11 @@ mod tests {
     fn remap_sink_propagates_stop() {
         let mut inner = FirstKSink::new(1);
         let map = [5u32, 6];
-        let mut s = RemapSink::new(&mut inner, &map);
+        let mut s = Remap {
+            inner: &mut inner,
+            map: &map,
+            scratch: &mut Vec::new(),
+        };
         assert_eq!(s.emit(&[0], 1.0), Control::Stop);
         assert_eq!(inner.into_cliques(), vec![vec![5]]);
     }

@@ -303,6 +303,65 @@ proptest! {
         prop_assert_eq!(&got[..], &full[..got_len]);
     }
 
+    /// The node budget of a parallel `collect` is one total shared by
+    /// every worker, not a per-worker allowance. Each worker publishes
+    /// its node count to the shared counter at every slow probe: once
+    /// every `PROBE_INTERVAL` search nodes, and at every schedule-unit
+    /// boundary (a singleton counts one node and is followed by one).
+    /// So a worker adds at most `PROBE_INTERVAL` nodes between two
+    /// publishes, and once a publish carries the total past the budget,
+    /// every other worker stops at its next publish. The interrupted
+    /// total therefore exceeds the budget by at most one window per
+    /// worker. A run whose full search fits the budget never trips, and
+    /// a run that finishes has published every node (workers probe
+    /// after their last unit), so it fits the budget. Budgets are drawn
+    /// around the full run's node count, so both outcomes occur.
+    #[test]
+    fn parallel_node_budget_is_one_shared_total(
+        n in 16usize..=48,
+        seed in any::<u64>(),
+        alpha_pow in 2u32..=6,
+        budget_share in 0.0f64..1.25,
+        threads in 2usize..=4,
+    ) {
+        use mule::limits::PROBE_INTERVAL;
+        let g = dense_graph(n, seed);
+        let alpha = 0.5f64.powi(alpha_pow as i32);
+        let mut unlimited = Query::new(&g).alpha(alpha).prepare().unwrap();
+        let want = unlimited.collect().unwrap();
+        let want_stats = *unlimited.stats();
+        let budget = (want_stats.calls as f64 * budget_share) as u64;
+
+        let mut session = Query::new(&g)
+            .alpha(alpha)
+            .threads(threads)
+            .node_budget(budget)
+            .prepare()
+            .unwrap();
+        match session.collect() {
+            Ok(got) => {
+                prop_assert!(want_stats.calls <= budget, "finished over budget");
+                prop_assert_eq!(got.len(), want.len());
+                for ((wc, wp), (gc, gp)) in want.iter().zip(&got) {
+                    prop_assert_eq!(wc, gc);
+                    prop_assert_eq!(wp.to_bits(), gp.to_bits());
+                }
+                prop_assert_eq!(*session.stats(), want_stats);
+            }
+            Err(e) => {
+                prop_assert!(matches!(e, MuleError::BudgetExhausted { .. }), "{}", e);
+                prop_assert!(want_stats.calls > budget, "tripped inside the budget");
+                let calls = e.interrupted_stats().expect("partial stats").calls;
+                let bound = budget + threads as u64 * PROBE_INTERVAL;
+                prop_assert!(
+                    budget < calls && calls <= bound,
+                    "partial calls {} outside ({}, {}] at {} threads",
+                    calls, budget, bound, threads
+                );
+            }
+        }
+    }
+
     /// Limits that never fire (huge budget, far deadline, untripped
     /// token) leave output *and* counters byte-identical to an
     /// unlimited run: the probes are compiled in but invisible.

@@ -185,3 +185,57 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 }
+
+/// A limit that fires before the first schedule unit (a zero deadline,
+/// a pre-cancelled token) stops the parallel driver exactly where it
+/// stops the sequential run: the same error variant and the same
+/// partial counters (the conceptual root, nothing emitted) at every
+/// thread count. Pinned on the inputs with no root subtree to fan out:
+/// the empty graph with and without its empty clique, and an edgeless
+/// graph made only of singletons.
+#[test]
+fn limits_before_the_first_unit_stop_every_thread_count_alike() {
+    use mule::{CancelToken, EnumerationStats, MuleError};
+    use std::mem::{discriminant, Discriminant};
+    use std::time::Duration;
+
+    let empty = GraphBuilder::new(0).build();
+    let edgeless = GraphBuilder::new(5).build();
+    for (name, g, min_size) in [
+        ("empty, min_size 0", &empty, 0),
+        ("empty, min_size 2", &empty, 2),
+        ("edgeless", &edgeless, 0),
+    ] {
+        for cancelled in [false, true] {
+            let outcome = |threads: usize| -> (Discriminant<MuleError>, EnumerationStats) {
+                let query = Query::new(g).alpha(0.5).min_size(min_size).threads(threads);
+                let query = if cancelled {
+                    let token = CancelToken::new();
+                    token.cancel();
+                    query.cancel_token(token)
+                } else {
+                    query.deadline(Duration::ZERO)
+                };
+                let err = query.prepare().unwrap().collect().err();
+                let at = format!("{name}, cancelled={cancelled}, threads={threads}");
+                let err = err.unwrap_or_else(|| panic!("{at}: the limit did not fire"));
+                let expected = match err {
+                    MuleError::Cancelled { .. } => cancelled,
+                    MuleError::DeadlineExceeded { .. } => !cancelled,
+                    _ => false,
+                };
+                assert!(expected, "{at}: wrong error {err:?}");
+                (discriminant(&err), *err.interrupted_stats().unwrap())
+            };
+            let sequential = outcome(1);
+            assert_eq!((sequential.1.calls, sequential.1.emitted), (1, 0), "{name}");
+            for threads in [2, 4] {
+                assert_eq!(
+                    outcome(threads),
+                    sequential,
+                    "{name}, cancelled={cancelled}, threads={threads}"
+                );
+            }
+        }
+    }
+}

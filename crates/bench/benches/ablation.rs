@@ -1,7 +1,9 @@
 //! Ablations of MULE's design choices:
 //!
-//! 1. dense adjacency index vs galloping binary search for the
-//!    GenerateI/GenerateX neighborhood filter;
+//! 1. every root on its own indexed neighbourhood kernel
+//!    (`IndexMode::Always`) vs galloping or merging the CSR
+//!    (`IndexMode::Never`) for the GenerateI/GenerateX neighborhood
+//!    filter;
 //! 2. the closed-form root expansion vs the paper's literal Θ(n²) root;
 //! 3. sequential vs parallel root fan-out.
 //!
@@ -25,8 +27,8 @@ fn bench_ablations(c: &mut Criterion) {
     group.sample_size(10);
 
     for (label, mode) in [
-        ("index-dense", IndexMode::Always),
-        ("index-gallop", IndexMode::Never),
+        ("neighbourhood-index", IndexMode::Always),
+        ("csr", IndexMode::Never),
     ] {
         group.bench_function(BenchmarkId::new("neighborhood", label), |b| {
             b.iter(|| {

@@ -1,6 +1,7 @@
 //! Micro-benchmarks for the enumeration hot path: the arena candidate
-//! filter (via full MULE runs under the index strategies — the kernel
-//! itself is crate-private), a direct sweep of the three intersection
+//! filter (via full MULE runs with every root on an indexed
+//! neighbourhood kernel and with none — the kernel itself is
+//! crate-private), a direct sweep of the three intersection
 //! strategies across `|src| / deg(u)` ratios and hit densities (the
 //! numbers the kernel's adaptive dispatch constants are chosen from),
 //! and the word-wise bitset primitives backing the membership tier.
@@ -30,15 +31,16 @@ fn er_graph(n: usize, degree: usize, seed: u64) -> UncertainGraph {
     b.build()
 }
 
-/// The candidate filter under both membership strategies: a whole MULE
-/// run is dominated by `filter_candidates_into`, so this is the
+/// The candidate filter with every root on its indexed neighbourhood
+/// kernel (`IndexMode::Always`) and on the CSR alone (`Never`): a whole
+/// MULE run is dominated by `filter_candidates_into`, so this is the
 /// end-to-end cost of the arena kernel per strategy.
 fn bench_filter_paths(c: &mut Criterion) {
     let g = er_graph(1200, 40, 42);
     let mut group = c.benchmark_group("filter");
     group.sample_size(10);
     for (label, mode) in [
-        ("dense-index", IndexMode::Always),
+        ("neighbourhood-index", IndexMode::Always),
         ("gallop-csr", IndexMode::Never),
     ] {
         group.bench_function(BenchmarkId::new(label, "ER1200"), |b| {

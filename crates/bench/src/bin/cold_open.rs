@@ -2,8 +2,9 @@
 //!
 //! One `mule enumerate --catalog base.ugq --alpha A --count-only` reads
 //! the catalog, parses its header and TOC, verifies every payload
-//! checksum, decodes and validates the components (rebuilding their
-//! indexes), refines the base at α and counts. This harness times each
+//! checksum, decodes and validates the components (no index is built:
+//! indexes are per root, at search time), refines the base at α and
+//! counts. This harness times each
 //! of those layers through the public API, plus the whole CLI op run
 //! in-process, and prints one JSON object with every sample:
 //!
@@ -13,7 +14,7 @@
 //! * `verify_ms` — `Catalog::verify` (every payload crc32 + the content
 //!   hash);
 //! * `open_ms` — `mule::Query::open_base_bytes` (parse, verify, decode,
-//!   validate, index rebuild); `decode_ms` = `open_ms − toc_ms −
+//!   validate); `decode_ms` = `open_ms − toc_ms −
 //!   verify_ms` is what the open spends past the two checks;
 //! * `refine_ms` — `Base::refine(α)`;
 //! * `count_ms` — `Prepared::stream` into a counting sink;
@@ -21,7 +22,8 @@
 //!
 //! Beside the layers it prints the count's `cliques`, `search_nodes`,
 //! `dominated_siblings` (sibling subtrees the kernel skipped) and
-//! `hub_roots` (roots searched on their own neighbourhood kernel). Apart
+//! `hub_roots` (roots searched on their own neighbourhood kernel, the
+//! one place an index is built). Apart
 //! from those two counters the harness uses only API the catalog layers
 //! have had since α-generic bases exist, so with the `dominated` and
 //! `hub_roots` lines removed the same file builds against an older tree

@@ -53,12 +53,15 @@ options:
   --repeats N        samples per (graph, alpha) point in --json mode (default 5)
   --min-size T       route the --json suite through the size-bounded pipeline
   --prune-report P   write per-point PrepareReport JSON to P (--json mode)
-  --index-mode M     tiered neighborhood index: auto|always|never (default auto)
-  --index-budget B   dense probability-tier budget in bytes per kernel
+  --index-mode M     roots searched on an indexed neighbourhood kernel:
+                     auto (hub roots) | always (every root) | never
+                     (default auto)
+  --index-budget B   dense probability-tier budget in bytes per
+                     neighbourhood kernel
                      (0 = bitset membership tier only)";
 
 /// Append the work-performed counters to the current JSON row: the
-/// candidate-scan totals plus the tiered index's per-strategy probe
+/// candidate-scan totals plus the filters' per-strategy probe
 /// counters, the kernel's dominated-sibling skips and its hub roots, so
 /// `BENCH_pr<N>.json` tracks probes avoided rather than only wall-clock
 /// on a noisy single-CPU container.
@@ -221,8 +224,8 @@ fn run_trajectory(args: &Args) {
             // Catalog cold-open: how fast a persisted session comes
             // back, per point. The save is untimed (write-side cost is
             // a one-off); the timed region is `Query::open` alone —
-            // read, validate every checksum and invariant, rebuild the
-            // neighborhood index. Enumeration counters are zero by
+            // read, validate every checksum and invariant, decode (no
+            // index is built). Enumeration counters are zero by
             // construction: open runs no search.
             {
                 let session = query_for(g, alpha, min_size, &mule_cfg)

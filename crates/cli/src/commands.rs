@@ -69,12 +69,12 @@ pub fn stats(args: &[String], out: &mut dyn Write) -> CmdResult {
 /// remapped instances. `--no-prune` turns the size/shard stages off
 /// (one identity-mapped kernel, byte-identical output);
 /// `--prune-report` prints what each stage removed as `#`-prefixed
-/// comment lines. `--index-mode` selects whether the tiered
-/// neighborhood index is built (`never` falls back to CSR gallop/merge;
+/// comment lines. `--index-mode` selects which roots are searched on
+/// their own indexed neighbourhood kernel, built per root (`auto` hub
+/// roots, `always` every root, `never` none: CSR gallop/merge only;
 /// output is identical either way) and `--index-budget` caps the dense
-/// probability tier in bytes per enumeration kernel — per component
-/// when the pipeline shards (`0` disables dense rows, keeping only the
-/// bitset membership tier).
+/// probability tier in bytes per neighbourhood kernel (`0` disables
+/// dense rows, keeping only the bitset membership tier).
 ///
 /// With `--catalog FILE.ugq` the session comes from a prepared catalog
 /// (`mule prepare`) instead of a graph file: no pipeline runs, and the

@@ -51,11 +51,14 @@ COMMANDS:
                                             as are topk and serve)
                [--no-prune]                 (bypass the preprocessing pipeline)
                [--prune-report]             (print per-stage removal counts)
-               [--index-mode auto|always|never]  (tiered neighborhood index;
-                                            'never' = CSR gallop/merge only)
+               [--index-mode auto|always|never]  (which roots get an indexed
+                                            neighbourhood kernel, built per
+                                            root: 'auto' hub roots, 'always'
+                                            every root, 'never' none = CSR
+                                            gallop/merge only)
                [--index-budget BYTES]       (dense probability-row tier cap,
-                                            per component kernel; 0 keeps
-                                            only the bitset tier)
+                                            per neighbourhood kernel; 0
+                                            keeps only the bitset tier)
                [--timeout-ms N] [--node-budget N]  (bound the run; an
                                             interrupted run writes the
                                             output prefix plus a

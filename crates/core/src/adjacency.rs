@@ -49,24 +49,18 @@
 //!    filter pivot most often, so a bounded budget concentrates the
 //!    dense rows where the probes are.
 //!
-//! Since the preprocessing pipeline hands every enumerator a compact,
-//! vertex-remapped per-component kernel, `n` here is the *component*
-//! size — which is what makes dense rows affordable on sharded inputs.
-//! [`NeighborhoodIndex::should_build`] still gates the membership tier
-//! on small/dense graphs (all the paper's Figure 1 inputs fit easily);
-//! `mule`'s enumeration picks automatically and exposes both budgets in
-//! its config.
+//! # Where `mule` builds it: neighbourhood indexes
 //!
-//! # The third tier: neighbourhood indexes
-//!
-//! A component over the membership budget gets no index, and its
-//! filters fall back to merging or galloping CSR rows. For its hub
-//! roots `mule` indexes the root's closed neighbourhood instead: the
-//! subgraph induced by `N[u]` ([`UncertainGraph::refill_induced`]) is
-//! small enough for both tiers above, under the same budgets, and one
-//! scratch index is rebuilt in place per hub root
-//! ([`NeighborhoodIndex::rebuild`]). `mule`'s kernel module docs ("Hub
-//! roots") give the exactness argument.
+//! `mule` never indexes a whole component. It indexes a search root's
+//! closed neighbourhood: the subgraph induced by `N[u]`
+//! ([`UncertainGraph::refill_induced`]), so `n` here is the
+//! *neighbourhood* size — which is what makes both tiers affordable.
+//! One scratch index is rebuilt in place per root
+//! ([`NeighborhoodIndex::rebuild`]), and
+//! [`NeighborhoodIndex::should_build`] gates the membership tier under
+//! the configured budget. `mule`'s kernel module docs ("Neighbourhood
+//! kernels") say which roots take this path and give the exactness
+//! argument.
 
 use crate::bitset::{self, AndOnesIter, OnesIter};
 use crate::error::VertexId;
@@ -95,10 +89,10 @@ pub const DENSE_HUB_DEGREE_FACTOR: usize = 3;
 /// while beyond cache each probe trades a hot bitset-word load for a
 /// cold line of an `8·n`-byte row *and* the build pays `8·n` bytes of
 /// zero-and-scatter per hub (tens of milliseconds at whole-graph scale,
-/// measured on the wiki-vote headline input). Components above
+/// measured on the wiki-vote headline input). Graphs above
 /// `DENSE_ROW_MAX_BYTES / 8` vertices therefore skip the tier entirely;
-/// the preprocessing pipeline's compact per-component kernels are the
-/// intended beneficiaries.
+/// `mule`'s per-root neighbourhood kernels are the intended
+/// beneficiaries.
 pub const DENSE_ROW_MAX_BYTES: usize = 32 << 10;
 
 /// Tiered neighborhood rows: O(1) bit-membership probes for every

@@ -131,18 +131,20 @@
 //! twice — not on open, delta append, compaction or the pending-delta
 //! count.
 //!
-//! # Why the neighborhood index is rebuilt, not stored
+//! # Why no neighborhood index is stored
 //!
-//! `Kernel::wrap` builds the tiered [`ugraph_core::NeighborhoodIndex`]
-//! deterministically from the component graph and the persisted
-//! index-mode/budget config, so rebuilding at open yields bit-identical
-//! probe behavior (pinned by the round-trip suite's
-//! [`crate::EnumerationStats`] equality) for a few `O(n + m)` passes.
+//! Opening a catalog builds no index at all: the tiered
+//! [`ugraph_core::NeighborhoodIndex`] exists only per root, built in
+//! the search's scratch from the component graph and the persisted
+//! index-mode/budget config (the `kernel` module docs, "Neighbourhood
+//! kernels"), so an opened session probes bit-identically (pinned by
+//! the round-trip suite's [`crate::EnumerationStats`] equality).
 //! Storing rows instead would make the index *data*: a CRC-valid but
 //! hostile row could silently misreport neighborhoods — exactly the
-//! failure class this format exists to exclude. Rebuilding **is** the
-//! validation; the section namespace stays open for a future version to
-//! add index rows with their own proof obligations.
+//! failure class this format exists to exclude. Deriving it from the
+//! validated CSR **is** the validation; the section namespace stays
+//! open for a future version to add index rows with their own proof
+//! obligations.
 
 use crate::delta::GraphDelta;
 use crate::enumerate::{IndexMode, MuleConfig};

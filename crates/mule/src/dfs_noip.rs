@@ -14,7 +14,7 @@
 //! this gap; on wiki-vote at α = 10⁻⁴ the paper reports 114 s for MULE vs
 //! more than 11 hours for DFS–NOIP.
 //!
-//! The baseline deliberately ignores the tiered neighborhood index
+//! The baseline deliberately ignores the roots' neighbourhood indexes
 //! (`ugraph_core::NeighborhoodIndex`): its cost model is per-edge binary
 //! search plus full probability recomputation, and accelerating its
 //! membership tests would blur exactly the gap the comparison isolates.

@@ -27,17 +27,18 @@
 //! (the paper's key insight versus Θ(n) recomputation — the DFS–NOIP
 //! baseline in [`crate::dfs_noip`] shows the cost of not doing this).
 //!
-//! Neighborhood filtering (`S ∩ Γ(m)` in Algorithms 3/4) runs on the
-//! tiered [`ugraph_core::NeighborhoodIndex`] and picks a strategy per
-//! filter call: a one-load dense probability row for hub vertices
-//! (budgeted by [`MuleConfig::dense_index_bytes`]), an O(1) bitset
-//! membership probe plus galloping CSR search for everything else, and —
-//! when no index is built ([`MuleConfig::index_mode`]) — galloping or a
-//! linear two-pointer merge depending on the candidate-to-degree ratio.
-//! Under [`IndexMode::Auto`] a component too large for an index still
-//! searches its hub roots on an index of their own neighbourhood
-//! ([`crate::HUB_ROOT_MIN_DEGREE`]; the `kernel` module docs, "Hub
-//! roots").
+//! Neighborhood filtering (`S ∩ Γ(m)` in Algorithms 3/4) picks a
+//! strategy per filter call. On a component's CSR it gallops or runs a
+//! linear two-pointer merge, depending on the candidate-to-degree ratio.
+//! A root that [`MuleConfig::index_mode`] sends to its own neighbourhood
+//! kernel (the subgraph induced by `N[u]`, built per root in worker
+//! scratch) also gets a tiered [`ugraph_core::NeighborhoodIndex`] there:
+//! a one-load dense probability row for hub vertices (budgeted by
+//! [`MuleConfig::dense_index_bytes`]) and an O(1) bitset membership
+//! probe plus galloping CSR search for everything else. Under
+//! [`IndexMode::Auto`] those are the roots of degree at least
+//! [`crate::HUB_ROOT_MIN_DEGREE`] (the `kernel` module docs,
+//! "Neighbourhood kernels").
 //!
 //! The candidate sets themselves live in a per-search pair of
 //! depth-alternating arenas (`kernel::DepthArenas`): each
@@ -56,19 +57,22 @@ use ugraph_core::{subgraph, GraphError, UncertainGraph, VertexId};
 /// clique multiplies its probability by `factor`.
 pub type Candidate = (VertexId, f64);
 
-/// Whether to build the tiered neighborhood index.
+/// Which roots are searched on their own indexed neighbourhood kernel
+/// (the subgraph induced by `N[u]`, built per root in worker scratch;
+/// nothing is indexed at prepare, open, refine or apply). Output is the
+/// same under every mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IndexMode {
-    /// Build the index when its membership tier fits in
-    /// [`MuleConfig::max_index_bytes`]; otherwise run index-free
-    /// (gallop / merge over the CSR adjacency), except that roots of
-    /// degree at least [`crate::HUB_ROOT_MIN_DEGREE`] are searched on an
-    /// index of their own closed neighbourhood, under the same budgets.
+    /// Roots of degree at least [`crate::HUB_ROOT_MIN_DEGREE`], each
+    /// indexed when its membership tier fits
+    /// [`MuleConfig::max_index_bytes`]; every other root gallops or
+    /// merges over the component's CSR adjacency.
     #[default]
     Auto,
-    /// Always build the index (tests/ablation).
+    /// Every root with children, always indexed whatever
+    /// `max_index_bytes` says (tests/ablation).
     Always,
-    /// Never build it; always search the CSR adjacency directly.
+    /// None; always search the CSR adjacency directly.
     Never,
 }
 
@@ -90,30 +94,27 @@ impl std::str::FromStr for IndexMode {
 /// Kernel configuration: how each enumeration kernel filters candidates
 /// (set through [`crate::Query::index_mode`],
 /// [`crate::Query::max_index_bytes`] and [`crate::Query::dense_index_bytes`]).
+/// The budgets bound each root's neighbourhood kernel, the only place an
+/// index is built.
 #[derive(Debug, Clone)]
 pub struct MuleConfig {
-    /// Neighborhood membership strategy.
+    /// Which roots get a neighbourhood kernel.
     pub index_mode: IndexMode,
-    /// Budget for the index's bitset membership tier under
-    /// [`IndexMode::Auto`] (bytes): the tier costs `n²/8` bytes and is
-    /// skipped — leaving the CSR-only strategies — when it would exceed
-    /// this. A hub root's neighbourhood index is held to the same
-    /// budget.
+    /// Budget for a neighbourhood kernel's bitset membership tier under
+    /// [`IndexMode::Auto`] (bytes): the tier costs `k²/8` bytes over a
+    /// `k`-vertex neighbourhood, and a kernel over budget keeps the
+    /// CSR-only strategies. [`IndexMode::Always`] ignores it.
     pub max_index_bytes: usize,
-    /// Budget for the index's dense probability tier, in bytes **per
-    /// enumeration kernel** — when the preprocessing pipeline shards
-    /// into components, each component kernel gets its own budget
-    /// (rows there are component-sized, which is what makes them
-    /// cheap; a global cap would starve exactly the sharded workloads
-    /// the tier targets). Hub vertices get a full `f64` row (`8·n`
-    /// bytes each, one load per candidate in the filter) in descending
-    /// degree order until the budget is spent, and only while a row
-    /// stays cache-resident
+    /// Budget for a neighbourhood kernel's dense probability tier, in
+    /// bytes **per kernel**. Rows there are neighbourhood-sized, which
+    /// is what makes them cheap. Hub vertices get a full `f64` row
+    /// (`8·k` bytes each, one load per candidate in the filter) in
+    /// descending degree order until the budget is spent, and only
+    /// while a row stays cache-resident
     /// (`ugraph_core::adjacency::DENSE_ROW_MAX_BYTES`). `0` disables
     /// the tier. The default is deliberately modest: the tier is
-    /// rebuilt per prepare call, so its build cost (zero +
-    /// scatter-fill) sits on the query path and a few MiB of the
-    /// hottest hub rows is where the measured win is. See
+    /// rebuilt for every root that takes the path, so its build cost
+    /// (zero + scatter-fill) sits on the query path. See
     /// [`ugraph_core::adjacency`] for the tier-selection heuristic.
     pub dense_index_bytes: usize,
 }
@@ -139,8 +140,9 @@ impl Default for MuleConfig {
 /// (`kernel::search_root`) in O(m). This function exists for the
 /// root-expansion ablation and to explain the paper's 21-hour DBLP run:
 /// on DBLP's 685k vertices the literal root scans about
-/// n²/2 ≈ 2.3·10¹¹ candidate tuples. It runs on the default
-/// [`MuleConfig`] and without limits.
+/// n²/2 ≈ 2.3·10¹¹ candidate tuples. It searches the α-pruned CSR
+/// directly (its one root is not a vertex, so no neighbourhood kernel
+/// is built) and without limits.
 pub fn naive_root<S: CliqueSink>(
     g: &UncertainGraph,
     alpha: f64,
@@ -278,21 +280,33 @@ mod tests {
         assert!(got.iter().all(|c| c.len() == 3));
     }
 
+    /// `Always` searches every root with children on its neighbourhood
+    /// kernel — a root whose `I₀` (its neighbours above it in the
+    /// α-pruned graph) is non-empty and passes the size cut
+    /// `1 + |I₀| ≥ t` — and `Never` none; both emit the same cliques.
     #[test]
     fn index_modes_agree() {
         let g = fixture();
         for alpha in [0.9, 0.5, 0.1] {
-            let mut results = Vec::new();
-            for mode in [IndexMode::Always, IndexMode::Never] {
-                let query = Query::new(&g).alpha(alpha).index_mode(mode);
-                let mut session = query.shard_components(false).prepare().unwrap();
-                let kernels = &session.instance().components;
-                assert!(kernels
-                    .iter()
-                    .all(|pc| pc.kernel.index.is_some() == (mode == IndexMode::Always)));
-                results.push(session.sorted_cliques().unwrap());
+            let pruned = subgraph::prune_below_alpha(&g, alpha).unwrap();
+            for t in [0, 3] {
+                let with_children = pruned
+                    .vertices()
+                    .map(|u| pruned.neighbors(u).iter().filter(|&&w| w > u).count())
+                    .filter(|&upper| upper > 0 && 1 + upper >= t)
+                    .count() as u64;
+                let at = format!("α={alpha}, t={t}");
+                assert!(with_children > 0, "{at}");
+                let mut results = Vec::new();
+                for (mode, hub_roots) in [(IndexMode::Always, with_children), (IndexMode::Never, 0)]
+                {
+                    let query = Query::new(&g).alpha(alpha).min_size(t).index_mode(mode);
+                    let mut session = query.stages_off().prepare().unwrap();
+                    results.push(session.sorted_cliques().unwrap());
+                    assert_eq!(session.stats().hub_roots, hub_roots, "{at}, {mode:?}");
+                }
+                assert_eq!(results[0], results[1], "{at}");
             }
-            assert_eq!(results[0], results[1], "α={alpha}");
         }
     }
 

@@ -1,13 +1,13 @@
 //! Shared search kernel for MULE, LARGE–MULE and the parallel workers:
-//! the per-component search state (an α-pruned graph and its tiered
-//! neighborhood index), the GenerateI/GenerateX candidate filter
-//! (Algorithms 3 and 4) with its per-call adaptive strategy dispatch
-//! (dense row / bitset+gallop / two-pointer merge), the candidate
-//! **arena** the filters write into, and the one recursion every driver
-//! runs: [`enumerate_subtree`] (Algorithm 6, which is Algorithm 2 at a
-//! size threshold `t ≤ 1`) entered through the root step
-//! [`search_root`], which searches the hub roots of index-free components
-//! on their own neighbourhood kernel (see "Hub roots").
+//! the per-component search state (an α-pruned graph), the
+//! GenerateI/GenerateX candidate filter (Algorithms 3 and 4) with its
+//! per-call adaptive strategy dispatch (dense row / bitset+gallop /
+//! two-pointer merge), the candidate **arena** the filters write into,
+//! and the one recursion every driver runs: [`enumerate_subtree`]
+//! (Algorithm 6, which is Algorithm 2 at a size threshold `t ≤ 1`)
+//! entered through the root step [`search_root`], which searches a
+//! root on its own indexed neighbourhood kernel when the session's
+//! [`IndexMode`] sends it there (see "Neighbourhood kernels").
 //!
 //! # Arena span layout
 //!
@@ -103,23 +103,34 @@
 //! other branch's output. Sinks that keep the default `None` compile
 //! the test away.
 //!
-//! # Hub roots
+//! # Neighbourhood kernels: the one index tier
 //!
-//! A component whose membership tier would exceed
-//! [`MuleConfig::max_index_bytes`] (`n²/8` bytes: over 23,170 vertices at
-//! the default 64 MiB) runs index-free, so every filter merges or
-//! gallops whole CSR rows — and a hub root pays that for each of its
-//! thousands of search nodes. Yet the root subtree `C = {u}` only ever
-//! reads `Γ(u)` (the closed-form root sets of
-//! [`KernelRef::expand_root_into`]). So when the component kernel has no index under [`IndexMode::Auto`]
-//! and `deg(u) ≥` [`HUB_ROOT_MIN_DEGREE`], [`search_root`] builds the
-//! subgraph induced by `N[u] = {u} ∪ Γ(u)`, relabelled monotonically,
-//! gives it its own tiered index under the same budgets, and runs the
-//! unchanged [`enumerate_subtree`] on it; a remap in the sink layer
-//! translates local ids back. This is the per-root local subgraph of
-//! Eppstein, Löffler & Strash ("Listing All Maximal Cliques in Sparse
-//! Graphs in Near-optimal Time", ISAAC 2010). Roots whose `I₀` is empty
-//! or fails the size cut do no filtering and keep the component kernel.
+//! The root subtree `C = {u}` only ever reads `Γ(u)` (the closed-form
+//! root sets of [`KernelRef::expand_root_into`]). So [`search_root`]
+//! can search a root on the subgraph induced by `N[u] = {u} ∪ Γ(u)`,
+//! relabelled monotonically and given its own tiered
+//! [`NeighborhoodIndex`], and run the unchanged [`enumerate_subtree`]
+//! on it; a remap in the sink layer translates local ids back. This is
+//! the per-root local subgraph of Eppstein, Löffler & Strash ("Listing
+//! All Maximal Cliques in Sparse Graphs in Near-optimal Time", ISAAC
+//! 2010). It is the only place an index is built: components carry
+//! none, so opening a catalog, refining a base and applying a delta do
+//! no index work, and a component's search state is its CSR alone.
+//!
+//! Which roots go is the session's [`IndexMode`]. A root goes only when
+//! it has children to search: `I₀(u)` is non-empty and passes the size
+//! cut `1 + |I₀| ≥ t`. Other roots do no filtering.
+//!
+//! * [`IndexMode::Auto`] sends roots of degree at least
+//!   [`HUB_ROOT_MIN_DEGREE`] (*hub roots*), and indexes a neighbourhood
+//!   kernel only when its membership tier fits
+//!   [`MuleConfig::max_index_bytes`]. Every other root merges or gallops
+//!   the component's CSR rows.
+//! * [`IndexMode::Always`] sends every root and always indexes its
+//!   kernel, whatever `max_index_bytes` says.
+//! * [`IndexMode::Never`] sends none: the CSR-only reference.
+//!
+//! [`MuleConfig::dense_index_bytes`] bounds each kernel's dense tier.
 //!
 //! *Why it is exact.* Every candidate in the subtree, in `I` and in `X`,
 //! lies in `Γ(u)`, so intersecting with a local row `Γ(w) ∩ N[u]` keeps
@@ -128,24 +139,24 @@
 //! order. Local rows carry the CSR's own `f64` bits, and each filter
 //! multiplies the same operands in the same order. The emitted stream,
 //! `calls`, `emitted`, `max_depth` and the size, β and dominated-sibling
-//! counters are therefore those of the component kernel; only the scan
-//! and strategy counters (`*_scanned`, `dense_probes`, `gallop_probes`,
+//! counters are therefore those of the CSR search; only the scan and
+//! strategy counters (`*_scanned`, `dense_probes`, `gallop_probes`,
 //! `merge_steps`) move, and `EnumerationStats::hub_roots` counts the
 //! roots searched this way. `tests/tiered_index.rs` pins all of this
-//! against `IndexMode::Never`, which keeps meaning CSR-only.
+//! against `IndexMode::Never`.
 //!
 //! *Where it lives.* The local CSR, its id tables and its index sit in
-//! [`HubScratch`], beside the arenas in each enumerator's or worker's
+//! [`HubScratch`], beside the arenas in each session's or worker's
 //! [`DepthArenas`], and are refilled in place
 //! ([`UncertainGraph::refill_induced`], [`NeighborhoodIndex::rebuild`]):
 //! a rerun allocates nothing (`tests/alloc_regression.rs`).
 //!
 //! *The threshold.* Building a neighbourhood kernel costs
 //! `O(Σ_{v ∈ N[u]} deg v)` plus its index, which a root of a few dozen
-//! neighbours does not earn back. A sweep of [`HUB_ROOT_MIN_DEGREE`] on the DBLP10 stand-in
-//! (`mule generate --dataset DBLP10 --seed 42`, `count` after prepare,
-//! min_size 0, best of 3 rounds of 3 runs each on a 2-vCPU host, where
-//! one run spreads 10–30%):
+//! neighbours does not earn back. A sweep of [`HUB_ROOT_MIN_DEGREE`] on
+//! the DBLP10 stand-in (`mule generate --dataset DBLP10 --seed 42`,
+//! `count` after prepare, min_size 0, best of 3 rounds of 3 runs each on
+//! a 2-vCPU host, where one run spreads 10–30%):
 //!
 //! | α | index-free CSR | 64 | 128 | 256 |
 //! |---|---|---|---|---|
@@ -168,6 +179,28 @@
 //!   decoding the floor-0.3 base catalog went from about 80 to 629 ms,
 //!   since every open rebuilds the `n²/8`-byte tier. The neighbourhood
 //!   kernels above index only what a hub root reads.
+//! * The component-wide index itself, for every component whose
+//!   membership tier fit [`MuleConfig::max_index_bytes`]. It was rebuilt
+//!   at every catalog open, every refine of a masked component and every
+//!   delta apply. A prototype that built none under [`IndexMode::Auto`]
+//!   (hub roots still took their neighbourhood kernels) measured, as
+//!   medians on a 2-vCPU host (ucbench, 20 s windows; `--count-only` on
+//!   the Figure-1 stand-ins):
+//!
+//!   | run | component index | none |
+//!   |---|---|---|
+//!   | serve-rw `query_p50_ms` (4 pairs) | 18.55 | 15.01 |
+//!   | serve-rw `ops_per_s` | 66.1 | 78.2 |
+//!   | serve-rw `peak_rss_mb` | 205 | 106 |
+//!   | dblp-catalog `query_p50_ms` (10 pairs) | 315.8 | 309.8 |
+//!   | dblp-catalog `peak_rss_mb` | 45.0 | 42.9 |
+//!   | wiki-vote, α 0.001 / 0.01 | 3.94 / 1.24 s | 3.42 / 1.11 s |
+//!   | ca-GrQc, α 1e-4 | 145 ms | 128 ms |
+//!   | p2p-Gnutella04, α 1e-4 | 27 ms | 21 ms |
+//!   | BA10000, α 0.001 | 38 ms | 41 ms |
+//!
+//!   So the tier went, and [`IndexMode::Always`] gives every root a
+//!   neighbourhood kernel instead.
 //! * A reverse gallop for short rows on the index-free path (search the
 //!   candidate span for each entry of a pivot row shorter than it),
 //!   measured on a prototype: it cut the DBLP10 count by about 9%, and
@@ -321,84 +354,75 @@ impl Scan {
 /// `deg/|src| = 16`.
 const MERGE_FACTOR: usize = 16;
 
-/// Smallest degree at which a root of an index-free component is
-/// searched on its own neighbourhood kernel (module docs, "Hub roots").
+/// Smallest degree at which a root is searched on its own
+/// neighbourhood kernel under [`IndexMode::Auto`] (module docs,
+/// "Neighbourhood kernels").
 pub const HUB_ROOT_MIN_DEGREE: usize = 128;
 
-/// Prepared search state shared by the enumeration algorithms.
+/// Prepared search state shared by the enumeration algorithms: an
+/// α-pruned component, its α, and the configuration that says which of
+/// its roots go to a neighbourhood kernel and under which budgets.
 ///
-/// The graph and index sit behind [`Arc`] so a component that refine
-/// or apply leaves untouched keeps them ([`Kernel::share_at`]).
+/// The graph sits behind [`Arc`] so a component that refine or apply
+/// leaves untouched keeps it ([`Kernel::share_at`]).
 pub(crate) struct Kernel {
     pub g: Arc<UncertainGraph>,
     pub alpha: f64,
-    pub index: Option<Arc<NeighborhoodIndex>>,
-    /// The configuration a hub root's neighbourhood kernel is indexed
-    /// under: `Some` exactly when the component is index-free under
-    /// [`IndexMode::Auto`] (module docs, "Hub roots").
-    hubs: Option<MuleConfig>,
+    config: MuleConfig,
 }
 
 impl Kernel {
     /// Wrap an already α-pruned graph (Observation 3: every edge has
-    /// `p ≥ alpha`) and build its tiered neighborhood index per the
-    /// configuration.
+    /// `p ≥ alpha`). Builds nothing: indexes are per root (module docs,
+    /// "Neighbourhood kernels").
     pub fn wrap(g: UncertainGraph, alpha: f64, config: &MuleConfig) -> Self {
-        let build_index = match config.index_mode {
-            IndexMode::Always => true,
-            IndexMode::Never => false,
-            IndexMode::Auto => NeighborhoodIndex::should_build(&g, config.max_index_bytes),
-        };
-        let index =
-            build_index.then(|| Arc::new(NeighborhoodIndex::build(&g, config.dense_index_bytes)));
-        let hubs =
-            (index.is_none() && config.index_mode == IndexMode::Auto).then(|| config.clone());
         Kernel {
             g: Arc::new(g),
             alpha,
-            index,
-            hubs,
+            config: config.clone(),
         }
     }
 
-    /// Share this kernel's graph and index (O(1) `Arc` clones) under a
+    /// Share this kernel's graph (an O(1) `Arc` clone) under a
     /// re-stamped α: `PreparedBase::refine` carries untouched components
     /// over this way (why that is exact: the `prepare` module docs).
     pub fn share_at(&self, alpha: f64) -> Self {
         Kernel {
             g: Arc::clone(&self.g),
             alpha,
-            index: self.index.as_ref().map(Arc::clone),
-            hubs: self.hubs.clone(),
+            config: self.config.clone(),
         }
     }
 
-    /// The borrowed search state of the whole component.
+    /// The borrowed CSR-only search state of the whole component.
     pub fn view(&self) -> KernelRef<'_> {
         KernelRef {
             g: &self.g,
             alpha: self.alpha,
-            index: self.index.as_deref(),
+            index: None,
         }
     }
 
-    /// The configuration to search root `u` on its own neighbourhood
-    /// kernel under, or `None` to search it on the component's: the
-    /// component is index-free under [`IndexMode::Auto`], `deg(u)` is at
-    /// least [`HUB_ROOT_MIN_DEGREE`], and the root has children to search
-    /// (`I₀(u)` is non-empty and passes the size cut `1 + |I₀| ≥ t`).
-    fn hub_root(&self, u: VertexId, t: usize) -> Option<&MuleConfig> {
-        let config = self.hubs.as_ref()?;
+    /// Whether to search root `u` on its own neighbourhood kernel rather
+    /// than on the component's CSR: the index mode sends roots of `u`'s
+    /// degree, and the root has children to search (`I₀(u)` is
+    /// non-empty and passes the size cut `1 + |I₀| ≥ t`).
+    fn hub_root(&self, u: VertexId, t: usize) -> bool {
+        let min_degree = match self.config.index_mode {
+            IndexMode::Auto => HUB_ROOT_MIN_DEGREE,
+            IndexMode::Always => 0,
+            IndexMode::Never => return false,
+        };
         let nbrs = self.g.neighbors(u);
         let upper = nbrs.len() - nbrs.partition_point(|&w| w < u);
-        (nbrs.len() >= HUB_ROOT_MIN_DEGREE && upper > 0 && 1 + upper >= t).then_some(config)
+        nbrs.len() >= min_degree && upper > 0 && 1 + upper >= t
     }
 }
 
-/// Reusable scratch for hub roots' neighbourhood kernels (module docs,
-/// "Hub roots"): the subgraph induced by `N[u]`, its tiered index and
-/// the id tables, refilled in place for each hub root, so a rerun over
-/// the same roots allocates nothing.
+/// Reusable scratch for roots' neighbourhood kernels (module docs,
+/// "Neighbourhood kernels"): the subgraph induced by `N[u]`, its tiered
+/// index and the id tables, refilled in place for each root, so a rerun
+/// over the same roots allocates nothing.
 #[derive(Default)]
 pub(crate) struct HubScratch {
     /// Local id → component id: `N[u]` in ascending order.
@@ -416,8 +440,8 @@ pub(crate) struct HubScratch {
 impl HubScratch {
     /// Load root `u`'s neighbourhood kernel: the subgraph of the
     /// component graph `g` induced by `N[u]`, relabelled monotonically,
-    /// indexed when its membership tier fits `max_index_bytes`. Returns
-    /// `u`'s local id.
+    /// indexed under [`IndexMode::Always`] or when its membership tier
+    /// fits `config.max_index_bytes`. Returns `u`'s local id.
     fn load(&mut self, g: &UncertainGraph, u: VertexId, config: &MuleConfig) -> VertexId {
         let nbrs = g.neighbors(u);
         let local = nbrs.partition_point(|&w| w < u);
@@ -426,7 +450,8 @@ impl HubScratch {
         self.ids.push(u);
         self.ids.extend_from_slice(&nbrs[local..]);
         self.g.refill_induced(g, &self.ids, &mut self.slot);
-        self.indexed = NeighborhoodIndex::should_build(&self.g, config.max_index_bytes);
+        self.indexed = config.index_mode == IndexMode::Always
+            || NeighborhoodIndex::should_build(&self.g, config.max_index_bytes);
         if self.indexed {
             self.index.rebuild(&self.g, config.dense_index_bytes);
         }
@@ -455,9 +480,9 @@ impl HubScratch {
 }
 
 /// The borrowed search state the filters and the recursion read: a
-/// component's ([`Kernel::view`]) or a hub root's neighbourhood kernel
-/// ([`HubScratch`]). An α-pruned graph, its α and its tiered index, if
-/// one was built.
+/// component's CSR ([`Kernel::view`], never indexed) or a root's
+/// neighbourhood kernel ([`HubScratch`]). An α-pruned graph, its α and
+/// its tiered index, if one was built.
 #[derive(Clone, Copy)]
 pub(crate) struct KernelRef<'a> {
     pub g: &'a UncertainGraph,
@@ -956,10 +981,10 @@ pub(crate) fn enumerate_subtree<S: CliqueSink>(
 /// (each factor is `≤ 1`), so the root is skipped before its expansion
 /// and counted in `beta_pruned` (module docs, "β admission cut").
 ///
-/// A hub root of an index-free component is searched on its own
+/// A root the session's [`IndexMode`] sends there is searched on its own
 /// neighbourhood kernel, loaded into `arenas.hub`, with emitted ids
 /// translated back in the sink layer; `hub_roots` counts it (module
-/// docs, "Hub roots").
+/// docs, "Neighbourhood kernels").
 #[allow(clippy::too_many_arguments)] // the run loops' split-borrowed state
 pub(crate) fn search_root<S: CliqueSink>(
     kernel: &Kernel,
@@ -976,24 +1001,23 @@ pub(crate) fn search_root<S: CliqueSink>(
         return Control::Continue;
     }
     let DepthArenas { even, odd, hub } = arenas;
-    let ctl = match kernel.hub_root(u, t) {
-        Some(config) => {
-            stats.hub_roots += 1;
-            let local = hub.load(&kernel.g, u, config);
-            let (local_kernel, mut remap) = hub.split(kernel.alpha, sink);
-            search_expanded(
-                &local_kernel,
-                local,
-                t,
-                stats,
-                even,
-                odd,
-                c,
-                limits,
-                &mut remap,
-            )
-        }
-        None => search_expanded(&kernel.view(), u, t, stats, even, odd, c, limits, sink),
+    let ctl = if kernel.hub_root(u, t) {
+        stats.hub_roots += 1;
+        let local = hub.load(&kernel.g, u, &kernel.config);
+        let (local_kernel, mut remap) = hub.split(kernel.alpha, sink);
+        search_expanded(
+            &local_kernel,
+            local,
+            t,
+            stats,
+            even,
+            odd,
+            c,
+            limits,
+            &mut remap,
+        )
+    } else {
+        search_expanded(&kernel.view(), u, t, stats, even, odd, c, limits, sink)
     };
     arenas.clear();
     ctl
@@ -1098,8 +1122,6 @@ mod tests {
 
     #[test]
     fn any_candidate_survives_matches_materialized_filter() {
-        use crate::enumerate::IndexMode;
-        use crate::enumerate::MuleConfig;
         use ugraph_core::builder::from_edges;
 
         let g = from_edges(
@@ -1113,13 +1135,14 @@ mod tests {
             ],
         )
         .unwrap();
-        for mode in [IndexMode::Always, IndexMode::Never] {
-            let cfg = MuleConfig {
-                index_mode: mode,
-                ..Default::default()
+        let pruned = subgraph::prune_below_alpha(&g, 0.3).unwrap();
+        let index = NeighborhoodIndex::build(&pruned, usize::MAX);
+        for mode in ["indexed", "csr"] {
+            let kernel = KernelRef {
+                g: &pruned,
+                alpha: 0.3,
+                index: (mode == "indexed").then_some(&index),
             };
-            let kernel = Kernel::wrap(subgraph::prune_below_alpha(&g, 0.3).unwrap(), 0.3, &cfg);
-            let kernel = kernel.view();
             // Candidates probing Γ(0): 2 survives (0.8·q2 ≥ α), 4 is not a
             // neighbor, 3 was α-pruned from the kernel graph.
             let mut arena = CandidateArena::new();
@@ -1134,7 +1157,7 @@ mod tests {
                     [arena.span(0..3), arena.span(0..0)],
                     &mut stats,
                 );
-                assert_eq!(survives, expect, "mode {mode:?}, q2={loq}");
+                assert_eq!(survives, expect, "mode {mode}, q2={loq}");
                 // Cross-check against the materializing filter (which
                 // writes into the sibling buffer, per the span layout).
                 let mut out = CandidateArena::new();
@@ -1148,16 +1171,15 @@ mod tests {
 
     #[test]
     fn filter_strategies_agree_on_survivors_and_bits() {
-        use crate::enumerate::{IndexMode, MuleConfig};
         use ugraph_core::builder::from_edges;
 
         // Pivot 2 is a hub (degree ≥ MIN_DENSE_DEGREE) over the even
-        // candidates 4..=42, so the dense tier engages under
-        // IndexMode::Always with an unbounded budget; candidate spans of
-        // different sizes exercise merge and gallop on the index-free
-        // path. Root 49 is adjacent to the pivot and to every candidate
-        // (4..=46), so its neighbourhood kernel holds them all under a
-        // relabel that is not the identity: the fourth strategy.
+        // candidates 4..=42, so the dense tier engages in an index built
+        // with an unbounded budget; candidate spans of different sizes
+        // exercise merge and gallop on the index-free path. Root 49 is
+        // adjacent to the pivot and to every candidate (4..=46), so its
+        // neighbourhood kernel holds them all under a relabel that is not
+        // the identity: the fourth strategy.
         let mut edges: Vec<(u32, u32, f64)> = (2..=21u32)
             .map(|k| (2, 2 * k, 0.35 + 0.03 * k as f64))
             .collect();
@@ -1166,32 +1188,31 @@ mod tests {
         let g = from_edges(50, &edges).unwrap();
         let candidates: Vec<u32> = (2..=23u32).map(|k| 2 * k).collect();
         let root = 49;
+        let pruned = subgraph::prune_below_alpha(&g, 0.3).unwrap();
+        let dense = NeighborhoodIndex::build(&pruned, usize::MAX);
+        let bitset = NeighborhoodIndex::build(&pruned, 0);
 
         let configs = [
-            ("dense", IndexMode::Always, usize::MAX, usize::MAX),
-            ("bitset", IndexMode::Always, 0, usize::MAX),
-            ("csr", IndexMode::Never, 0, usize::MAX),
-            // The component (50 vertices, 400 index bytes) is over the
-            // membership budget; the root's 24-vertex neighbourhood
-            // (192 bytes) is within it.
-            ("local", IndexMode::Auto, usize::MAX, 200),
+            ("dense", Some(&dense)),
+            ("bitset", Some(&bitset)),
+            ("csr", None),
+            ("local", None),
         ];
+        // The root's 24-vertex neighbourhood (192 index bytes) is within
+        // this membership budget.
+        let config = MuleConfig {
+            index_mode: IndexMode::Auto,
+            max_index_bytes: 200,
+            dense_index_bytes: usize::MAX,
+        };
         type Outcome = (String, Vec<(u32, u64)>, bool);
         for src_len in [1usize, 3, 22] {
             let mut outcomes: Vec<Outcome> = Vec::new();
-            for (label, mode, budget, max_index) in configs {
-                let cfg = MuleConfig {
-                    index_mode: mode,
-                    dense_index_bytes: budget,
-                    max_index_bytes: max_index,
-                };
-                let kernel = Kernel::wrap(subgraph::prune_below_alpha(&g, 0.3).unwrap(), 0.3, &cfg);
+            for (label, index) in configs {
                 let mut hub = HubScratch::default();
                 // The pivot and the candidates in the searched kernel's ids.
                 let (view, pivot, ids): (KernelRef<'_>, u32, &[u32]) = if label == "local" {
-                    assert!(kernel.index.is_none(), "the component must be index-free");
-                    let config = kernel.hubs.as_ref().expect("an index-free Auto component");
-                    hub.load(&kernel.g, root, config);
+                    hub.load(&pruned, root, &config);
                     assert!(hub.indexed, "the neighbourhood fits the budget");
                     let view = KernelRef {
                         g: &hub.g,
@@ -1200,7 +1221,12 @@ mod tests {
                     };
                     (view, 0, &hub.ids)
                 } else {
-                    (kernel.view(), 2, &[])
+                    let view = KernelRef {
+                        g: &pruned,
+                        alpha: 0.3,
+                        index,
+                    };
+                    (view, 2, &[])
                 };
                 let local = |w: u32| match ids.binary_search(&w) {
                     Ok(i) => i as u32,

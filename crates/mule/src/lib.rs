@@ -21,8 +21,10 @@
 //! validates them at [`Query::prepare`], which runs the preprocessing
 //! pipeline ([`mod@prepare`]: α-prune → expected-degree core filter →
 //! shared-neighborhood peel → component-shard) **once**. The resulting
-//! [`Prepared`] session owns the compact per-component kernels and
-//! answers any number of queries from them: [`Prepared::count`],
+//! [`Prepared`] session owns the compact per-component kernels (CSRs;
+//! the only neighborhood index is a root's own, built per root in the
+//! search's scratch, never at prepare, open, refine or apply — see
+//! [`IndexMode`]) and answers any number of queries from them: [`Prepared::count`],
 //! [`Prepared::collect`] (parallel when [`Query::threads`] > 1),
 //! [`Prepared::stream`] into any [`CliqueSink`], [`Prepared::top_k`],
 //! and the pull-based [`Prepared::iter`]. No pipeline stage ever
@@ -45,8 +47,8 @@
 //!
 //! Because α is a *query-time* parameter in the paper, there is also an
 //! α-generic session shape: [`Query::prepare_base`] runs only the
-//! α-independent pipeline work once (floor-prune, component shard,
-//! index build) and returns a resident [`query::Base`] whose
+//! α-independent pipeline work once (floor-prune, component shard)
+//! and returns a resident [`query::Base`] whose
 //! [`refine`](query::Base::refine)`(α)` derives, for any `α ≥ floor`, a
 //! [`Prepared`] session byte-identical to a fresh
 //! `Query::new(&g).alpha(α).prepare()` at a fraction of the cost —

@@ -22,8 +22,9 @@
 //!
 //! The enumeration kernel probes the configured limits **amortized**:
 //! once every [`PROBE_INTERVAL`] (~1024) search nodes, plus once at
-//! every schedule-unit boundary and once up front before the first
-//! unit. A cheap one-branch `active` check is the only cost on the hot
+//! every schedule-unit boundary, once up front before the first unit
+//! and once after the last, so a budget crossed inside the last unit
+//! fails a run at every thread count alike. A cheap one-branch `active` check is the only cost on the hot
 //! path when no limit is configured — the zero-allocation pin and
 //! byte-identity suites run with these checks compiled in.
 //!

@@ -16,13 +16,12 @@
 //! through the same `prepare::step` the sequential loop and the
 //! pull-based iterator use. The run starts with the same prologue as a
 //! sequential run (reset the counters, count the conceptual root, probe
-//! the limits once, emit the empty clique of the empty graph). A
-//! component's tiered neighborhood index, when it fits its budget, is
-//! built at prepare (or catalog open) time and shared read-only; a hub
-//! root of a component too large for one is searched on its own
-//! neighbourhood kernel, built in the scratch beside its worker's
-//! arenas (`kernel` module docs, "Hub roots"). Workers share nothing
-//! mutable and never synchronize on an index.
+//! the limits once, emit the empty clique of the empty graph).
+//! Components are read-only CSRs; a root the session's index mode
+//! sends to its own neighbourhood kernel gets it, index included, in
+//! the scratch beside its worker's arenas (`kernel` module docs,
+//! "Neighbourhood kernels"). Workers share nothing mutable and never
+//! synchronize on an index.
 //!
 //! # Scheduling: per-worker deques + stealing
 //!

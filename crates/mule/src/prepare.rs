@@ -72,15 +72,12 @@
 //! id gives the fresh order, and one whole-graph merge rebuilds the
 //! graph the fresh identity fast path and shard-off shape hold.
 //!
-//! Each component's kernel builds its own tiered
-//! [`ugraph_core::NeighborhoodIndex`] over the **compact remapped ids**
-//! (configured by the session's index settings, built once at prepare
-//! time so the steady-state zero-allocation guarantee holds across
-//! reruns).
-//! That compactness is what makes the dense probability tier cheap: a
-//! hub's dense row costs `8 ·` *component size* bytes, not `8 · n`, so
-//! sharded instances afford one-load filter probes on far more hubs
-//! than a whole-graph kernel could.
+//! A component's kernel is its CSR over the **compact remapped ids**
+//! and nothing more: no stage here, nor open, refine or apply, builds
+//! an index. The tiered [`ugraph_core::NeighborhoodIndex`] is built per
+//! root at search time, over the root's neighbourhood, in the scratch
+//! beside the run's arenas (the `kernel` module docs, "Neighbourhood
+//! kernels").
 //!
 //! # Byte-identical output
 //!
@@ -440,12 +437,15 @@ impl PreparedInstance {
     /// under live [`RunLimits`]: probes once up front
     /// (so a zero deadline or pre-tripped token interrupts before the
     /// first emission even on tiny inputs), at every schedule-unit
-    /// boundary, and — through the kernel — every ~1024 search nodes
-    /// inside a unit. Returns why the run was interrupted, or `None`
-    /// for a clean finish (including a sink-requested
-    /// [`Control::Stop`]). Counters for the partial run are in
-    /// [`Self::stats`], and everything emitted before an interrupt is
-    /// a byte-identical prefix of the uninterrupted stream.
+    /// boundary, once more after the last unit (as each parallel worker
+    /// does, so a run that crosses its budget inside its last unit
+    /// fails at every thread count alike), and — through the kernel —
+    /// every ~1024 search nodes inside a unit. Returns why the run was
+    /// interrupted, or `None` for a clean finish (including a
+    /// sink-requested [`Control::Stop`], after which nothing is
+    /// probed). Counters for the partial run are in [`Self::stats`],
+    /// and everything emitted before an interrupt is a byte-identical
+    /// prefix of the uninterrupted stream.
     pub(crate) fn run_limited<S: CliqueSink>(
         &mut self,
         sink: &mut S,
@@ -456,7 +456,7 @@ impl PreparedInstance {
         }
         for &unit in &self.schedule {
             if limits.probe_now(self.stats.calls) {
-                break;
+                return limits.tripped();
             }
             let ctl = step(
                 &self.components,
@@ -470,9 +470,10 @@ impl PreparedInstance {
                 sink,
             );
             if ctl == Control::Stop {
-                break;
+                return limits.tripped();
             }
         }
+        limits.probe_now(self.stats.calls);
         limits.tripped()
     }
 
@@ -626,8 +627,8 @@ pub(crate) fn step<S: CliqueSink>(
 // ---------------------------------------------------------------------------
 
 /// One α-independent base component: a compact, connected subgraph of
-/// the floor-pruned graph wrapped in a ready kernel (graph and tiered
-/// index behind [`std::sync::Arc`]), its monotone map to original ids,
+/// the floor-pruned graph wrapped in a ready kernel (graph behind
+/// [`std::sync::Arc`]), its monotone map to original ids,
 /// and the smallest edge probability inside it — the O(1) "does α touch
 /// this component at all?" probe `PreparedBase::refine` keys its
 /// fast path on.
@@ -656,8 +657,8 @@ impl BaseComponent {
 }
 
 /// The α-independent half of the pipeline: connected components of the
-/// floor-pruned graph, compact id maps and per-component tiered indexes,
-/// computed **once** and reusable for every query threshold `α ≥ floor`.
+/// floor-pruned graph and compact id maps, computed **once** and
+/// reusable for every query threshold `α ≥ floor`.
 ///
 /// [`prepare_base`] runs only the α-generic work — a prune at the
 /// configurable floor (`0.0` = keep everything) and the component
@@ -672,8 +673,8 @@ impl BaseComponent {
 /// α-dependent stages *inside each component* (see the module docs);
 /// the result is byte-identical to the fresh pipeline (pinned by
 /// `tests/alpha_refine.rs`). A component the α-stages leave untouched
-/// is **shared** into the refined view as two `Arc` clones (graph +
-/// index) with a re-stamped α — zero copying, zero index rebuild.
+/// is **shared** into the refined view as an `Arc` clone of its graph
+/// with a re-stamped α — zero copying.
 pub(crate) struct PreparedBase {
     pub(crate) floor: f64,
     pub(crate) original_n: usize,
@@ -797,8 +798,7 @@ impl PreparedBase {
     /// open path). The decoder has validated the cross-part invariants
     /// (connectivity, disjoint coverage, floor consistency); like
     /// [`PreparedInstance::from_parts`] this never touches
-    /// [`pipeline_invocations`] — but it does rebuild the per-component
-    /// indexes, which are derived state the catalog does not store.
+    /// [`pipeline_invocations`], and it builds no index.
     pub(crate) fn from_parts(
         floor: f64,
         config: PrepareConfig,
@@ -859,7 +859,7 @@ impl PreparedBase {
             match run_stages(cur, alpha, &self.config, &mut report)?.or(pruned) {
                 // Untouched: the fresh induced subgraph would be
                 // byte-identical to the base component, so share the
-                // resident graph and index (O(1)) under a re-stamped α.
+                // resident graph (O(1)) under a re-stamped α.
                 None => asm.keep(PreparedComponent {
                     kernel: bc.kernel.share_at(alpha),
                     to_original: bc.to_original.clone(),

@@ -140,7 +140,7 @@
 //! artifact forces a full pipeline run per threshold.
 //! [`Query::prepare_base`] instead runs only the α-independent work
 //! (floor-prune at [`Query::alpha_floor`], default `0.0` = keep
-//! everything; component shard; per-component index build) and returns
+//! everything; component shard) and returns
 //! a resident [`Base`]. [`Base::refine`]`(α)` then derives a full
 //! [`Prepared`] session for any `α ≥ floor` by masking sub-α edges and
 //! re-running the cheap bound stages *inside* each component —
@@ -441,21 +441,21 @@ impl<'g> Query<'g> {
         self
     }
 
-    /// Whether to build the tiered neighborhood index (see
-    /// [`IndexMode`]; default [`IndexMode::Auto`]).
+    /// Which roots are searched on their own indexed neighbourhood
+    /// kernel (see [`IndexMode`]; default [`IndexMode::Auto`]).
     pub fn index_mode(mut self, mode: IndexMode) -> Self {
         self.mule.index_mode = mode;
         self
     }
 
-    /// Budget for the index's dense probability tier, in bytes per
-    /// enumeration kernel (see [`MuleConfig::dense_index_bytes`]).
+    /// Budget for a neighbourhood kernel's dense probability tier, in
+    /// bytes per kernel (see [`MuleConfig::dense_index_bytes`]).
     pub fn dense_index_bytes(mut self, bytes: usize) -> Self {
         self.mule.dense_index_bytes = bytes;
         self
     }
 
-    /// Budget for the index's bitset membership tier under
+    /// Budget for a neighbourhood kernel's bitset membership tier under
     /// [`IndexMode::Auto`] (see [`MuleConfig::max_index_bytes`]).
     pub fn max_index_bytes(mut self, bytes: usize) -> Self {
         self.mule.max_index_bytes = bytes;
@@ -545,8 +545,8 @@ impl<'g> Query<'g> {
     /// [`Prepared::save`] — the cold-start entry point. No pipeline
     /// stage runs (pinned by `tests/catalog_cold_open.rs`): the file
     /// already holds the pipeline's output, and [`Query::open`] only
-    /// validates it and rebuilds the deterministic per-component
-    /// neighborhood index. The session starts with the saved
+    /// validates and decodes it (no index is built: indexes are per
+    /// root, at search time). The session starts with the saved
     /// configuration and one worker thread; retune with
     /// [`Prepared::set_threads`].
     ///
@@ -571,8 +571,7 @@ impl<'g> Query<'g> {
 
     /// Validate the builder state and run only the **α-independent**
     /// pipeline work — floor-prune ([`Query::alpha_floor`], default
-    /// none) and component decomposition, with the per-component tiered
-    /// indexes built once. The returned [`Base`] derives a full
+    /// none) and component decomposition. The returned [`Base`] derives a full
     /// [`Prepared`] session for any `α ≥ floor` via [`Base::refine`],
     /// byte-identical to `Query::new(&g).alpha(α).prepare()` but
     /// without re-running the α-generic stages: untouched components
@@ -596,8 +595,8 @@ impl<'g> Query<'g> {
 
     /// Rebuild a [`Base`] from a base catalog file written by
     /// [`Base::save`] — the α-generic counterpart of [`Query::open`].
-    /// No pipeline stage runs; only validation and the deterministic
-    /// per-component index rebuild. Opening a fixed-α catalog through
+    /// No pipeline stage runs and no index is built; only validation
+    /// and decoding. Opening a fixed-α catalog through
     /// this entry point fails with
     /// [`CatalogError::WrongKind`](ugraph_io::catalog::CatalogError) —
     /// and vice versa for [`Query::open`] on a base catalog — so the
@@ -666,8 +665,8 @@ impl Opened {
 
 /// An α-generic prepared artifact: the output of [`Query::prepare_base`].
 ///
-/// Owns the α-independent artifact (floor-pruned components, id maps, tiered
-/// indexes — computed once) plus the runtime template (threads, limits)
+/// Owns the α-independent artifact (floor-pruned components and id maps,
+/// computed once) plus the runtime template (threads, limits)
 /// refined sessions start from. One resident `Base` serves every
 /// query threshold `α ≥ floor`: [`Base::refine`] derives a [`Prepared`]
 /// session byte-identical to a fresh `Query::new(&g).alpha(α).prepare()`
@@ -728,7 +727,7 @@ impl Base {
     /// stats, report) to `Query::new(&g).alpha(alpha).prepare()` with
     /// the same builder settings, but no α-generic stage re-runs, and
     /// components the α-dependent stages leave untouched are shared
-    /// (`Arc` clones of graph and index). `α < floor` fails with
+    /// (`Arc` clones of the graph). `α < floor` fails with
     /// [`MuleError::AlphaBelowFloor`]; an out-of-range α with the usual
     /// graph-layer validation error. The base is unaffected either way
     /// and can refine any number of thresholds.

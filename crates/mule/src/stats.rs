@@ -11,8 +11,8 @@
 /// The `*_candidates_scanned` counters measure the search's intrinsic
 /// filtering work (Theorem 3's charge per search-tree edge); the probe
 /// counters (`dense_probes`, `gallop_probes`, `merge_steps`) attribute
-/// that work to the intersection strategy the tiered neighborhood index
-/// actually dispatched to, so a wall-clock change can be traced to
+/// that work to the intersection strategy the filter actually
+/// dispatched to (a root's neighbourhood index or the CSR), so a wall-clock change can be traced to
 /// probes avoided rather than guessed at.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct EnumerationStats {
@@ -54,10 +54,12 @@ pub struct EnumerationStats {
     /// the first child proved `C ∪ I` an α-clique, so no later sibling
     /// can emit (see the `mule::kernel` module docs).
     pub dominated_siblings: u64,
-    /// Roots searched on their own neighbourhood kernel: hub roots of
-    /// components too large for a component index (see the
-    /// `mule::kernel` module docs, "Hub roots"). Zero under
-    /// `IndexMode::Never` and on indexed components.
+    /// Roots searched on their own neighbourhood kernel, the only place
+    /// an index is built (see the `mule::kernel` module docs,
+    /// "Neighbourhood kernels"): roots of degree at least
+    /// `HUB_ROOT_MIN_DEGREE` under `IndexMode::Auto`, every root with
+    /// children under `IndexMode::Always`, none under
+    /// `IndexMode::Never`.
     pub hub_roots: u64,
 }
 

@@ -17,30 +17,37 @@
 //!
 //! The same counter pins the cold paths: `Base::refine` and a fresh
 //! `Query::prepare` allocate a bounded number of times however many lone
-//! vertices the graph has.
+//! vertices the graph has. A second counter sums the bytes requested,
+//! and pins that opening a base catalog, refining it and applying a
+//! delta allocate memory linear in the component they rebuild: no
+//! index is built there.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::thread::LocalKey;
 
 /// Counts every allocator entry point (alloc/realloc both count: a
-/// realloc in the hot path is still an allocator round-trip).
+/// realloc in the hot path is still an allocator round-trip), and the
+/// bytes each one asks for (a realloc's whole new size).
 struct CountingAllocator;
 
 thread_local! {
-    // Const-initialized and drop-free, so reaching it from inside the
+    // Const-initialized and drop-free, so reaching them from inside the
     // allocator never allocates.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_allocation() {
-    // `try_with`: allocations during thread teardown, after the slot is
-    // gone, are simply not counted.
+fn count_allocation(bytes: usize) {
+    // `try_with`: allocations during thread teardown, after the slots
+    // are gone, are simply not counted.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
+        count_allocation(layout.size());
         System.alloc(layout)
     }
 
@@ -49,7 +56,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_allocation();
+        count_allocation(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -57,12 +64,22 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// How far `counter` moved on this thread during `f`.
+fn counted<R>(counter: &'static LocalKey<Cell<u64>>, f: impl FnOnce() -> R) -> (u64, R) {
+    let before = counter.with(Cell::get);
+    let out = f();
+    (counter.with(Cell::get) - before, out)
+}
+
 /// Allocator entries on this thread during `f`, after `f`'s own warm-up
 /// has happened.
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCATIONS.with(Cell::get);
-    let out = f();
-    (ALLOCATIONS.with(Cell::get) - before, out)
+    counted(&ALLOCATIONS, f)
+}
+
+/// Bytes requested from the allocator on this thread during `f`.
+fn bytes_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    counted(&BYTES, f)
 }
 
 /// One kernel over the α-pruned graph: every stage toggle off.
@@ -158,12 +175,11 @@ fn dfs_noip_steady_state_rerun_allocates_nothing() {
 #[test]
 fn prepared_pipeline_steady_state_rerun_allocates_nothing() {
     // The pipelined path (the default session over per-component
-    // kernels) must keep the steady-state guarantee with the tiered
-    // index in every configuration: dense rows engaged (the planted
-    // high-id hub clears both the absolute and the relative
-    // hub-over-mean dense floors), bitset tier only, and index-free
-    // (gallop/merge). The index is built once at prepare time, so a
-    // rerun touches the allocator zero times.
+    // kernels) must keep the steady-state guarantee in every index
+    // configuration: every root on its own indexed neighbourhood kernel
+    // with the dense tier unbounded and disabled, and index-free
+    // (gallop/merge). The neighbourhood kernels are refilled in the
+    // session's scratch, so a rerun touches the allocator zero times.
     let g = {
         use rand::{rngs::SmallRng, Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(11);
@@ -203,11 +219,11 @@ fn prepared_pipeline_steady_state_rerun_allocates_nothing() {
 
 #[test]
 fn hub_root_steady_state_rerun_allocates_nothing() {
-    // An index-free component (IndexMode::Auto over a membership budget
-    // the component exceeds) with two hub roots of different degree,
-    // each searched on a neighbourhood kernel refilled in the session's
-    // scratch: CSR-only under a zero budget, and indexed, dense rows
-    // included, under one that fits the larger neighbourhood.
+    // A component under IndexMode::Auto with two hub roots of
+    // different degree, each searched on a neighbourhood kernel refilled
+    // in the session's scratch: CSR-only under a zero membership budget,
+    // and indexed, dense rows included, under one that fits the larger
+    // neighbourhood.
     use rand::{rngs::SmallRng, Rng, SeedableRng};
     let hub_degree = mule::HUB_ROOT_MIN_DEGREE;
     let g = {
@@ -314,4 +330,62 @@ fn refine_and_prepare_allocations_do_not_grow_with_lone_vertices() {
         large.1,
         small.1
     );
+}
+
+/// One connected component of 4,096 vertices and about 2n edges: a path
+/// at p 0.95 keeps it connected at every α up to 0.95, and random chords
+/// at p in [0.35, 1) give α 0.5 edges to mask.
+fn one_component() -> ugraph_core::UncertainGraph {
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
+    let n = 4096u32;
+    let mut rng = SmallRng::seed_from_u64(17);
+    let mut b = ugraph_core::GraphBuilder::new(n as usize)
+        .duplicate_policy(ugraph_core::DuplicatePolicy::KeepMax);
+    for v in 1..n {
+        b.add_edge(v - 1, v, 0.95).unwrap();
+    }
+    for _ in 0..n {
+        let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        if u != v {
+            b.add_edge(u, v, rng.gen_range(0.35..1.0)).unwrap();
+        }
+    }
+    b.build()
+}
+
+#[test]
+fn open_refine_and_apply_allocate_linear_bytes() {
+    // Each rebuilds the whole component's kernel: opening the catalog
+    // decodes it, refining at α 0.5 masks its chords below α, and the
+    // delta touches one of its edges. A component-wide membership tier
+    // alone would cost n²/8 bytes (2 MiB here).
+    let g = one_component();
+    let (n, m) = (g.num_vertices() as u64, g.num_edges() as u64);
+    assert!(m > 7_000, "too few chords: {m} edges");
+    let bound = 96 * (n + m);
+    assert!(bound < n * n / 8, "the bound must sit below the tier");
+    let base = mule::Query::new(&g)
+        .alpha_floor(0.3)
+        .prepare_base()
+        .unwrap();
+    assert_eq!(base.num_components(), 1);
+    let bytes = base.to_catalog_bytes();
+    let (open, mut base) = bytes_during(|| mule::Query::open_base_bytes(bytes).unwrap());
+    let (refine, mut refined) = bytes_during(|| base.refine(0.5).unwrap());
+    let delta = mule::GraphDelta::new().set_prob(0, 1, 0.9);
+    let (apply, ()) = bytes_during(|| base.apply(&delta).unwrap());
+    for (what, got) in [("open", open), ("refine", refine), ("apply", apply)] {
+        assert!(
+            got < bound,
+            "{what} allocated {got} bytes, over 96·(n + m) = {bound}"
+        );
+    }
+    // The rebuilt kernels still search the graph.
+    let want = mule::Query::new(&g)
+        .alpha(0.5)
+        .prepare()
+        .unwrap()
+        .count()
+        .unwrap();
+    assert_eq!(refined.count().unwrap(), want);
 }

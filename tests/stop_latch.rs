@@ -239,3 +239,40 @@ fn limits_before_the_first_unit_stop_every_thread_count_alike() {
         }
     }
 }
+
+/// A node budget that a run crosses inside its last unit fails at every
+/// thread count alike. The sequential loop probes once more after the
+/// schedule, as each parallel worker does after its last unit, so a run
+/// that finishes over budget reports `BudgetExhausted` with the same
+/// partial counters whether one thread or several ran it.
+#[test]
+fn budget_crossed_in_the_last_unit_fails_every_thread_count_alike() {
+    use mule::MuleError;
+
+    // Two triangles joined by one edge: 3 cliques and 14 search nodes at
+    // α 0.5, so a budget of 13 is crossed by the very last node.
+    let mut b = GraphBuilder::new(6);
+    for (u, v) in [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)] {
+        b.add_edge(u, v, 0.9).unwrap();
+    }
+    let g = b.build();
+    let outcome = |threads: usize| -> Result<usize, (u64, u64)> {
+        let query = Query::new(&g).alpha(0.5).node_budget(13).threads(threads);
+        match query.prepare().unwrap().collect() {
+            Ok(cliques) => Ok(cliques.len()),
+            Err(e) => {
+                assert!(
+                    matches!(e, MuleError::BudgetExhausted { .. }),
+                    "threads {threads}: {e}"
+                );
+                let stats = e.interrupted_stats().unwrap();
+                Err((stats.calls, stats.emitted))
+            }
+        }
+    };
+    let sequential = outcome(1);
+    assert_eq!(sequential, Err((14, 3)));
+    for threads in [2, 4] {
+        assert_eq!(outcome(threads), sequential, "threads {threads}");
+    }
+}

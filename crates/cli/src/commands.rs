@@ -441,8 +441,12 @@ pub fn update(args: &[String], out: &mut dyn Write) -> CmdResult {
 /// catalog, the α-floor — stage toggles, index settings, source-graph
 /// fingerprint, per-section-kind sizes for the base layout) and
 /// verifies every checksum; `--list` adds the TOC, one row per section
-/// with offset, length and CRC status. A structurally invalid or
-/// corrupted file exits 2 with a typed message.
+/// with offset, length and CRC status. A fixed catalog lists its
+/// component pairs, `singletons`, `report` and `meta` (the graph name);
+/// a base lists its component pairs, `isolated` and `meta`; either may
+/// end with appended `delta.{i}` sections. A structurally invalid or
+/// corrupted file exits 2 with a typed message, and so does a catalog
+/// of another format version (re-prepare it).
 pub fn stat(args: &[String], out: &mut dyn Write) -> CmdResult {
     let opts = Opts::parse(args, &["list"])?;
     let path = opts.positional(0, "catalog file")?;
@@ -1039,7 +1043,15 @@ fn clique_pairs(v: &crate::wire::Json) -> Result<Vec<(Vec<VertexId>, f64)>, Stri
         .collect()
 }
 
+/// The error a write gives once the reader has closed the pipe
+/// (`mule enumerate … | head -1`): the output is no longer wanted, so
+/// [`crate::run`] ends the command quietly with exit code 0.
+pub(crate) const CLOSED_PIPE: &str = "CLOSED-PIPE";
+
 fn io_err(e: std::io::Error) -> String {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        return CLOSED_PIPE.to_string();
+    }
     format!("I/O error: {e}")
 }
 

@@ -142,6 +142,7 @@ pub fn run(args: &[String], stdout: &mut dyn Write, stderr: &mut dyn Write) -> i
     };
     match result {
         Ok(()) => 0,
+        Err(msg) if msg == commands::CLOSED_PIPE => 0,
         Err(msg) => {
             let _ = writeln!(stderr, "error: {msg}");
             // Usage errors exit 2, verification failures exit 1 and

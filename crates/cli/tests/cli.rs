@@ -417,6 +417,40 @@ fn worlds_reports_sampled_stats() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A reader that stops early (`mule enumerate … | head -1`) closes the
+/// pipe under the writer; the command then ends quietly with exit code
+/// 0 instead of reporting the broken pipe as an error.
+#[test]
+fn a_closed_stdout_pipe_ends_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::{Command, Stdio};
+    let dir = scratch("closed-pipe");
+    // 20,000 disjoint edges: one line per edge, far more output than a
+    // pipe buffers, so the writer is still writing when the pipe closes.
+    let path = dir.join("matching.txt");
+    let edges: String = (0..20_000u32)
+        .map(|i| format!("{} {} 0.9\n", 2 * i, 2 * i + 1))
+        .collect();
+    fs::write(&path, edges).unwrap();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mule"))
+        .args(["enumerate", path.to_str().unwrap(), "--alpha", "0.5"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    assert!(first.starts_with("# alpha=0.5 count=20000"), "{first}");
+    // The reader is dropped here, closing the pipe.
+    let out = child.wait_with_output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    assert!(err.is_empty(), "{err}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn missing_file_reports_cleanly() {
     let (code, _, err) = run(&["stats", "/nonexistent/graph.txt"]);
@@ -436,7 +470,7 @@ fn prepare_stat_and_catalog_enumerate() {
     // The header summary reflects the prepare-time settings.
     let (code, out, err) = run(&["stat", &cat]);
     assert_eq!(code, 0, "{err}");
-    assert!(out.contains("format:       UGQ1 v1"), "{out}");
+    assert!(out.contains("format:       UGQ1 v2"), "{out}");
     assert!(out.contains("alpha:        0.5"), "{out}");
     assert!(out.contains("index mode:   auto"), "{out}");
     assert!(out.contains("graph:        4 vertices, 4 edges"), "{out}");
@@ -449,11 +483,13 @@ fn prepare_stat_and_catalog_enumerate() {
         "component.0.graph",
         "component.0.map",
         "singletons",
-        "schedule",
         "report",
+        "meta",
     ] {
         assert!(out.contains(section), "missing {section} in {out}");
     }
+    // The run schedule is rebuilt on open, not stored.
+    assert!(!out.contains("schedule"), "{out}");
     assert!(out.contains("OK"));
     assert!(!out.contains("BAD"), "{out}");
 

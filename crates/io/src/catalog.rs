@@ -5,7 +5,7 @@
 //! This module is deliberately application-agnostic: it knows headers,
 //! sections and checksums, not cliques. The `mule` crate defines what
 //! goes *into* the sections (per-component CSR kernels, id maps, the
-//! root schedule, the prepare report) and how they are validated
+//! prepare report, the graph name) and how they are validated
 //! semantically; this layer guarantees that what comes back out is
 //! byte-for-byte what was written — or a typed error, never garbage.
 //!
@@ -19,7 +19,7 @@
 //! HEADER — fixed 92 bytes
 //!  off size field
 //!    0    4 magic               "UGQ1"
-//!    4    4 version             u32, currently 1
+//!    4    4 version             u32, currently 2
 //!    8    4 flags               u32 stage bits (FLAG_*); undefined bits must be 0
 //!   12    1 index_mode          u8, app-defined (mule: 0 auto / 1 always / 2 never)
 //!   13    3 reserved            must be 0
@@ -81,10 +81,11 @@
 //! component graph is checked by `UncertainGraph::try_from_csr` in
 //! `O(n + m)`: the mirror of every arc is found with one forward cursor
 //! per row, not a lookup per arc. Id maps and the isolated list take one
-//! pass each, the schedule one pass with a binary search per singleton
-//! unit, base-component connectivity one BFS, and base coverage one
-//! `n`-slot bitmap. The rebuilt neighborhood index is the one cost
-//! beyond that; the catalog's index budget bounds it.
+//! pass each. A fixed catalog's run schedule is not stored: it is
+//! rebuilt from the maps (one sort of the roots when there are several
+//! components, then one merge with the singletons) and checked in one
+//! pass. Base-component connectivity takes one BFS, and base coverage
+//! one `n`-slot bitmap. No neighborhood index is built on open.
 //!
 //! # Durability &amp; recovery
 //!
@@ -147,8 +148,18 @@
 //! for a file whose purpose is to bypass recomputation, serving a
 //! half-understood catalog is worse than recomputing). Additions must
 //! bump the version; the reserved header fields and undefined flag
-//! bits must stay zero so a future version can use them while v1
+//! bits must stay zero so a future version can use them while older
 //! readers still fail loudly.
+//!
+//! | version | change |
+//! |---|---|
+//! | 1 | first layout |
+//! | 2 | the fixed layout drops its `schedule` section (rebuilt on open); both layouts end with one `meta` section holding the graph name (the base layout's `base.meta`, renamed) |
+//!
+//! A version-1 file of either kind is refused with
+//! [`CatalogError::UnsupportedVersion`] (`found: 1`): re-prepare it from
+//! its source graph. The container layout above is unchanged between
+//! the two versions; only the `mule` sections differ.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use std::collections::HashMap;
@@ -217,7 +228,7 @@ impl<'a> ByteReader<'a> {
 /// Magic bytes opening every catalog file.
 pub const MAGIC: &[u8; 4] = b"UGQ1";
 /// The one on-disk version this reader/writer speaks.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 /// Fixed byte length of the header.
 pub const HEADER_LEN: usize = 92;
 
@@ -233,7 +244,7 @@ pub const FLAG_SHARD_COMPONENTS: u32 = 1 << 2;
 /// (which, unlike a query α, may be `0.0`), and the section layout is
 /// the base variant documented in `mule::catalog`.
 pub const FLAG_ALPHA_BASE: u32 = 1 << 3;
-/// Every flag bit defined in version 1; others must be zero.
+/// Every defined flag bit; others must be zero.
 pub const FLAGS_KNOWN: u32 =
     FLAG_CORE_FILTER | FLAG_SHARED_NEIGHBORHOOD | FLAG_SHARD_COMPONENTS | FLAG_ALPHA_BASE;
 
@@ -272,7 +283,8 @@ impl fmt::Display for CatalogError {
             CatalogError::Corrupt(why) => write!(f, "corrupt UGQ1 catalog: {why}"),
             CatalogError::UnsupportedVersion { found } => write!(
                 f,
-                "unsupported UGQ1 version {found} (this build reads version {VERSION})"
+                "unsupported UGQ1 version {found} (this build reads version {VERSION}; \
+                 re-prepare the catalog from its source graph)"
             ),
             CatalogError::MissingSection(name) => {
                 write!(f, "catalog is missing required section {name:?}")
@@ -1092,15 +1104,18 @@ mod tests {
 
     #[test]
     fn unsupported_version_is_typed() {
-        let mut bytes = sample();
-        bytes[4] = 2; // version 2
-                      // Re-seal the header so only the version differs.
-        let crc = crc32(&bytes[..HEADER_LEN - 4]);
-        bytes[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
-        assert!(matches!(
-            Catalog::from_bytes(Bytes::from(bytes)),
-            Err(CatalogError::UnsupportedVersion { found: 2 })
-        ));
+        // The version before this one and the version after it.
+        for version in [VERSION - 1, VERSION + 1] {
+            let mut bytes = sample();
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            // Re-seal the header so only the version differs.
+            let crc = crc32(&bytes[..HEADER_LEN - 4]);
+            bytes[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+            assert!(matches!(
+                Catalog::from_bytes(Bytes::from(bytes)),
+                Err(CatalogError::UnsupportedVersion { found }) if found == version
+            ));
+        }
     }
 
     #[test]

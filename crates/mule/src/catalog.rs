@@ -22,12 +22,12 @@
 //! about its semantics is rejected exactly like a bit-flipped one:
 //! typed error, never a panic, never silently-wrong cliques.
 //!
-//! # Sections (canonical order, all required)
+//! # Sections (canonical order, all required; format version 2)
 //!
 //! For `k` components, the TOC must contain, in exactly this order:
 //! `component.0.graph`, `component.0.map`, …, `component.{k-1}.graph`,
-//! `component.{k-1}.map`, `singletons`, `schedule`, `report`. All
-//! integers little-endian; section payload layouts:
+//! `component.{k-1}.map`, `singletons`, `report`, `meta`. All integers
+//! little-endian; section payload layouts:
 //!
 //! ```text
 //! component.N.graph — the compact remapped CSR kernel graph
@@ -37,16 +37,24 @@
 //!   len u64 ‖ ids len×u32          (strictly increasing)
 //! singletons — isolated original vertices (each a maximal clique)
 //!   len u64 ‖ ids len×u32          (strictly increasing)
-//! schedule — the global ascending-root emission order
-//!   len u64 ‖ units len×(tag u8, a u32, b u32)
-//!   tag 0 = singleton vertex a (b must be 0)
-//!   tag 1 = root subtree: component a, local root b
 //! report — the PrepareReport counters
 //!   count u64 (= 14) ‖ counters 14×u64, field declaration order
+//! meta — the source graph's name, which no other section carries
+//!   name_len u32 ‖ name (UTF-8)
 //! ```
 //!
 //! Probabilities travel as raw `f64` bit patterns, so a save → open
 //! round trip reproduces clique probabilities bit-for-bit.
+//!
+//! No schedule is stored. The run order — roots and singletons in
+//! ascending original id — follows from the monotone maps and the
+//! singleton run, so the decoder rebuilds it with the builder a fresh
+//! prepare uses, and that rebuild is its disjointness proof (see below).
+//! Version 1 stored the schedule and kept the graph name only inside a
+//! whole-graph component (lost once deltas split the graph); a
+//! version-1 file of either kind is refused with the typed
+//! [`CatalogError::UnsupportedVersion`] (`found: 1`), so re-prepare it
+//! from its source graph.
 //!
 //! # The α-generic base variant ([`ugraph_io::catalog::FLAG_ALPHA_BASE`])
 //!
@@ -66,12 +74,12 @@
 //! component.N.map   — monotone compact→original id map (same layout)
 //! isolated — original vertices isolated at the floor
 //!   len u64 ‖ ids len×u32           (strictly increasing)
-//! base.meta — source-graph identity the components cannot carry
-//!   name_len u32 ‖ name (UTF-8)
+//! meta — the source graph's name (same layout and decoder as above;
+//!        version 1 called it `base.meta`)
 //! ```
 //!
-//! No `schedule` or `report` section exists: both are α-dependent and
-//! are reconstructed exactly by `refine`. Open-path validation mirrors
+//! No `report` section exists: it is α-dependent and is reconstructed
+//! exactly by `refine`. Open-path validation mirrors
 //! the fixed layout (CSR invariants, floor bound on every edge, strict
 //! section order, overflow-checked lengths) plus the base-specific
 //! obligations: every component is *connected* with ≥ 2 vertices (the
@@ -116,12 +124,15 @@
 //! * Section payload lengths are recomputed from the declared counts
 //!   with overflow-checked arithmetic and must match exactly — before
 //!   any count-sized allocation happens.
-//! * Id maps are strictly increasing, in range, and sized to their
-//!   component; the schedule's units are valid, strictly ascending in
-//!   original id, and exactly `Σ component sizes + |singletons|` long —
-//!   which together force the maps pairwise disjoint and the coverage
-//!   exactly-once, without allocating an `O(n)` seen-set for a
-//!   hostile `n`.
+//! * Id maps and the singletons are strictly increasing, in range, and
+//!   each map is sized to its component. At `min_size ≤ 1` they must
+//!   cover every original vertex: `Σ component sizes + |singletons| =
+//!   n`, a sum checked before the schedule is built.
+//! * The schedule built from them ascends strictly in original id. Each
+//!   run is strictly increasing on its own, so only an id two of them
+//!   share could repeat: the check proves the maps and singletons
+//!   pairwise disjoint, and allocates nothing `O(n)` a hostile header
+//!   could inflate.
 //! * The report's fingerprint counters match the header's.
 //!
 //! Every open path parses the image once and runs one
@@ -150,7 +161,7 @@ use crate::delta::GraphDelta;
 use crate::enumerate::{IndexMode, MuleConfig};
 use crate::kernel::Kernel;
 use crate::prepare::{
-    PrepareConfig, PrepareReport, PreparedBase, PreparedComponent, PreparedInstance, Unit,
+    PrepareConfig, PrepareReport, PreparedBase, PreparedComponent, PreparedInstance,
 };
 use crate::query::{MuleError, Opened};
 use std::path::Path;
@@ -361,109 +372,6 @@ fn decode_ids(
     Ok(ids)
 }
 
-fn encode_schedule(schedule: &[Unit]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + schedule.len() * 9);
-    out.extend_from_slice(&(schedule.len() as u64).to_le_bytes());
-    for unit in schedule {
-        match *unit {
-            Unit::Singleton(v) => {
-                out.push(0);
-                out.extend_from_slice(&v.to_le_bytes());
-                out.extend_from_slice(&0u32.to_le_bytes());
-            }
-            Unit::Root { comp, local } => {
-                out.push(1);
-                out.extend_from_slice(&comp.to_le_bytes());
-                out.extend_from_slice(&local.to_le_bytes());
-            }
-        }
-    }
-    out
-}
-
-/// Decode and fully validate the schedule: every unit well-formed and
-/// in range, original ids strictly ascending, and the unit count equal
-/// to `Σ component sizes + |singletons|`. Ascending original ids make
-/// units pairwise distinct, so the count equality forces an exact
-/// bijection onto the roots and singletons — each enumerated exactly
-/// once, with no `O(original_n)` bookkeeping a hostile header could
-/// inflate.
-fn decode_schedule(
-    payload: &[u8],
-    components: &[PreparedComponent],
-    singletons: &[VertexId],
-) -> Result<Vec<Unit>, CatalogError> {
-    let mut r = ByteReader::new(payload);
-    let len = r
-        .u64_le()
-        .ok_or_else(|| corrupt("schedule: truncated length"))?;
-    let expect = len
-        .checked_mul(9)
-        .and_then(|b| b.checked_add(8))
-        .ok_or_else(|| corrupt("schedule: declared length overflows"))?;
-    if expect != payload.len() as u64 {
-        return Err(corrupt(format!(
-            "schedule: payload is {} bytes but the declared length needs {expect}",
-            payload.len()
-        )));
-    }
-    let expected_units: usize = components
-        .iter()
-        .map(|pc| pc.to_original.len())
-        .sum::<usize>()
-        + singletons.len();
-    if len as usize != expected_units {
-        return Err(corrupt(format!(
-            "schedule has {len} units but the components and singletons supply {expected_units}"
-        )));
-    }
-    let len = len as usize;
-    let mut schedule = Vec::with_capacity(len);
-    let mut prev: Option<VertexId> = None;
-    for i in 0..len {
-        let tag = r.u8().unwrap();
-        let a = r.u32_le().unwrap();
-        let b = r.u32_le().unwrap();
-        let (unit, orig) = match tag {
-            0 => {
-                if b != 0 {
-                    return Err(corrupt(format!("schedule unit {i}: singleton with b ≠ 0")));
-                }
-                if singletons.binary_search(&a).is_err() {
-                    return Err(corrupt(format!(
-                        "schedule unit {i}: {a} is not a singleton vertex"
-                    )));
-                }
-                (Unit::Singleton(a), a)
-            }
-            1 => {
-                let pc = components.get(a as usize).ok_or_else(|| {
-                    corrupt(format!("schedule unit {i}: component {a} out of range"))
-                })?;
-                let orig = *pc.to_original.get(b as usize).ok_or_else(|| {
-                    corrupt(format!(
-                        "schedule unit {i}: local root {b} out of range for component {a}"
-                    ))
-                })?;
-                (Unit::Root { comp: a, local: b }, orig)
-            }
-            other => {
-                return Err(corrupt(format!("schedule unit {i}: unknown tag {other}")));
-            }
-        };
-        if let Some(prev) = prev {
-            if orig <= prev {
-                return Err(corrupt(format!(
-                    "schedule unit {i}: original ids not strictly ascending"
-                )));
-            }
-        }
-        prev = Some(orig);
-        schedule.push(unit);
-    }
-    Ok(schedule)
-}
-
 fn encode_report(report: &PrepareReport) -> Vec<u8> {
     let fields = report.fields();
     let mut out = Vec::with_capacity(8 + fields.len() * 8);
@@ -514,6 +422,25 @@ fn encode_meta(name: &str) -> Vec<u8> {
     out
 }
 
+/// The `meta` section both layouts end with: the source graph's name.
+fn decode_meta(payload: &[u8]) -> Result<String, CatalogError> {
+    let mut r = ByteReader::new(payload);
+    let name_len = r
+        .u32_le()
+        .ok_or_else(|| corrupt("meta: truncated name length"))?;
+    if payload.len() as u64 != 4 + u64::from(name_len) {
+        return Err(corrupt(format!(
+            "meta: payload is {} bytes but the declared name needs {}",
+            payload.len(),
+            4 + u64::from(name_len)
+        )));
+    }
+    let name = r.take(name_len as usize).unwrap();
+    std::str::from_utf8(name)
+        .map(str::to_string)
+        .map_err(|_| corrupt("meta: name is not UTF-8"))
+}
+
 // ---------------------------------------------------------------------------
 // The codec: one encoder and one decoder for both layouts
 // ---------------------------------------------------------------------------
@@ -529,11 +456,12 @@ pub(crate) enum Kind {
 }
 
 impl Kind {
-    /// The sections that follow the component pairs.
+    /// The sections that follow the component pairs; both end with
+    /// `meta`.
     fn tail(self) -> &'static [&'static str] {
         match self {
-            Kind::Fixed => &["singletons", "schedule", "report"],
-            Kind::Base => &["isolated", "base.meta"],
+            Kind::Fixed => &["singletons", "report", "meta"],
+            Kind::Base => &["isolated", "meta"],
         }
     }
 
@@ -611,8 +539,8 @@ pub(crate) fn to_bytes(inst: &PreparedInstance) -> Vec<u8> {
         inst.components(),
         [
             encode_ids(inst.singletons()),
-            encode_schedule(inst.schedule()),
             encode_report(inst.report()),
+            encode_meta(&inst.name),
         ],
     )
 }
@@ -720,16 +648,17 @@ fn decode_sections<T>(
 
 /// The half of the decode both layouts share: the canonical section
 /// order — `(component.i.graph, component.i.map)* ‖ tail`, then any run
-/// of appended `delta.{i}` sections — and every component pair decoded
-/// in order (edges `≥ bound`, one in-range map id per vertex) and handed
-/// to `each` for the kind's own checks. Returns `k` and the delta count.
+/// of appended `delta.{i}` sections — every component pair decoded in
+/// order (edges `≥ bound`, one in-range map id per vertex) and handed to
+/// `each` for the kind's own checks, and the graph name from the tail's
+/// last section, `meta`. Returns `k`, the name and the delta count.
 fn decode_components(
     sections: &VerifiedSections<'_>,
     tail: &[&str],
     bound: f64,
     original_n: usize,
     mut each: impl FnMut(usize, UncertainGraph, Vec<VertexId>) -> Result<(), CatalogError>,
-) -> Result<(usize, usize), CatalogError> {
+) -> Result<(usize, String, usize), CatalogError> {
     let all_names = section_names(sections.catalog());
     let (names, deltas) = split_delta_names(&all_names)?;
     if names.len() < tail.len() || !(names.len() - tail.len()).is_multiple_of(2) {
@@ -769,10 +698,11 @@ fn decode_components(
         }
         each(i, g, map)?;
     }
-    Ok((k, deltas))
+    let name = decode_meta(sections.payload(names.len() - 1))?;
+    Ok((k, name, deltas))
 }
 
-/// The fixed layout's tail: `singletons`, `schedule`, `report`.
+/// The fixed layout's tail: `singletons`, `report`, `meta`.
 fn decode_instance(
     sections: &VerifiedSections<'_>,
     alpha: f64,
@@ -781,12 +711,14 @@ fn decode_instance(
 ) -> Result<PreparedInstance, CatalogError> {
     let h = sections.catalog().header();
     let mut components = Vec::new();
-    let (k, deltas) = decode_components(
+    let mut covered = 0usize;
+    let (k, name, deltas) = decode_components(
         sections,
         Kind::Fixed.tail(),
         alpha,
         original_n,
         |_, g, map| {
+            covered += map.len();
             components.push(PreparedComponent {
                 kernel: Kernel::wrap(g, alpha, &cfg.mule),
                 to_original: map,
@@ -795,13 +727,20 @@ fn decode_instance(
         },
     )?;
     let singletons = decode_ids(sections.payload(2 * k), original_n, "singletons")?;
+    covered += singletons.len();
     if cfg.min_size >= 2 && !singletons.is_empty() {
         return Err(corrupt(
             "singletons present although min_size ≥ 2 excludes them",
         ));
     }
-    let schedule = decode_schedule(sections.payload(2 * k + 1), &components, &singletons)?;
-    let report = decode_report(sections.payload(2 * k + 2))?;
+    // Below size 2 every vertex is in some clique, so a vertex no
+    // section holds would silently drop its cliques.
+    if cfg.min_size <= 1 && covered != original_n {
+        return Err(corrupt(format!(
+            "components and singletons cover {covered} of {original_n} original vertices"
+        )));
+    }
+    let report = decode_report(sections.payload(2 * k + 1))?;
     if report.original_vertices as u64 != h.original_vertices
         || report.original_edges as u64 != h.original_edges
     {
@@ -809,19 +748,13 @@ fn decode_instance(
             "report counters disagree with the header's graph fingerprint",
         ));
     }
-
-    // The graph name is only observable on whole-graph instances (the
-    // identity fast path / shard-off store the input graph verbatim,
-    // name included; component subgraphs carry `""`). Recover it so
-    // delta replay rebuilds byte-identical merged graphs.
-    let name = components
-        .iter()
-        .find(|pc| pc.to_original.len() == original_n)
-        .map(|pc| pc.kernel.g.name().to_string())
-        .unwrap_or_default();
-    let mut inst = PreparedInstance::from_parts(
-        alpha, cfg, original_n, name, components, singletons, schedule, report,
-    );
+    let mut inst =
+        PreparedInstance::from_parts(alpha, cfg, original_n, name, components, singletons, report);
+    if !inst.schedule_ascends() {
+        return Err(corrupt(
+            "component maps and singletons share an original vertex",
+        ));
+    }
     replay_deltas(sections, 2 * k + 3, deltas, |d| {
         crate::delta::apply_instance(&mut inst, d)
     })?;
@@ -829,7 +762,7 @@ fn decode_instance(
 }
 
 /// The base layout's per-component obligations and its tail:
-/// `isolated`, `base.meta`.
+/// `isolated`, `meta`.
 fn decode_base(
     sections: &VerifiedSections<'_>,
     h: &CatalogHeader,
@@ -842,7 +775,7 @@ fn decode_base(
     let mut covered = 0usize;
     // decode_graph's min-probability bound doubles as the floor
     // precondition: every stored edge must carry p ≥ floor.
-    let (k, deltas) = decode_components(
+    let (k, name, deltas) = decode_components(
         sections,
         Kind::Base.tail(),
         floor,
@@ -907,22 +840,6 @@ fn decode_base(
             "components carry {component_edges} edges but the header fingerprint says {original_edges} (floor {floor})"
         )));
     }
-
-    let meta = sections.payload(2 * k + 1);
-    let mut r = ByteReader::new(meta);
-    let name_len = r
-        .u32_le()
-        .ok_or_else(|| corrupt("base.meta: truncated name length"))? as usize;
-    if meta.len() != 4 + name_len {
-        return Err(corrupt(format!(
-            "base.meta: payload is {} bytes but the declared name needs {}",
-            meta.len(),
-            4 + name_len
-        )));
-    }
-    let name = std::str::from_utf8(r.take(name_len).unwrap())
-        .map_err(|_| corrupt("base.meta: name is not UTF-8"))?
-        .to_string();
 
     let mut base = PreparedBase::from_parts(
         floor,
@@ -1101,12 +1018,7 @@ pub fn pending_deltas(path: impl AsRef<Path>) -> Result<usize, MuleError> {
 /// resident artifact that took the same batches through `apply` — and
 /// lands through the same atomic-durable path as [`append_delta`]: a
 /// crash mid-compaction leaves the old base-plus-deltas file intact and
-/// replayable. One gap, in the fixed layout only: the source graph's
-/// name is stored only inside a whole-graph component, so a catalog
-/// whose components do not span the graph decodes with no name, and a
-/// later batch that reconnects the graph yields a whole-graph component
-/// named `""` where a fresh prepare (or a resident artifact that never
-/// lost the name) writes the name.
+/// replayable.
 pub fn compact(path: impl AsRef<Path>) -> Result<usize, MuleError> {
     let path = path.as_ref();
     let image = Image::read(path)?;
@@ -1446,11 +1358,11 @@ mod tests {
         let err = expect_base_err(base_from_bytes(Bytes::from(writer.finish())));
         assert!(err.to_string().contains("canonical order"), "{err}");
         // A lying meta length is typed, not a panic.
-        let bad_meta = reseal_base(base_to_bytes(&base), "base.meta", |payload| {
+        let bad_meta = reseal_base(base_to_bytes(&base), "meta", |payload| {
             payload[0..4].copy_from_slice(&1000u32.to_le_bytes());
         });
         let err = expect_base_err(base_from_bytes(Bytes::from(bad_meta)));
-        assert!(err.to_string().contains("base.meta"), "{err}");
+        assert!(err.to_string().contains("meta:"), "{err}");
     }
 
     #[test]

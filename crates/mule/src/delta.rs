@@ -92,6 +92,7 @@ use crate::prepare::{
     PreparedInstance,
 };
 use crate::query::MuleError;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use ugraph_core::{UncertainGraph, VertexId};
 
@@ -606,8 +607,10 @@ pub(crate) fn apply_base(base: &mut PreparedBase, delta: &GraphDelta) -> Result<
         region,
         edge_total,
     } = touch(&parts, n, delta, ("floor", floor), base.original_edges)?;
-    let (fresh, lone) = split_base(&region, floor, &base.config.mule, |v| in_region[v as usize])
-        .map_err(MuleError::Graph)?;
+    let (fresh, lone) = split_base(Cow::Owned(region), floor, &base.config.mule, |v| {
+        in_region[v as usize]
+    })
+    .map_err(MuleError::Graph)?;
     let mut components: Vec<BaseComponent> = base
         .components
         .drain(..)

@@ -102,6 +102,7 @@ use crate::limits::{Interrupt, RunLimits};
 use crate::pruning::shared_neighborhood_peel;
 use crate::sinks::{CliqueSink, Control, Remap};
 use crate::stats::EnumerationStats;
+use std::borrow::Cow;
 use std::cell::Cell;
 use ugraph_core::{subgraph, ComponentSplit, Components, GraphError, UncertainGraph, VertexId};
 
@@ -283,6 +284,16 @@ pub(crate) enum Unit {
     Root { comp: u32, local: u32 },
 }
 
+impl Unit {
+    /// The original vertex the unit emits or roots.
+    fn original(self, components: &[PreparedComponent]) -> VertexId {
+        match self {
+            Unit::Singleton(v) => v,
+            Unit::Root { comp, local } => components[comp as usize].to_original[local as usize],
+        }
+    }
+}
+
 /// The output of [`prepare`]: compact per-component instances, the
 /// old↔new id maps, a [`PrepareReport`], and reusable search state, so
 /// the same prepared instance can be enumerated repeatedly
@@ -382,12 +393,12 @@ impl PreparedInstance {
         &self.config
     }
 
-    /// Reassemble an instance from deserialized parts — the
-    /// [`crate::catalog`] open path. The caller (the catalog decoder)
-    /// has already validated every cross-part invariant the pipeline
-    /// would have established; crucially, this constructor does **not**
-    /// touch [`pipeline_invocations`], because no pipeline stage runs.
-    #[allow(clippy::too_many_arguments)]
+    /// Assemble an instance from its parts and build its schedule — the
+    /// one constructor, behind [`Assembly::finish`] and the
+    /// [`crate::catalog`] open path. The parts must be what stage 4
+    /// yields: strictly increasing maps and singletons, pairwise disjoint
+    /// (the decoder proves that with [`Self::schedule_ascends`]). It does
+    /// **not** touch [`pipeline_invocations`]: no pipeline stage runs.
     pub(crate) fn from_parts(
         alpha: f64,
         config: PrepareConfig,
@@ -395,9 +406,9 @@ impl PreparedInstance {
         name: String,
         components: Vec<PreparedComponent>,
         singletons: Vec<VertexId>,
-        schedule: Vec<Unit>,
         report: PrepareReport,
     ) -> Self {
+        let schedule = build_schedule(&singletons, &components);
         PreparedInstance {
             alpha,
             min_size: config.min_size,
@@ -422,6 +433,15 @@ impl PreparedInstance {
 
     pub(crate) fn schedule(&self) -> &[Unit] {
         &self.schedule
+    }
+
+    /// Whether the schedule's original ids ascend strictly. The maps and
+    /// the singletons each ascend strictly, so this holds exactly when
+    /// they are pairwise disjoint: only an id two of them share can
+    /// repeat once they are merged.
+    pub(crate) fn schedule_ascends(&self) -> bool {
+        let orig = |unit: &Unit| unit.original(&self.components);
+        self.schedule.windows(2).all(|w| orig(&w[0]) < orig(&w[1]))
     }
 
     /// [`Self::run_limited`] without limits (the tests' entry point).
@@ -532,12 +552,9 @@ impl PreparedInstance {
 /// then merged in, with no `n`-slot table. A lone component's roots are
 /// already in order, and with no singletons there is nothing to merge:
 /// the single-kernel shape (every stage off, or the identity fast path)
-/// skips both passes. Built only by [`Assembly::finish`].
+/// skips both passes. Built only by [`PreparedInstance::from_parts`].
 fn build_schedule(singletons: &[VertexId], components: &[PreparedComponent]) -> Vec<Unit> {
-    let orig = |unit: &Unit| match *unit {
-        Unit::Singleton(v) => v,
-        Unit::Root { comp, local } => components[comp as usize].to_original[local as usize],
-    };
+    let orig = |unit: &Unit| unit.original(components);
     let mut roots = Vec::with_capacity(components.iter().map(|pc| pc.to_original.len()).sum());
     for (comp, pc) in (0..).zip(components) {
         roots.extend((0..pc.to_original.len() as u32).map(|local| Unit::Root { comp, local }));
@@ -707,12 +724,10 @@ pub(crate) fn prepare_base(
     // Edge probabilities are strictly positive, so a zero floor prunes
     // nothing — work straight off the input (α validation also rejects
     // 0, so the prune entry point cannot express it).
-    let pruned;
-    let work: &UncertainGraph = if floor > 0.0 {
-        pruned = subgraph::prune_below_alpha(g, floor)?;
-        &pruned
+    let work = if floor > 0.0 {
+        Cow::Owned(subgraph::prune_below_alpha(g, floor)?)
     } else {
-        g
+        Cow::Borrowed(g)
     };
     let (components, isolated) = split_base(work, floor, &config.mule, |_| true)?;
     Ok(PreparedBase {
@@ -731,16 +746,24 @@ pub(crate) fn prepare_base(
 /// lone vertex is kept only where `keep_lone` says so (incremental
 /// maintenance skips the untouched ones it carries over).
 pub(crate) fn split_base(
-    g: &UncertainGraph,
+    g: Cow<'_, UncertainGraph>,
     floor: f64,
     mule: &MuleConfig,
     keep_lone: impl Fn(VertexId) -> bool,
 ) -> Result<(Vec<BaseComponent>, Vec<VertexId>), GraphError> {
-    let split = Components::compute(g).split();
+    let split = Components::compute(&g).split();
+    let n = g.num_vertices();
+    if split.components().len() == 1 && split.component(0).len() == n {
+        // One component holds every vertex: take the graph itself under
+        // the identity map, named as `induced_subgraph` names a copy.
+        let sub = g.into_owned().with_name("");
+        let whole = BaseComponent::new(sub, (0..n as VertexId).collect(), floor, mule);
+        return Ok((vec![whole], Vec::new()));
+    }
     let components = split
         .components()
         .map(|list| {
-            let (sub, map) = subgraph::induced_subgraph(g, list)?;
+            let (sub, map) = subgraph::induced_subgraph(&g, list)?;
             Ok(BaseComponent::new(sub, map, floor, mule))
         })
         .collect::<Result<Vec<_>, GraphError>>()?;
@@ -936,6 +959,9 @@ enum Entry {
     Fresh { src: u32, comp: u32 },
 }
 
+/// A working graph of an [`Assembly`] and its map to original ids.
+type Source<'a> = (UncertainGraph, Option<&'a [VertexId]>);
+
 /// A [`PreparedInstance`] under construction: the staged working graphs,
 /// each with its map to original ids (`None` for an n-vertex graph over
 /// original ids) and its stage-4 split, the carried-over components, the
@@ -943,7 +969,7 @@ enum Entry {
 /// docs).
 #[derive(Default)]
 pub(crate) struct Assembly<'a> {
-    sources: Vec<(UncertainGraph, Option<&'a [VertexId]>)>,
+    sources: Vec<Source<'a>>,
     /// `splits[src]`: the components of `sources[src]` (sharding only).
     splits: Vec<ComponentSplit>,
     kept: Vec<Option<PreparedComponent>>,
@@ -1010,7 +1036,7 @@ impl<'a> Assembly<'a> {
         mut report: PrepareReport,
     ) -> PreparedInstance {
         let Assembly {
-            sources,
+            mut sources,
             splits,
             mut kept,
             mut entries,
@@ -1020,7 +1046,7 @@ impl<'a> Assembly<'a> {
         let t = config.min_size;
         let min_keep = t.max(2);
         // (vertices, edges) of an entry; no arc leaves a component.
-        let size = |kept: &[Option<PreparedComponent>], e: Entry| match e {
+        let size = |kept: &[Option<PreparedComponent>], sources: &[Source], e: Entry| match e {
             Entry::Keep(i) => {
                 let pc = kept[i as usize].as_ref().expect("each entry is used once");
                 (pc.to_original.len(), pc.kernel.g.num_edges())
@@ -1042,7 +1068,7 @@ impl<'a> Assembly<'a> {
         // O(n + m) copy. The report still counts only the kept material.
         let qualifying = entries
             .iter()
-            .filter(|(_, e)| size(&kept, *e).0 >= min_keep);
+            .filter(|(_, e)| size(&kept, &sources, *e).0 >= min_keep);
         let whole = !config.shard_components || qualifying.count() == 1;
         let mut components = Vec::new();
         let mut singletons = Vec::new();
@@ -1051,7 +1077,7 @@ impl<'a> Assembly<'a> {
             let lone_count = isolated.len() + lone.len();
             report.components_total = entries.len() + lone_count;
             for &(_, e) in &entries {
-                let (len, edges) = size(&kept, e);
+                let (len, edges) = size(&kept, &sources, e);
                 if len < min_keep {
                     report.components_dropped_small += 1;
                     continue;
@@ -1066,15 +1092,23 @@ impl<'a> Assembly<'a> {
                 components.push(match e {
                     Entry::Keep(i) => kept[i as usize].take().expect("each entry is used once"),
                     Entry::Fresh { src, comp } => {
-                        let (g, map) = &sources[src as usize];
+                        let (g, map) = &mut sources[src as usize];
                         let list = splits[src as usize].component(comp as usize);
-                        let (sub, local) = subgraph::induced_subgraph(g, list)
-                            .expect("component lists are in range");
+                        let sub = if list.len() == g.num_vertices() {
+                            // The component is its whole working graph
+                            // (`list` is then `0..len`): move the graph,
+                            // named as `induced_subgraph` names a copy.
+                            std::mem::take(g).with_name("")
+                        } else {
+                            subgraph::induced_subgraph(g, list)
+                                .expect("component lists are in range")
+                                .0
+                        };
                         PreparedComponent {
                             kernel: Kernel::wrap(sub, alpha, &config.mule),
                             to_original: match map {
-                                None => local,
-                                Some(m) => local.iter().map(|&l| m[l as usize]).collect(),
+                                None => list.to_vec(),
+                                Some(m) => list.iter().map(|&l| m[l as usize]).collect(),
                             },
                         }
                     }
@@ -1108,7 +1142,6 @@ impl<'a> Assembly<'a> {
                 to_original: (0..n as VertexId).collect(),
             });
         }
-        let schedule = build_schedule(&singletons, &components);
         PreparedInstance::from_parts(
             alpha,
             config.clone(),
@@ -1116,7 +1149,6 @@ impl<'a> Assembly<'a> {
             name.to_string(),
             components,
             singletons,
-            schedule,
             report,
         )
     }
@@ -1124,19 +1156,19 @@ impl<'a> Assembly<'a> {
 
 /// The whole staged n-vertex graph under the original dataset name, as
 /// the fresh identity fast path and shard-off shape hold it: a lone
-/// working graph over original ids is moved; otherwise each vertex's row
-/// is copied from the one part that holds it (rows stay sorted under the
-/// monotone maps).
+/// working graph of all n vertices is moved (its map, if any, is the
+/// identity); otherwise each vertex's row is copied from the one part
+/// that holds it (rows stay sorted under the monotone maps).
 fn whole_graph<'a>(
     n: usize,
-    mut sources: Vec<(UncertainGraph, Option<&[VertexId]>)>,
+    mut sources: Vec<Source<'_>>,
     kept: impl Iterator<Item = &'a PreparedComponent>,
     name: &str,
 ) -> UncertainGraph {
     let kept: Vec<_> = kept
         .map(|pc| (&*pc.kernel.g, Some(&pc.to_original[..])))
         .collect();
-    if sources.len() == 1 && sources[0].1.is_none() && kept.is_empty() {
+    if sources.len() == 1 && sources[0].0.num_vertices() == n && kept.is_empty() {
         return sources.pop().unwrap().0.with_name(name);
     }
     let parts: Vec<(&UncertainGraph, Option<&[VertexId]>)> =

@@ -545,15 +545,18 @@ impl<'g> Query<'g> {
     /// [`Prepared::save`] — the cold-start entry point. No pipeline
     /// stage runs (pinned by `tests/catalog_cold_open.rs`): the file
     /// already holds the pipeline's output, and [`Query::open`] only
-    /// validates and decodes it (no index is built: indexes are per
+    /// validates and decodes it, rebuilding the run schedule from the
+    /// stored id maps and singletons (no index is built: indexes are per
     /// root, at search time). The session starts with the saved
     /// configuration and one worker thread; retune with
     /// [`Prepared::set_threads`].
     ///
     /// Failures are typed: unreadable file → [`MuleError::Io`];
     /// structurally or semantically invalid content →
-    /// [`MuleError::Catalog`]. A corrupted catalog never panics and
-    /// never serves data.
+    /// [`MuleError::Catalog`]; a catalog of another format version (a
+    /// version-1 file, say) → [`MuleError::Catalog`] holding
+    /// `CatalogError::UnsupportedVersion`, and it must be re-prepared. A
+    /// corrupted catalog never panics and never serves data.
     pub fn open(path: impl AsRef<Path>) -> Result<Prepared, MuleError> {
         Self::open_bytes(crate::catalog::read_image(path.as_ref())?)
     }
@@ -809,7 +812,10 @@ impl Prepared {
     }
 
     /// Persist this session's prepared instance as a UGQ1 catalog file
-    /// (see [`crate::catalog`] for the byte-level format). A later
+    /// (see [`crate::catalog`] for the byte-level format): the component
+    /// graphs and id maps, the singletons, the prepare report and the
+    /// graph name — not the run schedule, which the open rebuilds from
+    /// the maps. A later
     /// [`Query::open`] rebuilds an equivalent session — same α, size
     /// threshold, stage toggles and index configuration — that serves
     /// every query byte-identically, without re-running any pipeline

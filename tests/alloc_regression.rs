@@ -380,6 +380,15 @@ fn open_refine_and_apply_allocate_linear_bytes() {
             "{what} allocated {got} bytes, over 96·(n + m) = {bound}"
         );
     }
+    // Refine and apply build the component's graph once, as open does:
+    // a component that is its whole working graph is moved into the
+    // kernel, not copied a second time.
+    for (what, got) in [("refine", refine), ("apply", apply)] {
+        assert!(
+            2 * got < 3 * open,
+            "{what} allocated {got} bytes, over 1.5× the {open} bytes of open"
+        );
+    }
     // The rebuilt kernels still search the graph.
     let want = mule::Query::new(&g)
         .alpha(0.5)

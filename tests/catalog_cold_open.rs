@@ -13,8 +13,8 @@ use ugraph_core::VertexId;
 #[test]
 fn cold_open_serves_all_queries_with_zero_pipeline_work() {
     // Two triangles in separate components plus an isolated vertex and a
-    // sub-α edge: the schedule interleaves roots and singletons, so a
-    // reopened session exercises every decoded artifact.
+    // sub-α edge: the schedule the open rebuilds interleaves roots and
+    // singletons, so a reopened session exercises every decoded section.
     let g = from_edges(
         9,
         &[

@@ -10,8 +10,9 @@
 //!   truncation point.
 //! * **Checksum-valid forgery** — an attacker (or a buggy writer) who
 //!   recomputes the checksums. The mule layer must re-validate the
-//!   semantic invariants: canonical section order, monotone id maps,
-//!   well-formed schedule, α-pruned component graphs, plausible counts.
+//!   semantic invariants: canonical section order, monotone id maps
+//!   that are pairwise disjoint and cover every vertex a clique needs,
+//!   α-pruned component graphs, plausible counts.
 
 use mule::{MuleError, Query};
 use proptest::prelude::*;
@@ -40,6 +41,15 @@ fn fixture_bytes() -> Vec<u8> {
         .prepare()
         .unwrap()
         .to_catalog_bytes()
+}
+
+/// An id-list section payload: `len u64 ‖ ids len×u32`.
+fn id_list(ids: &[u32]) -> Vec<u8> {
+    let mut out = (ids.len() as u64).to_le_bytes().to_vec();
+    for v in ids {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+    out
 }
 
 /// Open must fail with the catalog-typed error (I/O damage is a
@@ -155,7 +165,7 @@ fn swapped_section_order_is_rejected_despite_valid_checksums() {
 #[test]
 fn zeroed_section_crc_is_rejected() {
     let good = fixture_bytes();
-    let target = "schedule";
+    let target = "meta";
     let mut bad = good.clone();
     patch_toc_entry(&mut bad, target, |fields| {
         fields[16..20].fill(0); // the stored crc32
@@ -181,13 +191,36 @@ fn oversized_section_length_is_rejected_structurally() {
 #[test]
 fn unsupported_version_is_a_distinct_typed_error() {
     let mut bad = fixture_bytes();
-    bad[4..8].copy_from_slice(&2u32.to_le_bytes());
+    bad[4..8].copy_from_slice(&3u32.to_le_bytes());
     reseal_header(&mut bad);
     match Query::open_bytes(bad) {
         Err(MuleError::Catalog(CatalogError::UnsupportedVersion { found })) => {
-            assert_eq!(found, 2)
+            assert_eq!(found, 3)
         }
-        other => panic!("wrong result for v2 catalog: {:?}", other.map(|_| "opened")),
+        other => panic!("wrong result for v3 catalog: {:?}", other.map(|_| "opened")),
+    }
+}
+
+/// A version-1 header of either kind is refused before any section is
+/// read, with the same typed error on every open path: version 1 stored
+/// a `schedule` section and a `base.meta` one that this build no longer
+/// reads.
+#[test]
+fn version_1_images_of_either_kind_are_refused() {
+    for (kind, mut bad) in [("fixed", fixture_bytes()), ("base", base_fixture_bytes())] {
+        bad[4..8].copy_from_slice(&1u32.to_le_bytes());
+        reseal_header(&mut bad);
+        let results = [
+            Query::open_any_bytes(bad.clone()).map(|_| ()),
+            Query::open_bytes(bad.clone()).map(|_| ()),
+            Query::open_base_bytes(bad).map(|_| ()),
+        ];
+        for res in results {
+            match res {
+                Err(MuleError::Catalog(CatalogError::UnsupportedVersion { found: 1 })) => {}
+                other => panic!("v1 {kind} image: {other:?}"),
+            }
+        }
     }
 }
 
@@ -210,16 +243,22 @@ fn forged_semantic_corruption_is_rejected() {
         "{msg}"
     );
 
-    // Unknown schedule unit tag.
-    let forged = reforge(&good, |sections| {
-        let (_, payload) = sections
-            .iter_mut()
-            .find(|(name, _)| name == "schedule")
-            .unwrap();
-        payload[8] = 7; // first unit's tag byte
-    });
-    let msg = assert_rejected(forged, "bad schedule tag");
-    assert!(msg.contains("unknown tag"), "{msg}");
+    // Overlapping maps, every count intact. The fixture's components
+    // are {0, 1, 2} and {4, 5, 6} and its singletons {3, 7, 8}. Moving
+    // the second component onto {2, 4, 5} shares vertex 2 between the
+    // components; moving the singletons onto {2, 7, 8} shares it with
+    // the first. Either way the sizes still sum to the 9 vertices.
+    for (target, ids) in [("component.1.map", [2u32, 4, 5]), ("singletons", [2, 7, 8])] {
+        let forged = reforge(&good, |sections| {
+            let (_, payload) = sections
+                .iter_mut()
+                .find(|(name, _)| name == target)
+                .unwrap();
+            *payload = id_list(&ids);
+        });
+        let msg = assert_rejected(forged, &format!("overlapping {target}"));
+        assert!(msg.contains("share an original vertex"), "{msg}");
+    }
 
     // A stray section the format does not define.
     let forged = reforge(&good, |sections| {
@@ -257,6 +296,32 @@ fn forged_semantic_corruption_is_rejected() {
     });
     let msg = assert_rejected(forged, "lying report");
     assert!(msg.contains("fingerprint"), "{msg}");
+}
+
+/// At `min_size ≤ 1` every vertex is a clique member, so a fixed
+/// catalog must hold each original vertex in a component or the
+/// singletons. Forged: n = 5, edges 0–1 and 2–3 at p 0.9, α 0.5, and
+/// vertex 4 dropped from the singletons — all checksums valid. Served,
+/// it would list 2 cliques instead of 3 and exit cleanly.
+#[test]
+fn a_vertex_missing_from_every_section_is_rejected() {
+    let g = from_edges(5, &[(0, 1, 0.9), (2, 3, 0.9)]).unwrap();
+    let good = Query::new(&g)
+        .alpha(0.5)
+        .prepare()
+        .unwrap()
+        .to_catalog_bytes();
+    assert_eq!(Query::open_bytes(good.clone()).unwrap().count().unwrap(), 3);
+    let forged = reforge(&good, |sections| {
+        let (_, payload) = sections
+            .iter_mut()
+            .find(|(name, _)| name == "singletons")
+            .unwrap();
+        assert_eq!(*payload, id_list(&[4]));
+        *payload = id_list(&[]);
+    });
+    let msg = assert_rejected(forged, "vertex 4 in no section");
+    assert!(msg.contains("cover 4 of 5"), "{msg}");
 }
 
 /// The α-generic base variant of the fixture: same graph, floor 0.5,
@@ -345,7 +410,7 @@ fn base_forged_semantic_corruption_is_rejected() {
     // Swapped tail sections (checksums valid).
     let forged = reforge(&good, |sections| {
         let n = sections.len();
-        sections.swap(n - 2, n - 1); // isolated <-> base.meta
+        sections.swap(n - 2, n - 1); // isolated <-> meta
     });
     let msg = assert_base_rejected(forged, "swapped tail");
     assert!(msg.contains("canonical order"), "{msg}");
@@ -360,11 +425,11 @@ fn base_forged_semantic_corruption_is_rejected() {
         "{msg}"
     );
 
-    // A dropped base.meta breaks the 2k+2 section count.
+    // A dropped meta breaks the 2k+2 section count.
     let forged = reforge(&good, |sections| {
-        sections.retain(|(name, _)| name != "base.meta");
+        sections.retain(|(name, _)| name != "meta");
     });
-    assert_base_rejected(forged, "missing base.meta");
+    assert_base_rejected(forged, "missing meta");
 
     // Non-monotone isolated ids (the fixture isolates 3, 7 and 8).
     let forged = reforge(&good, |sections| {
@@ -416,16 +481,16 @@ fn base_forged_semantic_corruption_is_rejected() {
     let msg = assert_base_rejected(forged, "edge fingerprint");
     assert!(msg.contains("fingerprint"), "{msg}");
 
-    // A truncated base.meta (name length pointing past the payload).
+    // A truncated meta (name length pointing past the payload).
     let forged = reforge(&good, |sections| {
         let (_, payload) = sections
             .iter_mut()
-            .find(|(name, _)| name == "base.meta")
+            .find(|(name, _)| name == "meta")
             .unwrap();
         payload[..4].copy_from_slice(&1000u32.to_le_bytes());
     });
     let msg = assert_base_rejected(forged, "truncated meta");
-    assert!(msg.contains("base.meta"), "{msg}");
+    assert!(msg.contains("meta:"), "{msg}");
 }
 
 proptest! {

@@ -570,6 +570,45 @@ fn reopen_replays_pending_deltas_and_compaction_is_byte_exact() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The graph name survives a split and a rejoin. A named path 0–1–2–3
+/// at α 0.5 is one component, which the identity fast path stores as
+/// the whole named graph; deleting 1–2 leaves two components, which
+/// carry no name; inserting 1–2 again makes the graph whole. Both
+/// routes must end at the bytes of a fresh prepare of the named path:
+/// the file route (`append_delta` and `compact` after each batch), and
+/// a resident session that applies the split, is saved and reopened,
+/// applies the rejoin and is saved again.
+#[test]
+fn the_graph_name_survives_a_split_and_a_rejoin() {
+    let dir = std::env::temp_dir().join(format!("ugq-delta-name-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let g = from_edges(4, &[(0, 1, 0.9), (1, 2, 0.9), (2, 3, 0.9)])
+        .unwrap()
+        .with_name("path");
+    let prepare = || Query::new(&g).alpha(0.5).prepare().unwrap();
+    let fresh = prepare().to_catalog_bytes();
+    let split = GraphDelta::new().delete(1, 2);
+    let rejoin = GraphDelta::new().insert(1, 2, 0.9);
+
+    let path = dir.join("path.ugq");
+    prepare().save(&path).unwrap();
+    for delta in [&split, &rejoin] {
+        assert_eq!(catalog::append_delta(&path, delta).unwrap(), 1);
+        assert_eq!(catalog::compact(&path).unwrap(), 1);
+    }
+    assert_eq!(std::fs::read(&path).unwrap(), fresh, "append + compact");
+
+    let mut resident = prepare();
+    resident.apply(&split).unwrap();
+    resident.save(&path).unwrap();
+    let mut reopened = Query::open(&path).unwrap();
+    reopened.apply(&rejoin).unwrap();
+    reopened.save(&path).unwrap();
+    assert_eq!(std::fs::read(&path).unwrap(), fresh, "apply + save");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `apply` never re-enters the prepare pipeline: the per-thread
 /// counter moves only for `prepare` / `prepare_base`.
 #[test]

@@ -196,7 +196,7 @@ pub fn enumerate(args: &[String], out: &mut dyn Write) -> CmdResult {
 
     if opts.flag("count-only") {
         let mut sink = CountSink::new();
-        let interrupted = split_interrupt(session.stream(&mut sink).map(|_| ()))?;
+        let interrupted = split_interrupt(session.count_into(&mut sink).map(|_| ()))?;
         writeln!(out, "cliques:      {}", sink.count).map_err(io_err)?;
         writeln!(out, "max size:     {}", sink.max_size).map_err(io_err)?;
         writeln!(out, "output ids:   {}", sink.total_vertices).map_err(io_err)?;

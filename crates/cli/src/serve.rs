@@ -23,7 +23,11 @@
 //!   α-independent artifact is loaded once and every requested α is a
 //!   cheap refinement (cache-hit or [`mule::Base::refine`]), never a
 //!   full pipeline run. Per-base `refine_hits` / `refine_misses`
-//!   counters are surfaced by the `stat` op. Entries are *taken out*
+//!   counters are surfaced by the `stat` op. Each resident session
+//!   keeps its last complete count, so a repeated `count` on an
+//!   unchanged view skips the search ([`Prepared::count_into`] states
+//!   the rule; an `update` clears it); `stat` reports each entry's
+//!   `kept_hits`. Entries are *taken out*
 //!   of the cache while a request runs — no lock is held during
 //!   enumeration, a poisoned view can simply be dropped, and the base
 //!   it came from survives. (A `stat` issued while the only resident
@@ -348,6 +352,7 @@ impl Resident {
                 view_cap,
                 refine_hits: 0,
                 refine_misses: 0,
+                kept_hits: 0,
                 failures: 0,
             }),
         }
@@ -379,7 +384,8 @@ impl Resident {
 /// A resident [`Base`] with an LRU of refined [`Prepared`] views keyed
 /// by the requested α's bit pattern, plus lifetime refine-cache
 /// counters (`hits` = view served from the LRU, `misses` = view built
-/// by [`Base::refine`], including the first request after a cold open).
+/// by [`Base::refine`], including the first request after a cold open)
+/// and the counts its views answered from a kept result.
 struct BaseEntry {
     base: Base,
     /// Most-recently-used at the back; views are *taken* while in use.
@@ -387,6 +393,9 @@ struct BaseEntry {
     view_cap: usize,
     refine_hits: u64,
     refine_misses: u64,
+    /// [`Prepared::kept_hits`] summed over every view, dropped ones
+    /// included.
+    kept_hits: u64,
     /// Consecutive refine/view panics; at the server's poison
     /// threshold the whole entry is evicted and later reopened from
     /// disk instead of wedging its catalog key.
@@ -971,6 +980,7 @@ fn run_view(
     was_cached: bool,
 ) -> String {
     let req = request.clone();
+    let kept_before = session.kept_hits();
     let shed = AssertUnwindSafe((session, req));
     let outcome = catch_unwind(move || {
         let AssertUnwindSafe((mut session, req)) = shed;
@@ -987,6 +997,7 @@ fn run_view(
             let resident = match base {
                 None => Resident::Fixed(session),
                 Some((mut entry, bits)) => {
+                    entry.kept_hits += session.kept_hits() - kept_before;
                     entry.put_view(bits, session);
                     // A completed request clears the consecutive-
                     // failure streak: poisoning targets wedged
@@ -1205,8 +1216,9 @@ fn apply_update(
 
 /// The `stat` op: server-wide resilience counters, plus — when the
 /// (optional) `catalog` field is present — what is resident for that
-/// path, without cold-opening or touching recency. A base entry also
-/// reports its refine-cache counters.
+/// path, without cold-opening or touching recency: its `kept_hits`
+/// (counts answered from a kept result, [`Prepared::count_into`]) and,
+/// for a base entry, its refine-cache counters.
 fn run_stat(request: &Request, shared: &Shared) -> String {
     let c = &shared.counters;
     let mut reply: ObjBuilder = ok_reply("stat")
@@ -1249,6 +1261,7 @@ fn run_stat(request: &Request, shared: &Shared) -> String {
             .field("resident", Json::Bool(true))
             .field("kind", Json::Str("fixed".to_string()))
             .field("alpha", Json::Num(session.alpha()))
+            .field("kept_hits", Json::Num(session.kept_hits() as f64))
             .render(),
         Some(Resident::Base(entry)) => reply
             .field("resident", Json::Bool(true))
@@ -1257,6 +1270,7 @@ fn run_stat(request: &Request, shared: &Shared) -> String {
             .field("views", Json::Num(entry.views.len() as f64))
             .field("refine_hits", Json::Num(entry.refine_hits as f64))
             .field("refine_misses", Json::Num(entry.refine_misses as f64))
+            .field("kept_hits", Json::Num(entry.kept_hits as f64))
             .field("failures", Json::Num(entry.failures as f64))
             .render(),
     }
@@ -1273,7 +1287,7 @@ fn execute(session: &mut Prepared, req: &Request) -> String {
     match req.op.as_str() {
         "count" => {
             let mut sink = CountSink::new();
-            match session.stream(&mut sink) {
+            match session.count_into(&mut sink) {
                 Ok(stats) => ok_reply("count")
                     .field("count", Json::Num(sink.count as f64))
                     .field("max_size", Json::Num(sink.max_size as f64))
@@ -1450,6 +1464,7 @@ mod tests {
             view_cap: 2,
             refine_hits: 0,
             refine_misses: 0,
+            kept_hits: 0,
             failures: 0,
         };
         // Simulate the request flow: miss → refine → put back.

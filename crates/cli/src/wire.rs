@@ -47,14 +47,20 @@
 //! # Replies
 //!
 //! Success replies carry `"ok":true` plus op-specific fields
-//! (`cliques`, `probs`, `count`, `search_nodes`, `elapsed_ms`,
-//! `alpha`, `truncated`). `stat` always reports the server-wide
+//! (`cliques`, `probs`, `count`, `max_size`, `search_nodes`,
+//! `elapsed_ms`, `alpha`, `truncated`). A `count` reply's `count`,
+//! `max_size` and `search_nodes` equal a fresh session's, also when the
+//! resident session answered from its kept result
+//! (`mule::Prepared::count_into`): `search_nodes` is then the size of
+//! the search that produced it. `stat` always reports the server-wide
 //! resilience counters (`"shed"`, `"retries_hinted"`,
 //! `"expired_rejected"`, `"idle_closes"`, `"slowloris_closes"`,
 //! `"poison_evictions"`, `"poison_reopens"`, `"panics_isolated"`);
 //! when its optional `catalog` field is present it adds the
 //! resident-cache entry for that path: `"resident"`, and when resident
-//! `"kind"` (`"base"`/`"fixed"`) plus — for a base — `"floor"`,
+//! `"kind"` (`"base"`/`"fixed"`), `"kept_hits"` (counts the entry
+//! answered from a kept result instead of searching) plus — for a
+//! base — `"floor"`,
 //! `"views"` (the refined per-α sessions currently resident), the
 //! per-base `"refine_hits"` / `"refine_misses"` counters (a view taken
 //! from the LRU vs built by refinement; diagnosing mixed-α workloads

@@ -1345,6 +1345,118 @@ fn serve_updates_write_the_bytes_append_delta_and_compact_write() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A fresh prepare's `count`, `max_size` and search nodes for `truth`
+/// at `alpha` — and with `node_budget`, the typed failure's partial
+/// search nodes instead.
+fn fresh_count(
+    truth: &ugraph_core::UncertainGraph,
+    alpha: f64,
+    node_budget: Option<u64>,
+) -> Result<(u64, u64, u64), u64> {
+    let mut fresh = mule::Query::new(truth).alpha(alpha).prepare().unwrap();
+    fresh.set_node_budget(node_budget);
+    let mut sink = mule::sinks::CountSink::new();
+    match fresh.count_into(&mut sink) {
+        Ok(stats) => Ok((sink.count, sink.max_size as u64, stats.calls)),
+        Err(e) => Err(e.interrupted_stats().unwrap().calls),
+    }
+}
+
+/// A resident session keeps its last complete count. On a fixed
+/// catalog and on a base: count, count, `update`, count — every reply's
+/// `count`, `max_size` and `search_nodes` equal a fresh prepare of the
+/// current graph, the repeat is answered from the kept result (`stat`'s
+/// `kept_hits`) and the update clears it. A `node_budget` below the
+/// kept search size still searches and fails with a fresh session's
+/// partial `search_nodes`.
+#[test]
+fn repeated_counts_equal_a_fresh_prepare_across_an_update() {
+    use rand::SeedableRng;
+    let dir = temp_dir("kept-count");
+    let n = 40u32;
+    let server = start(ServeConfig::default());
+    let addr = server.addr();
+    for kind in ["fixed", "base"] {
+        let mut edges = random_edges(n, 0.3, 23);
+        let g = build_graph(n, &edges);
+        let path = dir.join(format!("{kind}.ugq"));
+        let (alpha, alpha_field) = match kind {
+            "fixed" => {
+                let session = mule::Query::new(&g).alpha(FIXED_ALPHA).prepare().unwrap();
+                session.save(&path).unwrap();
+                (FIXED_ALPHA, String::new())
+            }
+            _ => {
+                mule::Query::new(&g)
+                    .prepare_base()
+                    .unwrap()
+                    .save(&path)
+                    .unwrap();
+                (0.5, r#","alpha":0.5"#.to_string())
+            }
+        };
+        let catalog = path.to_str().unwrap().to_string();
+        let count = |extra: &str| {
+            request(
+                addr,
+                &format!(r#"{{"op":"count","catalog":"{catalog}"{alpha_field}{extra}}}"#),
+            )
+        };
+        let kept_hits = || {
+            request(addr, &format!(r#"{{"op":"stat","catalog":"{catalog}"}}"#))
+                .get("kept_hits")
+                .and_then(Json::as_u64)
+        };
+        let answer = |reply: &Json| {
+            let field = |key| reply.get(key).and_then(Json::as_u64).unwrap();
+            (field("count"), field("max_size"), field("search_nodes"))
+        };
+        let mut truth = g;
+        for (round, hits) in [(0, 1), (1, 2)] {
+            let what = format!("{kind} round {round}");
+            let want = fresh_count(&truth, alpha, None).unwrap();
+            for repeat in ["first", "repeat"] {
+                let reply = count("");
+                assert_ok(&reply, &format!("{what}: {repeat} count"));
+                assert_eq!(answer(&reply), want, "{what}: {repeat} count");
+            }
+            assert_eq!(kept_hits(), Some(hits), "{what}: the repeat is kept");
+            let budget = want.2 - 1;
+            let reply = count(&format!(r#","node_budget":{budget}"#));
+            assert_err(&reply, "budget_exhausted", &what);
+            assert_eq!(
+                reply.get("search_nodes").and_then(Json::as_u64),
+                fresh_count(&truth, alpha, Some(budget)).err(),
+                "{what}: partial search nodes"
+            );
+            assert_eq!(
+                kept_hits(),
+                Some(hits),
+                "{what}: a budget below is not kept"
+            );
+            if round == 0 {
+                let mut touched = std::collections::BTreeSet::new();
+                let mut rng = rand::rngs::SmallRng::seed_from_u64(29);
+                let (wire, _) = next_batch(n, &mut edges, &mut touched, FIXED_ALPHA, &mut rng);
+                let reply = request(
+                    addr,
+                    &format!(r#"{{"op":"update","catalog":"{catalog}","ops":[{wire}]}}"#),
+                );
+                assert_ok(&reply, &what);
+                truth = build_graph(n, &edges);
+                assert_ne!(
+                    fresh_count(&truth, alpha, None).unwrap(),
+                    want,
+                    "{what}: the update must change the answer"
+                );
+            }
+        }
+    }
+    assert_ok(&request(addr, r#"{"op":"shutdown"}"#), "shutdown");
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A log sink the test can read back.
 #[derive(Clone, Default)]
 struct SharedLog(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);

@@ -784,7 +784,9 @@ impl Base {
 /// execution method reuses the same prepared state — preprocessing ran
 /// exactly once, at [`Query::prepare`] — and reruns are allocation-free
 /// in steady state, like the underlying kernels. Counters of the most
-/// recent execution are at [`Prepared::stats`].
+/// recent execution are at [`Prepared::stats`]. A count keeps its
+/// totals for the next count on the session: see
+/// [`Prepared::count_into`].
 pub struct Prepared {
     inst: PreparedInstance,
     threads: usize,
@@ -792,6 +794,11 @@ pub struct Prepared {
     /// Per-execution limits (deadline / node budget / cancel token);
     /// inactive by default.
     limits: LimitSpec,
+    /// The totals of the last count that finished without an
+    /// interrupt (see [`Prepared::count_into`]).
+    kept: Option<(CountSink, EnumerationStats)>,
+    /// Counts answered from `kept` over the session's lifetime.
+    kept_hits: u64,
 }
 
 impl Prepared {
@@ -802,6 +809,8 @@ impl Prepared {
             threads,
             stats: EnumerationStats::new(),
             limits,
+            kept: None,
+            kept_hits: 0,
         }
     }
 
@@ -863,9 +872,13 @@ impl Prepared {
     /// returns a typed [`MuleError::Delta`] and the session is
     /// unchanged. See [`mod@crate::delta`] for the soundness argument
     /// and the representability contract.
+    ///
+    /// A successful apply drops the kept count ([`Prepared::count_into`]):
+    /// the next count searches the mutated graph.
     pub fn apply(&mut self, delta: &GraphDelta) -> Result<(), MuleError> {
         crate::delta::apply_instance(&mut self.inst, delta)?;
         self.stats = EnumerationStats::new();
+        self.kept = None;
         Ok(())
     }
 
@@ -909,9 +922,18 @@ impl Prepared {
         self.inst.report()
     }
 
-    /// Counters from the most recent execution method.
+    /// Counters from the most recent execution method. After a count
+    /// answered from the kept result these are that result's counters,
+    /// the search that produced it ([`Prepared::count_into`]).
     pub fn stats(&self) -> &EnumerationStats {
         &self.stats
+    }
+
+    /// How many counts this session answered from its kept result
+    /// instead of searching ([`Prepared::count_into`]), over its
+    /// lifetime.
+    pub fn kept_hits(&self) -> u64 {
+        self.kept_hits
     }
 
     /// The underlying prepared instance.
@@ -979,12 +1001,66 @@ impl Prepared {
         Ok(cliques)
     }
 
-    /// Count qualifying cliques without storing them (sequential).
-    /// Interruption semantics as [`Prepared::stream`].
+    /// Count qualifying cliques without storing them (sequential): the
+    /// `count` of [`Prepared::count_into`], whose kept-result rule it
+    /// follows.
     pub fn count(&mut self) -> Result<u64, MuleError> {
         let mut sink = CountSink::new();
-        self.stream(&mut sink)?;
+        self.count_into(&mut sink)?;
         Ok(sink.count)
+    }
+
+    /// Count qualifying cliques into `sink` (sequential) — the counting
+    /// method: [`Prepared::count`], `mule serve`'s `count` op and
+    /// `mule enumerate --count-only` all run through it. `sink` gains
+    /// exactly what [`Prepared::stream`] would add to it.
+    ///
+    /// A count's answer is a pure function of the prepared instance, so
+    /// the session keeps it:
+    ///
+    /// * **What is kept.** The totals of the last count that finished
+    ///   without an interrupt — the [`CountSink`] fields (`count`,
+    ///   `max_size`, `total_vertices`) and the full
+    ///   [`EnumerationStats`]. A limited run that finishes is kept too:
+    ///   limit probes do not change the search. The next count returns
+    ///   the kept totals without searching ([`Prepared::kept_hits`]
+    ///   counts those).
+    /// * **What clears it.** A successful [`Prepared::apply`]. A session
+    ///   from [`Base::refine`], [`Query::prepare`] or a catalog open
+    ///   starts without one. [`Prepared::stream`],
+    ///   [`Prepared::collect`], [`Prepared::top_k`] and
+    ///   [`Prepared::iter`] neither read nor write it, and an
+    ///   interrupted count leaves it as it was.
+    /// * **Limits stay exact.** The run's up-front probe comes first, so
+    ///   a zero deadline or a cancelled token fails exactly as a search
+    ///   would. Under a node budget `B` the kept totals are served only
+    ///   if their `calls ≤ B`; otherwise the count searches, and — since
+    ///   a run probes after its last unit — it fails exactly when its
+    ///   total `calls` exceed `B`, with the same partial counters as
+    ///   on a session that never kept anything.
+    /// * **Search size.** A kept answer reports the counters of the
+    ///   search that produced it: [`Prepared::stats`] (and so serve's
+    ///   `search_nodes`) equals a fresh session's count of the same
+    ///   instance, not the zero work this call did.
+    pub fn count_into(&mut self, sink: &mut CountSink) -> Result<&EnumerationStats, MuleError> {
+        let mut limits = self.limits.arm();
+        let budget = self.limits.node_budget.unwrap_or(u64::MAX);
+        if let Some((kept, stats)) = self.kept.clone().filter(|(_, s)| s.calls <= budget) {
+            if !self.inst.prologue(&mut CountSink::new(), &mut limits) {
+                return self.settle(limits.tripped());
+            }
+            absorb(sink, &kept);
+            self.stats = stats;
+            self.kept_hits += 1;
+            return Ok(&self.stats);
+        }
+        let mut fresh = CountSink::new();
+        let interrupt = self.inst.run_limited(&mut fresh, &mut limits);
+        absorb(sink, &fresh);
+        if interrupt.is_none() {
+            self.kept = Some((fresh, *self.inst.stats()));
+        }
+        self.settle(interrupt)
     }
 
     /// The `k` most probable qualifying cliques, probability descending
@@ -1021,6 +1097,13 @@ impl Prepared {
             next_unit: 0,
         }
     }
+}
+
+/// Add one count's totals to `sink`, as streaming its cliques would.
+fn absorb(sink: &mut CountSink, totals: &CountSink) {
+    sink.count += totals.count;
+    sink.total_vertices += totals.total_vertices;
+    sink.max_size = sink.max_size.max(totals.max_size);
 }
 
 /// Pull-based clique iterator borrowing a [`Prepared`] session — see
